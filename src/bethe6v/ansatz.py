@@ -5,10 +5,12 @@ The candidate eigenvector on the n-particle sector has coefficients
     psi(x) = sum over permutations sigma of  A(sigma) * prod_k z_{sigma(k)}^{x_k}
 
 with A(sigma) the signed product of the cached pair factors
-e^{i p_k} S(p_k, p_l).  Production evaluation walks permutations in
-minimal-change order and updates the amplitude by one pair-factor ratio per
-adjacent swap; the direct product form is kept as ``amplitude`` and serves
-as the test oracle.
+e^{i p_k} S(p_k, p_l).  Production evaluation is a dynamic program over
+subsets of momenta (Held-Karp style): extending a partial permutation by one
+value multiplies its amplitude by a factor that depends on the set already
+placed, not on its order, so the n!-term sum costs O(2^n n) per coefficient.
+The direct product form is kept as ``amplitude`` and serves as the test
+oracle.
 
 The predicted transfer eigenvalue has two branches: a product formula when
 no momentum vanishes, and a derivative-corrected formula when one momentum
@@ -76,7 +78,7 @@ class AmplitudeEvaluator:
         cap = caps.perm_cap(perm_cap)
         if momenta.n > cap:
             raise CapExceededError(
-                f"{momenta.n} momenta exceed the factorial cap {cap}"
+                f"{momenta.n} momenta exceed the subset-sum cap {cap}"
             )
         self.momenta = momenta
         self.n = momenta.n
@@ -85,17 +87,6 @@ class AmplitudeEvaluator:
         kernel = scattering_kernel(p[:, None], p[None, :], momenta.anisotropy)
         kernel = np.asarray(kernel).reshape(self.n, self.n)
         self.pair_factors = self.z[:, None] * kernel
-        # swap_ratio[a, b]: amplitude factor when values a, b at adjacent
-        # positions (a left of b) are exchanged
-        if self.n:
-            self.swap_ratio = -self.pair_factors.T / self.pair_factors
-        else:
-            self.swap_ratio = np.zeros((0, 0), dtype=complex)
-        amp = 1.0 + 0.0j
-        for k in range(self.n):
-            for l in range(k + 1, self.n):
-                amp *= self.pair_factors[k, l]
-        self.identity_amplitude = amp
 
 
 def _signature(sigma) -> int:
@@ -121,75 +112,59 @@ def amplitude(sigma, ev: AmplitudeEvaluator) -> complex:
     return amp
 
 
-def _minimal_change_permutations(n: int):
-    """Yield (permutation, swapped_left_position); -1 marks the initial one.
+def _subset_sum(ev: AmplitudeEvaluator, X: np.ndarray, zpow: np.ndarray) -> np.ndarray:
+    """psi at every row of the (rows, n) position matrix X by a subset DP.
 
-    Plain Steinhaus-Johnson-Trotter: each step swaps two adjacent entries of
-    the previous permutation's one-line form.
+    F[S] sums A(sigma) prod_k z_{sigma(k)}^{x_k} over the orderings sigma of
+    the value set S placed on the first |S| positions.  Appending value j
+    after S multiplies by (-1)^{#{i in S: i > j}} prod_{i in S} B[i, j]
+    (a factor fixed by S alone) and by z_j^{x_{|S|+1}}, so
+    F[S | j] += F[S] * factor[S, j] * z_j^{x_{|S|+1}}.  Layers run by |S|,
+    subsets by ascending bitmask and j ascending within each: a fixed
+    accumulation order, so dumped vectors reproduce bit for bit.
     """
-    perm = list(range(n))
-    direction = [-1] * n
-    yield tuple(perm), -1
-    if n < 2:
-        return
-    while True:
-        mobile_val = -1
-        mobile_pos = -1
-        for pos, val in enumerate(perm):
-            target = pos + direction[val]
-            if 0 <= target < n and perm[target] < val and val > mobile_val:
-                mobile_val = val
-                mobile_pos = pos
-        if mobile_val < 0:
-            return
-        d = direction[mobile_val]
-        left = min(mobile_pos, mobile_pos + d)
-        perm[mobile_pos], perm[mobile_pos + d] = perm[mobile_pos + d], perm[mobile_pos]
-        for val in range(mobile_val + 1, n):
-            direction[val] = -direction[val]
-        yield tuple(perm), left
-
-
-def _permutation_amplitudes(ev: AmplitudeEvaluator):
-    """Yield (sigma, A(sigma)) in minimal-change order with O(1) updates."""
-    amp = ev.identity_amplitude
-    ratio = ev.swap_ratio
-    for perm, left in _minimal_change_permutations(ev.n):
-        if left >= 0:
-            # before this swap the values sat as (a, b); afterwards (b, a)
-            b, a = perm[left], perm[left + 1]
-            amp = amp * ratio[a, b]
-        yield perm, amp
+    n = ev.n
+    B = ev.pair_factors
+    # factor[S][j] for j not in S, built from factor[S without its top bit]
+    factor = [np.ones(n, dtype=complex)]
+    for S in range(1, 1 << n):
+        i = S.bit_length() - 1
+        row = factor[S & ~(1 << i)] * B[i]
+        row[:i] = -row[:i]
+        factor.append(row)
+    layer = {0: np.ones(X.shape[0], dtype=complex)}
+    for k in range(n):
+        waves = zpow[:, X[:, k]]
+        nxt = {}
+        for S, F in layer.items():
+            for j in range(n):
+                if S >> j & 1:
+                    continue
+                term = F * (factor[S][j] * waves[j])
+                T = S | 1 << j
+                if T in nxt:
+                    nxt[T] += term
+                else:
+                    nxt[T] = term
+        layer = nxt
+    return layer[(1 << n) - 1]
 
 
 def psi_coefficient(x: OccupationVector, ev: AmplitudeEvaluator) -> complex:
-    """Single coefficient psi(x): the n!-term permutation sum."""
+    """Single coefficient psi(x): the subset DP on one row."""
     if len(x) != ev.n:
         raise SectorMismatchError("state particle number differs from momentum count")
     zpow = ev.z[:, None] ** np.arange(x.ring_size + 1)[None, :]
-    cols = np.asarray(x.positions, dtype=np.int64)
-    total = 0.0 + 0.0j
-    for perm, amp in _permutation_amplitudes(ev):
-        idx = np.asarray(perm, dtype=np.intp)
-        total += amp * complex(np.prod(zpow[idx, cols]))
-    return total
+    X = np.asarray(x.positions, dtype=np.int64).reshape(1, ev.n)
+    return complex(_subset_sum(ev, X, zpow)[0])
 
 
 def build_psi(sector: SectorIndex, ev: AmplitudeEvaluator) -> SpectralPrediction:
-    """Coefficient vector over the whole sector, in the canonical basis order.
-
-    Coefficients accumulate in a fixed order (basis index ascending within
-    each permutation step, permutations in minimal-change order), so dumped
-    vectors reproduce bit for bit.
-    """
+    """Coefficient vector over the whole sector, in the canonical basis order."""
     if sector.n != ev.n:
         raise SectorMismatchError("sector particle number differs from momentum count")
-    X = sector.positions_matrix()
     zpow = ev.z[:, None] ** np.arange(sector.N + 1)[None, :]
-    coeffs = np.zeros(sector.dim, dtype=complex)
-    for perm, amp in _permutation_amplitudes(ev):
-        idx = np.asarray(perm, dtype=np.intp)
-        coeffs += amp * np.prod(zpow[idx, X], axis=1)
+    coeffs = _subset_sum(ev, sector.positions_matrix(), zpow)
     norm = float(np.linalg.norm(coeffs))
     return SpectralPrediction(
         psi=coeffs,

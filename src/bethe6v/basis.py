@@ -119,6 +119,7 @@ class SectorIndex:
     states: tuple[OccupationVector, ...] = field(init=False, repr=False)
     _rank: dict = field(init=False, repr=False)
     _positions: np.ndarray = field(init=False, repr=False)
+    _colex_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         states = tuple(
@@ -131,6 +132,10 @@ class SectorIndex:
         pos = np.array([s.positions for s in states], dtype=np.int64)
         pos = pos.reshape(len(states), self.n)
         object.__setattr__(self, "_positions", pos)
+        table = [[min(comb(q, k), len(states)) for k in range(1, self.n + 1)]
+                 for q in range(self.N)]
+        table = np.array(table, dtype=np.int64).reshape(self.N, self.n)
+        object.__setattr__(self, "_colex_table", table)
 
     @property
     def dim(self) -> int:
@@ -146,6 +151,14 @@ class SectorIndex:
     def positions_matrix(self) -> np.ndarray:
         """(dim, n) array of up-arrow positions, one row per basis state."""
         return self._positions
+
+    def ranks(self, positions: np.ndarray) -> np.ndarray:
+        """Basis indices of the rows of a (rows, n) array of increasing positions.
+
+        Colex rank in the combinatorial number system: sum_k C(x_k - 1, k).
+        Table entries above dim are clipped; no state of the sector uses them.
+        """
+        return self._colex_table[positions - 1, np.arange(self.n)].sum(axis=1)
 
     def __len__(self) -> int:
         return len(self.states)

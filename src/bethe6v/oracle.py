@@ -54,7 +54,10 @@ def check_eigenpair(m: SectorMatrix, vector, lam) -> float:
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("zero vector")
-    return float(np.linalg.norm(m.entries @ v - lam * v) / norm)
+    A = m.entries
+    # A @ complex(v) would first copy A to complex; apply it to each part
+    Av = A @ v.real + 1j * (A @ v.imag) if np.iscomplexobj(v) else A @ v
+    return float(np.linalg.norm(Av - lam * v) / norm)
 
 
 def match_eigenvalue(lam, spec: SpectrumResult, tol: float) -> list[int]:

@@ -4,7 +4,7 @@ Three independent routes are provided on purpose:
 
 * ``build_transfer_block``: the closed-form entries (2 on the diagonal,
   c^P for distinct interlaced pairs with P the spin-mismatch count, 0
-  otherwise);
+  otherwise), with interlacing and P read off occupation bitmasks;
 * ``build_transfer_block_by_configuration``: the same block rebuilt by
   enumerating ice-rule horizontal-arrow completions on one lattice row and
   summing their vertex weights;
@@ -39,7 +39,8 @@ __all__ = [
     "write_matrix",
 ]
 
-_CHUNK_ELEMENTS = 4_000_000  # scratch budget for the vectorized pair predicates
+_CHUNK_ELEMENTS = 1 << 18  # scratch budget (pairs) for the bitmask pair tests
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,29 @@ def _check_dim(dim: int, explicit_cap) -> None:
         raise CapExceededError(f"sector dimension {dim} exceeds dense cap {cap}")
 
 
+def _prefix_xor(words: np.ndarray) -> np.ndarray:
+    """Bitwise prefix parity of multiword masks: bit s is the XOR of bits 0..s."""
+    out = words.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        out ^= out << np.uint64(shift)
+    parity = np.bitwise_count(words) & 1
+    below = (np.cumsum(parity, axis=1) - parity) & 1
+    out[below == 1] ^= np.uint64(_WORD)
+    return out
+
+
 def build_transfer_block(N: int, n: int, weights: VertexWeights,
                          dim_cap=None) -> SectorMatrix:
-    """Sector block of the transfer matrix from the closed-form entry rule."""
+    """Sector block of the transfer matrix from the closed-form entry rule.
+
+    Pairs are tested on occupation bitmasks.  With d = mx ^ my the sites
+    where two states differ, x1 <= y1 <= x2 <= ... <= yn holds iff x owns
+    the 1st, 3rd, 5th, ... set bit of d counting from site 1, i.e.
+    mx & d == d & prefix_xor(d); the other order is the same test for y.
+    prefix_xor is linear, so prefix_xor(d) = Px ^ Py from per-state tables.
+    The entry c^popcount(d) is read from the repeated-squaring table of
+    powers of c^2, as the configuration route's weights are.
+    """
     sector = enumerate_sector(N, n)
     dim = sector.dim
     _check_dim(dim, dim_cap)
@@ -100,22 +121,31 @@ def build_transfer_block(N: int, n: int, weights: VertexWeights,
     c2 = weights.c * weights.c
     cpow = np.array([_int_power(c2, k) for k in range(n + 1)])
 
-    X = sector.positions_matrix()
-    onehot = np.zeros((dim, N))
-    if n:
-        onehot[np.repeat(np.arange(dim), n), (X - 1).ravel()] = 1.0
+    # occupation masks split into 64-bit words, lowest sites first
+    masks = np.array(
+        [[s.mask >> (64 * w) & _WORD for w in range((N + 63) // 64)] for s in sector],
+        dtype=np.uint64,
+    )
+    prefix = _prefix_xor(masks)
+    masks_prefix = masks ^ prefix
 
     entries = np.zeros((dim, dim))
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, dim * max(n, 1)))
+    chunk = max(1, _CHUNK_ELEMENTS // dim)
     for lo in range(0, dim, chunk):
         hi = min(dim, lo + chunk)
-        xa = X[lo:hi, None, :]
-        ya = X[None, :, :]
-        fwd = (xa <= ya).all(-1) & (ya[:, :, : n - 1] <= xa[:, :, 1:]).all(-1)
-        rev = (ya <= xa).all(-1) & (xa[:, :, : n - 1] <= ya[:, :, 1:]).all(-1)
-        shared = onehot[lo:hi] @ onehot.T
-        half_mismatch = np.rint(n - shared).astype(np.int64)
-        entries[lo:hi] = np.where(fwd | rev, cpow[half_mismatch], 0.0)
+        # the rule is symmetric: test columns from lo on, mirror the rest
+        x_first, y_first, popcount = True, True, 0
+        for w in range(masks.shape[1]):
+            d = masks[lo:hi, w, None] ^ masks[None, lo:, w]
+            # bits where x disagrees with the alternation pattern of d
+            u = (masks_prefix[lo:hi, w, None] ^ prefix[None, lo:, w]) & d
+            x_first = x_first & (u == 0)
+            y_first = y_first & (u == d)
+            # uint8: popcount(d) <= 2n, and no storable sector has n >= 128
+            popcount = popcount + np.bitwise_count(d)
+        block = np.where(x_first | y_first, cpow[popcount >> 1], 0.0)
+        entries[lo:hi, lo:] = block
+        entries[lo:, lo:hi] = block.T
     np.fill_diagonal(entries, 2.0)
     return SectorMatrix(N, n, dim, entries, sector, "transfer")
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -60,20 +61,23 @@ class TestAmplitudes:
         expected = -np.exp(1j * theta(m.momenta[0], m.momenta[1], m.anisotropy))
         assert ratio == pytest.approx(expected, rel=1e-13)
 
-    def test_incremental_equals_direct(self):
-        from bethe6v.ansatz import _permutation_amplitudes
-
+    def test_subset_sum_equals_direct(self):
+        # build_psi against the direct permutation sum of amplitude(), n <= 5
         rng = np.random.default_rng(11)
         for c in (0.5, 1.0, 2.0):
             a = Anisotropy(c)
-            p = np.sort(rng.uniform(-0.9, 0.9, size=5)) * a.domain_halfwidth / 1.0
-            ev = AmplitudeEvaluator(MomentumSet(tuple(p), a))
-            seen = set()
-            for perm, amp in _permutation_amplitudes(ev):
-                direct = amplitude(perm, ev)
-                assert abs(amp - direct) <= 1e-12 * max(1.0, abs(direct))
-                seen.add(perm)
-            assert len(seen) == math.factorial(5)
+            for n, N in ((1, 5), (2, 6), (3, 7), (4, 8), (5, 10)):
+                p = np.sort(rng.uniform(-0.9, 0.9, size=n)) * a.domain_halfwidth
+                ev = AmplitudeEvaluator(MomentumSet(tuple(p), a))
+                sector = enumerate_sector(N, n)
+                X = sector.positions_matrix()
+                direct = np.zeros(sector.dim, dtype=complex)
+                for sigma in itertools.permutations(range(n)):
+                    waves = np.prod(ev.z[list(sigma)] ** X, axis=1)
+                    direct += amplitude(sigma, ev) * waves
+                fast = build_psi(sector, ev).psi
+                scale = np.maximum(1.0, np.abs(direct))
+                assert np.all(np.abs(fast - direct) <= 1e-12 * scale), (c, n)
 
     def test_invalid_permutation_rejected(self):
         ev = AmplitudeEvaluator(momentum_set((0.1, 0.4)))

@@ -37,6 +37,12 @@ class TestEnumerate:
             (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4),
         ]
 
+    def test_vectorized_ranks(self):
+        for N, n in ((1, 0), (5, 0), (6, 3), (9, 4), (12, 11), (70, 2)):
+            sector = enumerate_sector(N, n)
+            ranks = sector.ranks(sector.positions_matrix())
+            assert ranks.tolist() == list(range(sector.dim))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             enumerate_sector(3, 4)

@@ -10,7 +10,9 @@ from bethe6v import (
     build_transfer_block,
     build_transfer_block_by_configuration,
     enumerate_row_completions,
+    interlaced,
     matrix_text,
+    mismatch_count,
     partition_function_bruteforce,
     trace_power,
     write_matrix,
@@ -63,13 +65,30 @@ class TestTransferBlock:
 
 class TestConfigurationOracle:
     def test_equality_all_small_sectors(self):
-        for c in (0.5, math.sqrt(2.0), 2.0):
+        # c = 1.3: powers of c^2 round, so only the same products agree bit for bit
+        for c in (0.5, math.sqrt(2.0), 2.0, 1.3):
             w = VertexWeights(c=c)
-            for N in range(1, 7):
+            for N in range(1, 8):
                 for n in range(N + 1):
                     direct = build_transfer_block(N, n, w).entries
                     by_conf = build_transfer_block_by_configuration(N, n, w).entries
                     assert np.array_equal(direct, by_conf), (N, n, c)
+
+    def test_multiword_ring_matches_pair_predicates(self):
+        # N = 70 spreads the occupation bitmasks over two 64-bit words
+        c = 1.3
+        blk = build_transfer_block(70, 2, VertexWeights(c=c))
+        states = blk.basis.states
+        rng = np.random.default_rng(3)
+        for i, j in rng.integers(0, blk.dim, size=(3000, 2)):
+            x, y = states[i], states[j]
+            if i == j:
+                expected = 2.0
+            elif interlaced(x, y):
+                expected = (c * c) ** (mismatch_count(x, y) // 2)
+            else:
+                expected = 0.0
+            assert blk.entries[i, j] == pytest.approx(expected, rel=1e-15), (x, y)
 
     def test_diagonal_has_two_completions(self):
         w = VertexWeights(c=1.7)

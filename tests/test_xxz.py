@@ -146,6 +146,23 @@ class TestCommutation:
             h = build_hamiltonian_block(N, n, a.delta + 0.1)
             assert commutator_norm(v, h) >= 1e-3, (N, n)
 
+    def test_matches_dense_products(self):
+        # the sparse route against max|V@H - H@V| from dense products,
+        # for matching delta (round-off only) and a mismatched control
+        for c in (0.5, 1.3, 2.0):
+            a = Anisotropy(c)
+            for N in (5, 7, 8):
+                for n in range(N + 1):
+                    v = build_transfer_block(N, n, VertexWeights(c=c))
+                    for delta in (a.delta, a.delta + 0.1):
+                        h = build_hamiltonian_block(N, n, delta)
+                        dense = float(np.max(np.abs(
+                            v.entries @ h.entries - h.entries @ v.entries)))
+                        fast = commutator_norm(v, h)
+                        assert abs(fast - dense) <= 1e-12 * max(1.0, dense), (c, N, n)
+                        if n == 0:
+                            assert fast == 0.0
+
     def test_sector_mismatch_rejected(self):
         v = build_transfer_block(6, 2, VertexWeights(c=1.0))
         h = build_hamiltonian_block(6, 3, 0.5)
