@@ -34,8 +34,8 @@ def scan_case(N, n, c):
         return dict(N=N, n=n, c=c, converged=False)
     sector = enumerate_sector(N, n)
     pred = full_prediction(sector, AmplitudeEvaluator(report.momenta))
-    v_block = build_transfer_block(N, n, VertexWeights(c=c))
-    h_block = build_hamiltonian_block(N, n, a.delta)
+    v_block = build_transfer_block(N, n, VertexWeights(c=c), sector=sector)
+    h_block = build_hamiltonian_block(N, n, a.delta, sector=sector)
     spectrum = dense_spectrum(v_block)
     return dict(
         N=N, n=n, c=c, converged=True,

@@ -13,6 +13,8 @@ from math import comb
 
 import numpy as np
 
+from .errors import SectorMismatchError
+
 __all__ = [
     "OccupationVector",
     "SectorIndex",
@@ -175,4 +177,15 @@ def enumerate_sector(N: int, n: int) -> SectorIndex:
         raise ValueError(f"particle count {n} outside 0..{N}")
     sector = SectorIndex(N, n)
     assert sector.dim == comb(N, n)
+    return sector
+
+
+def checked_sector(N: int, n: int, sector: SectorIndex | None = None) -> SectorIndex:
+    """The given sector after checking that it is (N, n), else a fresh enumeration."""
+    if sector is None:
+        return enumerate_sector(N, n)
+    if (sector.N, sector.n) != (N, n):
+        raise SectorMismatchError(
+            f"sector ({sector.N},{sector.n}) given for a ({N},{n}) block"
+        )
     return sector

@@ -191,25 +191,25 @@ def _cmd_solve(args) -> int:
 
     be = float(np.max(np.abs(bethe_residual(m, N)))) if n else 0.0
     rep.add("residual.bethe_max", be)
-    if be > BETHE_RESIDUAL_TOL:
+    if not be <= BETHE_RESIDUAL_TOL:
         failures.append("bethe_residual")
-    if abs(prediction.lam.imag) > IMAG_TOL * max(1.0, abs(prediction.lam)):
+    if not abs(prediction.lam.imag) <= IMAG_TOL * max(1.0, abs(prediction.lam)):
         failures.append("lambda_imaginary")
 
     block_checks = sector.dim <= caps.dim_cap(None)
     rep.add("checks.blocks", "full" if block_checks else "skipped-dimension-cap")
     if block_checks and nontrivial:
-        v_block = build_transfer_block(N, n, VertexWeights(c=args.c))
-        h_block = build_hamiltonian_block(N, n, a.delta)
+        v_block = build_transfer_block(N, n, VertexWeights(c=args.c), sector=sector)
+        h_block = build_hamiltonian_block(N, n, a.delta, sector=sector)
         rv = check_eigenpair(v_block, prediction.psi, prediction.lam)
         rh = check_eigenpair(h_block, prediction.psi, prediction.energy)
         comm = commutator_norm(v_block, h_block)
         rep.add("residual.transfer_eigenpair", rv)
         rep.add("residual.xxz_eigenpair", rh)
         rep.add("residual.commutator_max", comm)
-        if rv > EIGENPAIR_TOL:
+        if not rv <= EIGENPAIR_TOL:
             failures.append("transfer_eigenpair")
-        if rh > EIGENPAIR_TOL:
+        if not rh <= EIGENPAIR_TOL:
             failures.append("xxz_eigenpair")
 
         if sector.dim <= caps.spectrum_cap(None):
@@ -261,7 +261,7 @@ def _cmd_partition(args) -> int:
         disc = abs(trace - z) / trace
         rep.add("partition.bruteforce", z)
         rep.add("partition.relative_discrepancy", disc)
-        if disc > PARTITION_TOL:
+        if not disc <= PARTITION_TOL:
             failures.append("partition_discrepancy")
         rep.add("verification.passed", not failures)
     rep.add("timing.seconds", time.perf_counter() - t0)
@@ -340,7 +340,7 @@ def _cmd_verify_identities(args) -> int:
     for key, value in results.items():
         rep.add(f"identity.{key}", value)
         tol = FD_TOL if key == "partial_fd_max" else GRID_IDENTITY_TOL
-        if value > tol:
+        if not value <= tol:
             failures.append(key)
 
     if args.N is not None:
@@ -365,7 +365,7 @@ def _cmd_verify_identities(args) -> int:
             ("boundary", suite.boundary_max),
             ("cyclic", suite.cyclic_max),
         ):
-            if value > SOLVED_IDENTITY_TOL:
+            if not value <= SOLVED_IDENTITY_TOL:
                 failures.append(f"{name}_ratio")
 
     rep.add("verification.passed", not failures)

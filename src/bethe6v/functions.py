@@ -129,14 +129,18 @@ def scattering_kernel(x, y, a: Anisotropy):
     return _as_scalar(val)
 
 
-def _certified_kernels(x, y, a):
+def _certified_kernel(x, y, a):
+    """S(x, y), checked to lie in the right half-plane away from zero.
+
+    Callers take S(y, x) as its conjugate: the two differ only in the sign
+    of the imaginary part, and numpy computes them bit for bit conjugate.
+    """
     s_xy = np.asarray(scattering_kernel(x, y, a))
-    s_yx = np.asarray(scattering_kernel(y, x, a))
     if np.any(s_xy.real <= 0.0):
         raise DomainError("scattering kernel left the right half-plane; branch uncertified")
     if np.any(np.abs(s_xy) < _KERNEL_FLOOR):
         raise DomainError("scattering kernel vanished; branch uncertified")
-    return s_xy, s_yx
+    return s_xy
 
 
 def theta(x, y, a: Anisotropy):
@@ -144,33 +148,33 @@ def theta(x, y, a: Anisotropy):
 
     Defined by exp(-i*theta(x, y)) = exp(i(x-y)) * S(x, y) / S(y, x).  Since
     Re S > 0 on D x D the principal arguments already give the continuous
-    branch:  theta = -(x - y) - arg S(x, y) + arg S(y, x).
+    branch, and S(y, x) = conj S(x, y) leaves one argument per pair:
+    theta = -(x - y) - 2 arg S(x, y).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    s_xy, s_yx = _certified_kernels(x, y, a)
-    val = -(x - y) - np.angle(s_xy) + np.angle(s_yx)
+    arg = np.angle(_certified_kernel(x, y, a))
+    # subtracting arg twice rounds as -arg S(x, y) + arg S(y, x) did; + 0.0
+    # keeps theta(x, x) at +0.0 rather than -0.0
+    val = -(x - y) - arg - arg + 0.0
     return _as_scalar(val)
 
 
-def theta_partial_1(x, y, a: Anisotropy, imag_tol: float = 1e-10):
+def theta_partial_1(x, y, a: Anisotropy):
     """Partial derivative of theta in its first argument, in closed form.
 
     Logarithmic differentiation of the defining relation gives
 
         d1 theta(x, y) = -1 + exp(-ix)/S(x, y) + exp(ix)/S(y, x),
 
-    which is real up to rounding; the imaginary residue is checked against
-    imag_tol and discarded.
+    whose last two terms are complex conjugates: the value is
+    -1 + 2 Re[exp(-ix)/S(x, y)], real exactly.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    s_xy, s_yx = _certified_kernels(x, y, a)
-    val = -1.0 + np.exp(-1j * x) / s_xy + np.exp(1j * x) / s_yx
-    residue = np.max(np.abs(np.imag(val))) if val.size else 0.0
-    if residue > imag_tol:
-        raise DomainError(f"imaginary residue {residue:g} exceeds {imag_tol:g}")
-    return _as_scalar(np.real(val))
+    half = (np.exp(-1j * x) / _certified_kernel(x, y, a)).real
+    val = -1.0 + half + half
+    return _as_scalar(val)
 
 
 def L_factor(z, a: Anisotropy, zero_tol: float = ZERO_MOMENTUM_TOL):

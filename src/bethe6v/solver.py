@@ -14,11 +14,14 @@ the k = j term theta(p_j, p_j) vanishes identically, so
 
 Iterates are clamped strictly inside the momentum interval (the phase is
 undefined outside) and each step is halved until the max-norm residual
-decreases.  Non-convergence is reported, never raised.  Once the residual
-tolerance is met a few more full Newton steps polish the root toward machine
-precision: downstream eigenvector residuals amplify root error by roughly
-the spectral radius, so stopping right at the tolerance would waste most of
-the available accuracy.
+decreases.  A step halved down to step_floor that still does not decrease
+it ends the iteration: the residual has stalled at rounding level (or the
+trial left the domain), no further step can help, and the solve returns
+its best iterate as non-converged.  Non-convergence is reported, never
+raised.  Once the residual tolerance is met a few more full Newton steps
+polish the root toward machine precision: downstream eigenvector residuals
+amplify root error by roughly the spectral radius, so stopping right at
+the tolerance would waste most of the available accuracy.
 """
 
 from __future__ import annotations
@@ -169,8 +172,8 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy,
             if res_trial < res or alpha <= cfg.step_floor:
                 break
             alpha *= 0.5
-        if not math.isfinite(res_trial):
-            break
+        if not res_trial < res:
+            break  # stalled at step_floor (or off the domain): keep the best iterate
         p, f, res = trial, f_trial, res_trial
         converged = res <= cfg.tol
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import caps
-from .basis import SectorIndex, enumerate_sector
+from .basis import SectorIndex, checked_sector, enumerate_sector
 from .errors import CapExceededError
 
 __all__ = [
@@ -103,7 +103,7 @@ def _prefix_xor(words: np.ndarray) -> np.ndarray:
 
 
 def build_transfer_block(N: int, n: int, weights: VertexWeights,
-                         dim_cap=None) -> SectorMatrix:
+                         dim_cap=None, sector: SectorIndex | None = None) -> SectorMatrix:
     """Sector block of the transfer matrix from the closed-form entry rule.
 
     Pairs are tested on occupation bitmasks.  With d = mx ^ my the sites
@@ -112,9 +112,10 @@ def build_transfer_block(N: int, n: int, weights: VertexWeights,
     mx & d == d & prefix_xor(d); the other order is the same test for y.
     prefix_xor is linear, so prefix_xor(d) = Px ^ Py from per-state tables.
     The entry c^popcount(d) is read from the repeated-squaring table of
-    powers of c^2, as the configuration route's weights are.
+    powers of c^2, as the configuration route's weights are.  A given
+    sector is reused instead of enumerated again.
     """
-    sector = enumerate_sector(N, n)
+    sector = checked_sector(N, n, sector)
     dim = sector.dim
     _check_dim(dim, dim_cap)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import caps
-from .basis import enumerate_sector
+from .basis import SectorIndex, checked_sector
 from .errors import CapExceededError, SectorMismatchError
 from .functions import MomentumSet
 from .transfer import SectorMatrix
@@ -29,12 +29,15 @@ _HV_ROWS = 32   # rows of HV per selection-matrix product
 _TILE = 128     # square tiles compared against their transposes
 
 
-def build_hamiltonian_block(N: int, n: int, delta: float,
-                            dim_cap=None) -> SectorMatrix:
-    """Sector block of the spin-chain Hamiltonian (exchange conserves n)."""
+def build_hamiltonian_block(N: int, n: int, delta: float, dim_cap=None,
+                            sector: SectorIndex | None = None) -> SectorMatrix:
+    """Sector block of the spin-chain Hamiltonian (exchange conserves n).
+
+    A given sector is reused instead of enumerated again.
+    """
     if N < 2:
         raise ValueError("chain needs N >= 2")
-    sector = enumerate_sector(N, n)
+    sector = checked_sector(N, n, sector)
     dim = sector.dim
     cap = caps.dim_cap(dim_cap)
     if dim > cap:

@@ -93,3 +93,27 @@ def raw_torus_partition(N, M, c):
                 break
         total += weight
     return total
+
+
+
+def _both_kernels(x, y, a):
+    """S(x, y) and S(y, x), each evaluated from its own exponentials."""
+    s_xy = np.exp(-1j * x) + np.exp(1j * y) - 2.0 * a.delta
+    s_yx = np.exp(-1j * y) + np.exp(1j * x) - 2.0 * a.delta
+    return s_xy, s_yx
+
+
+def two_kernel_theta(x, y, a):
+    """theta = -(x - y) - arg S(x, y) + arg S(y, x), both kernels built."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    s_xy, s_yx = _both_kernels(x, y, a)
+    return -(x - y) - np.angle(s_xy) + np.angle(s_yx)
+
+
+def two_kernel_theta_partial_1(x, y, a):
+    """Complex d1 theta = -1 + exp(-ix)/S(x, y) + exp(ix)/S(y, x), both kernels built."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    s_xy, s_yx = _both_kernels(x, y, a)
+    return -1.0 + np.exp(-1j * x) / s_xy + np.exp(1j * x) / s_yx

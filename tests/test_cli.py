@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from helpers import parse_report, run_cli
 
@@ -68,6 +69,32 @@ class TestSolveCommand:
         assert code == 2
         assert parse_report(out)["solver.converged"] == "false"
 
+    def test_sector_enumerated_once(self, monkeypatch):
+        import bethe6v.basis
+
+        calls = []
+        enumerate_sector = bethe6v.basis.enumerate_sector
+
+        def counting(N, n):
+            calls.append((N, n))
+            return enumerate_sector(N, n)
+
+        for module in ("basis", "cli"):
+            monkeypatch.setattr(f"bethe6v.{module}.enumerate_sector", counting)
+        code, out = run_cli(["solve", "--capital-n", "8", "--n", "3", "--c", "1.2"])
+        assert code == 0
+        assert parse_report(out)["checks.blocks"] == "full"
+        assert calls == [(8, 3)]
+
+    def test_nan_residual_fails_closed(self, monkeypatch):
+        monkeypatch.setattr("bethe6v.cli.check_eigenpair", lambda *args: math.nan)
+        code, out = run_cli(["solve", "--capital-n", "8", "--n", "2", "--c", "1.0"])
+        assert code == 3
+        rep = parse_report(out)
+        assert rep["verification.passed"] == "false"
+        assert rep["verification.failures"].split(",")[:2] == [
+            "transfer_eigenpair", "xxz_eigenpair"]
+
     def test_determinism_modulo_timing(self):
         argv = ["solve", "--capital-n", "6", "--n", "2", "--c", "0.5"]
         _, first = run_cli(argv)
@@ -117,6 +144,17 @@ class TestPartitionCommand:
         rep = parse_report(out)
         assert "partition.trace_power" in rep
         assert "partition.bruteforce" not in rep
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nan_discrepancy_fails_closed(self):
+        # Z and Tr V^M both overflow to inf: their relative difference is NaN
+        code, out = run_cli(
+            ["partition", "--capital-n", "2", "--m", "2", "--c", "1e200", "--bruteforce"]
+        )
+        assert code == 3
+        rep = parse_report(out)
+        assert rep["partition.relative_discrepancy"] == "nan"
+        assert rep["verification.passed"] == "false"
 
     def test_enumeration_cap(self):
         code, _ = run_cli(

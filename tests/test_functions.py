@@ -18,6 +18,8 @@ from bethe6v import (
     theta_partial_1,
 )
 
+from helpers import two_kernel_theta, two_kernel_theta_partial_1
+
 C_VALUES = (0.5, 1.0, math.sqrt(2.0), 2.0, 3.0)
 
 
@@ -153,6 +155,59 @@ class TestThetaPartial:
         ys = interior_grid(a, 101)
         vals = theta_partial_1(np.zeros_like(ys), ys, a)
         assert np.all(np.isfinite(vals))
+
+
+class TestOneKernelPerPair:
+    """theta and d1 theta build S(x, y) once; S(y, x) is its exact conjugate."""
+
+    @staticmethod
+    def random_grid(a, rng, rows=40, cols=30):
+        # broadcast (rows, 1) against (cols,), signed zeros and the diagonal included
+        hw = a.domain_halfwidth
+        x = np.concatenate([rng.uniform(-0.999 * hw, 0.999 * hw, rows - 2), [0.0, -0.0]])
+        y = np.concatenate([x[: cols // 2], rng.uniform(-0.999 * hw, 0.999 * hw, cols - cols // 2)])
+        return x[:, None], y
+
+    @staticmethod
+    def same_bits(a, b):
+        return np.array_equal(np.asarray(a, dtype=float).view(np.uint64),
+                              np.asarray(b, dtype=float).view(np.uint64))
+
+    def test_swapped_kernel_is_exact_conjugate(self):
+        rng = np.random.default_rng(5)
+        for c in C_VALUES + (0.1, 1.2, 2.5):
+            a = Anisotropy(c)
+            X, Y = self.random_grid(a, rng)
+            assert np.array_equal(scattering_kernel(Y, X, a),
+                                  np.conj(scattering_kernel(X, Y, a)))
+
+    def test_theta_bit_identical_to_two_kernel_form(self):
+        rng = np.random.default_rng(6)
+        for c in C_VALUES + (0.1, 1.2, 2.5):
+            a = Anisotropy(c)
+            X, Y = self.random_grid(a, rng)
+            assert self.same_bits(theta(X, Y, a), two_kernel_theta(X, Y, a)), c
+
+    def test_partial_bit_identical_to_two_kernel_form(self):
+        rng = np.random.default_rng(7)
+        for c in C_VALUES + (0.1, 1.2, 2.5):
+            a = Anisotropy(c)
+            X, Y = self.random_grid(a, rng)
+            old = two_kernel_theta_partial_1(X, Y, a)
+            assert np.all(old.imag == 0.0)  # the two terms were conjugate already
+            assert self.same_bits(theta_partial_1(X, Y, a), old.real), c
+
+    def test_scalar_inputs(self):
+        a = Anisotropy(1.3)
+        assert theta(0.4, -0.2, a) == two_kernel_theta(0.4, -0.2, a)
+        assert theta_partial_1(0.4, -0.2, a) == two_kernel_theta_partial_1(0.4, -0.2, a).real
+        assert isinstance(theta(0.4, -0.2, a), float)
+        assert isinstance(theta_partial_1(0.4, -0.2, a), float)
+
+    def test_partial_domain_violation_raises(self):
+        a = Anisotropy(0.5)
+        with pytest.raises(DomainError):
+            theta_partial_1(2.0, 2.0, a)
 
 
 class TestEigenvalueFactors:

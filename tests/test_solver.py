@@ -97,6 +97,20 @@ class TestSolve:
         assert not report.converged
         assert report.final_residual > 0.0
 
+    def test_stalled_line_search_stops(self):
+        # tol below rounding: the residual stalls at a few ulps of N * max|p|
+        report = solve(64, ground_state_quantum_numbers(32), Anisotropy(1.0),
+                       SolverConfig(tol=1e-17))
+        assert not report.converged
+        assert report.iterations < 20
+        assert math.isfinite(report.final_residual)
+        assert report.final_residual <= 1e-12
+        # the best iterate is kept: it is the default-tolerance root
+        root = solve(64, ground_state_quantum_numbers(32), Anisotropy(1.0))
+        assert root.converged
+        p = np.array(report.momenta.momenta)
+        assert np.max(np.abs(p - np.array(root.momenta.momenta))) < 1e-13
+
     def test_condition_estimate_reported(self):
         report = solve(8, ground_state_quantum_numbers(2), Anisotropy(1.0))
         assert math.isfinite(report.jacobian_condition_estimate)

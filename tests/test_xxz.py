@@ -89,6 +89,19 @@ class TestHamiltonianBlock:
                 others = [r for r in range(2 ** N) if r not in rows]
                 assert not np.any(H[np.ix_(rows, others)])
 
+    def test_given_sector_reused(self):
+        sector = enumerate_sector(8, 3)
+        for build, arg in ((build_hamiltonian_block, 0.3),
+                           (build_transfer_block, VertexWeights(c=1.3))):
+            fresh = build(8, 3, arg)
+            reused = build(8, 3, arg, sector=sector)
+            assert reused.basis is sector
+            assert np.array_equal(reused.entries, fresh.entries)
+            with pytest.raises(SectorMismatchError):
+                build(8, 2, arg, sector=sector)
+            with pytest.raises(SectorMismatchError):
+                build(9, 3, arg, sector=sector)
+
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError):
             build_hamiltonian_block(1, 0, 0.5)
