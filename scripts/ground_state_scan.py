@@ -19,7 +19,7 @@ from bethe6v import (
     build_hamiltonian_block,
     build_transfer_block,
     check_eigenpair,
-    dense_spectrum,
+    dense_eigenvalues,
     enumerate_sector,
     full_prediction,
     ground_state_quantum_numbers,
@@ -36,7 +36,7 @@ def scan_case(N, n, c):
     pred = full_prediction(sector, AmplitudeEvaluator(report.momenta))
     v_block = build_transfer_block(N, n, VertexWeights(c=c), sector=sector)
     h_block = build_hamiltonian_block(N, n, a.delta, sector=sector)
-    spectrum = dense_spectrum(v_block)
+    spectrum = dense_eigenvalues(v_block)
     return dict(
         N=N, n=n, c=c, converged=True,
         singular=pred.singular,
@@ -45,7 +45,7 @@ def scan_case(N, n, c):
         be=float(np.max(np.abs(bethe_residual(report.momenta, N)))),
         v_res=check_eigenpair(v_block, pred.psi, pred.lam),
         h_res=check_eigenpair(h_block, pred.psi, pred.energy),
-        top_gap=abs(pred.lam.real - spectrum.eigenvalues[-1]),
+        top_gap=abs(pred.lam.real - spectrum[-1]),
     )
 
 

@@ -35,11 +35,18 @@ from .functions import (
     L_factor,
     M_factor,
     MomentumSet,
+    grid_suite,
     scattering_kernel,
     theta,
     theta_partial_1,
 )
-from .oracle import SpectrumResult, check_eigenpair, dense_spectrum, match_eigenvalue
+from .oracle import (
+    SpectrumResult,
+    check_eigenpair,
+    dense_eigenvalues,
+    dense_spectrum,
+    match_eigenvalue,
+)
 from .solver import (
     QuantumNumbers,
     SolveReport,

@@ -5,10 +5,14 @@ The candidate eigenvector on the n-particle sector has coefficients
     psi(x) = sum over permutations sigma of  A(sigma) * prod_k z_{sigma(k)}^{x_k}
 
 with A(sigma) the signed product of the cached pair factors
-e^{i p_k} S(p_k, p_l).  Production evaluation is a dynamic program over
-subsets of momenta (Held-Karp style): extending a partial permutation by one
-value multiplies its amplitude by a factor that depends on the set already
-placed, not on its order, so the n!-term sum costs O(2^n n) per coefficient.
+e^{i p_k} S(p_k, p_l) / |S(p_k, p_l)|.  Every permutation takes each
+unordered pair once and |S(y, x)| = |S(x, y)|, so dividing by the modulus
+scales psi by the one positive constant 1 / prod_{k<l} |S(p_k, p_l)|;
+without it the norm of psi spans tens of decades across c.  Production
+evaluation is a dynamic program over subsets of momenta (Held-Karp style):
+extending a partial permutation by one value multiplies its amplitude by a
+factor that depends on the set already placed, not on its order, so the
+n!-term sum costs O(2^n n) per coefficient.
 The direct product form is kept as ``amplitude`` and serves as the test
 oracle.
 
@@ -69,13 +73,13 @@ class SpectralPrediction:
 class AmplitudeEvaluator:
     """Permutation amplitudes for a fixed momentum set.
 
-    pair_factors[k, l] = e^{i p_k} S(p_k, p_l).  The amplitude of a
-    permutation (a tuple over 0..n-1) is its signature times the product of
-    pair_factors over ascending position pairs.
+    pair_factors[k, l] = e^{i p_k} S(p_k, p_l) / |S(p_k, p_l)|, of modulus 1.
+    The amplitude of a permutation (a tuple over 0..n-1) is its signature
+    times the product of pair_factors over ascending position pairs.
     """
 
-    def __init__(self, momenta: MomentumSet, perm_cap=None):
-        cap = caps.perm_cap(perm_cap)
+    def __init__(self, momenta: MomentumSet):
+        cap = caps.perm_cap()
         if momenta.n > cap:
             raise CapExceededError(
                 f"{momenta.n} momenta exceed the subset-sum cap {cap}"
@@ -86,7 +90,7 @@ class AmplitudeEvaluator:
         self.z = np.exp(1j * p)
         kernel = scattering_kernel(p[:, None], p[None, :], momenta.anisotropy)
         kernel = np.asarray(kernel).reshape(self.n, self.n)
-        self.pair_factors = self.z[:, None] * kernel
+        self.pair_factors = self.z[:, None] * (kernel / np.abs(kernel))
 
 
 def _signature(sigma) -> int:

@@ -1,10 +1,13 @@
-"""Resource caps, overridable per call or through environment variables.
+"""Resource caps, overridable through environment variables.
 
-Every cap can be raised or lowered without touching code: pass an explicit
-value to the operation, or set the corresponding BETHE6V_* variable.
+Every cap can be raised or lowered without touching code by setting the
+corresponding BETHE6V_* variable; the torus enumeration cap can also be
+passed per call.
 """
 
 import os
+
+from .errors import CapExceededError
 
 DIM_CAP = 20_000       # dense sector-block storage (rows)
 SPECTRUM_CAP = 4096    # full symmetric eigendecomposition
@@ -12,26 +15,31 @@ ENUM_CAP = 14          # N*M for torus enumeration (4^(N*M) raw arrow states)
 PERM_CAP = 9           # particle count for the 2^n subset sums behind psi
 
 
-def _resolve(explicit, env_name, default):
-    if explicit is not None:
-        return int(explicit)
+def _from_env(env_name, default):
     env = os.environ.get(env_name)
-    if env:
-        return int(env)
-    return default
+    return int(env) if env else default
 
 
-def dim_cap(explicit=None):
-    return _resolve(explicit, "BETHE6V_DIM_CAP", DIM_CAP)
+def dim_cap():
+    return _from_env("BETHE6V_DIM_CAP", DIM_CAP)
 
 
-def spectrum_cap(explicit=None):
-    return _resolve(explicit, "BETHE6V_SPECTRUM_CAP", SPECTRUM_CAP)
+def spectrum_cap():
+    return _from_env("BETHE6V_SPECTRUM_CAP", SPECTRUM_CAP)
 
 
 def enum_cap(explicit=None):
-    return _resolve(explicit, "BETHE6V_ENUM_CAP", ENUM_CAP)
+    if explicit is not None:
+        return int(explicit)
+    return _from_env("BETHE6V_ENUM_CAP", ENUM_CAP)
 
 
-def perm_cap(explicit=None):
-    return _resolve(explicit, "BETHE6V_PERM_CAP", PERM_CAP)
+def perm_cap():
+    return _from_env("BETHE6V_PERM_CAP", PERM_CAP)
+
+
+def check_dim(dim: int) -> None:
+    """Refuse a dense sector block with more rows than the dense cap."""
+    cap = dim_cap()
+    if dim > cap:
+        raise CapExceededError(f"sector dimension {dim} exceeds dense cap {cap}")

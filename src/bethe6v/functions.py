@@ -33,6 +33,7 @@ __all__ = [
     "theta_partial_1",
     "L_factor",
     "M_factor",
+    "grid_suite",
     "ZERO_MOMENTUM_TOL",
     "DISTINCT_MOMENTUM_TOL",
 ]
@@ -73,19 +74,17 @@ class MomentumSet:
     """Distinct real momenta inside D, with the near-zero root flagged by index.
 
     The constructor hard-rejects momenta outside D and collisions closer than
-    distinct_tol.  `relaxed` skips the distinctness check; it exists so that
-    the vanishing of the predicted vector at coincident momenta can be
-    exercised deliberately.
+    DISTINCT_MOMENTUM_TOL.  `relaxed` skips the distinctness check; it exists
+    so that the vanishing of the predicted vector at coincident momenta can
+    be exercised deliberately.
     """
 
     momenta: tuple[float, ...]
     anisotropy: Anisotropy
     zero_index: int | None = field(init=False)
-    zero_tol: InitVar[float] = ZERO_MOMENTUM_TOL
-    distinct_tol: InitVar[float] = DISTINCT_MOMENTUM_TOL
     enforce_distinct: InitVar[bool] = True
 
-    def __post_init__(self, zero_tol, distinct_tol, enforce_distinct):
+    def __post_init__(self, enforce_distinct):
         momenta = tuple(float(p) for p in self.momenta)
         object.__setattr__(self, "momenta", momenta)
         hw = self.anisotropy.domain_halfwidth
@@ -95,19 +94,18 @@ class MomentumSet:
         if enforce_distinct:
             for i in range(len(momenta)):
                 for j in range(i + 1, len(momenta)):
-                    if abs(momenta[i] - momenta[j]) <= distinct_tol:
-                        raise DegenerateMomentaError(
-                            f"momenta {i} and {j} coincide within {distinct_tol}"
-                        )
-        zeros = [i for i, p in enumerate(momenta) if abs(p) < zero_tol]
+                    if abs(momenta[i] - momenta[j]) <= DISTINCT_MOMENTUM_TOL:
+                        raise DegenerateMomentaError(f"momenta {i} and {j} coincide "
+                                                     f"within {DISTINCT_MOMENTUM_TOL}")
+        zeros = [i for i, p in enumerate(momenta) if abs(p) < ZERO_MOMENTUM_TOL]
         if enforce_distinct and len(zeros) > 1:
             raise DegenerateMomentaError("more than one near-zero momentum")
         zero_index = zeros[0] if len(zeros) == 1 else None
         object.__setattr__(self, "zero_index", zero_index)
 
     @classmethod
-    def relaxed(cls, momenta, anisotropy, zero_tol: float = ZERO_MOMENTUM_TOL):
-        return cls(momenta, anisotropy, zero_tol=zero_tol, enforce_distinct=False)
+    def relaxed(cls, momenta, anisotropy):
+        return cls(momenta, anisotropy, enforce_distinct=False)
 
     @property
     def n(self) -> int:
@@ -177,11 +175,11 @@ def theta_partial_1(x, y, a: Anisotropy):
     return _as_scalar(val)
 
 
-def L_factor(z, a: Anisotropy, zero_tol: float = ZERO_MOMENTUM_TOL):
+def L_factor(z, a: Anisotropy):
     """Eigenvalue factor 1 + c^2 z / (1 - z); singular as z -> 1."""
     z = np.asarray(z, dtype=complex)
     one_minus = 1.0 - z
-    if np.any(np.abs(one_minus) < zero_tol):
+    if np.any(np.abs(one_minus) < ZERO_MOMENTUM_TOL):
         raise SingularMomentumError(
             "z too close to 1; route through the zero-momentum eigenvalue path"
         )
@@ -189,13 +187,66 @@ def L_factor(z, a: Anisotropy, zero_tol: float = ZERO_MOMENTUM_TOL):
     return _as_scalar(val)
 
 
-def M_factor(z, a: Anisotropy, zero_tol: float = ZERO_MOMENTUM_TOL):
+def M_factor(z, a: Anisotropy):
     """Eigenvalue factor 1 - c^2 / (1 - z); singular as z -> 1."""
     z = np.asarray(z, dtype=complex)
     one_minus = 1.0 - z
-    if np.any(np.abs(one_minus) < zero_tol):
+    if np.any(np.abs(one_minus) < ZERO_MOMENTUM_TOL):
         raise SingularMomentumError(
             "z too close to 1; route through the zero-momentum eigenvalue path"
         )
     val = 1.0 - (a.c * a.c) / one_minus
     return _as_scalar(val)
+
+
+def grid_suite(a: Anisotropy, grid: int):
+    """Max deviations of the function-level identities on an interior grid."""
+    hw = a.domain_halfwidth
+    margin = hw / grid
+    g = np.linspace(-hw + margin, hw - margin, grid)
+    X, Y = np.meshgrid(g, g, indexing="ij")
+
+    th = theta(X, Y, a)
+    s_xy = scattering_kernel(X, Y, a)
+    s_yx = scattering_kernel(Y, X, a)
+    defining = float(
+        np.max(np.abs(np.exp(-1j * th) - np.exp(1j * (X - Y)) * s_xy / s_yx))
+    )
+    antisym = float(np.max(np.abs(th + theta(Y, X, a))))
+
+    nz = g[np.abs(g) > 1e-4]
+    z = np.exp(1j * nz)
+    c2 = a.c * a.c
+    lm_sum = float(np.max(np.abs(L_factor(z, a) + M_factor(z, a) - (2.0 - c2))))
+
+    ZX, ZY = np.meshgrid(z, z, indexing="ij")
+    PX, PY = np.meshgrid(nz, nz, indexing="ij")
+    ratio = (M_factor(ZX, a) * L_factor(ZY, a) - 1.0) / (
+        M_factor(ZY, a) * L_factor(ZX, a) - 1.0
+    )
+    lm_phase = float(np.max(np.abs(np.exp(1j * theta(PX, PY, a)) - ratio)))
+
+    zero_phase = float(
+        np.max(np.abs(np.exp(1j * theta(0.0, nz, a)) + L_factor(z, a) / M_factor(z, a)))
+    )
+
+    # The difference oracle is compared on the interior 90% box: at the
+    # closure corners the kernel vanishes (delta in [-1, 1)), the third
+    # derivative blows up, and the h^2 truncation of the oracle itself
+    # exceeds the gate.  The defining relation above still covers the full
+    # grid, corners included.
+    inner = g[np.abs(g) <= 0.9 * hw]
+    step = max(1, inner.size // 11)
+    fx, fy = np.meshgrid(inner[::step], inner[::step], indexing="ij")
+    h = 1e-6
+    fd = (theta(fx + h, fy, a) - theta(fx - h, fy, a)) / (2.0 * h)
+    partial_fd = float(np.max(np.abs(theta_partial_1(fx, fy, a) - fd)))
+
+    return {
+        "defining_relation_max": defining,
+        "antisymmetry_max": antisym,
+        "lm_sum_max": lm_sum,
+        "lm_phase_max": lm_phase,
+        "zero_momentum_phase_max": zero_phase,
+        "partial_fd_max": partial_fd,
+    }

@@ -1,8 +1,10 @@
 """Dense spectral oracle: every prediction is checked against it.
 
-The eigensolver is numpy's symmetric routine; the decomposition is accepted
-only if its own self-consistency defects (orthonormality and reconstruction)
-are recorded, so a broken decomposition cannot silently validate anything.
+The eigensolvers are numpy's symmetric routines.  Matching a prediction
+needs only the eigenvalues, so ``dense_eigenvalues`` skips the eigenvectors;
+``dense_spectrum`` adds them and their self-consistency defects
+(orthonormality and reconstruction) for the ``spectrum`` command, the only
+caller that computes and prints those defects.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .transfer import SectorMatrix
 
 __all__ = [
     "SpectrumResult",
+    "dense_eigenvalues",
     "dense_spectrum",
     "check_eigenpair",
     "match_eigenvalue",
@@ -30,15 +33,26 @@ class SpectrumResult:
     reconstruction_defect: float     # ||Q D Q^T - A||_F / max(1, ||A||_F)
 
 
-def dense_spectrum(m: SectorMatrix, dim_cap=None) -> SpectrumResult:
-    """Full real spectrum of a symmetric sector block."""
-    cap = caps.spectrum_cap(dim_cap)
+def _symmetric_entries(m: SectorMatrix) -> np.ndarray:
+    """The block's entries, once its dimension and symmetry are checked."""
+    cap = caps.spectrum_cap()
     if m.dim > cap:
         raise CapExceededError(f"dimension {m.dim} exceeds spectrum cap {cap}")
     A = m.entries
     asym = float(np.max(np.abs(A - A.T)))
     if asym > 1e-12:
         raise ValueError(f"matrix asymmetry {asym:g} exceeds 1e-12")
+    return A
+
+
+def dense_eigenvalues(m: SectorMatrix) -> np.ndarray:
+    """Ascending real spectrum of a symmetric sector block, without eigenvectors."""
+    return np.linalg.eigvalsh(_symmetric_entries(m))
+
+
+def dense_spectrum(m: SectorMatrix) -> SpectrumResult:
+    """Full real spectrum of a symmetric sector block, with its defects."""
+    A = _symmetric_entries(m)
     vals, vecs = np.linalg.eigh(A)
     ortho = float(np.max(np.abs(vecs.T @ vecs - np.eye(m.dim))))
     recon = (vecs * vals) @ vecs.T
@@ -60,12 +74,12 @@ def check_eigenpair(m: SectorMatrix, vector, lam) -> float:
     return float(np.linalg.norm(Av - lam * v) / norm)
 
 
-def match_eigenvalue(lam, spec: SpectrumResult, tol: float) -> list[int]:
-    """Indices of all spectrum members within tol * max(1, |lam|), nearest first.
+def match_eigenvalue(lam, eigenvalues: np.ndarray, tol: float) -> list[int]:
+    """Indices of all eigenvalues within tol * max(1, |lam|), nearest first.
 
     Degenerate levels come back as a cluster; an empty list means no match.
     """
-    gaps = np.abs(spec.eigenvalues - lam)
+    gaps = np.abs(eigenvalues - lam)
     bound = tol * max(1.0, abs(lam))
     hits = np.nonzero(gaps <= bound)[0].tolist()
     return sorted(hits, key=lambda i: gaps[i])

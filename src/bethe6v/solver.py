@@ -14,7 +14,7 @@ the k = j term theta(p_j, p_j) vanishes identically, so
 
 Iterates are clamped strictly inside the momentum interval (the phase is
 undefined outside) and each step is halved until the max-norm residual
-decreases.  A step halved down to step_floor that still does not decrease
+decreases.  A step halved down to 2^-20 that still does not decrease
 it ends the iteration: the residual has stalled at rounding level (or the
 trial left the domain), no further step can help, and the solve returns
 its best iterate as non-converged.  Non-convergence is reported, never
@@ -43,6 +43,9 @@ __all__ = [
     "log_equations",
     "solve",
 ]
+
+_STEP_FLOOR = 2.0 ** -20    # smallest line-search step before the solve stops
+_DOMAIN_MARGIN = 1e-12      # iterates stay this far inside the open interval
 
 
 @dataclass(frozen=True)
@@ -85,9 +88,6 @@ def ground_state_quantum_numbers(n: int) -> QuantumNumbers:
 class SolverConfig:
     tol: float = 1e-12
     max_iter: int = 200
-    initial_step: float = 1.0
-    step_floor: float = 2.0 ** -20
-    domain_margin: float = 1e-12
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -125,14 +125,14 @@ def log_equations(N: int, qn: QuantumNumbers, a: Anisotropy):
     return residual, jacobian
 
 
-def _initial_guess(N, qn, a, margin):
+def _initial_guess(N, qn, a):
     """Phase-free starting point 2 pi I_j / N, shrunk to land inside the domain."""
     p = 2.0 * math.pi * np.array([float(v) for v in qn.values]) / N
     pmax = float(np.max(np.abs(p)))
     if pmax > 0.0:
         p = p * min(1.0, (a.domain_halfwidth - 1e-3) / pmax)
     hw = a.domain_halfwidth
-    return np.clip(p, -hw + margin, hw - margin)
+    return np.clip(p, -hw + _DOMAIN_MARGIN, hw - _DOMAIN_MARGIN)
 
 
 def solve(N: int, qn: QuantumNumbers, a: Anisotropy,
@@ -147,9 +147,9 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy,
 
     residual, jacobian = log_equations(N, qn, a)
     hw = a.domain_halfwidth
-    lo, hi = -hw + cfg.domain_margin, hw - cfg.domain_margin
+    lo, hi = -hw + _DOMAIN_MARGIN, hw - _DOMAIN_MARGIN
 
-    p = _initial_guess(N, qn, a, cfg.domain_margin)
+    p = _initial_guess(N, qn, a)
     f = residual(p)
     res = float(np.max(np.abs(f)))
     iterations = 0
@@ -161,7 +161,7 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy,
             step = np.linalg.solve(jacobian(p), -f)
         except (np.linalg.LinAlgError, DomainError):
             break
-        alpha = cfg.initial_step
+        alpha = 1.0
         while True:
             trial = np.clip(p + alpha * step, lo, hi)
             try:
@@ -169,11 +169,11 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy,
                 res_trial = float(np.max(np.abs(f_trial)))
             except DomainError:
                 res_trial = math.inf
-            if res_trial < res or alpha <= cfg.step_floor:
+            if res_trial < res or alpha <= _STEP_FLOOR:
                 break
             alpha *= 0.5
         if not res_trial < res:
-            break  # stalled at step_floor (or off the domain): keep the best iterate
+            break  # stalled at the step floor (or off the domain): keep the best iterate
         p, f, res = trial, f_trial, res_trial
         converged = res <= cfg.tol
 

@@ -45,15 +45,11 @@ _WORD = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class VertexWeights:
-    """Isotropic six-vertex weights: a = b = 1 fixed, c free and positive."""
+    """Isotropic six-vertex weights: c > 0, every other vertex weighs 1."""
 
     c: float
-    a: float = 1.0
-    b: float = 1.0
 
     def __post_init__(self):
-        if self.a != 1.0 or self.b != 1.0:
-            raise ValueError("only the isotropic point a = b = 1 is supported")
         if not self.c > 0.0:
             raise ValueError("c must be positive")
 
@@ -82,13 +78,6 @@ class SectorMatrix:
     entries: np.ndarray
     basis: SectorIndex
     kind: str  # "transfer" | "hamiltonian"
-    delta: float | None = None
-
-
-def _check_dim(dim: int, explicit_cap) -> None:
-    cap = caps.dim_cap(explicit_cap)
-    if dim > cap:
-        raise CapExceededError(f"sector dimension {dim} exceeds dense cap {cap}")
 
 
 def _prefix_xor(words: np.ndarray) -> np.ndarray:
@@ -103,7 +92,7 @@ def _prefix_xor(words: np.ndarray) -> np.ndarray:
 
 
 def build_transfer_block(N: int, n: int, weights: VertexWeights,
-                         dim_cap=None, sector: SectorIndex | None = None) -> SectorMatrix:
+                         sector: SectorIndex | None = None) -> SectorMatrix:
     """Sector block of the transfer matrix from the closed-form entry rule.
 
     Pairs are tested on occupation bitmasks.  With d = mx ^ my the sites
@@ -117,7 +106,7 @@ def build_transfer_block(N: int, n: int, weights: VertexWeights,
     """
     sector = checked_sector(N, n, sector)
     dim = sector.dim
-    _check_dim(dim, dim_cap)
+    caps.check_dim(dim)
 
     c2 = weights.c * weights.c
     cpow = np.array([_int_power(c2, k) for k in range(n + 1)])
@@ -164,7 +153,7 @@ def enumerate_row_completions(sx: np.ndarray, sy: np.ndarray,
     out = []
     for seed in (1, -1):
         h = seed
-        na = nb = nc = 0
+        nc = 0
         ok = True
         for i in range(ring):
             vx = int(sx[i])
@@ -173,29 +162,20 @@ def enumerate_row_completions(sx: np.ndarray, sy: np.ndarray,
             if h_next != 1 and h_next != -1:
                 ok = False
                 break
-            if vx == vy:
-                if h == vx:
-                    na += 1
-                else:
-                    nb += 1
-            else:
-                nc += 1
+            if vx != vy:
+                nc += 1  # a c vertex; the other four weigh 1
             h = h_next
         if ok and h == seed:
-            out.append(
-                _int_power(weights.a, na)
-                * _int_power(weights.b, nb)
-                * _int_power(weights.c, nc)
-            )
+            out.append(_int_power(weights.c, nc))
     return out
 
 
-def build_transfer_block_by_configuration(N: int, n: int, weights: VertexWeights,
-                                          dim_cap=None) -> SectorMatrix:
+def build_transfer_block_by_configuration(N: int, n: int,
+                                          weights: VertexWeights) -> SectorMatrix:
     """Sector block rebuilt by explicit arrow-configuration enumeration."""
     sector = enumerate_sector(N, n)
     dim = sector.dim
-    _check_dim(dim, dim_cap)
+    caps.check_dim(dim)
     spins = [s.spins() for s in sector.states]
     entries = np.zeros((dim, dim))
     for i, sx in enumerate(spins):
@@ -235,7 +215,7 @@ def partition_function_bruteforce(N: int, M: int, weights: VertexWeights,
     for vtx, edges in enumerate(vertex_edges):
         closes_at[max(edges)].append(vtx)
 
-    a, b, c = weights.a, weights.b, weights.c
+    c = weights.c
     omega = [0] * n_edges
     total = 0.0
 
@@ -243,9 +223,7 @@ def partition_function_bruteforce(N: int, M: int, weights: VertexWeights,
         hl, vb, hr, vt = vertex_edges[vtx]
         if omega[hl] + omega[vb] - omega[hr] - omega[vt] != 0:
             return None
-        if omega[vb] != omega[vt]:
-            return c
-        return a if omega[hl] == omega[vb] else b
+        return c if omega[vb] != omega[vt] else 1.0
 
     def assign(k, weight):
         nonlocal total
@@ -268,13 +246,13 @@ def partition_function_bruteforce(N: int, M: int, weights: VertexWeights,
     return total
 
 
-def trace_power(N: int, M: int, weights: VertexWeights, dim_cap=None) -> float:
+def trace_power(N: int, M: int, weights: VertexWeights) -> float:
     """Trace of the M-th transfer-matrix power, summed blockwise over sectors."""
     if N < 1 or M < 1:
         raise ValueError("need N >= 1 and M >= 1")
     total = 0.0
     for n in range(N + 1):
-        block = build_transfer_block(N, n, weights, dim_cap=dim_cap).entries
+        block = build_transfer_block(N, n, weights).entries
         power = block
         for _ in range(M - 1):
             power = power @ block

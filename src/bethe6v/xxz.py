@@ -15,7 +15,7 @@ import numpy as np
 
 from . import caps
 from .basis import SectorIndex, checked_sector
-from .errors import CapExceededError, SectorMismatchError
+from .errors import SectorMismatchError
 from .functions import MomentumSet
 from .transfer import SectorMatrix
 
@@ -29,7 +29,7 @@ _HV_ROWS = 32   # rows of HV per selection-matrix product
 _TILE = 128     # square tiles compared against their transposes
 
 
-def build_hamiltonian_block(N: int, n: int, delta: float, dim_cap=None,
+def build_hamiltonian_block(N: int, n: int, delta: float,
                             sector: SectorIndex | None = None) -> SectorMatrix:
     """Sector block of the spin-chain Hamiltonian (exchange conserves n).
 
@@ -39,9 +39,7 @@ def build_hamiltonian_block(N: int, n: int, delta: float, dim_cap=None,
         raise ValueError("chain needs N >= 2")
     sector = checked_sector(N, n, sector)
     dim = sector.dim
-    cap = caps.dim_cap(dim_cap)
-    if dim > cap:
-        raise CapExceededError(f"sector dimension {dim} exceeds dense cap {cap}")
+    caps.check_dim(dim)
     half_delta = 0.5 * float(delta)
     X = sector.positions_matrix()
     occupied = np.zeros((dim, N + 1), dtype=bool)
@@ -58,7 +56,7 @@ def build_hamiltonian_block(N: int, n: int, delta: float, dim_cap=None,
         # += rather than =: at N = 2 both bonds join the same pair of states
         entries[hop, sector.ranks(np.sort(swapped, axis=1))] += 1.0
     entries[np.diag_indices(dim)] += diagonal
-    return SectorMatrix(N, n, dim, entries, sector, "hamiltonian", delta=float(delta))
+    return SectorMatrix(N, n, dim, entries, sector, "hamiltonian")
 
 
 def energy_prediction(m: MomentumSet, ring_size: int, delta: float) -> float:

@@ -45,9 +45,8 @@ class TestAmplitudes:
         for k in range(3):
             for l in range(3):
                 pk, pl = m.momenta[k], m.momenta[l]
-                expected = np.exp(1j * pk) * (
-                    np.exp(-1j * pk) + np.exp(1j * pl) - 2.0 * a.delta
-                )
+                kernel = np.exp(-1j * pk) + np.exp(1j * pl) - 2.0 * a.delta
+                expected = np.exp(1j * pk) * kernel / abs(kernel)
                 assert ev.pair_factors[k, l] == pytest.approx(expected, rel=1e-15)
 
     def test_single_momentum_identity(self):
@@ -84,9 +83,10 @@ class TestAmplitudes:
         with pytest.raises(ValueError):
             amplitude((0, 0), ev)
 
-    def test_factorial_cap(self):
+    def test_factorial_cap(self, monkeypatch):
+        monkeypatch.setenv("BETHE6V_PERM_CAP", "2")
         with pytest.raises(CapExceededError):
-            AmplitudeEvaluator(momentum_set((0.1, 0.2, 0.3)), perm_cap=2)
+            AmplitudeEvaluator(momentum_set((0.1, 0.2, 0.3)))
 
 
 class TestPsiCoefficient:
@@ -97,13 +97,18 @@ class TestPsiCoefficient:
             for n in (1, 2, 3, 4):
                 p = np.sort(rng.uniform(-0.85, 0.85, size=n)) * a.domain_halfwidth
                 ev = AmplitudeEvaluator(MomentumSet(tuple(p), a))
+                # the library drops the common modulus prod_{k<l} |S(p_k, p_l)|
+                modulus = math.prod(
+                    abs(np.exp(-1j * p[k]) + np.exp(1j * p[l]) - 2.0 * a.delta)
+                    for k in range(n) for l in range(k + 1, n)
+                )
                 for _ in range(3):
                     pos = tuple(
                         sorted(rng.choice(np.arange(1, 9), size=n, replace=False))
                     )
                     x = OccupationVector(pos, 8)
                     fast = psi_coefficient(x, ev)
-                    ref = naive_psi_coefficient(pos, tuple(p), a.delta)
+                    ref = naive_psi_coefficient(pos, tuple(p), a.delta) / modulus
                     assert abs(fast - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_single_plane_wave(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -94,6 +95,68 @@ class TestSolveCommand:
         assert rep["verification.passed"] == "false"
         assert rep["verification.failures"].split(",")[:2] == [
             "transfer_eigenpair", "xxz_eigenpair"]
+
+    def test_large_eigenvalue_gated_relative_to_its_scale(self):
+        # lambda ~ 1.9e6: a residual of a few 1e-9 is a relative error of 1e-15
+        code, out = run_cli(["solve", "--capital-n", "12", "--n", "6", "--c", "3.3"])
+        rep = parse_report(out)
+        assert float(rep["prediction.lambda.re"]) > 1e6
+        assert rep["oracle.transfer_match_count"] == "1"
+        assert code == 0
+        assert rep["verification.passed"] == "true"
+
+    def test_perturbed_eigenvalue_still_fails(self, monkeypatch):
+        import bethe6v.cli
+
+        full_prediction = bethe6v.cli.full_prediction
+
+        def perturbed(sector, ev):
+            pred = full_prediction(sector, ev)
+            return dataclasses.replace(pred, lam=pred.lam * (1.0 + 1e-8))
+
+        monkeypatch.setattr("bethe6v.cli.full_prediction", perturbed)
+        code, out = run_cli(["solve", "--capital-n", "12", "--n", "6", "--c", "3.3"])
+        assert code == 3
+        assert "transfer_eigenpair" in parse_report(out)["verification.failures"].split(",")
+
+    def test_spectrum_match_needs_no_eigenvectors(self, monkeypatch):
+        argv = ["solve", "--capital-n", "8", "--n", "3", "--c", "1.2"]
+        _, before = run_cli(argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigenvectors computed")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for module in ("oracle", "cli"):
+            monkeypatch.setattr(f"bethe6v.{module}.dense_spectrum", refuse)
+        code, after = run_cli(argv)
+
+        def oracle_lines(text):
+            return {k: v for k, v in parse_report(text).items() if k.startswith("oracle.")}
+
+        assert code == 0
+        assert len(oracle_lines(after)) == 4
+        assert oracle_lines(after) == oracle_lines(before)
+
+    def test_stage_timings(self, monkeypatch):
+        def stages(argv):
+            _, out = run_cli(argv)
+            rep = parse_report(out)
+            timed = [k for k in rep if k.startswith("timing.")]
+            assert all(float(rep[k]) >= 0.0 for k in timed)
+            return [k.removeprefix("timing.") for k in timed]
+
+        argv = ["solve", "--capital-n", "8", "--n", "2", "--c", "1.0"]
+        assert stages(argv) == ["solve", "psi", "v", "h", "residuals", "commutator",
+                                "spectrum", "seconds"]
+        monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "5")
+        assert stages(argv) == ["solve", "psi", "v", "h", "residuals", "commutator",
+                                "seconds"]
+        monkeypatch.setenv("BETHE6V_DIM_CAP", "5")
+        assert stages(argv) == ["solve", "psi", "seconds"]
+        unconverged = ["solve", "--capital-n", "2", "--n", "1", "--c", "1.0",
+                       "--quantum-numbers", "1"]
+        assert stages(unconverged) == ["solve", "seconds"]
 
     def test_determinism_modulo_timing(self):
         argv = ["solve", "--capital-n", "6", "--n", "2", "--c", "0.5"]
@@ -245,6 +308,21 @@ class TestDumpMatrixCommand:
         parsed = np.array([[float(v) for v in row.split()] for row in lines[1:]])
         assert parsed.shape == (10, 10)
         assert np.array_equal(parsed, parsed.T)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--capital-n", "6", "--n", "1"],
+    ["partition", "--capital-n", "2", "--m", "2", "--bruteforce"],
+    ["verify-identities"],
+    ["spectrum", "--capital-n", "4", "--n", "1"],
+    ["dump-matrix", "--capital-n", "4", "--n", "1", "--out", "/dev/null"],
+])
+def test_every_command_rejects_bad_c(argv, capsys):
+    for c in ("0", "-1", "nan"):
+        code, out = run_cli(argv + ["--c", c])
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err == "error: c must be positive\n"
 
 
 class TestEnvironmentCaps:

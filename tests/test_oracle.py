@@ -9,6 +9,7 @@ from bethe6v import (
     VertexWeights,
     build_transfer_block,
     check_eigenpair,
+    dense_eigenvalues,
     dense_spectrum,
     enumerate_sector,
     match_eigenvalue,
@@ -37,7 +38,7 @@ class TestDenseSpectrum:
             expected = np.sort(np.array([2.0 - c * c] * (N - 1) + [2.0 + c * c * (N - 1)]))
             assert np.allclose(spec.eigenvalues, expected, rtol=0, atol=1e-12)
             # the degenerate level matches as a cluster of N-1 indices
-            hits = match_eigenvalue(2.0 - c * c, spec, 1e-10)
+            hits = match_eigenvalue(2.0 - c * c, spec.eigenvalues, 1e-10)
             assert len(hits) == N - 1
 
     def test_flip_symmetric_spectra(self):
@@ -73,13 +74,32 @@ class TestDenseSpectrum:
 
     def test_rejects_asymmetric(self):
         bad = make_matrix([[1.0, 2.0], [2.0 + 1e-9, 1.0]])
-        with pytest.raises(ValueError):
-            dense_spectrum(bad)
+        for route in (dense_spectrum, dense_eigenvalues):
+            with pytest.raises(ValueError):
+                route(bad)
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
         blk = build_transfer_block(8, 4, VertexWeights(c=1.0))
+        monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "10")
         with pytest.raises(CapExceededError):
-            dense_spectrum(blk, dim_cap=10)
+            dense_spectrum(blk)
+        with pytest.raises(CapExceededError):
+            dense_eigenvalues(blk)
+
+
+class TestDenseEigenvalues:
+    BLOCKS = (
+        (3, 0, 1.1), (7, 1, 0.5), (7, 1, math.sqrt(2.0)), (7, 1, 2.0), (5, 2, 1.7),
+        (6, 3, 1.7), (8, 3, 0.8), (8, 4, 1.4), (5, 2, 1.2),
+    )
+
+    def test_matches_full_decomposition(self):
+        for N, n, c in self.BLOCKS:
+            blk = build_transfer_block(N, n, VertexWeights(c=c))
+            full = dense_spectrum(blk).eigenvalues
+            vals = dense_eigenvalues(blk)
+            scale = max(1.0, float(np.max(np.abs(full))))
+            assert np.max(np.abs(vals - full)) <= 1e-13 * scale, (N, n, c)
 
 
 class TestCheckEigenpair:
@@ -113,14 +133,12 @@ class TestCheckEigenpair:
 
 class TestMatchEigenvalue:
     def test_no_match_outside_range(self):
-        spec = dense_spectrum(make_matrix(np.diag([1.0, 2.0])))
-        assert match_eigenvalue(10.0, spec, 1e-8) == []
+        assert match_eigenvalue(10.0, np.array([1.0, 2.0]), 1e-8) == []
 
     def test_nearest_first(self):
-        spec = dense_spectrum(make_matrix(np.diag([1.0, 1.5, 4.0])))
-        hits = match_eigenvalue(1.4, spec, 0.5)
+        hits = match_eigenvalue(1.4, np.array([1.0, 1.5, 4.0]), 0.5)
         assert hits == [1, 0]
 
     def test_relative_tolerance_for_large_values(self):
-        spec = dense_spectrum(make_matrix(np.diag([1e6, 2e6])))
-        assert match_eigenvalue(1e6 * (1.0 + 1e-9), spec, 1e-8) == [0]
+        eigenvalues = np.array([1e6, 2e6])
+        assert match_eigenvalue(1e6 * (1.0 + 1e-9), eigenvalues, 1e-8) == [0]

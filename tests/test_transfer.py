@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,13 +24,13 @@ from helpers import raw_torus_partition
 
 class TestVertexWeights:
     def test_defaults(self):
-        w = VertexWeights(c=1.5)
-        assert (w.a, w.b, w.c) == (1.0, 1.0, 1.5)
+        # c is the only weight; the other vertices weigh 1
+        assert dataclasses.astuple(VertexWeights(c=1.5)) == (1.5,)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             VertexWeights(c=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             VertexWeights(c=1.0, a=2.0)
 
 
@@ -58,9 +59,10 @@ class TestTransferBlock:
             assert np.all(np.diag(blk.entries) == 2.0)
             assert np.all(blk.entries >= 0.0)
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setenv("BETHE6V_DIM_CAP", "10")
         with pytest.raises(CapExceededError):
-            build_transfer_block(8, 4, VertexWeights(c=1.0), dim_cap=10)
+            build_transfer_block(8, 4, VertexWeights(c=1.0))
 
 
 class TestConfigurationOracle:
