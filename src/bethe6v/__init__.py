@@ -12,7 +12,6 @@ from .ansatz import (
     eigenvalue_singular,
     full_prediction,
     identity_suite,
-    psi_coefficient,
     transfer_eigenvalue,
 )
 from .basis import (

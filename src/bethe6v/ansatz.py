@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import caps
-from .basis import OccupationVector, SectorIndex
+from .basis import SectorIndex
 from .errors import CapExceededError, SectorMismatchError, SingularMomentumError
 from .functions import (
     ZERO_MOMENTUM_TOL,
@@ -48,7 +48,6 @@ __all__ = [
     "SpectralPrediction",
     "IdentityReport",
     "amplitude",
-    "psi_coefficient",
     "build_psi",
     "full_prediction",
     "eigenvalue_regular",
@@ -154,21 +153,12 @@ def _subset_sum(ev: AmplitudeEvaluator, X: np.ndarray, zpow: np.ndarray) -> np.n
     return layer[(1 << n) - 1]
 
 
-def psi_coefficient(x: OccupationVector, ev: AmplitudeEvaluator) -> complex:
-    """Single coefficient psi(x): the subset DP on one row."""
-    if len(x) != ev.n:
-        raise SectorMismatchError("state particle number differs from momentum count")
-    zpow = ev.z[:, None] ** np.arange(x.ring_size + 1)[None, :]
-    X = np.asarray(x.positions, dtype=np.int64).reshape(1, ev.n)
-    return complex(_subset_sum(ev, X, zpow)[0])
-
-
 def build_psi(sector: SectorIndex, ev: AmplitudeEvaluator) -> SpectralPrediction:
     """Coefficient vector over the whole sector, in the canonical basis order."""
     if sector.n != ev.n:
         raise SectorMismatchError("sector particle number differs from momentum count")
     zpow = ev.z[:, None] ** np.arange(sector.N + 1)[None, :]
-    coeffs = _subset_sum(ev, sector.positions_matrix(), zpow)
+    coeffs = _subset_sum(ev, sector.positions, zpow)
     norm = float(np.linalg.norm(coeffs))
     return SpectralPrediction(
         psi=coeffs,

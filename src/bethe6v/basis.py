@@ -2,13 +2,17 @@
 
 A basis state is the list of up-arrow positions on sites 1..N; the sector
 with n up arrows has dimension C(N, n).  The basis ordering is
-colexicographic on position lists and fixed globally, so every matrix or
-coefficient dump is reproducible bit for bit.
+colexicographic on position lists (ascending occupation bitmask) and fixed
+globally, so every matrix or coefficient dump is reproducible bit for bit.
+This module is the one place that knows the state encoding: a sector holds
+its states as position, occupancy and bitmask arrays, and builds an
+``OccupationVector`` only on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -102,57 +106,64 @@ def arrow_flip(x: OccupationVector) -> OccupationVector:
     return OccupationVector(rest, x.ring_size)
 
 
-def _colex(limit: int, n: int):
-    # yields n-subsets of {1..limit} ordered by their reversed tuples
-    if n == 0:
-        yield ()
-        return
-    for last in range(n, limit + 1):
-        for head in _colex(last - 1, n - 1):
-            yield head + (last,)
-
-
 @dataclass(frozen=True, eq=False)
 class SectorIndex:
-    """Colexicographically ordered basis of the n-up-arrow sector on N sites."""
+    """Colexicographically ordered basis of the n-up-arrow sector on N sites.
+
+    The basis is held as arrays only, one row per state: ``positions`` (the
+    (dim, n) up-arrow positions), ``occupied`` (the (dim, N) occupancy
+    table, column i-1 for site i) and ``masks`` (the occupation bitmasks as
+    (dim, ceil(N/64)) uint64 words, lowest sites first, site i at bit i-1).
+    Colex order is ascending occupation bitmask.
+    """
 
     N: int
     n: int
-    states: tuple[OccupationVector, ...] = field(init=False, repr=False)
-    _rank: dict = field(init=False, repr=False)
-    _positions: np.ndarray = field(init=False, repr=False)
+    positions: np.ndarray = field(init=False, repr=False)
+    occupied: np.ndarray = field(init=False, repr=False)
+    masks: np.ndarray = field(init=False, repr=False)
     _colex_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        states = tuple(
-            OccupationVector(pos, self.N) for pos in _colex(self.N, self.n)
-        )
-        object.__setattr__(self, "states", states)
-        object.__setattr__(
-            self, "_rank", {s.positions: k for k, s in enumerate(states)}
-        )
-        pos = np.array([s.positions for s in states], dtype=np.int64)
-        pos = pos.reshape(len(states), self.n)
-        object.__setattr__(self, "_positions", pos)
-        table = [[min(comb(q, k), len(states)) for k in range(1, self.n + 1)]
-                 for q in range(self.N)]
-        table = np.array(table, dtype=np.int64).reshape(self.N, self.n)
-        object.__setattr__(self, "_colex_table", table)
+        N, n = self.N, self.n
+        dim = comb(N, n)
+        # lex order read backwards, on sites mirrored by i -> N + 1 - i, is colex
+        lex = np.fromiter(chain.from_iterable(combinations(range(1, N + 1), n)),
+                          dtype=np.int64, count=dim * n).reshape(dim, n)
+        positions = N + 1 - lex[::-1, ::-1]
+        occupied = np.zeros((dim, N), dtype=bool)
+        rows = np.arange(dim)
+        for column in positions.T:  # index scratch of dim entries, not dim * n
+            occupied[rows, column - 1] = True
+        packed = np.packbits(occupied, axis=1, bitorder="little")
+        masks = np.zeros((dim, 8 * ((N + 63) // 64)), dtype=np.uint8)
+        masks[:, :packed.shape[1]] = packed
+        table = [[min(comb(q, k), dim) for k in range(1, n + 1)] for q in range(N)]
+        table = np.array(table, dtype=np.int64).reshape(N, n)
+        # read-only: consumers share one sector across blocks
+        for name, value in (("positions", positions), ("occupied", occupied),
+                            ("masks", masks.view("<u8")), ("_colex_table", table)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return self.positions.shape[0]
 
     def state_of(self, k: int) -> OccupationVector:
-        return self.states[k]
+        """The k-th basis state, built on demand."""
+        return OccupationVector(tuple(self.positions[k].tolist()), self.N)
 
     def index_of(self, x) -> int:
-        key = x.positions if isinstance(x, OccupationVector) else tuple(x)
-        return self._rank[key]
-
-    def positions_matrix(self) -> np.ndarray:
-        """(dim, n) array of up-arrow positions, one row per basis state."""
-        return self._positions
+        """Basis index of a state of this sector, given as a vector or positions."""
+        if not isinstance(x, OccupationVector):
+            x = OccupationVector(tuple(x), self.N)
+        if (x.ring_size, len(x)) != (self.N, self.n):
+            raise SectorMismatchError(
+                f"state with {len(x)} up arrows on {x.ring_size} sites is not in "
+                f"sector ({self.N},{self.n})"
+            )
+        return int(self.ranks(np.array([x.positions], dtype=np.int64))[0])
 
     def ranks(self, positions: np.ndarray) -> np.ndarray:
         """Basis indices of the rows of a (rows, n) array of increasing positions.
@@ -162,12 +173,6 @@ class SectorIndex:
         """
         return self._colex_table[positions - 1, np.arange(self.n)].sum(axis=1)
 
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
-
 
 def enumerate_sector(N: int, n: int) -> SectorIndex:
     """Index all C(N, n) occupation vectors of the sector, in the global ordering."""
@@ -175,9 +180,7 @@ def enumerate_sector(N: int, n: int) -> SectorIndex:
         raise ValueError("N must be at least 1")
     if n < 0 or n > N:
         raise ValueError(f"particle count {n} outside 0..{N}")
-    sector = SectorIndex(N, n)
-    assert sector.dim == comb(N, n)
-    return sector
+    return SectorIndex(N, n)
 
 
 def checked_sector(N: int, n: int, sector: SectorIndex | None = None) -> SectorIndex:

@@ -14,7 +14,8 @@ Subcommands:
 Reports are emitted as "key: value" lines; every float carries 17
 significant digits.  Identical flags reproduce byte-identical reports apart
 from the timing lines.  Exit codes: 0 success, 1 invalid usage, 2 solver
-non-convergence or a resource cap, 3 verification failure.
+non-convergence, a resource cap or a numeric-range limit (``DomainError``,
+``LinAlgError``), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .ansatz import (
     identity_suite,
 )
 from .basis import enumerate_sector
-from .errors import CapExceededError
+from .errors import CapExceededError, DomainError
 from .functions import Anisotropy, grid_suite
 from .oracle import check_eigenpair, dense_eigenvalues, dense_spectrum, match_eigenvalue
 from .solver import QuantumNumbers, SolverConfig, ground_state_quantum_numbers, solve
@@ -58,7 +59,6 @@ BETHE_RESIDUAL_TOL = 1e-10
 EIGENPAIR_TOL = 1e-9
 IMAG_TOL = 1e-9
 MATCH_TOL = 1e-8
-COMMUTATOR_TOL = 1e-10
 GRID_IDENTITY_TOL = 1e-11
 FD_TOL = 1e-6
 SOLVED_IDENTITY_TOL = 1e-9
@@ -410,10 +410,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rep, code = args.func(args)
-    except CapExceededError as exc:
+    except (CapExceededError, DomainError, np.linalg.LinAlgError) as exc:
+        # a resource cap, or a value outside the numeric range of the routes
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:  # bad input, domain and degenerate-momentum errors
+    except ValueError as exc:  # bad input and degenerate-momentum errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rep.add("timing.seconds", _clock(rep.opened))

@@ -75,11 +75,11 @@ def check_eigenpair(m: SectorMatrix, vector, lam) -> float:
 
 
 def match_eigenvalue(lam, eigenvalues: np.ndarray, tol: float) -> list[int]:
-    """Indices of all eigenvalues within tol * max(1, |lam|), nearest first.
+    """Indices of all eigenvalues within tol * max(1, |lam|), in ascending order.
 
-    Degenerate levels come back as a cluster; an empty list means no match.
+    Degenerate levels come back as a cluster led by its lowest index, which
+    does not depend on how rounding orders the cluster's members; an empty
+    list means no match.
     """
-    gaps = np.abs(eigenvalues - lam)
     bound = tol * max(1.0, abs(lam))
-    hits = np.nonzero(gaps <= bound)[0].tolist()
-    return sorted(hits, key=lambda i: gaps[i])
+    return np.nonzero(np.abs(eigenvalues - lam) <= bound)[0].tolist()

@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 _CHUNK_ELEMENTS = 1 << 18  # scratch budget (pairs) for the bitmask pair tests
-_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ def _prefix_xor(words: np.ndarray) -> np.ndarray:
         out ^= out << np.uint64(shift)
     parity = np.bitwise_count(words) & 1
     below = (np.cumsum(parity, axis=1) - parity) & 1
-    out[below == 1] ^= np.uint64(_WORD)
+    out[below == 1] ^= ~np.uint64(0)
     return out
 
 
@@ -95,7 +94,8 @@ def build_transfer_block(N: int, n: int, weights: VertexWeights,
                          sector: SectorIndex | None = None) -> SectorMatrix:
     """Sector block of the transfer matrix from the closed-form entry rule.
 
-    Pairs are tested on occupation bitmasks.  With d = mx ^ my the sites
+    Pairs are tested on the sector's occupation bitmasks (``sector.masks``,
+    64-bit words, lowest sites first).  With d = mx ^ my the sites
     where two states differ, x1 <= y1 <= x2 <= ... <= yn holds iff x owns
     the 1st, 3rd, 5th, ... set bit of d counting from site 1, i.e.
     mx & d == d & prefix_xor(d); the other order is the same test for y.
@@ -111,11 +111,7 @@ def build_transfer_block(N: int, n: int, weights: VertexWeights,
     c2 = weights.c * weights.c
     cpow = np.array([_int_power(c2, k) for k in range(n + 1)])
 
-    # occupation masks split into 64-bit words, lowest sites first
-    masks = np.array(
-        [[s.mask >> (64 * w) & _WORD for w in range((N + 63) // 64)] for s in sector],
-        dtype=np.uint64,
-    )
+    masks = sector.masks
     prefix = _prefix_xor(masks)
     masks_prefix = masks ^ prefix
 
@@ -172,11 +168,14 @@ def enumerate_row_completions(sx: np.ndarray, sy: np.ndarray,
 
 def build_transfer_block_by_configuration(N: int, n: int,
                                           weights: VertexWeights) -> SectorMatrix:
-    """Sector block rebuilt by explicit arrow-configuration enumeration."""
+    """Sector block rebuilt by explicit arrow-configuration enumeration.
+
+    The +-1 spin patterns are read off the sector's occupancy table.
+    """
     sector = enumerate_sector(N, n)
     dim = sector.dim
     caps.check_dim(dim)
-    spins = [s.spins() for s in sector.states]
+    spins = np.where(sector.occupied, 1, -1)
     entries = np.zeros((dim, dim))
     for i, sx in enumerate(spins):
         for j, sy in enumerate(spins):

@@ -3,10 +3,11 @@
 Site i of the chain contributes +delta/2 to the diagonal when the arrows at
 i and i+1 agree and -delta/2 when they differ, plus an exchange hop of
 weight 1 between states that differ by swapping those two arrows.  The
-block is accumulated site by site, vectorized over the basis (hop targets
-by colex rank); the aggregate diagonal formula (delta/2)(N - 2 * boundary
-count) is kept for tests only.  The commutator with V uses the sparsity of
-H: at most N + 1 nonzeros per row.
+block is accumulated site by site, vectorized over the basis: the sector's
+occupancy table gives the bond terms and its colex ranks the hop targets.
+The aggregate diagonal formula (delta/2)(N - 2 * boundary count) is kept
+for tests only.  The commutator with V uses the sparsity of H: at most
+N + 1 nonzeros per row.
 """
 
 from __future__ import annotations
@@ -41,14 +42,12 @@ def build_hamiltonian_block(N: int, n: int, delta: float,
     dim = sector.dim
     caps.check_dim(dim)
     half_delta = 0.5 * float(delta)
-    X = sector.positions_matrix()
-    occupied = np.zeros((dim, N + 1), dtype=bool)
-    occupied[np.arange(dim)[:, None], X] = True
+    X, occupied = sector.positions, sector.occupied
     entries = np.zeros((dim, dim))
     diagonal = np.zeros(dim)
     for i in range(1, N + 1):
         j = i % N + 1
-        agree = occupied[:, i] == occupied[:, j]
+        agree = occupied[:, i - 1] == occupied[:, j - 1]
         diagonal += np.where(agree, half_delta, -half_delta)
         hop = np.flatnonzero(~agree)
         swapped = X[hop]

@@ -9,7 +9,6 @@ from bethe6v import (
     Anisotropy,
     CapExceededError,
     MomentumSet,
-    OccupationVector,
     SectorMismatchError,
     SingularMomentumError,
     VertexWeights,
@@ -24,7 +23,6 @@ from bethe6v import (
     full_prediction,
     ground_state_quantum_numbers,
     identity_suite,
-    psi_coefficient,
     solve,
     theta,
     transfer_eigenvalue,
@@ -69,7 +67,7 @@ class TestAmplitudes:
                 p = np.sort(rng.uniform(-0.9, 0.9, size=n)) * a.domain_halfwidth
                 ev = AmplitudeEvaluator(MomentumSet(tuple(p), a))
                 sector = enumerate_sector(N, n)
-                X = sector.positions_matrix()
+                X = sector.positions
                 direct = np.zeros(sector.dim, dtype=complex)
                 for sigma in itertools.permutations(range(n)):
                     waves = np.prod(ev.z[list(sigma)] ** X, axis=1)
@@ -91,6 +89,7 @@ class TestAmplitudes:
 
 class TestPsiCoefficient:
     def test_matches_naive_oracle(self):
+        # build_psi rows against the permutation sum rebuilt from scratch
         rng = np.random.default_rng(5)
         for c in (0.5, 1.0, 2.0):
             a = Anisotropy(c)
@@ -102,25 +101,24 @@ class TestPsiCoefficient:
                     abs(np.exp(-1j * p[k]) + np.exp(1j * p[l]) - 2.0 * a.delta)
                     for k in range(n) for l in range(k + 1, n)
                 )
-                for _ in range(3):
-                    pos = tuple(
-                        sorted(rng.choice(np.arange(1, 9), size=n, replace=False))
-                    )
-                    x = OccupationVector(pos, 8)
-                    fast = psi_coefficient(x, ev)
+                sector = enumerate_sector(8, n)
+                psi = build_psi(sector, ev).psi
+                for k in rng.choice(sector.dim, size=min(sector.dim, 12), replace=False):
+                    pos = sector.state_of(k).positions
                     ref = naive_psi_coefficient(pos, tuple(p), a.delta) / modulus
-                    assert abs(fast - ref) <= 1e-12 * max(1.0, abs(ref))
+                    assert abs(psi[k] - ref) <= 1e-12 * max(1.0, abs(ref)), (c, n, pos)
 
     def test_single_plane_wave(self):
-        m = momentum_set((0.6,))
-        ev = AmplitudeEvaluator(m)
-        x = OccupationVector((3,), 8)
-        assert psi_coefficient(x, ev) == pytest.approx(np.exp(1j * 0.6 * 3), rel=1e-14)
+        ev = AmplitudeEvaluator(momentum_set((0.6,)))
+        sector = enumerate_sector(8, 1)
+        psi = build_psi(sector, ev).psi
+        k = sector.index_of((3,))
+        assert psi[k] == pytest.approx(np.exp(1j * 0.6 * 3), rel=1e-14)
 
     def test_particle_count_mismatch(self):
         ev = AmplitudeEvaluator(momentum_set((0.1, 0.5)))
         with pytest.raises(SectorMismatchError):
-            psi_coefficient(OccupationVector((1,), 4), ev)
+            build_psi(enumerate_sector(4, 1), ev)
 
 
 class TestBuildPsi:

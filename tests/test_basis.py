@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,15 +19,19 @@ def ov(positions, N):
     return OccupationVector(tuple(positions), N)
 
 
+def states(sector):
+    return [sector.state_of(k).positions for k in range(sector.dim)]
+
+
 class TestEnumerate:
     def test_two_sites_one_particle(self):
         sector = enumerate_sector(2, 1)
-        assert [s.positions for s in sector] == [(1,), (2,)]
+        assert states(sector) == [(1,), (2,)]
         assert sector.dim == 2
 
     def test_empty_sector(self):
         sector = enumerate_sector(4, 0)
-        assert [s.positions for s in sector] == [()]
+        assert states(sector) == [()]
         assert sector.dim == 1
 
     def test_binomial_count(self):
@@ -33,15 +39,35 @@ class TestEnumerate:
 
     def test_colex_order(self):
         sector = enumerate_sector(4, 2)
-        assert [s.positions for s in sector] == [
+        assert states(sector) == [
             (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4),
         ]
+        # reference: every n-subset, sorted by its reversed tuple
+        for N in range(1, 11):
+            for n in range(N + 1):
+                subsets = itertools.combinations(range(1, N + 1), n)
+                reference = sorted(subsets, key=lambda t: t[::-1])
+                assert states(enumerate_sector(N, n)) == reference, (N, n)
 
     def test_vectorized_ranks(self):
-        for N, n in ((1, 0), (5, 0), (6, 3), (9, 4), (12, 11), (70, 2)):
+        for N, n in ((1, 0), (5, 0), (6, 3), (9, 4), (12, 11), (20, 10),
+                     (70, 2), (130, 2)):
             sector = enumerate_sector(N, n)
-            ranks = sector.ranks(sector.positions_matrix())
-            assert ranks.tolist() == list(range(sector.dim))
+            ranks = sector.ranks(sector.positions)
+            assert np.array_equal(ranks, np.arange(sector.dim)), (N, n)
+
+    def test_encodings_agree_with_states(self):
+        # occupancy rows and multiword masks against the per-state vectors
+        for N, n in ((7, 3), (64, 2), (70, 2), (130, 2)):
+            sector = enumerate_sector(N, n)
+            words = sector.masks.shape[1]
+            assert sector.masks.dtype == np.uint64 and words == (N + 63) // 64
+            for k in range(sector.dim):
+                state = sector.state_of(k)
+                mask = sum(int(w) << (64 * i) for i, w in enumerate(sector.masks[k]))
+                assert mask == state.mask, (N, n, k)
+                assert np.array_equal(np.where(sector.occupied[k], 1, -1),
+                                      state.spins()), (N, n, k)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -51,14 +77,22 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_sector(3, -1)
 
+    def test_index_of_rejects_states_outside_the_sector(self):
+        sector = enumerate_sector(5, 2)
+        for bad in ((1, 2, 3), (1,), ov((1, 2), 6), (2, 1), (0, 3), (3, 6)):
+            with pytest.raises(ValueError):
+                sector.index_of(bad)
+
     def test_round_trip_all_small_sectors(self):
         for N in range(1, 7):
             for n in range(N + 1):
                 sector = enumerate_sector(N, n)
                 assert sector.dim == math.comb(N, n)
-                for k, state in enumerate(sector):
+                for k in range(sector.dim):
+                    state = sector.state_of(k)
                     assert sector.index_of(state) == k
-                    assert sector.state_of(k) is state
+                    assert sector.index_of(state.positions) == k
+                    assert state == ov(sector.positions[k], N)
 
 
 class TestOccupationVector:

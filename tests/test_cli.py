@@ -70,6 +70,26 @@ class TestSolveCommand:
         assert code == 2
         assert parse_report(out)["solver.converged"] == "false"
 
+    @pytest.mark.parametrize("c", [
+        "1e-9",  # the scattering kernel leaves the right half-plane
+        "3e-4",  # the scattering kernel vanishes
+        # V's entries overflow, so the dense eigensolver does not converge
+        pytest.param("1e100", marks=pytest.mark.filterwarnings(
+            "ignore:overflow encountered", "ignore:invalid value encountered")),
+    ])
+    def test_numeric_range_limit_exit_code(self, c, capsys):
+        code, out = run_cli(["solve", "--capital-n", "6", "--n", "3", "--c", c])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("c", ["1e-3", "1e20"])
+    def test_numeric_range_ends_still_pass(self, c):
+        code, out = run_cli(["solve", "--capital-n", "6", "--n", "3", "--c", c])
+        assert code == 0
+        assert parse_report(out)["verification.passed"] == "true"
+
     def test_sector_enumerated_once(self, monkeypatch):
         import bethe6v.basis
 

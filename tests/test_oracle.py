@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from bethe6v import (
+    Anisotropy,
     CapExceededError,
     SectorMatrix,
     VertexWeights,
+    build_hamiltonian_block,
     build_transfer_block,
     check_eigenpair,
     dense_eigenvalues,
     dense_spectrum,
+    energy_prediction,
     enumerate_sector,
+    ground_state_quantum_numbers,
     match_eigenvalue,
+    solve,
     trace_power,
 )
 
@@ -135,9 +140,21 @@ class TestMatchEigenvalue:
     def test_no_match_outside_range(self):
         assert match_eigenvalue(10.0, np.array([1.0, 2.0]), 1e-8) == []
 
-    def test_nearest_first(self):
+    def test_ascending_index_order(self):
         hits = match_eigenvalue(1.4, np.array([1.0, 1.5, 4.0]), 0.5)
-        assert hits == [1, 0]
+        assert hits == [0, 1]
+
+    def test_degenerate_level_index_independent_of_lapack_route(self):
+        # (12, 6) at c = 50: the predicted energy sits in an exactly
+        # degenerate pair, whose members eigvalsh and eigh can round in
+        # opposite orders
+        a = Anisotropy(50.0)
+        momenta = solve(12, ground_state_quantum_numbers(6), a).momenta
+        energy = energy_prediction(momenta, 12, a.delta)
+        block = build_hamiltonian_block(12, 6, a.delta)
+        by_values = match_eigenvalue(energy, dense_eigenvalues(block), 1e-8)
+        by_pairs = match_eigenvalue(energy, dense_spectrum(block).eigenvalues, 1e-8)
+        assert by_values == by_pairs == [922, 923]
 
     def test_relative_tolerance_for_large_values(self):
         eigenvalues = np.array([1e6, 2e6])

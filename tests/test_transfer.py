@@ -80,10 +80,9 @@ class TestConfigurationOracle:
         # N = 70 spreads the occupation bitmasks over two 64-bit words
         c = 1.3
         blk = build_transfer_block(70, 2, VertexWeights(c=c))
-        states = blk.basis.states
         rng = np.random.default_rng(3)
         for i, j in rng.integers(0, blk.dim, size=(3000, 2)):
-            x, y = states[i], states[j]
+            x, y = blk.basis.state_of(i), blk.basis.state_of(j)
             if i == j:
                 expected = 2.0
             elif interlaced(x, y):

@@ -66,8 +66,8 @@ class TestHamiltonianBlock:
         N, n = 7, 3
         sector = enumerate_sector(N, n)
         blk = build_hamiltonian_block(N, n, delta)
-        for k, state in enumerate(sector):
-            spins = state.spins()
+        for k in range(sector.dim):
+            spins = sector.state_of(k).spins()
             boundaries = int(np.sum(spins != np.roll(spins, -1)))
             expected = 0.5 * delta * (N - 2 * boundaries)
             assert blk.entries[k, k] == pytest.approx(expected, rel=1e-13, abs=1e-15)
@@ -81,7 +81,8 @@ class TestHamiltonianBlock:
             states, H = full_space_hamiltonian(N, delta)
             for n in range(N + 1):
                 sector = enumerate_sector(N, n)
-                rows = [states.index(tuple(s.spins().tolist())) for s in sector]
+                rows = [states.index(tuple(sector.state_of(k).spins().tolist()))
+                        for k in range(sector.dim)]
                 projected = H[np.ix_(rows, rows)]
                 blk = build_hamiltonian_block(N, n, delta)
                 assert np.array_equal(projected, blk.entries), (N, n)
