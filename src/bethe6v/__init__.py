@@ -49,7 +49,6 @@ from .oracle import (
 from .solver import (
     QuantumNumbers,
     SolveReport,
-    SolverConfig,
     ground_state_quantum_numbers,
     log_equations,
     solve,

@@ -235,8 +235,7 @@ class IdentityReport:
     cyclic_max: float     # cyclic shift vs. z^{-N} (needs solved momenta)
 
 
-def identity_suite(m: MomentumSet, ring_size: int, samples: int = 20,
-                   seed: int = 0) -> IdentityReport:
+def identity_suite(m: MomentumSet, ring_size: int, samples: int = 20) -> IdentityReport:
     """Probe the amplitude-ratio identities on random permutations.
 
     The adjacent-transposition ratio holds for any momenta; the cyclic and
@@ -249,7 +248,7 @@ def identity_suite(m: MomentumSet, ring_size: int, samples: int = 20,
         return IdentityReport(0, 0.0, 0.0, 0.0)
     p = m.as_array()
     a = m.anisotropy
-    rng = random.Random(seed)
+    rng = random.Random(0)  # a fixed seed: reports repeat byte for byte
     adjacent = boundary = cyclic = 0.0
     for _ in range(samples):
         sigma = list(range(n))

@@ -40,7 +40,7 @@ from .basis import enumerate_sector
 from .errors import CapExceededError, DomainError
 from .functions import Anisotropy, grid_suite
 from .oracle import check_eigenpair, dense_eigenvalues, dense_spectrum, match_eigenvalue
-from .solver import QuantumNumbers, SolverConfig, ground_state_quantum_numbers, solve
+from .solver import QuantumNumbers, ground_state_quantum_numbers, solve
 from .transfer import (
     VertexWeights,
     build_transfer_block,
@@ -156,20 +156,17 @@ def _cmd_solve(args) -> tuple[Report, int]:
         raise ValueError(f"bad quantum numbers: {exc}") from exc
     if qn.n != n:
         raise ValueError(f"expected {n} quantum numbers, got {qn.n}")
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
 
     rep = Report("solve")
     rep.add("param.N", N)
     rep.add("param.n", n)
     rep.add("param.c", args.c)
     rep.add("param.quantum_numbers", ",".join(str(v) for v in qn.values))
-    rep.add("param.tol", cfg.tol)
-    rep.add("param.max_iter", cfg.max_iter)
     rep.add("anisotropy.delta", a.delta)
     rep.add("anisotropy.mu", a.mu)
 
     with rep.stage("solve"):
-        report = solve(N, qn, a, cfg)
+        report = solve(N, qn, a)
     rep.add("solver.converged", report.converged)
     rep.add("solver.iterations", report.iterations)
     rep.add("solver.final_residual", report.final_residual)
@@ -366,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--quantum-numbers", default=None,
                          help="comma-separated rationals; values starting with a "
                               "minus need the = form: --quantum-numbers=-1/2,1/2")
-    p_solve.add_argument("--tol", type=float, default=1e-12)
-    p_solve.add_argument("--max-iter", type=int, default=200)
     p_solve.add_argument("--dump-psi", default=None, metavar="PATH",
                          help='write coefficients as "index real imag" lines')
     p_solve.set_defaults(func=_cmd_solve)

@@ -2,7 +2,7 @@
 
 
 class DomainError(ValueError):
-    """Momentum arguments left the certified branch domain of the scattering phase."""
+    """Momenta left the phase's certified branch domain, or block entries overflowed."""
 
 
 class SingularMomentumError(ValueError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import caps
-from .errors import CapExceededError
+from .errors import CapExceededError, DomainError
 from .transfer import SectorMatrix
 
 __all__ = [
@@ -34,13 +34,15 @@ class SpectrumResult:
 
 
 def _symmetric_entries(m: SectorMatrix) -> np.ndarray:
-    """The block's entries, once its dimension and symmetry are checked."""
+    """The block's entries, once its dimension, finiteness and symmetry are checked."""
     cap = caps.spectrum_cap()
     if m.dim > cap:
         raise CapExceededError(f"dimension {m.dim} exceeds spectrum cap {cap}")
     A = m.entries
+    if not np.all(np.isfinite(A)):
+        raise DomainError("block entries overflow to inf or NaN; no dense spectrum")
     asym = float(np.max(np.abs(A - A.T)))
-    if asym > 1e-12:
+    if not asym <= 1e-12:
         raise ValueError(f"matrix asymmetry {asym:g} exceeds 1e-12")
     return A
 

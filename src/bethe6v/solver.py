@@ -14,14 +14,14 @@ the k = j term theta(p_j, p_j) vanishes identically, so
 
 Iterates are clamped strictly inside the momentum interval (the phase is
 undefined outside) and each step is halved until the max-norm residual
-decreases.  A step halved down to 2^-20 that still does not decrease
-it ends the iteration: the residual has stalled at rounding level (or the
-trial left the domain), no further step can help, and the solve returns
-its best iterate as non-converged.  Non-convergence is reported, never
-raised.  Once the residual tolerance is met a few more full Newton steps
-polish the root toward machine precision: downstream eigenvector residuals
-amplify root error by roughly the spectral radius, so stopping right at
-the tolerance would waste most of the available accuracy.
+decreases, aiming at 1e-12 within 200 steps.  A step halved down to 2^-20
+that still does not decrease it ends the iteration at its best iterate: a
+root iff its residual is within the equations' rounding floor, which grows
+with N and n past 1e-12; else the trial left the domain or no root is near.
+Non-convergence is reported, never raised.  Once 1e-12 is met a few more
+full Newton steps polish the root toward machine precision: downstream
+eigenvector residuals amplify root error by roughly the spectral radius, so
+stopping right at 1e-12 would waste most of the available accuracy.
 """
 
 from __future__ import annotations
@@ -33,17 +33,18 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateMomentaError, DomainError
-from .functions import Anisotropy, MomentumSet, theta, theta_partial_1
+from .functions import Anisotropy, MomentumSet, scattering_kernel, theta, theta_partial_1
 
 __all__ = [
     "QuantumNumbers",
-    "SolverConfig",
     "SolveReport",
     "ground_state_quantum_numbers",
     "log_equations",
     "solve",
 ]
 
+_TOL = 1e-12                # Newton target for the max-norm residual
+_MAX_ITER = 200             # iteration cap, polish steps included
 _STEP_FLOOR = 2.0 ** -20    # smallest line-search step before the solve stops
 _DOMAIN_MARGIN = 1e-12      # iterates stay this far inside the open interval
 
@@ -82,18 +83,6 @@ def ground_state_quantum_numbers(n: int) -> QuantumNumbers:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return QuantumNumbers(tuple(Fraction(2 * j - n - 1, 2) for j in range(1, n + 1)))
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,10 +124,22 @@ def _initial_guess(N, qn, a):
     return np.clip(p, -hw + _DOMAIN_MARGIN, hw - _DOMAIN_MARGIN)
 
 
-def solve(N: int, qn: QuantumNumbers, a: Anisotropy,
-          cfg: SolverConfig | None = None) -> SolveReport:
+def _rounding_floor(N, qn, a, p):
+    """Unit roundoff u times the largest sum of the magnitudes one F_j adds up:
+    N|p_j|, 2 pi |I_j| and, for each k != j (theta(p_j, p_j) is exactly 0),
+    |theta(p_j, p_k)| plus the error 2 u (2 + 2|delta|) / |S(p_j, p_k)| that
+    theta's two arguments of S carry.
+    """
+    x, y = p[:, None], p[None, :]
+    arg_error = 4.0 * (1.0 + abs(a.delta)) / np.abs(scattering_kernel(x, y, a))
+    np.fill_diagonal(arg_error, 0.0)
+    rows = (N * np.abs(p) + 2.0 * math.pi * np.abs([float(v) for v in qn.values])
+            + (np.abs(theta(x, y, a)) + arg_error).sum(axis=1))
+    return 2.0 ** -53 * float(np.max(rows))
+
+
+def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
     """Damped Newton iteration on the logarithmic equations."""
-    cfg = cfg or SolverConfig()
     n = qn.n
     if 2 * n > N:
         raise ValueError(f"need n <= N/2, got n = {n}, N = {N}")
@@ -153,9 +154,10 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy,
     f = residual(p)
     res = float(np.max(np.abs(f)))
     iterations = 0
-    converged = res <= cfg.tol
+    converged = res <= _TOL
+    polish = 3
 
-    while not converged and iterations < cfg.max_iter:
+    while not converged and iterations < _MAX_ITER:
         iterations += 1
         try:
             step = np.linalg.solve(jacobian(p), -f)
@@ -173,12 +175,15 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy,
                 break
             alpha *= 0.5
         if not res_trial < res:
-            break  # stalled at the step floor (or off the domain): keep the best iterate
+            # stalled at the step floor (or off the domain): the best iterate
+            # is a root iff rounding explains its residual; the full step just
+            # tried failed, so polishing cannot lower it
+            converged, polish = res <= _rounding_floor(N, qn, a, p), 0
+            break
         p, f, res = trial, f_trial, res_trial
-        converged = res <= cfg.tol
+        converged = res <= _TOL
 
-    polish = 3
-    while converged and res > 0.0 and polish > 0 and iterations < cfg.max_iter:
+    while converged and res > 0.0 and polish > 0 and iterations < _MAX_ITER:
         polish -= 1
         try:
             trial = np.clip(p + np.linalg.solve(jacobian(p), -f), lo, hi)
@@ -192,7 +197,7 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy,
         p, f, res = trial, f_trial, res_trial
 
     try:
-        cond = float(np.linalg.cond(jacobian(p)))
+        cond = float(np.linalg.cond(jacobian(p), 1))
     except (np.linalg.LinAlgError, DomainError):
         cond = math.inf
 

@@ -61,6 +61,15 @@ class TestSolveCommand:
         code, _ = run_cli(["solve", "--capital-n", "8", "--frobnicate"])
         assert code == 1
 
+    def test_no_solver_knobs(self):
+        code, out = run_cli(["solve", "--capital-n", "8", "--n", "2", "--c", "1.0"])
+        assert code == 0
+        assert "param.tol" not in out and "param.max_iter" not in out
+        for flag in ("--tol", "--max-iter"):
+            code, _ = run_cli(["solve", "--capital-n", "8", "--n", "2", "--c", "1.0",
+                               flag, "1"])
+            assert code == 1, flag
+
     def test_non_convergence_exit_code(self):
         # the target momentum pi sits outside the open domain
         code, out = run_cli(

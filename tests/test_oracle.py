@@ -6,6 +6,7 @@ import pytest
 from bethe6v import (
     Anisotropy,
     CapExceededError,
+    DomainError,
     SectorMatrix,
     VertexWeights,
     build_hamiltonian_block,
@@ -81,6 +82,17 @@ class TestDenseSpectrum:
         bad = make_matrix([[1.0, 2.0], [2.0 + 1e-9, 1.0]])
         for route in (dense_spectrum, dense_eigenvalues):
             with pytest.raises(ValueError):
+                route(bad)
+
+    @pytest.mark.parametrize("entry, value", [((0, 1), math.nan), ((0, 0), math.inf),
+                                              ((2, 3), -math.inf)])
+    def test_rejects_non_finite_entries(self, entry, value):
+        blk = build_transfer_block(4, 2, VertexWeights(c=1.0))
+        entries = blk.entries.copy()
+        entries[entry] = value
+        bad = make_matrix(entries)
+        for route in (dense_spectrum, dense_eigenvalues):
+            with pytest.raises(DomainError, match="overflow"):
                 route(bad)
 
     def test_dimension_cap(self, monkeypatch):
