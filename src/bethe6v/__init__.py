@@ -42,6 +42,8 @@ from .functions import (
 from .oracle import (
     SpectrumResult,
     check_eigenpair,
+    commutator_norm,
+    commutator_probe,
     dense_eigenvalues,
     dense_spectrum,
     match_eigenvalue,
@@ -64,6 +66,6 @@ from .transfer import (
     trace_power,
     write_matrix,
 )
-from .xxz import build_hamiltonian_block, commutator_norm, energy_prediction
+from .xxz import build_hamiltonian_block, energy_prediction
 
 __version__ = "0.1.0"

@@ -71,12 +71,12 @@ def _int_power(base: float, k: int) -> float:
 class SectorMatrix:
     """Dense symmetric block of an operator restricted to one sector."""
 
-    N: int
-    n: int
-    dim: int
     entries: np.ndarray
     basis: SectorIndex
     kind: str  # "transfer" | "hamiltonian"
+    N = property(lambda self: self.basis.N)
+    n = property(lambda self: self.basis.n)
+    dim = property(lambda self: self.basis.dim)
 
 
 def _prefix_xor(words: np.ndarray) -> np.ndarray:
@@ -133,7 +133,7 @@ def build_transfer_block(N: int, n: int, weights: VertexWeights,
         entries[lo:hi, lo:] = block
         entries[lo:, lo:hi] = block.T
     np.fill_diagonal(entries, 2.0)
-    return SectorMatrix(N, n, dim, entries, sector, "transfer")
+    return SectorMatrix(entries, sector, "transfer")
 
 
 def enumerate_row_completions(sx: np.ndarray, sy: np.ndarray,
@@ -180,7 +180,7 @@ def build_transfer_block_by_configuration(N: int, n: int,
     for i, sx in enumerate(spins):
         for j, sy in enumerate(spins):
             entries[i, j] = sum(enumerate_row_completions(sx, sy, weights))
-    return SectorMatrix(N, n, dim, entries, sector, "transfer")
+    return SectorMatrix(entries, sector, "transfer")
 
 
 def partition_function_bruteforce(N: int, M: int, weights: VertexWeights,

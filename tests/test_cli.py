@@ -25,6 +25,7 @@ class TestSolveCommand:
         assert float(rep["residual.transfer_eigenpair"]) < 1e-9
         assert float(rep["residual.xxz_eigenpair"]) < 1e-9
         assert float(rep["residual.bethe_max"]) < 1e-10
+        assert float(rep["residual.commutator_probe"]) < 1e-12
         assert int(rep["oracle.transfer_match_count"]) >= 1
 
     def test_singular_case(self):
@@ -124,6 +125,13 @@ class TestSolveCommand:
         assert rep["verification.passed"] == "false"
         assert rep["verification.failures"].split(",")[:2] == [
             "transfer_eigenpair", "xxz_eigenpair"]
+
+    @pytest.mark.parametrize("value", [1e-11, math.nan])
+    def test_commutator_gate_fails_closed(self, monkeypatch, value):
+        monkeypatch.setattr("bethe6v.cli.commutator_probe", lambda *args: value)
+        code, out = run_cli(["solve", "--capital-n", "8", "--n", "2", "--c", "1.0"])
+        assert code == 3
+        assert parse_report(out)["verification.failures"].split(",") == ["commutator"]
 
     def test_large_eigenvalue_gated_relative_to_its_scale(self):
         # lambda ~ 1.9e6: a residual of a few 1e-9 is a relative error of 1e-15
@@ -281,6 +289,21 @@ class TestVerifyIdentitiesCommand:
     def test_rejects_zero_c(self):
         code, _ = run_cli(["verify-identities", "--c", "0"])
         assert code == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--grid", "0"], ["--grid", "1"], ["--samples", "0"], ["--samples", "-3"]])
+    def test_rejects_checks_of_nothing(self, capsys, flags):
+        argv = ["verify-identities", "--c", "1", "--capital-n", "8", "--n", "2"]
+        code, out = run_cli(argv + flags)
+        assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_smallest_grid(self):
+        code, out = run_cli(["verify-identities", "--c", "1", "--grid", "2"])
+        assert code == 0
+        assert parse_report(out)["verification.passed"] == "true"
 
     def test_solved_root_section(self):
         code, out = run_cli(

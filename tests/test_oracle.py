@@ -27,7 +27,7 @@ def make_matrix(entries, kind="transfer"):
     entries = np.asarray(entries, dtype=float)
     dim = entries.shape[0]
     # n chosen so the sector dimension is irrelevant for these synthetic cases
-    return SectorMatrix(dim, 1, dim, entries, enumerate_sector(dim, 1), kind)
+    return SectorMatrix(entries, enumerate_sector(dim, 1), kind)
 
 
 class TestDenseSpectrum:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -14,6 +15,7 @@ from bethe6v import (
     build_transfer_block,
     check_eigenpair,
     commutator_norm,
+    commutator_probe,
     energy_prediction,
     enumerate_sector,
     full_prediction,
@@ -137,6 +139,11 @@ class TestEnergyPrediction:
         assert check_eigenpair(blk, pred.psi, pred.energy) < 1e-9
 
 
+# the production probe and its dense-product oracle, each with the floor a
+# visibly noncommuting pair clears
+COMMUTATOR_ROUTES = ((commutator_probe, 1e-11), (commutator_norm, 1e-3))
+
+
 class TestCommutation:
     def test_commutes_with_matching_delta(self):
         for c in (0.5, 1.0, math.sqrt(2.0), 2.0):
@@ -145,12 +152,15 @@ class TestCommutation:
                 for n in range(N + 1):
                     v = build_transfer_block(N, n, VertexWeights(c=c))
                     h = build_hamiltonian_block(N, n, a.delta)
-                    assert commutator_norm(v, h) < 1e-12
+                    for route, _ in COMMUTATOR_ROUTES:
+                        assert route(v, h) < 1e-12, (route.__name__, c, N, n)
 
     def test_scalar_sector_commutes_exactly(self):
         v = build_transfer_block(5, 0, VertexWeights(c=1.3))
-        h = build_hamiltonian_block(5, 0, Anisotropy(1.3).delta)
-        assert commutator_norm(v, h) == 0.0
+        for delta in (Anisotropy(1.3).delta, 0.0):  # delta = 0: H is the zero block
+            h = build_hamiltonian_block(5, 0, delta)
+            for route, _ in COMMUTATOR_ROUTES:
+                assert route(v, h) == 0.0, (route.__name__, delta)
 
     def test_negative_control_mismatched_delta(self):
         # n = 1 blocks commute with any circulant, so probe n >= 2
@@ -158,11 +168,12 @@ class TestCommutation:
         for (N, n) in ((4, 2), (6, 2), (6, 3)):
             v = build_transfer_block(N, n, VertexWeights(c=1.0))
             h = build_hamiltonian_block(N, n, a.delta + 0.1)
-            assert commutator_norm(v, h) >= 1e-3, (N, n)
+            for route, floor in COMMUTATOR_ROUTES:
+                assert route(v, h) >= floor, (route.__name__, N, n)
 
     def test_matches_dense_products(self):
-        # the sparse route against max|V@H - H@V| from dense products,
-        # for matching delta (round-off only) and a mismatched control
+        # the probe's gate verdict against the dense oracle's, for matching
+        # delta (round-off only) and a mismatched control
         for c in (0.5, 1.3, 2.0):
             a = Anisotropy(c)
             for N in (5, 7, 8):
@@ -170,15 +181,20 @@ class TestCommutation:
                     v = build_transfer_block(N, n, VertexWeights(c=c))
                     for delta in (a.delta, a.delta + 0.1):
                         h = build_hamiltonian_block(N, n, delta)
-                        dense = float(np.max(np.abs(
-                            v.entries @ h.entries - h.entries @ v.entries)))
-                        fast = commutator_norm(v, h)
-                        assert abs(fast - dense) <= 1e-12 * max(1.0, dense), (c, N, n)
-                        if n == 0:
-                            assert fast == 0.0
+                        probe, dense = commutator_probe(v, h), commutator_norm(v, h)
+                        assert (probe <= 1e-12) == (dense <= 1e-10), (c, N, n, delta)
+
+    def test_probe_is_seeded_and_scale_free(self):
+        v = build_transfer_block(8, 3, VertexWeights(c=1.3))
+        h = build_hamiltonian_block(8, 3, Anisotropy(1.3).delta + 0.1)
+        value = commutator_probe(v, h)
+        assert commutator_probe(v, h) == value
+        scaled = dataclasses.replace(v, entries=1e6 * v.entries)
+        assert commutator_probe(scaled, h) == pytest.approx(value, rel=1e-12)
 
     def test_sector_mismatch_rejected(self):
         v = build_transfer_block(6, 2, VertexWeights(c=1.0))
         h = build_hamiltonian_block(6, 3, 0.5)
-        with pytest.raises(SectorMismatchError):
-            commutator_norm(v, h)
+        for route, _ in COMMUTATOR_ROUTES:
+            with pytest.raises(SectorMismatchError):
+                route(v, h)
