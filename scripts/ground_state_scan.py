@@ -14,7 +14,6 @@ import numpy as np
 from bethe6v import (
     AmplitudeEvaluator,
     Anisotropy,
-    VertexWeights,
     bethe_residual,
     build_hamiltonian_block,
     build_transfer_block,
@@ -34,7 +33,7 @@ def scan_case(N, n, c):
         return dict(N=N, n=n, c=c, converged=False)
     sector = enumerate_sector(N, n)
     pred = full_prediction(sector, AmplitudeEvaluator(report.momenta))
-    v_block = build_transfer_block(N, n, VertexWeights(c=c), sector=sector)
+    v_block = build_transfer_block(N, n, a, sector=sector)
     h_block = build_hamiltonian_block(N, n, a.delta, sector=sector)
     spectrum = dense_eigenvalues(v_block)
     return dict(

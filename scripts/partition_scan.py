@@ -1,20 +1,27 @@
 #!/usr/bin/env python3
-"""Torus partition function: brute-force arrow enumeration against Tr(V^M).
+"""Torus partition function: brute-force arrow enumeration against log Tr(V^M).
+
+The grid holds every torus with N, M >= 2 and N*M <= --max-cells.  Tori past
+the enumeration cap (BETHE6V_ENUM_CAP, default 14 cells) stop the scan with
+an error and exit code 2, as the CLI does.
 
 Example:
     python scripts/partition_scan.py --max-cells 12 --c-values 0.5,1.0,2.0
 """
 
 import argparse
+import math
+import sys
 import time
 
-from bethe6v import VertexWeights, partition_function_bruteforce, trace_power
+from bethe6v import (Anisotropy, CapExceededError, log_trace_power,
+                    partition_function_bruteforce)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-cells", type=int, default=12,
-                        help="largest N*M torus to enumerate")
+                        help="largest N*M torus in the grid")
     parser.add_argument("--c-values", default="0.5,1.0,2.0")
     args = parser.parse_args()
     c_values = [float(v) for v in args.c_values.split(",")]
@@ -24,18 +31,23 @@ def main():
         for N in range(2, args.max_cells // 2 + 1)
         for M in range(2, args.max_cells // N + 1)
     ]
-    print(f"{'N':>3} {'M':>3} {'c':>6} {'Z (enumerated)':>18} "
-          f"{'Tr V^M':>18} {'rel diff':>10} {'time':>7}")
+    print(f"{'N':>3} {'M':>3} {'c':>6} {'log Z (enumerated)':>20} "
+          f"{'log Tr V^M':>20} {'rel diff':>10} {'time':>7}")
     for N, M in pairs:
         for c in c_values:
-            w = VertexWeights(c=c)
+            a = Anisotropy(c)
             t0 = time.perf_counter()
-            z = partition_function_bruteforce(N, M, w, enum_cap=args.max_cells)
+            try:
+                z = partition_function_bruteforce(N, M, a)
+            except CapExceededError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             elapsed = time.perf_counter() - t0
-            t = trace_power(N, M, w)
-            print(f"{N:>3} {M:>3} {c:>6.2f} {z:>18.10f} {t:>18.10f} "
-                  f"{abs(z - t) / t:>10.1e} {elapsed:>6.2f}s")
+            log_z, log_t = math.log(z), log_trace_power(N, M, a)
+            print(f"{N:>3} {M:>3} {c:>6.2f} {log_z:>20.14f} {log_t:>20.14f} "
+                  f"{abs(math.expm1(log_z - log_t)):>10.1e} {elapsed:>6.2f}s")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

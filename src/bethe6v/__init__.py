@@ -14,14 +14,7 @@ from .ansatz import (
     identity_suite,
     transfer_eigenvalue,
 )
-from .basis import (
-    OccupationVector,
-    SectorIndex,
-    arrow_flip,
-    enumerate_sector,
-    interlaced,
-    mismatch_count,
-)
+from .basis import SectorIndex, enumerate_sector
 from .errors import (
     CapExceededError,
     DegenerateMomentaError,
@@ -57,13 +50,12 @@ from .solver import (
 )
 from .transfer import (
     SectorMatrix,
-    VertexWeights,
     build_transfer_block,
     build_transfer_block_by_configuration,
     enumerate_row_completions,
+    log_trace_power,
     matrix_text,
     partition_function_bruteforce,
-    trace_power,
     write_matrix,
 )
 from .xxz import build_hamiltonian_block, energy_prediction

@@ -5,8 +5,8 @@ with n up arrows has dimension C(N, n).  The basis ordering is
 colexicographic on position lists (ascending occupation bitmask) and fixed
 globally, so every matrix or coefficient dump is reproducible bit for bit.
 This module is the one place that knows the state encoding: a sector holds
-its states as position, occupancy and bitmask arrays, and builds an
-``OccupationVector`` only on request.
+its states as position, occupancy and bitmask arrays, and ``ranks`` is the
+one route from states back to their indices.
 """
 
 from __future__ import annotations
@@ -19,91 +19,7 @@ import numpy as np
 
 from .errors import SectorMismatchError
 
-__all__ = [
-    "OccupationVector",
-    "SectorIndex",
-    "enumerate_sector",
-    "interlaced",
-    "mismatch_count",
-    "arrow_flip",
-]
-
-
-@dataclass(frozen=True)
-class OccupationVector:
-    """Strictly increasing up-arrow positions in 1..ring_size."""
-
-    positions: tuple[int, ...]
-    ring_size: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
-        if self.ring_size < 1:
-            raise ValueError("ring_size must be at least 1")
-        if len(self.positions) > self.ring_size:
-            raise ValueError("more up arrows than ring sites")
-        prev = 0
-        for p in self.positions:
-            if p <= prev:
-                raise ValueError("positions must be strictly increasing")
-            prev = p
-        if prev > self.ring_size:
-            raise ValueError(f"position {prev} outside ring of size {self.ring_size}")
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    @property
-    def mask(self) -> int:
-        """Bit i-1 set iff site i carries an up arrow."""
-        m = 0
-        for p in self.positions:
-            m |= 1 << (p - 1)
-        return m
-
-    def spins(self) -> np.ndarray:
-        """Spin pattern over sites 1..N: +1 on occupied sites, -1 elsewhere."""
-        s = -np.ones(self.ring_size, dtype=np.int64)
-        for p in self.positions:
-            s[p - 1] = 1
-        return s
-
-
-def _chain(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # a1 <= b1 <= a2 <= b2 <= ... <= an <= bn
-    n = len(a)
-    for k in range(n):
-        if a[k] > b[k]:
-            return False
-        if k + 1 < n and b[k] > a[k + 1]:
-            return False
-    return True
-
-
-def interlaced(x: OccupationVector, y: OccupationVector) -> bool:
-    """Whether the two states admit the alternating inequality chain either way round.
-
-    Equal states are interlaced (every inequality holds with equality).
-    """
-    if x.ring_size != y.ring_size:
-        raise ValueError("ring size mismatch")
-    if len(x) != len(y):
-        return False
-    return _chain(x.positions, y.positions) or _chain(y.positions, x.positions)
-
-
-def mismatch_count(x: OccupationVector, y: OccupationVector) -> int:
-    """Number of ring sites where the two spin patterns differ."""
-    if x.ring_size != y.ring_size:
-        raise ValueError("ring size mismatch")
-    return (x.mask ^ y.mask).bit_count()
-
-
-def arrow_flip(x: OccupationVector) -> OccupationVector:
-    """Complement state: every arrow reversed."""
-    present = set(x.positions)
-    rest = tuple(p for p in range(1, x.ring_size + 1) if p not in present)
-    return OccupationVector(rest, x.ring_size)
+__all__ = ["SectorIndex", "enumerate_sector"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,21 +65,6 @@ class SectorIndex:
     @property
     def dim(self) -> int:
         return self.positions.shape[0]
-
-    def state_of(self, k: int) -> OccupationVector:
-        """The k-th basis state, built on demand."""
-        return OccupationVector(tuple(self.positions[k].tolist()), self.N)
-
-    def index_of(self, x) -> int:
-        """Basis index of a state of this sector, given as a vector or positions."""
-        if not isinstance(x, OccupationVector):
-            x = OccupationVector(tuple(x), self.N)
-        if (x.ring_size, len(x)) != (self.N, self.n):
-            raise SectorMismatchError(
-                f"state with {len(x)} up arrows on {x.ring_size} sites is not in "
-                f"sector ({self.N},{self.n})"
-            )
-        return int(self.ranks(np.array([x.positions], dtype=np.int64))[0])
 
     def ranks(self, positions: np.ndarray) -> np.ndarray:
         """Basis indices of the rows of a (rows, n) array of increasing positions.

@@ -1,8 +1,7 @@
 """Resource caps, overridable through environment variables.
 
 Every cap can be raised or lowered without touching code by setting the
-corresponding BETHE6V_* variable; the torus enumeration cap can also be
-passed per call.
+corresponding BETHE6V_* variable.
 """
 
 import os
@@ -28,9 +27,7 @@ def spectrum_cap():
     return _from_env("BETHE6V_SPECTRUM_CAP", SPECTRUM_CAP)
 
 
-def enum_cap(explicit=None):
-    if explicit is not None:
-        return int(explicit)
+def enum_cap():
     return _from_env("BETHE6V_ENUM_CAP", ENUM_CAP)
 
 

@@ -3,21 +3,23 @@
 Three independent routes are provided on purpose:
 
 * ``build_transfer_block``: the closed-form entries (2 on the diagonal,
-  c^P for distinct interlaced pairs with P the spin-mismatch count, 0
-  otherwise), with interlacing and P read off occupation bitmasks;
-* ``build_transfer_block_by_configuration``: the same block rebuilt by
-  enumerating ice-rule horizontal-arrow completions on one lattice row and
-  summing their vertex weights;
+  c^P between distinct states whose positions interlace,
+  x1 <= y1 <= x2 <= ... <= yn either way round, with P the number of sites
+  where they differ, 0 otherwise), read off occupation bitmasks;
+* ``enumerate_row_completions``: one entry as the paper defines it, the
+  weights of the ice-rule horizontal-arrow completions of one lattice row;
+  it is the one pair-level oracle of the entry rule, and
+  ``build_transfer_block_by_configuration`` sums it into a whole block;
 * ``partition_function_bruteforce``: the torus partition function summed
-  over all arrow configurations, which must match the blockwise
-  ``trace_power``.
+  over all arrow configurations, which must match ``log_trace_power``.
 
-Powers of c are computed by repeated squaring so the first two routes agree
-bit for bit.
+The vertex weights are a = b = 1 and the ``Anisotropy``'s c.  Powers of c
+are computed by repeated squaring so the first two routes agree bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,32 +27,21 @@ import numpy as np
 
 from . import caps
 from .basis import SectorIndex, checked_sector, enumerate_sector
-from .errors import CapExceededError
+from .errors import CapExceededError, DomainError
+from .functions import Anisotropy
 
 __all__ = [
-    "VertexWeights",
     "SectorMatrix",
     "build_transfer_block",
     "build_transfer_block_by_configuration",
     "enumerate_row_completions",
     "partition_function_bruteforce",
-    "trace_power",
+    "log_trace_power",
     "matrix_text",
     "write_matrix",
 ]
 
 _CHUNK_ELEMENTS = 1 << 18  # scratch budget (pairs) for the bitmask pair tests
-
-
-@dataclass(frozen=True)
-class VertexWeights:
-    """Isotropic six-vertex weights: c > 0, every other vertex weighs 1."""
-
-    c: float
-
-    def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError("c must be positive")
 
 
 def _int_power(base: float, k: int) -> float:
@@ -90,7 +81,7 @@ def _prefix_xor(words: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_transfer_block(N: int, n: int, weights: VertexWeights,
+def build_transfer_block(N: int, n: int, a: Anisotropy,
                          sector: SectorIndex | None = None) -> SectorMatrix:
     """Sector block of the transfer matrix from the closed-form entry rule.
 
@@ -108,7 +99,7 @@ def build_transfer_block(N: int, n: int, weights: VertexWeights,
     dim = sector.dim
     caps.check_dim(dim)
 
-    c2 = weights.c * weights.c
+    c2 = a.c * a.c
     cpow = np.array([_int_power(c2, k) for k in range(n + 1)])
 
     masks = sector.masks
@@ -137,7 +128,7 @@ def build_transfer_block(N: int, n: int, weights: VertexWeights,
 
 
 def enumerate_row_completions(sx: np.ndarray, sy: np.ndarray,
-                              weights: VertexWeights) -> list[float]:
+                              a: Anisotropy) -> list[float]:
     """Weights of all ice-rule horizontal-arrow completions of one lattice row.
 
     sx and sy are the +-1 vertical-arrow patterns below and above the row.
@@ -162,12 +153,12 @@ def enumerate_row_completions(sx: np.ndarray, sy: np.ndarray,
                 nc += 1  # a c vertex; the other four weigh 1
             h = h_next
         if ok and h == seed:
-            out.append(_int_power(weights.c, nc))
+            out.append(_int_power(a.c, nc))
     return out
 
 
 def build_transfer_block_by_configuration(N: int, n: int,
-                                          weights: VertexWeights) -> SectorMatrix:
+                                          a: Anisotropy) -> SectorMatrix:
     """Sector block rebuilt by explicit arrow-configuration enumeration.
 
     The +-1 spin patterns are read off the sector's occupancy table.
@@ -179,12 +170,11 @@ def build_transfer_block_by_configuration(N: int, n: int,
     entries = np.zeros((dim, dim))
     for i, sx in enumerate(spins):
         for j, sy in enumerate(spins):
-            entries[i, j] = sum(enumerate_row_completions(sx, sy, weights))
+            entries[i, j] = sum(enumerate_row_completions(sx, sy, a))
     return SectorMatrix(entries, sector, "transfer")
 
 
-def partition_function_bruteforce(N: int, M: int, weights: VertexWeights,
-                                  enum_cap=None) -> float:
+def partition_function_bruteforce(N: int, M: int, a: Anisotropy) -> float:
     """Torus partition function by exhaustive arrow enumeration with pruning.
 
     Edges are assigned row-major (horizontal then vertical at each vertex);
@@ -194,7 +184,7 @@ def partition_function_bruteforce(N: int, M: int, weights: VertexWeights,
     """
     if N < 2 or M < 2:
         raise ValueError("torus enumeration needs N >= 2 and M >= 2")
-    cap = caps.enum_cap(enum_cap)
+    cap = caps.enum_cap()
     if N * M > cap:
         raise CapExceededError(f"N*M = {N * M} exceeds enumeration cap {cap}")
 
@@ -214,7 +204,7 @@ def partition_function_bruteforce(N: int, M: int, weights: VertexWeights,
     for vtx, edges in enumerate(vertex_edges):
         closes_at[max(edges)].append(vtx)
 
-    c = weights.c
+    c = a.c
     omega = [0] * n_edges
     total = 0.0
 
@@ -245,18 +235,55 @@ def partition_function_bruteforce(N: int, M: int, weights: VertexWeights,
     return total
 
 
-def trace_power(N: int, M: int, weights: VertexWeights) -> float:
-    """Trace of the M-th transfer-matrix power, summed blockwise over sectors."""
+def _scale(m: np.ndarray) -> float:
+    """Divide a nonnegative matrix in place by its largest entry; return that entry's log.
+
+    Only a block can hold inf or NaN (products of scaled factors cannot
+    overflow); it raises ``DomainError``.
+    """
+    top = float(m.max())
+    if not math.isfinite(top):
+        raise DomainError("block entries overflow to inf or NaN; no transfer trace")
+    m /= top
+    return math.log(top)
+
+
+def _log_trace(block: np.ndarray, M: int) -> float:
+    """log Tr(B^M) of a nonnegative block with a positive diagonal; B is overwritten.
+
+    B^M is formed by repeated squaring.  Every factor is divided by its
+    largest entry before it is multiplied and the logs of the divisors are
+    summed, so no product overflows; B >= 0, so none cancels.  Scaling in
+    place keeps at most three dim^2 arrays alive.
+    """
+    base, log_base = block, _scale(block)
+    power, log_power = None, 0.0
+    while True:
+        if M & 1:
+            if power is None:
+                power, log_power = base, log_base
+            else:
+                power = power @ base
+                log_power += log_base + _scale(power)
+        M >>= 1
+        if not M:
+            return log_power + math.log(np.trace(power))
+        base = base @ base
+        log_base = 2.0 * log_base + _scale(base)
+
+
+def log_trace_power(N: int, M: int, a: Anisotropy) -> float:
+    """log Tr(V^M), the log torus partition function, summed over sectors.
+
+    Each sector's log trace comes from ``_log_trace``; the sectors are
+    combined by log-sum-exp.  Blocks whose entries overflow to inf or NaN
+    raise ``DomainError``.
+    """
     if N < 1 or M < 1:
         raise ValueError("need N >= 1 and M >= 1")
-    total = 0.0
-    for n in range(N + 1):
-        block = build_transfer_block(N, n, weights).entries
-        power = block
-        for _ in range(M - 1):
-            power = power @ block
-        total += float(np.trace(power))
-    return total
+    logs = [_log_trace(build_transfer_block(N, n, a).entries, M) for n in range(N + 1)]
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
 def matrix_text(m: SectorMatrix) -> str:

@@ -67,6 +67,13 @@ def naive_psi_coefficient(positions, momenta, delta):
     return total
 
 
+def spins(positions, N):
+    """Spin row of a state: +1 on its occupied sites 1..N, -1 elsewhere."""
+    s = -np.ones(N, dtype=np.int64)
+    s[np.asarray(positions, dtype=np.int64) - 1] = 1
+    return s
+
+
 def raw_torus_partition(N, M, c):
     """Partition function by unpruned enumeration of all 2^(2NM) assignments.
 

@@ -11,7 +11,6 @@ from bethe6v import (
     MomentumSet,
     SectorMismatchError,
     SingularMomentumError,
-    VertexWeights,
     amplitude,
     bethe_residual,
     build_psi,
@@ -104,7 +103,7 @@ class TestPsiCoefficient:
                 sector = enumerate_sector(8, n)
                 psi = build_psi(sector, ev).psi
                 for k in rng.choice(sector.dim, size=min(sector.dim, 12), replace=False):
-                    pos = sector.state_of(k).positions
+                    pos = tuple(sector.positions[k].tolist())
                     ref = naive_psi_coefficient(pos, tuple(p), a.delta) / modulus
                     assert abs(psi[k] - ref) <= 1e-12 * max(1.0, abs(ref)), (c, n, pos)
 
@@ -112,7 +111,7 @@ class TestPsiCoefficient:
         ev = AmplitudeEvaluator(momentum_set((0.6,)))
         sector = enumerate_sector(8, 1)
         psi = build_psi(sector, ev).psi
-        k = sector.index_of((3,))
+        k = sector.ranks(np.array([[3]]))[0]
         assert psi[k] == pytest.approx(np.exp(1j * 0.6 * 3), rel=1e-14)
 
     def test_particle_count_mismatch(self):
@@ -228,7 +227,7 @@ class TestFullPrediction:
         rep = solve(N, ground_state_quantum_numbers(n), a)
         sector = enumerate_sector(N, n)
         pred = full_prediction(sector, AmplitudeEvaluator(rep.momenta))
-        blk = build_transfer_block(N, n, VertexWeights(c=c))
+        blk = build_transfer_block(N, n, a)
         assert check_eigenpair(blk, pred.psi, pred.lam) < 1e-9
         assert abs(pred.lam.imag) < 1e-9
         assert pred.psi_norm > 1e-6 * math.sqrt(sector.dim)

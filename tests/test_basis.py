@@ -6,21 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bethe6v import (
-    OccupationVector,
-    arrow_flip,
-    enumerate_sector,
-    interlaced,
-    mismatch_count,
-)
+from bethe6v import Anisotropy, enumerate_row_completions, enumerate_sector
 
-
-def ov(positions, N):
-    return OccupationVector(tuple(positions), N)
+from helpers import spins
 
 
 def states(sector):
-    return [sector.state_of(k).positions for k in range(sector.dim)]
+    return [tuple(row) for row in sector.positions.tolist()]
+
+
+def completions(x, y, N, c=2.0):
+    """Row-completion weights between two position sets on an N-site ring."""
+    return enumerate_row_completions(spins(x, N), spins(y, N), Anisotropy(c))
 
 
 class TestEnumerate:
@@ -56,18 +53,24 @@ class TestEnumerate:
             ranks = sector.ranks(sector.positions)
             assert np.array_equal(ranks, np.arange(sector.dim)), (N, n)
 
+    def test_mask_and_spins(self):
+        sector = enumerate_sector(4, 2)
+        k = states(sector).index((1, 3))
+        assert sector.masks[k].tolist() == [0b0101]
+        assert np.where(sector.occupied[k], 1, -1).tolist() == [1, -1, 1, -1]
+
     def test_encodings_agree_with_states(self):
-        # occupancy rows and multiword masks against the per-state vectors
+        # occupancy rows and multiword masks against the position rows
         for N, n in ((7, 3), (64, 2), (70, 2), (130, 2)):
             sector = enumerate_sector(N, n)
             words = sector.masks.shape[1]
             assert sector.masks.dtype == np.uint64 and words == (N + 63) // 64
             for k in range(sector.dim):
-                state = sector.state_of(k)
+                positions = sector.positions[k].tolist()
                 mask = sum(int(w) << (64 * i) for i, w in enumerate(sector.masks[k]))
-                assert mask == state.mask, (N, n, k)
+                assert mask == sum(1 << (p - 1) for p in positions), (N, n, k)
                 assert np.array_equal(np.where(sector.occupied[k], 1, -1),
-                                      state.spins()), (N, n, k)
+                                      spins(positions, N)), (N, n, k)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -77,69 +80,36 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_sector(3, -1)
 
-    def test_index_of_rejects_states_outside_the_sector(self):
-        sector = enumerate_sector(5, 2)
-        for bad in ((1, 2, 3), (1,), ov((1, 2), 6), (2, 1), (0, 3), (3, 6)):
-            with pytest.raises(ValueError):
-                sector.index_of(bad)
-
     def test_round_trip_all_small_sectors(self):
         for N in range(1, 7):
             for n in range(N + 1):
                 sector = enumerate_sector(N, n)
                 assert sector.dim == math.comb(N, n)
                 for k in range(sector.dim):
-                    state = sector.state_of(k)
-                    assert sector.index_of(state) == k
-                    assert sector.index_of(state.positions) == k
-                    assert state == ov(sector.positions[k], N)
+                    row = sector.positions[k:k + 1]
+                    assert sector.ranks(row).tolist() == [k]
+                    assert (np.flatnonzero(sector.occupied[k]) + 1).tolist() == row[0].tolist()
 
 
-class TestOccupationVector:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ov((2, 1), 4)           # not increasing
-        with pytest.raises(ValueError):
-            ov((1, 1), 4)           # repeated
-        with pytest.raises(ValueError):
-            ov((0, 1), 4)           # below range
-        with pytest.raises(ValueError):
-            ov((5,), 4)             # above range
-        with pytest.raises(ValueError):
-            ov((), 0)               # empty ring
-
-    def test_mask_and_spins(self):
-        x = ov((1, 3), 4)
-        assert x.mask == 0b0101
-        assert x.spins().tolist() == [1, -1, 1, -1]
-
-
+# The interlacing rule as the row completions realise it: x and y are
+# interlaced iff some completion exists, and then its weight is c^P with P
+# the number of sites where they differ (c = 2 makes P readable).
 class TestInterlaced:
     def test_examples(self):
-        assert interlaced(ov((1, 3), 4), ov((2, 4), 4)) is True
-        assert interlaced(ov((1, 2), 4), ov((1, 2), 4)) is True
-        assert interlaced(ov((1, 2), 4), ov((3, 4), 4)) is False
+        assert completions((1, 3), (2, 4), 4) == [2.0 ** 4]
+        assert completions((1, 2), (1, 2), 4) == [1.0, 1.0]
+        assert completions((1, 2), (3, 4), 4) == []
 
     def test_different_lengths(self):
-        assert interlaced(ov((1,), 4), ov((1, 2), 4)) is False
-
-    def test_ring_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            interlaced(ov((1,), 4), ov((1,), 5))
+        # the ice rule conserves the up-arrow count from row to row
+        assert completions((1,), (1, 2), 4) == []
 
 
 class TestMismatch:
     def test_examples(self):
-        assert mismatch_count(ov((1, 3), 4), ov((2, 4), 4)) == 4
-        assert mismatch_count(ov((1, 2), 4), ov((1, 2), 4)) == 0
-        assert mismatch_count(ov((1,), 2), ov((2,), 2)) == 2
-
-
-class TestFlip:
-    def test_examples(self):
-        assert arrow_flip(ov((1, 3), 4)).positions == (2, 4)
-        assert arrow_flip(ov((), 3)).positions == (1, 2, 3)
-        assert arrow_flip(ov((1, 2, 3), 3)).positions == ()
+        assert completions((1, 2), (1, 3), 4) == [2.0 ** 2]
+        assert completions((2,), (2,), 3) == [1.0, 1.0]
+        assert completions((1,), (2,), 2) == [2.0 ** 2]
 
 
 @st.composite
@@ -149,7 +119,7 @@ def sector_state(draw, max_n=10):
     positions = draw(
         st.lists(st.integers(1, N), min_size=n, max_size=n, unique=True)
     )
-    return ov(sorted(positions), N)
+    return N, sorted(positions)
 
 
 @st.composite
@@ -158,35 +128,32 @@ def state_pair(draw, max_n=10):
     mk = lambda: sorted(
         draw(st.lists(st.integers(1, N), min_size=0, max_size=N, unique=True))
     )
-    return ov(mk(), N), ov(mk(), N)
+    return N, mk(), mk()
 
 
 @settings(deadline=None)
 @given(sector_state())
-def test_index_round_trip(x):
-    sector = enumerate_sector(x.ring_size, len(x))
-    assert sector.state_of(sector.index_of(x)).positions == x.positions
-
-
-@settings(deadline=None)
-@given(sector_state())
-def test_flip_involution(x):
-    assert arrow_flip(arrow_flip(x)).positions == x.positions
-    assert len(arrow_flip(x)) == x.ring_size - len(x)
+def test_index_round_trip(state):
+    N, positions = state
+    sector = enumerate_sector(N, len(positions))
+    k = sector.ranks(np.array([positions], dtype=np.int64))[0]
+    assert sector.positions[k].tolist() == positions
 
 
 @settings(deadline=None)
 @given(state_pair())
 def test_pairwise_symmetries(pair):
-    x, y = pair
-    assert mismatch_count(x, y) == mismatch_count(y, x)
-    assert interlaced(x, y) == interlaced(y, x)
-    if len(x) == len(y):
-        assert mismatch_count(x, y) % 2 == 0
+    N, x, y = pair
+    forward = completions(x, y, N)
+    assert sorted(forward) == sorted(completions(y, x, N))
+    if len(x) != len(y):
+        assert forward == []
+    # an even number of mismatched sites: every weight is an even power of c
+    assert all(math.log2(w) % 2 == 0 for w in forward)
 
 
 @settings(deadline=None)
 @given(sector_state())
-def test_self_relations(x):
-    assert interlaced(x, x) is True
-    assert mismatch_count(x, x) == 0
+def test_self_relations(state):
+    N, positions = state
+    assert completions(positions, positions, N) == [1.0, 1.0]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bethe6v import partition_function_bruteforce
 from helpers import parse_report, run_cli
 
 
@@ -242,19 +243,37 @@ class TestPartitionCommand:
         code, out = run_cli(["partition", "--capital-n", "12", "--m", "2", "--c", "0.9"])
         assert code == 0
         rep = parse_report(out)
-        assert "partition.trace_power" in rep
+        assert "partition.log_trace_power" in rep
         assert "partition.bruteforce" not in rep
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    def test_nan_discrepancy_fails_closed(self):
-        # Z and Tr V^M both overflow to inf: their relative difference is NaN
+    @pytest.mark.parametrize("N, M, c", [(4, 400, "1"), (6, 300, "1"), (8, 200, "3")])
+    def test_long_and_heavy_tori_stay_finite(self, N, M, c):
+        # Tr V^M itself overflows a double here; its log does not
+        code, out = run_cli(["partition", "--capital-n", str(N), "--m", str(M), "--c", c])
+        assert code == 0
+        assert math.isfinite(float(parse_report(out)["partition.log_trace_power"]))
+
+    def test_discrepancy_gate(self, monkeypatch):
+        # Z off by one part in 1e9 must fail the 1e-12 gate, and be reported as such
+        monkeypatch.setattr("bethe6v.cli.partition_function_bruteforce",
+                            lambda *args: partition_function_bruteforce(*args) * (1.0 + 1e-9))
         code, out = run_cli(
-            ["partition", "--capital-n", "2", "--m", "2", "--c", "1e200", "--bruteforce"]
+            ["partition", "--capital-n", "3", "--m", "3", "--c", "1.5", "--bruteforce"]
         )
         assert code == 3
         rep = parse_report(out)
-        assert rep["partition.relative_discrepancy"] == "nan"
+        assert float(rep["partition.relative_discrepancy"]) == pytest.approx(1e-9, rel=1e-4)
         assert rep["verification.passed"] == "false"
+
+    def test_nan_discrepancy_fails_closed(self, capsys):
+        # c^2 overflows to inf in the blocks: no trace, and no verdict on it
+        code, out = run_cli(
+            ["partition", "--capital-n", "2", "--m", "2", "--c", "1e200", "--bruteforce"]
+        )
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "error: block entries overflow to inf or NaN; no transfer trace\n")
 
     def test_enumeration_cap(self):
         code, _ = run_cli(

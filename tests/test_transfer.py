@@ -1,60 +1,44 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from bethe6v import (
+    Anisotropy,
     CapExceededError,
-    OccupationVector,
-    VertexWeights,
     build_transfer_block,
     build_transfer_block_by_configuration,
     enumerate_row_completions,
-    interlaced,
+    log_trace_power,
     matrix_text,
-    mismatch_count,
     partition_function_bruteforce,
-    trace_power,
     write_matrix,
 )
 
-from helpers import raw_torus_partition
-
-
-class TestVertexWeights:
-    def test_defaults(self):
-        # c is the only weight; the other vertices weigh 1
-        assert dataclasses.astuple(VertexWeights(c=1.5)) == (1.5,)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            VertexWeights(c=0.0)
-        with pytest.raises(TypeError):
-            VertexWeights(c=1.0, a=2.0)
+from helpers import raw_torus_partition, spins
 
 
 class TestTransferBlock:
     def test_two_site_block(self):
-        blk = build_transfer_block(2, 1, VertexWeights(c=1.5))
+        blk = build_transfer_block(2, 1, Anisotropy(1.5))
         assert blk.entries.tolist() == [[2.0, 2.25], [2.25, 2.0]]
 
     def test_empty_sector_block(self):
-        blk = build_transfer_block(3, 0, VertexWeights(c=0.7))
+        blk = build_transfer_block(3, 0, Anisotropy(0.7))
         assert blk.entries.tolist() == [[2.0]]
 
     def test_single_particle_structure(self):
         # every pair of one-particle states is interlaced with mismatch 2
         c = 1.3
-        blk = build_transfer_block(4, 1, VertexWeights(c=c))
+        blk = build_transfer_block(4, 1, Anisotropy(c))
         expected = (2.0 - c * c) * np.eye(4) + c * c * np.ones((4, 4))
         assert np.allclose(blk.entries, expected, rtol=0, atol=1e-15)
-        by_conf = build_transfer_block_by_configuration(4, 1, VertexWeights(c=c))
+        by_conf = build_transfer_block_by_configuration(4, 1, Anisotropy(c))
         assert np.array_equal(blk.entries, by_conf.entries)
 
     def test_symmetry_and_diagonal(self):
         for c in (0.5, math.sqrt(2.0), 2.0):
-            blk = build_transfer_block(6, 3, VertexWeights(c=c))
+            blk = build_transfer_block(6, 3, Anisotropy(c))
             assert np.array_equal(blk.entries, blk.entries.T)
             assert np.all(np.diag(blk.entries) == 2.0)
             assert np.all(blk.entries >= 0.0)
@@ -62,14 +46,14 @@ class TestTransferBlock:
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setenv("BETHE6V_DIM_CAP", "10")
         with pytest.raises(CapExceededError):
-            build_transfer_block(8, 4, VertexWeights(c=1.0))
+            build_transfer_block(8, 4, Anisotropy(1.0))
 
 
 class TestConfigurationOracle:
     def test_equality_all_small_sectors(self):
         # c = 1.3: powers of c^2 round, so only the same products agree bit for bit
         for c in (0.5, math.sqrt(2.0), 2.0, 1.3):
-            w = VertexWeights(c=c)
+            w = Anisotropy(c)
             for N in range(1, 8):
                 for n in range(N + 1):
                     direct = build_transfer_block(N, n, w).entries
@@ -77,37 +61,32 @@ class TestConfigurationOracle:
                     assert np.array_equal(direct, by_conf), (N, n, c)
 
     def test_multiword_ring_matches_pair_predicates(self):
-        # N = 70 spreads the occupation bitmasks over two 64-bit words
-        c = 1.3
-        blk = build_transfer_block(70, 2, VertexWeights(c=c))
-        rng = np.random.default_rng(3)
-        for i, j in rng.integers(0, blk.dim, size=(3000, 2)):
-            x, y = blk.basis.state_of(i), blk.basis.state_of(j)
-            if i == j:
-                expected = 2.0
-            elif interlaced(x, y):
-                expected = (c * c) ** (mismatch_count(x, y) // 2)
-            else:
-                expected = 0.0
-            assert blk.entries[i, j] == pytest.approx(expected, rel=1e-15), (x, y)
+        # N = 70 and 130 spread the occupation bitmasks over two and three
+        # 64-bit words; the row completions weigh c^(2k) by the same products
+        # as the block's table of (c^2)^k, so the two agree exactly
+        a = Anisotropy(1.3)
+        for N in (70, 130):
+            blk = build_transfer_block(N, 2, a)
+            occupied = blk.basis.occupied
+            rng = np.random.default_rng(3)
+            for i, j in rng.integers(0, blk.dim, size=(3000, 2)):
+                sx, sy = np.where(occupied[i], 1, -1), np.where(occupied[j], 1, -1)
+                expected = sum(enumerate_row_completions(sx, sy, a))
+                assert blk.entries[i, j] == expected, (N, i, j)
 
     def test_diagonal_has_two_completions(self):
-        w = VertexWeights(c=1.7)
-        x = OccupationVector((1, 3), 5)
-        weights = enumerate_row_completions(x.spins(), x.spins(), w)
+        w = Anisotropy(1.7)
+        x = spins((1, 3), 5)
+        weights = enumerate_row_completions(x, x, w)
         assert weights == [1.0, 1.0]
 
     def test_non_interlaced_has_no_completion(self):
-        w = VertexWeights(c=1.7)
-        x = OccupationVector((1, 2), 4)
-        y = OccupationVector((3, 4), 4)
-        assert enumerate_row_completions(x.spins(), y.spins(), w) == []
+        w = Anisotropy(1.7)
+        assert enumerate_row_completions(spins((1, 2), 4), spins((3, 4), 4), w) == []
 
     def test_interlaced_pair_unique_completion(self):
-        w = VertexWeights(c=1.7)
-        x = OccupationVector((1,), 2)
-        y = OccupationVector((2,), 2)
-        weights = enumerate_row_completions(x.spins(), y.spins(), w)
+        w = Anisotropy(1.7)
+        weights = enumerate_row_completions(spins((1,), 2), spins((2,), 2), w)
         assert len(weights) == 1
         assert weights[0] == pytest.approx(1.7 ** 2, rel=1e-15)
 
@@ -115,25 +94,24 @@ class TestConfigurationOracle:
 class TestPartitionFunction:
     def test_smallest_torus_against_raw_enumeration(self):
         for c in (0.5, 1.0, 1.5):
-            w = VertexWeights(c=c)
+            w = Anisotropy(c)
             z = partition_function_bruteforce(2, 2, w)
             assert z == pytest.approx(raw_torus_partition(2, 2, c), rel=1e-14)
             assert z == pytest.approx(16.0 + 2.0 * c ** 4, rel=1e-14)
-            assert z == pytest.approx(trace_power(2, 2, w), rel=1e-13)
+            assert math.log(z) == pytest.approx(log_trace_power(2, 2, w), rel=1e-13)
 
     def test_matches_trace_power(self):
         for (N, M) in ((2, 3), (3, 2), (3, 3)):
-            w = VertexWeights(c=1.25)
+            w = Anisotropy(1.25)
             z = partition_function_bruteforce(N, M, w)
-            t = trace_power(N, M, w)
-            assert abs(z - t) <= 1e-12 * t
+            assert abs(math.expm1(math.log(z) - log_trace_power(N, M, w))) <= 1e-12
 
     def test_polarized_lower_bound(self):
         # the two fully polarized configurations alone contribute weight 2
-        assert partition_function_bruteforce(3, 2, VertexWeights(c=0.1)) >= 2.0
+        assert partition_function_bruteforce(3, 2, Anisotropy(0.1)) >= 2.0
 
     def test_rejects_degenerate_torus(self):
-        w = VertexWeights(c=1.0)
+        w = Anisotropy(1.0)
         with pytest.raises(ValueError):
             partition_function_bruteforce(1, 3, w)
         with pytest.raises(ValueError):
@@ -141,22 +119,35 @@ class TestPartitionFunction:
 
     def test_enumeration_cap(self):
         with pytest.raises(CapExceededError):
-            partition_function_bruteforce(4, 4, VertexWeights(c=1.0), enum_cap=14)
+            partition_function_bruteforce(4, 4, Anisotropy(1.0))
 
 
 class TestTracePower:
     def test_single_power_is_total_diagonal(self):
         # trace of V itself: 2 per basis state over all 2^N states
-        assert trace_power(2, 1, VertexWeights(c=0.9)) == pytest.approx(8.0)
-        assert trace_power(3, 1, VertexWeights(c=2.5)) == pytest.approx(16.0)
+        assert log_trace_power(2, 1, Anisotropy(0.9)) == pytest.approx(math.log(8.0))
+        assert log_trace_power(3, 1, Anisotropy(2.5)) == pytest.approx(math.log(16.0))
 
     def test_positive(self):
-        assert trace_power(4, 3, VertexWeights(c=0.3)) > 0.0
+        # the two polarized states alone give Tr V^M >= 2 * 2^M
+        assert log_trace_power(4, 3, Anisotropy(0.3)) > math.log(16.0)
+
+    def test_squares_of_finite_entries_do_not_overflow(self):
+        # entries reach c^2 = 1e200, so unscaled products would overflow
+        value = log_trace_power(3, 5, Anisotropy(1e100))
+        assert math.isfinite(value) and value > 5 * math.log(1e200)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 7, 8, 12])
+    def test_matches_dense_powers(self, M):
+        a = Anisotropy(1.3)
+        total = sum(np.trace(np.linalg.matrix_power(build_transfer_block(5, n, a).entries, M))
+                    for n in range(6))
+        assert log_trace_power(5, M, a) == pytest.approx(math.log(total), rel=1e-14)
 
 
 class TestMatrixDump:
     def test_header_and_round_trip(self, tmp_path):
-        blk = build_transfer_block(4, 2, VertexWeights(c=math.sqrt(2.0)))
+        blk = build_transfer_block(4, 2, Anisotropy(math.sqrt(2.0)))
         path = tmp_path / "block.txt"
         write_matrix(blk, path)
         lines = path.read_text().splitlines()
@@ -166,7 +157,7 @@ class TestMatrixDump:
         assert np.array_equal(parsed, blk.entries)
 
     def test_text_matches_writer(self, tmp_path):
-        blk = build_transfer_block(3, 1, VertexWeights(c=0.8))
+        blk = build_transfer_block(3, 1, Anisotropy(0.8))
         path = tmp_path / "b.txt"
         write_matrix(blk, path)
         assert path.read_text() == matrix_text(blk)

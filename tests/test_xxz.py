@@ -10,7 +10,6 @@ from bethe6v import (
     Anisotropy,
     MomentumSet,
     SectorMismatchError,
-    VertexWeights,
     build_hamiltonian_block,
     build_transfer_block,
     check_eigenpair,
@@ -59,7 +58,7 @@ class TestHamiltonianBlock:
         delta = 0.9
         sector = enumerate_sector(4, 2)
         blk = build_hamiltonian_block(4, 2, delta)
-        k = sector.index_of((1, 3))
+        k = sector.ranks(np.array([[1, 3]]))[0]
         assert blk.entries[k, k] == pytest.approx(-2.0 * delta, rel=1e-15)
 
     def test_aggregate_diagonal_formula(self):
@@ -69,7 +68,7 @@ class TestHamiltonianBlock:
         sector = enumerate_sector(N, n)
         blk = build_hamiltonian_block(N, n, delta)
         for k in range(sector.dim):
-            spins = sector.state_of(k).spins()
+            spins = np.where(sector.occupied[k], 1, -1)
             boundaries = int(np.sum(spins != np.roll(spins, -1)))
             expected = 0.5 * delta * (N - 2 * boundaries)
             assert blk.entries[k, k] == pytest.approx(expected, rel=1e-13, abs=1e-15)
@@ -83,8 +82,8 @@ class TestHamiltonianBlock:
             states, H = full_space_hamiltonian(N, delta)
             for n in range(N + 1):
                 sector = enumerate_sector(N, n)
-                rows = [states.index(tuple(sector.state_of(k).spins().tolist()))
-                        for k in range(sector.dim)]
+                rows = [states.index(tuple(np.where(occupied, 1, -1).tolist()))
+                        for occupied in sector.occupied]
                 projected = H[np.ix_(rows, rows)]
                 blk = build_hamiltonian_block(N, n, delta)
                 assert np.array_equal(projected, blk.entries), (N, n)
@@ -95,7 +94,7 @@ class TestHamiltonianBlock:
     def test_given_sector_reused(self):
         sector = enumerate_sector(8, 3)
         for build, arg in ((build_hamiltonian_block, 0.3),
-                           (build_transfer_block, VertexWeights(c=1.3))):
+                           (build_transfer_block, Anisotropy(1.3))):
             fresh = build(8, 3, arg)
             reused = build(8, 3, arg, sector=sector)
             assert reused.basis is sector
@@ -150,13 +149,13 @@ class TestCommutation:
             a = Anisotropy(c)
             for N in (4, 6):
                 for n in range(N + 1):
-                    v = build_transfer_block(N, n, VertexWeights(c=c))
+                    v = build_transfer_block(N, n, a)
                     h = build_hamiltonian_block(N, n, a.delta)
                     for route, _ in COMMUTATOR_ROUTES:
                         assert route(v, h) < 1e-12, (route.__name__, c, N, n)
 
     def test_scalar_sector_commutes_exactly(self):
-        v = build_transfer_block(5, 0, VertexWeights(c=1.3))
+        v = build_transfer_block(5, 0, Anisotropy(1.3))
         for delta in (Anisotropy(1.3).delta, 0.0):  # delta = 0: H is the zero block
             h = build_hamiltonian_block(5, 0, delta)
             for route, _ in COMMUTATOR_ROUTES:
@@ -166,7 +165,7 @@ class TestCommutation:
         # n = 1 blocks commute with any circulant, so probe n >= 2
         a = Anisotropy(1.0)
         for (N, n) in ((4, 2), (6, 2), (6, 3)):
-            v = build_transfer_block(N, n, VertexWeights(c=1.0))
+            v = build_transfer_block(N, n, a)
             h = build_hamiltonian_block(N, n, a.delta + 0.1)
             for route, floor in COMMUTATOR_ROUTES:
                 assert route(v, h) >= floor, (route.__name__, N, n)
@@ -178,14 +177,14 @@ class TestCommutation:
             a = Anisotropy(c)
             for N in (5, 7, 8):
                 for n in range(N + 1):
-                    v = build_transfer_block(N, n, VertexWeights(c=c))
+                    v = build_transfer_block(N, n, a)
                     for delta in (a.delta, a.delta + 0.1):
                         h = build_hamiltonian_block(N, n, delta)
                         probe, dense = commutator_probe(v, h), commutator_norm(v, h)
                         assert (probe <= 1e-12) == (dense <= 1e-10), (c, N, n, delta)
 
     def test_probe_is_seeded_and_scale_free(self):
-        v = build_transfer_block(8, 3, VertexWeights(c=1.3))
+        v = build_transfer_block(8, 3, Anisotropy(1.3))
         h = build_hamiltonian_block(8, 3, Anisotropy(1.3).delta + 0.1)
         value = commutator_probe(v, h)
         assert commutator_probe(v, h) == value
@@ -193,7 +192,7 @@ class TestCommutation:
         assert commutator_probe(scaled, h) == pytest.approx(value, rel=1e-12)
 
     def test_sector_mismatch_rejected(self):
-        v = build_transfer_block(6, 2, VertexWeights(c=1.0))
+        v = build_transfer_block(6, 2, Anisotropy(1.0))
         h = build_hamiltonian_block(6, 3, 0.5)
         for route, _ in COMMUTATOR_ROUTES:
             with pytest.raises(SectorMismatchError):
