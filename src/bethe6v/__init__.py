@@ -33,12 +33,9 @@ from .functions import (
     theta_partial_1,
 )
 from .oracle import (
-    SpectrumResult,
     check_eigenpair,
-    commutator_norm,
     commutator_probe,
     dense_eigenvalues,
-    dense_spectrum,
     match_eigenvalue,
 )
 from .solver import (
@@ -51,8 +48,8 @@ from .solver import (
 from .transfer import (
     SectorMatrix,
     build_transfer_block,
-    build_transfer_block_by_configuration,
     enumerate_row_completions,
+    log_polynomial,
     log_trace_power,
     matrix_text,
     partition_function_bruteforce,

@@ -9,7 +9,7 @@ import os
 from .errors import CapExceededError
 
 DIM_CAP = 20_000       # dense sector-block storage (rows)
-SPECTRUM_CAP = 4096    # full symmetric eigendecomposition
+SPECTRUM_CAP = 4096    # dense symmetric eigenvalues (the `dense` route)
 ENUM_CAP = 14          # N*M for torus enumeration (4^(N*M) raw arrow states)
 PERM_CAP = 9           # particle count for the 2^n subset sums behind psi
 

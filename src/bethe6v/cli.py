@@ -3,19 +3,21 @@
 Subcommands:
 
 * ``solve``: solve the logarithmic equations, build the predicted
-  eigenvector and both eigenvalues, verify everything against dense blocks;
+  eigenvector and both eigenvalues, verify them against the sector blocks
+  and name their level by a Perron–Frobenius certificate or dense spectrum;
 * ``partition``: log partition function log Tr(V^M), optionally checked
   against brute-force torus enumeration;
 * ``verify-identities``: grid suite for the function-level identities plus,
   when a sector is given, the amplitude-ratio identities on solved roots;
-* ``spectrum``: dense sector spectrum with optional matrix dump and CSV;
+* ``spectrum``: dense sector eigenvalues with optional matrix dump and CSV;
 * ``dump-matrix``: write a sector block in the plain-text matrix format.
 
 Reports are emitted as "key: value" lines; every float carries 17
 significant digits.  Identical flags reproduce byte-identical reports apart
 from the timing lines.  Exit codes: 0 success, 1 invalid usage, 2 solver
-non-convergence, a resource cap or a numeric-range limit (``DomainError``,
-``LinAlgError``), 3 verification failure.
+non-convergence (a root on the edge of the open momentum domain included), a
+resource cap or a numeric-range limit (``DomainError``, ``LinAlgError``), 3
+verification failure.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import resource
 import sys
 import time
 from fractions import Fraction
@@ -40,10 +43,11 @@ from .basis import enumerate_sector
 from .errors import CapExceededError, DomainError
 from .functions import Anisotropy, grid_suite
 from .oracle import (check_eigenpair, commutator_probe, dense_eigenvalues,
-                     dense_spectrum, match_eigenvalue)
+                     match_eigenvalue)
 from .solver import QuantumNumbers, ground_state_quantum_numbers, solve
 from .transfer import (
     build_transfer_block,
+    log_polynomial,
     log_trace_power,
     partition_function_bruteforce,
     write_matrix,
@@ -86,7 +90,8 @@ class Report:
     """Ordered "key: value" lines, floats at 17 significant digits.
 
     The report is opened when the run starts: `stage` adds the wall time of
-    a block as a timing.<stage> line, and `main` adds the whole run's as
+    a block as a timing.<stage> line, and `main` adds the process's peak
+    resident set size as timing.peak_rss_bytes and the whole run's time as
     timing.seconds.
     """
 
@@ -98,10 +103,6 @@ class Report:
     def add(self, key: str, value) -> None:
         self.lines.append(f"{key}: {_fmt(value)}")
 
-    def add_complex(self, key: str, value: complex) -> None:
-        self.add(f"{key}.re", float(value.real))
-        self.add(f"{key}.im", float(value.imag))
-
     @contextlib.contextmanager
     def stage(self, name: str):
         """Add the enclosed block's wall time as timing.<name>, unless it raises."""
@@ -109,9 +110,8 @@ class Report:
         yield
         self.add(f"timing.{name}", _clock(start))
 
-    def emit(self, stream=None) -> None:
-        stream = stream or sys.stdout
-        stream.write("\n".join(self.lines) + "\n")
+    def emit(self) -> None:
+        sys.stdout.write("\n".join(self.lines) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,17 +142,46 @@ def _verdict(rep: Report, failures: list[str]) -> int:
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 
+def _match_level(rep: Report, dim: int, checks) -> list[str]:
+    """Name the levels of (kind, value, bracket, block) checks on one route; return failures.
+
+    ``certified`` when every bracket is finite and, widened to contain its
+    value, within MATCH_TOL * max(1, |value|): each value is then the top
+    level, dim - 1, and no eigensolver runs.  Else ``dense`` up to the
+    spectrum cap, each value named by its lowest hit; above it, no level.
+    """
+    widths = [max(b[1], value) - min(b[0], value) if b and all(map(math.isfinite, b))
+              else math.inf for _, value, b, _ in checks]
+    if all(w <= MATCH_TOL * max(1.0, abs(c[1])) for w, c in zip(widths, checks)):
+        rep.add("checks.route", "certified")
+        for width, (kind, *_) in zip(widths, checks):
+            rep.add(f"oracle.{kind}_match_index", dim - 1)
+            rep.add(f"oracle.{kind}_bracket_width", width)
+        return []
+    if dim > caps.spectrum_cap():
+        rep.add("checks.route", "skipped:spectrum-cap")
+        return []
+    rep.add("checks.route", "dense")
+    with rep.stage("spectrum"):
+        spectra = [(kind, value, dense_eigenvalues(block)) for kind, value, _, block in checks]
+    failures = []
+    for kind, value, eigenvalues in spectra:
+        hits = match_eigenvalue(value, eigenvalues, MATCH_TOL)
+        rep.add(f"oracle.{kind}_match_count", len(hits))
+        rep.add(f"oracle.{kind}_match_index", hits[0] if hits else -1)
+        if not hits:
+            failures.append(f"{kind}_spectrum_match")
+    return failures
+
+
 def _cmd_solve(args) -> tuple[Report, int]:
     a = Anisotropy(args.c)
     N, n = args.N, args.n
     if n < 0 or 2 * n > N:
         raise ValueError(f"need 0 <= n <= N/2, got n = {n}, N = {N}")
     try:
-        qn = (
-            _parse_quantum_numbers(args.quantum_numbers)
-            if args.quantum_numbers
-            else ground_state_quantum_numbers(n)
-        )
+        qn = (_parse_quantum_numbers(args.quantum_numbers) if args.quantum_numbers
+              else ground_state_quantum_numbers(n))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad quantum numbers: {exc}") from exc
     if qn.n != n:
@@ -185,7 +214,8 @@ def _cmd_solve(args) -> tuple[Report, int]:
         prediction = full_prediction(sector, AmplitudeEvaluator(m))
     lam, energy = prediction.lam, prediction.energy
     rep.add("prediction.singular", prediction.singular)
-    rep.add_complex("prediction.lambda", lam)
+    rep.add("prediction.lambda.re", float(lam.real))
+    rep.add("prediction.lambda.im", float(lam.imag))
     rep.add("prediction.energy", energy)
     rep.add("prediction.psi_norm", prediction.psi_norm)
 
@@ -201,16 +231,18 @@ def _cmd_solve(args) -> tuple[Report, int]:
     if not abs(lam.imag) <= IMAG_TOL * max(1.0, abs(lam)):
         failures.append("lambda_imaginary")
 
-    block_checks = sector.dim <= caps.dim_cap()
-    rep.add("checks.blocks", "full" if block_checks else "skipped-dimension-cap")
-    if block_checks and nontrivial:
+    if sector.dim > caps.dim_cap():
+        rep.add("checks.route", "skipped:dimension-cap")
+    elif not nontrivial:
+        rep.add("checks.route", "skipped:psi-trivial")
+    else:
         with rep.stage("v"):
             v_block = build_transfer_block(N, n, a, sector=sector)
         with rep.stage("h"):
             h_block = build_hamiltonian_block(N, n, a.delta, sector=sector)
         with rep.stage("residuals"):
-            rv = check_eigenpair(v_block, prediction.psi, lam)
-            rh = check_eigenpair(h_block, prediction.psi, energy)
+            rv, v_bracket = check_eigenpair(v_block, prediction.psi, lam)
+            rh, h_bracket = check_eigenpair(h_block, prediction.psi, energy)
         with rep.stage("commutator"):
             comm = commutator_probe(v_block, h_block)
         rep.add("residual.transfer_eigenpair", rv)
@@ -223,17 +255,9 @@ def _cmd_solve(args) -> tuple[Report, int]:
             failures.append("xxz_eigenpair")
         if not comm <= COMMUTATOR_TOL:
             failures.append("commutator")
-
-        if sector.dim <= caps.spectrum_cap():
-            with rep.stage("spectrum"):
-                spectra = (("transfer", lam.real, dense_eigenvalues(v_block)),
-                           ("xxz", energy, dense_eigenvalues(h_block)))
-            for kind, value, eigenvalues in spectra:
-                hits = match_eigenvalue(value, eigenvalues, MATCH_TOL)
-                rep.add(f"oracle.{kind}_match_count", len(hits))
-                rep.add(f"oracle.{kind}_match_index", hits[0] if hits else -1)
-                if not hits:
-                    failures.append(f"{kind}_spectrum_match")
+        failures += _match_level(rep, sector.dim,
+                                 (("transfer", lam.real, v_bracket, v_block),
+                                  ("xxz", energy, h_bracket, h_block)))
 
     if args.dump_psi:
         _write_psi(args.dump_psi, prediction.psi)
@@ -255,9 +279,9 @@ def _cmd_partition(args) -> tuple[Report, int]:
     rep.add("partition.log_trace_power", log_trace)
     if not args.bruteforce:
         return rep, EXIT_OK
-    z = partition_function_bruteforce(args.N, args.m, a)
-    disc = abs(math.expm1(math.log(z) - log_trace))  # |Z / Tr V^M - 1|
-    rep.add("partition.bruteforce", z)
+    log_z = log_polynomial(partition_function_bruteforce(args.N, args.m), a.c)
+    disc = abs(math.expm1(log_z - log_trace))  # |Z / Tr V^M - 1|
+    rep.add("partition.log_bruteforce", log_z)
     rep.add("partition.relative_discrepancy", disc)
     passed = disc <= PARTITION_TOL  # false on NaN
     rep.add("verification.passed", passed)
@@ -295,11 +319,8 @@ def _cmd_verify_identities(args) -> tuple[Report, int]:
         if not report.converged:
             return rep, EXIT_RESOURCE
         suite = identity_suite(report.momenta, N, samples=args.samples)
-        for name, value in (
-            ("adjacent", suite.adjacent_max),
-            ("boundary", suite.boundary_max),
-            ("cyclic", suite.cyclic_max),
-        ):
+        for name, value in (("adjacent", suite.adjacent_max),
+                            ("boundary", suite.boundary_max), ("cyclic", suite.cyclic_max)):
             rep.add(f"identity.{name}_max", value)
             if not value <= SOLVED_IDENTITY_TOL:
                 failures.append(f"{name}_ratio")
@@ -325,11 +346,9 @@ def _sector_block(args, command: str):
 
 def _cmd_spectrum(args) -> tuple[Report, int]:
     rep, block = _sector_block(args, "spectrum")
-    spec = dense_spectrum(block)
+    eigenvalues = dense_eigenvalues(block)
     rep.add("spectrum.dim", block.dim)
-    rep.add("spectrum.orthonormality_defect", spec.orthonormality_defect)
-    rep.add("spectrum.reconstruction_defect", spec.reconstruction_defect)
-    for k, value in enumerate(spec.eigenvalues):
+    for k, value in enumerate(eigenvalues):
         rep.add(f"eigenvalue.{k}", float(value))
     if args.dump_matrix:
         write_matrix(block, args.dump_matrix)
@@ -337,7 +356,7 @@ def _cmd_spectrum(args) -> tuple[Report, int]:
     if args.csv:
         with open(args.csv, "w") as handle:
             handle.write("index,eigenvalue\n")
-            for k, value in enumerate(spec.eigenvalues):
+            for k, value in enumerate(eigenvalues):
                 handle.write(f"{k},{format(float(value), '.17g')}\n")
         rep.add("dump.csv_path", args.csv)
     return rep, EXIT_OK
@@ -406,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand, print its report and timing.seconds, return the exit code."""
+    """Run one subcommand, print its report and closing timing lines, return the exit code."""
     args = build_parser().parse_args(argv)
     try:
         rep, code = args.func(args)
@@ -417,6 +436,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # bad input and degenerate-momentum errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # the process's peak so far; ru_maxrss counts KiB on Linux
+    rep.add("timing.peak_rss_bytes", 1024 * resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     rep.add("timing.seconds", _clock(rep.opened))
     rep.emit()
     return code

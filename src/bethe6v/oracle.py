@@ -1,19 +1,17 @@
-"""Dense spectral oracle and commutation checks: predictions are checked here.
+"""Eigenpair residuals and certificates, dense eigenvalues, commutation probe.
 
-The eigensolvers are numpy's symmetric routines.  Matching a prediction
-needs only the eigenvalues, so ``dense_eigenvalues`` skips the eigenvectors;
-``dense_spectrum`` adds them and their self-consistency defects
-(orthonormality and reconstruction) for the ``spectrum`` command, the only
-caller that computes and prints those defects.
-
-``commutator_probe`` checks [V, H] = 0 by one seeded Freivalds (1977) probe
-of four matrix-vector products; ``commutator_norm`` is its dense test oracle.
+``check_eigenpair`` also returns the vector's Collatz–Wielandt bracket.  For
+a symmetric block with nonnegative off-diagonal entries (V's c^P, H's +1
+hops) it holds the top eigenvalue (Collatz 1942; Wielandt 1950), so a narrow
+bracket names the level without an eigensolve; other levels are matched
+against ``dense_eigenvalues``.  ``commutator_probe`` checks [V, H] = 0 by one
+seeded Freivalds (1977) probe of four matrix-vector products.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,25 +21,37 @@ from .errors import CapExceededError, DomainError
 from .transfer import SectorMatrix
 
 __all__ = [
-    "SpectrumResult",
     "dense_eigenvalues",
-    "dense_spectrum",
     "check_eigenpair",
     "match_eigenvalue",
     "commutator_probe",
-    "commutator_norm",
 ]
 
-
-@dataclass(frozen=True, eq=False)
-class SpectrumResult:
-    eigenvalues: np.ndarray          # ascending
-    orthonormality_defect: float     # max |Q^T Q - I|
-    reconstruction_defect: float     # ||Q D Q^T - A||_F / max(1, ||A||_F)
+_CHUNK_ELEMENTS = 1 << 18  # scratch budget (entries) for a matrix norm's scaled rows
 
 
-def _symmetric_entries(m: SectorMatrix) -> np.ndarray:
-    """The block's entries, once its dimension, finiteness and symmetry are checked."""
+def _norm(a: np.ndarray) -> float:
+    """Euclidean norm of a vector, or Frobenius norm of a matrix, with no overflow.
+
+    Where no square overflows this is ``np.linalg.norm`` as it stands.  Else
+    the entries are scaled by the power of two at the largest magnitude,
+    which is exact (inf and NaN stay), row chunk by row chunk, so no dim^2
+    temporary is formed; the chunk norms combine by ``math.hypot``.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if math.isfinite(norm):
+        return norm
+    rows = np.atleast_2d(a)
+    step = max(1, _CHUNK_ELEMENTS // rows.shape[1])
+    chunks = [rows[lo:lo + step] for lo in range(0, len(rows), step)]
+    top = max(float(np.max(np.abs(chunk))) for chunk in chunks)
+    scale = math.ldexp(1.0, -math.frexp(top)[1])
+    return math.hypot(*(float(np.linalg.norm(chunk * scale)) for chunk in chunks)) / scale
+
+
+def dense_eigenvalues(m: SectorMatrix) -> np.ndarray:
+    """Ascending spectrum of a symmetric block, once its size, finiteness and symmetry pass."""
     cap = caps.spectrum_cap()
     if m.dim > cap:
         raise CapExceededError(f"dimension {m.dim} exceeds spectrum cap {cap}")
@@ -51,36 +61,35 @@ def _symmetric_entries(m: SectorMatrix) -> np.ndarray:
     asym = float(np.max(np.abs(A - A.T)))
     if not asym <= 1e-12:
         raise ValueError(f"matrix asymmetry {asym:g} exceeds 1e-12")
-    return A
+    return np.linalg.eigvalsh(A)
 
 
-def dense_eigenvalues(m: SectorMatrix) -> np.ndarray:
-    """Ascending real spectrum of a symmetric sector block, without eigenvectors."""
-    return np.linalg.eigvalsh(_symmetric_entries(m))
+def check_eigenpair(m: SectorMatrix, vector, lam) -> tuple[float, tuple[float, float] | None]:
+    """Relative residual ||A v - lam v|| / ||v|| and v's Collatz–Wielandt bracket.
 
-
-def dense_spectrum(m: SectorMatrix) -> SpectrumResult:
-    """Full real spectrum of a symmetric sector block, with its defects."""
-    A = _symmetric_entries(m)
-    vals, vecs = np.linalg.eigh(A)
-    ortho = float(np.max(np.abs(vecs.T @ vecs - np.eye(m.dim))))
-    recon = (vecs * vals) @ vecs.T
-    rec = float(np.linalg.norm(recon - A) / max(1.0, np.linalg.norm(A)))
-    return SpectrumResult(vals, ortho, rec)
-
-
-def check_eigenpair(m: SectorMatrix, vector, lam) -> float:
-    """Relative residual ||A v - lam v|| / ||v||."""
+    With theta the phase of v's largest entry, x = Re(exp(-i theta) v).  The
+    bracket (min_i (Ax)_i / x_i, max_i (Ax)_i / x_i) is None unless every
+    x_i > 0.  Ax is read off the two products A Re v and A Im v that the
+    residual takes, so the bracket adds no pass over A.
+    """
     v = np.asarray(vector)
     if v.shape != (m.dim,):
         raise ValueError(f"vector shape {v.shape} does not match dimension {m.dim}")
-    norm = float(np.linalg.norm(v))
+    norm = _norm(v)
     if norm == 0.0:
         raise ValueError("zero vector")
     A = m.entries
     # A @ complex(v) would first copy A to complex; apply it to each part
-    Av = A @ v.real + 1j * (A @ v.imag) if np.iscomplexobj(v) else A @ v
-    return float(np.linalg.norm(Av - lam * v) / norm)
+    a_re, a_im = A @ v.real, (A @ v.imag if np.iscomplexobj(v) else 0.0)
+    residual = _norm(a_re + 1j * a_im - lam * v) / norm
+
+    theta = float(np.angle(v[np.argmax(np.abs(v))]))
+    cos, sin = math.cos(theta), math.sin(theta)
+    x = cos * v.real + sin * v.imag
+    if not np.all(x > 0.0):  # false on NaN
+        return residual, None
+    ratios = (cos * a_re + sin * a_im) / x
+    return residual, (float(np.min(ratios)), float(np.max(ratios)))
 
 
 def match_eigenvalue(lam, eigenvalues: np.ndarray, tol: float) -> list[int]:
@@ -104,12 +113,6 @@ def commutator_probe(v: SectorMatrix, h: SectorMatrix) -> float:
     checked_sector(v.N, v.n, h.basis)
     V, H = v.entries, h.entries
     x = np.frombuffer(random.Random(0).randbytes(8 * v.dim), np.uint64) / 2.0**64 - 0.5
-    defect = float(np.linalg.norm(V @ (H @ x) - H @ (V @ x)))
-    scale = float(np.linalg.norm(V) * np.linalg.norm(H) * np.linalg.norm(x))
+    defect = _norm(V @ (H @ x) - H @ (V @ x))
+    scale = _norm(V) * _norm(H) * _norm(x)
     return defect / scale if defect else 0.0  # H is zero at n = 0, delta = 0
-
-
-def commutator_norm(v: SectorMatrix, h: SectorMatrix) -> float:
-    """Max absolute entry of VH - HV from two dense products (test oracle)."""
-    checked_sector(v.N, v.n, h.basis)
-    return float(np.max(np.abs(v.entries @ h.entries - h.entries @ v.entries)))

@@ -18,7 +18,10 @@ decreases, aiming at 1e-12 within 200 steps.  A step halved down to 2^-20
 that still does not decrease it ends the iteration at its best iterate: a
 root iff its residual is within the equations' rounding floor, which grows
 with N and n past 1e-12; else the trial left the domain or no root is near.
-Non-convergence is reported, never raised.  Once 1e-12 is met a few more
+Non-convergence is reported, never raised.  The domain is open (the phase
+is undefined on its closure), so a label set whose root lies on the edge,
+such as N = 6, I = 1 at c = 1 (2 pi / 6 = pi - mu), stalls against the
+clamp and is reported non-converged by design.  Once 1e-12 is met a few more
 full Newton steps polish the root toward machine precision: downstream
 eigenvector residuals amplify root error by roughly the spectral radius, so
 stopping right at 1e-12 would waste most of the available accuracy.

@@ -8,10 +8,10 @@ Three independent routes are provided on purpose:
   where they differ, 0 otherwise), read off occupation bitmasks;
 * ``enumerate_row_completions``: one entry as the paper defines it, the
   weights of the ice-rule horizontal-arrow completions of one lattice row;
-  it is the one pair-level oracle of the entry rule, and
-  ``build_transfer_block_by_configuration`` sums it into a whole block;
-* ``partition_function_bruteforce``: the torus partition function summed
-  over all arrow configurations, which must match ``log_trace_power``.
+  it is the one pair-level oracle of the entry rule;
+* ``partition_function_bruteforce``: the torus configurations counted by
+  their number of c-vertices over all arrow configurations, an exact
+  polynomial in c whose log must match ``log_trace_power``.
 
 The vertex weights are a = b = 1 and the ``Anisotropy``'s c.  Powers of c
 are computed by repeated squaring so the first two routes agree bit for bit.
@@ -33,9 +33,9 @@ from .functions import Anisotropy
 __all__ = [
     "SectorMatrix",
     "build_transfer_block",
-    "build_transfer_block_by_configuration",
     "enumerate_row_completions",
     "partition_function_bruteforce",
+    "log_polynomial",
     "log_trace_power",
     "matrix_text",
     "write_matrix",
@@ -136,51 +136,28 @@ def enumerate_row_completions(sx: np.ndarray, sy: np.ndarray,
     wrap-around edge; the ice rule at site i forces h_i = h_{i-1} + sx_i - sy_i
     and prunes anything leaving {-1, +1} or failing to close the ring.
     """
-    ring = len(sx)
     out = []
     for seed in (1, -1):
-        h = seed
-        nc = 0
-        ok = True
-        for i in range(ring):
-            vx = int(sx[i])
-            vy = int(sy[i])
-            h_next = h + vx - vy
-            if h_next != 1 and h_next != -1:
-                ok = False
+        h, nc = seed, 0
+        for vx, vy in zip(map(int, sx), map(int, sy)):
+            h += vx - vy
+            if h != 1 and h != -1:
                 break
-            if vx != vy:
-                nc += 1  # a c vertex; the other four weigh 1
-            h = h_next
-        if ok and h == seed:
-            out.append(_int_power(a.c, nc))
+            nc += vx != vy  # a c vertex; the other four weigh 1
+        else:
+            if h == seed:
+                out.append(_int_power(a.c, nc))
     return out
 
 
-def build_transfer_block_by_configuration(N: int, n: int,
-                                          a: Anisotropy) -> SectorMatrix:
-    """Sector block rebuilt by explicit arrow-configuration enumeration.
+def partition_function_bruteforce(N: int, M: int) -> list[int]:
+    """Ice-rule torus configurations counted by their number k of c-vertices.
 
-    The +-1 spin patterns are read off the sector's occupancy table.
-    """
-    sector = enumerate_sector(N, n)
-    dim = sector.dim
-    caps.check_dim(dim)
-    spins = np.where(sector.occupied, 1, -1)
-    entries = np.zeros((dim, dim))
-    for i, sx in enumerate(spins):
-        for j, sy in enumerate(spins):
-            entries[i, j] = sum(enumerate_row_completions(sx, sy, a))
-    return SectorMatrix(entries, sector, "transfer")
-
-
-def partition_function_bruteforce(N: int, M: int, a: Anisotropy) -> float:
-    """Torus partition function by exhaustive arrow enumeration with pruning.
-
-    Edges are assigned row-major (horizontal then vertical at each vertex);
-    as soon as the four edges of a vertex are fixed the ice rule is checked
-    and the branch pruned on violation.  Tori with N < 2 or M < 2 degenerate
-    to self-loop edges and are rejected.
+    Z = sum_k counts[k] c^k is then exact in c.  Edges are assigned
+    row-major (horizontal then vertical at each vertex); as soon as the four
+    edges of a vertex are fixed the ice rule is checked and the branch
+    pruned on violation.  Tori with N < 2 or M < 2 degenerate to self-loop
+    edges and are rejected.
     """
     if N < 2 or M < 2:
         raise ValueError("torus enumeration needs N >= 2 and M >= 2")
@@ -195,44 +172,44 @@ def partition_function_bruteforce(N: int, M: int, a: Anisotropy) -> float:
         return 2 * ((j % M) * N + (i % N)) + 1
 
     n_edges = 2 * N * M
-    # per vertex: (left horizontal, bottom vertical, right horizontal, top vertical)
-    vertex_edges = []
+    # each vertex's (left horizontal, bottom vertical, right horizontal, top
+    # vertical) edges, listed under the last of them to be assigned
+    closes_at = [[] for _ in range(n_edges)]
     for j in range(M):
         for i in range(N):
-            vertex_edges.append((h_id(i - 1, j), v_id(i, j - 1), h_id(i, j), v_id(i, j)))
-    closes_at = [[] for _ in range(n_edges)]
-    for vtx, edges in enumerate(vertex_edges):
-        closes_at[max(edges)].append(vtx)
+            edges = (h_id(i - 1, j), v_id(i, j - 1), h_id(i, j), v_id(i, j))
+            closes_at[max(edges)].append(edges)
 
-    c = a.c
     omega = [0] * n_edges
-    total = 0.0
+    counts = [0] * (N * M + 1)
 
-    def vertex_weight(vtx):
-        hl, vb, hr, vt = vertex_edges[vtx]
-        if omega[hl] + omega[vb] - omega[hr] - omega[vt] != 0:
-            return None
-        return c if omega[vb] != omega[vt] else 1.0
-
-    def assign(k, weight):
-        nonlocal total
+    def assign(k, nc):
         if k == n_edges:
-            total += weight
+            counts[nc] += 1
             return
         for val in (1, -1):
             omega[k] = val
-            w = weight
-            for vtx in closes_at[k]:
-                factor = vertex_weight(vtx)
-                if factor is None:
-                    w = None
-                    break
-                w *= factor
-            if w is not None:
-                assign(k + 1, w)
+            m = nc
+            for hl, vb, hr, vt in closes_at[k]:
+                if omega[hl] + omega[vb] != omega[hr] + omega[vt]:
+                    break  # off the ice rule
+                m += omega[vb] != omega[vt]  # a c-vertex; the other four weigh 1
+            else:
+                assign(k + 1, m)
 
-    assign(0, 1.0)
-    return total
+    assign(0, 0)
+    return counts
+
+
+def _log_sum_exp(logs) -> float:
+    """log sum_k exp(logs[k]), taken relative to the largest term."""
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+def log_polynomial(counts, x: float) -> float:
+    """log sum_k counts[k] x^k, no term overflowing, for counts >= 0 not all 0 and x > 0."""
+    return _log_sum_exp([math.log(n) + k * math.log(x) for k, n in enumerate(counts) if n])
 
 
 def _scale(m: np.ndarray) -> float:
@@ -281,9 +258,8 @@ def log_trace_power(N: int, M: int, a: Anisotropy) -> float:
     """
     if N < 1 or M < 1:
         raise ValueError("need N >= 1 and M >= 1")
-    logs = [_log_trace(build_transfer_block(N, n, a).entries, M) for n in range(N + 1)]
-    top = max(logs)
-    return top + math.log(sum(math.exp(v - top) for v in logs))
+    return _log_sum_exp([_log_trace(build_transfer_block(N, n, a).entries, M)
+                         for n in range(N + 1)])
 
 
 def matrix_text(m: SectorMatrix) -> str:

@@ -5,8 +5,6 @@ i and i+1 agree and -delta/2 when they differ, plus an exchange hop of
 weight 1 between states that differ by swapping those two arrows.  The
 block is accumulated site by site, vectorized over the basis: the sector's
 occupancy table gives the bond terms and its colex ranks the hop targets.
-The aggregate diagonal formula (delta/2)(N - 2 * boundary count) is kept
-for tests only.
 """
 
 from __future__ import annotations

@@ -15,6 +15,8 @@ from contextlib import redirect_stdout
 
 import numpy as np
 
+from bethe6v import SectorMatrix, caps, enumerate_row_completions, enumerate_sector
+from bethe6v.basis import checked_sector
 from bethe6v.cli import main
 
 
@@ -124,3 +126,25 @@ def two_kernel_theta_partial_1(x, y, a):
     y = np.asarray(y, dtype=float)
     s_xy, s_yx = _both_kernels(x, y, a)
     return -1.0 + np.exp(-1j * x) / s_xy + np.exp(1j * x) / s_yx
+
+
+def build_transfer_block_by_configuration(N, n, a):
+    """V's sector block rebuilt entry by entry from ``enumerate_row_completions``.
+
+    The +-1 spin patterns are read off the sector's occupancy table.
+    """
+    sector = enumerate_sector(N, n)
+    dim = sector.dim
+    caps.check_dim(dim)
+    spins = np.where(sector.occupied, 1, -1)
+    entries = np.zeros((dim, dim))
+    for i, sx in enumerate(spins):
+        for j, sy in enumerate(spins):
+            entries[i, j] = sum(enumerate_row_completions(sx, sy, a))
+    return SectorMatrix(entries, sector, "transfer")
+
+
+def commutator_norm(v, h):
+    """Max absolute entry of VH - HV from two dense products (the probe's oracle)."""
+    checked_sector(v.N, v.n, h.basis)
+    return float(np.max(np.abs(v.entries @ h.entries - h.entries @ v.entries)))

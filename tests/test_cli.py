@@ -4,8 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from bethe6v import partition_function_bruteforce
+from bethe6v import log_polynomial
 from helpers import parse_report, run_cli
+
+
+# a converged excited level of the (8, 2) sector at c = 1.2
+EXCITED = ["solve", "--capital-n", "8", "--n", "2", "--c", "1.2",
+           "--quantum-numbers=-3/2,3/2"]
 
 
 def strip_timing(text):
@@ -27,7 +32,8 @@ class TestSolveCommand:
         assert float(rep["residual.xxz_eigenpair"]) < 1e-9
         assert float(rep["residual.bethe_max"]) < 1e-10
         assert float(rep["residual.commutator_probe"]) < 1e-12
-        assert int(rep["oracle.transfer_match_count"]) >= 1
+        assert rep["checks.route"] == "certified"
+        assert rep["oracle.transfer_match_index"] == str(math.comb(8, 2) - 1)
 
     def test_singular_case(self):
         code, out = run_cli(["solve", "--capital-n", "6", "--n", "3", "--c", "1.0"])
@@ -72,6 +78,14 @@ class TestSolveCommand:
                                flag, "1"])
             assert code == 1, flag
 
+    def test_root_on_domain_edge_exits_2(self):
+        # 2 pi / 6 = pi - mu at c = 1: the root sits on the closure of the
+        # open domain, where theta is undefined, so it counts as non-converged
+        code, out = run_cli(["solve", "--capital-n", "6", "--n", "1", "--c", "1",
+                             "--quantum-numbers", "1"])
+        assert code == 2
+        assert parse_report(out)["solver.converged"] == "false"
+
     def test_non_convergence_exit_code(self):
         # the target momentum pi sits outside the open domain
         code, out = run_cli(
@@ -95,7 +109,7 @@ class TestSolveCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
-    @pytest.mark.parametrize("c", ["1e-3", "1e20"])
+    @pytest.mark.parametrize("c", ["1e-3", "1e20", "1e30"])
     def test_numeric_range_ends_still_pass(self, c):
         code, out = run_cli(["solve", "--capital-n", "6", "--n", "3", "--c", c])
         assert code == 0
@@ -115,11 +129,11 @@ class TestSolveCommand:
             monkeypatch.setattr(f"bethe6v.{module}.enumerate_sector", counting)
         code, out = run_cli(["solve", "--capital-n", "8", "--n", "3", "--c", "1.2"])
         assert code == 0
-        assert parse_report(out)["checks.blocks"] == "full"
+        assert parse_report(out)["checks.route"] == "certified"
         assert calls == [(8, 3)]
 
     def test_nan_residual_fails_closed(self, monkeypatch):
-        monkeypatch.setattr("bethe6v.cli.check_eigenpair", lambda *args: math.nan)
+        monkeypatch.setattr("bethe6v.cli.check_eigenpair", lambda *args: (math.nan, None))
         code, out = run_cli(["solve", "--capital-n", "8", "--n", "2", "--c", "1.0"])
         assert code == 3
         rep = parse_report(out)
@@ -139,7 +153,8 @@ class TestSolveCommand:
         code, out = run_cli(["solve", "--capital-n", "12", "--n", "6", "--c", "3.3"])
         rep = parse_report(out)
         assert float(rep["prediction.lambda.re"]) > 1e6
-        assert rep["oracle.transfer_match_count"] == "1"
+        assert rep["checks.route"] == "certified"
+        assert rep["oracle.transfer_match_index"] == "923"
         assert code == 0
         assert rep["verification.passed"] == "true"
 
@@ -158,23 +173,18 @@ class TestSolveCommand:
         assert "transfer_eigenpair" in parse_report(out)["verification.failures"].split(",")
 
     def test_spectrum_match_needs_no_eigenvectors(self, monkeypatch):
-        argv = ["solve", "--capital-n", "8", "--n", "3", "--c", "1.2"]
-        _, before = run_cli(argv)
-
+        # an excited level: psi changes sign, so the dense route names it
         def refuse(*args, **kwargs):
             raise AssertionError("eigenvectors computed")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        for module in ("oracle", "cli"):
-            monkeypatch.setattr(f"bethe6v.{module}.dense_spectrum", refuse)
-        code, after = run_cli(argv)
-
-        def oracle_lines(text):
-            return {k: v for k, v in parse_report(text).items() if k.startswith("oracle.")}
-
+        code, out = run_cli(EXCITED)
+        rep = parse_report(out)
         assert code == 0
-        assert len(oracle_lines(after)) == 4
-        assert oracle_lines(after) == oracle_lines(before)
+        assert rep["checks.route"] == "dense"
+        assert {k: v for k, v in rep.items() if k.startswith("oracle.")} == {
+            "oracle.transfer_match_count": "1", "oracle.transfer_match_index": "20",
+            "oracle.xxz_match_count": "1", "oracle.xxz_match_index": "22"}
 
     def test_stage_timings(self, monkeypatch):
         def stages(argv):
@@ -184,17 +194,18 @@ class TestSolveCommand:
             assert all(float(rep[k]) >= 0.0 for k in timed)
             return [k.removeprefix("timing.") for k in timed]
 
-        argv = ["solve", "--capital-n", "8", "--n", "2", "--c", "1.0"]
-        assert stages(argv) == ["solve", "psi", "v", "h", "residuals", "commutator",
-                                "spectrum", "seconds"]
+        ground = ["solve", "--capital-n", "8", "--n", "2", "--c", "1.0"]
+        checked = ["solve", "psi", "v", "h", "residuals", "commutator"]
+        closing = ["peak_rss_bytes", "seconds"]
+        assert stages(ground) == checked + closing  # certified: no eigensolve
+        assert stages(EXCITED) == checked + ["spectrum"] + closing
         monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "5")
-        assert stages(argv) == ["solve", "psi", "v", "h", "residuals", "commutator",
-                                "seconds"]
+        assert stages(EXCITED) == checked + closing
         monkeypatch.setenv("BETHE6V_DIM_CAP", "5")
-        assert stages(argv) == ["solve", "psi", "seconds"]
+        assert stages(ground) == ["solve", "psi"] + closing
         unconverged = ["solve", "--capital-n", "2", "--n", "1", "--c", "1.0",
                        "--quantum-numbers", "1"]
-        assert stages(unconverged) == ["solve", "seconds"]
+        assert stages(unconverged) == ["solve"] + closing
 
     def test_determinism_modulo_timing(self):
         argv = ["solve", "--capital-n", "6", "--n", "2", "--c", "0.5"]
@@ -222,6 +233,147 @@ class TestSolveCommand:
         float(re_part), float(im_part)
 
 
+SWEEP_C = (0.1, 0.5, 1.0, math.sqrt(2.0), 2.0, 2.5)
+
+
+def oracle_lines(out):
+    return {k: v for k, v in parse_report(out).items() if k.startswith("oracle.")}
+
+
+def force_dense(monkeypatch):
+    """Withhold every bracket, so solve takes the dense route."""
+    import bethe6v.cli
+
+    check = bethe6v.cli.check_eigenpair
+    monkeypatch.setattr("bethe6v.cli.check_eigenpair",
+                        lambda *args: (check(*args)[0], None))
+
+
+class TestSpectralRoute:
+    def test_certified_index_is_the_dense_index_over_the_sweep_grid(self, monkeypatch):
+        runs = [["solve", "--capital-n", str(N), "--n", str(n), "--c", repr(c)]
+                for N in (6, 8, 10, 12) for n in range(1, N // 2 + 1) for c in SWEEP_C]
+        certified = []
+        for argv in runs:
+            code, out = run_cli(argv)
+            assert code == 0, argv
+            assert parse_report(out)["checks.route"] == "certified", argv
+            certified.append(oracle_lines(out))
+        force_dense(monkeypatch)
+        for argv, lines in zip(runs, certified):
+            code, out = run_cli(argv)
+            dense = oracle_lines(out)
+            assert code == 0 and parse_report(out)["checks.route"] == "dense", argv
+            for kind in ("transfer", "xxz"):
+                assert dense[f"oracle.{kind}_match_count"] == "1", argv
+                assert lines[f"oracle.{kind}_match_index"] == dense[
+                    f"oracle.{kind}_match_index"], argv
+
+    def test_certified_run_calls_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        code, out = run_cli(["solve", "--capital-n", "12", "--n", "6", "--c", "1.0"])
+        assert code == 0
+        assert parse_report(out)["checks.route"] == "certified"
+        assert oracle_lines(out).keys() == {
+            "oracle.transfer_match_index", "oracle.transfer_bracket_width",
+            "oracle.xxz_match_index", "oracle.xxz_bracket_width"}
+
+    def test_certified_above_the_spectrum_cap(self):
+        code, out = run_cli(["solve", "--capital-n", "15", "--n", "7", "--c", "1.0"])
+        rep = parse_report(out)
+        assert code == 0
+        assert rep["checks.route"] == "certified"
+        assert rep["oracle.transfer_match_index"] == rep["oracle.xxz_match_index"] == "6434"
+
+    def test_excited_level_above_the_spectrum_cap_is_skipped(self, monkeypatch):
+        monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "5")
+        code, out = run_cli(EXCITED)
+        assert code == 0
+        assert parse_report(out)["checks.route"] == "skipped:spectrum-cap"
+        assert oracle_lines(out) == {}
+
+    def test_dimension_cap_skips_every_block_check(self, monkeypatch):
+        monkeypatch.setenv("BETHE6V_DIM_CAP", "5")
+        code, out = run_cli(["solve", "--capital-n", "8", "--n", "2", "--c", "1.0"])
+        rep = parse_report(out)
+        assert code == 0
+        assert rep["checks.route"] == "skipped:dimension-cap"
+        assert "residual.transfer_eigenpair" not in rep
+
+    def test_trivial_psi_skips_every_block_check(self, monkeypatch):
+        import bethe6v.cli
+
+        full_prediction = bethe6v.cli.full_prediction
+        monkeypatch.setattr("bethe6v.cli.full_prediction", lambda *args: dataclasses.replace(
+            full_prediction(*args), psi_norm=0.0))
+        code, out = run_cli(["solve", "--capital-n", "8", "--n", "2", "--c", "1.0"])
+        rep = parse_report(out)
+        assert code == 3
+        assert rep["checks.route"] == "skipped:psi-trivial"
+        assert rep["verification.failures"] == "psi_trivial"
+
+    def test_off_level_prediction_is_not_certified(self, monkeypatch):
+        # 1e-7 off the top: the bracket around psi stays narrow, but widened to
+        # the prediction it exceeds the 1e-8 match tolerance
+        import bethe6v.cli
+
+        full_prediction = bethe6v.cli.full_prediction
+        monkeypatch.setattr("bethe6v.cli.full_prediction", lambda *args: dataclasses.replace(
+            (pred := full_prediction(*args)), lam=pred.lam * (1.0 + 1e-7)))
+        code, out = run_cli(["solve", "--capital-n", "8", "--n", "3", "--c", "1.2"])
+        rep = parse_report(out)
+        assert code == 3
+        assert rep["checks.route"] == "dense"
+        assert "transfer_spectrum_match" in rep["verification.failures"].split(",")
+
+    @pytest.mark.parametrize("bracket", [(math.nan, math.nan), (0.0, math.inf),
+                                         (-math.inf, 0.0), (math.nan, 0.0), (0.0, math.nan)])
+    def test_non_finite_bracket_never_certifies(self, monkeypatch, bracket):
+        import bethe6v.cli
+
+        check = bethe6v.cli.check_eigenpair
+
+        def broken(m, psi, value):
+            # the true top, with one end of its bracket replaced
+            residual, (lo, hi) = check(m, psi, value)
+            return residual, (lo if bracket[0] == 0.0 else bracket[0],
+                              hi if bracket[1] == 0.0 else bracket[1])
+
+        monkeypatch.setattr("bethe6v.cli.check_eigenpair", broken)
+        code, out = run_cli(["solve", "--capital-n", "8", "--n", "3", "--c", "1.2"])
+        assert code == 0
+        assert parse_report(out)["checks.route"] == "dense"
+
+    def test_rounding_level_negative_psi_takes_the_dense_route(self):
+        # at c = 1e30 (lambda = 1e180) psi has entries of -1e-16 after its
+        # phase, so no bracket exists; the overflow-safe norms still pass it
+        code, out = run_cli(["solve", "--capital-n", "6", "--n", "3", "--c", "1e30"])
+        rep = parse_report(out)
+        assert code == 0
+        assert rep["checks.route"] == "dense"
+        assert float(rep["residual.transfer_eigenpair"]) < 1e-9 * 1e180
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--capital-n", "6", "--n", "2", "--c", "1"],
+    ["partition", "--capital-n", "2", "--m", "2", "--c", "1", "--bruteforce"],
+    ["verify-identities", "--c", "1", "--grid", "2"],
+    ["spectrum", "--capital-n", "4", "--n", "1", "--c", "1"],
+    ["dump-matrix", "--capital-n", "4", "--n", "1", "--c", "1", "--out", "/dev/null"],
+])
+def test_every_report_closes_with_peak_rss(argv):
+    code, out = run_cli(argv)
+    assert code == 0
+    closing = out.splitlines()[-2:]
+    key, _, value = closing[0].partition(": ")
+    assert key == "timing.peak_rss_bytes" and int(value) > 0
+    assert closing[1].startswith("timing.seconds: ")
+
+
 class TestPartitionCommand:
     def test_bruteforce_check(self):
         code, out = run_cli(
@@ -244,7 +396,7 @@ class TestPartitionCommand:
         assert code == 0
         rep = parse_report(out)
         assert "partition.log_trace_power" in rep
-        assert "partition.bruteforce" not in rep
+        assert "partition.log_bruteforce" not in rep
 
     @pytest.mark.parametrize("N, M, c", [(4, 400, "1"), (6, 300, "1"), (8, 200, "3")])
     def test_long_and_heavy_tori_stay_finite(self, N, M, c):
@@ -255,8 +407,8 @@ class TestPartitionCommand:
 
     def test_discrepancy_gate(self, monkeypatch):
         # Z off by one part in 1e9 must fail the 1e-12 gate, and be reported as such
-        monkeypatch.setattr("bethe6v.cli.partition_function_bruteforce",
-                            lambda *args: partition_function_bruteforce(*args) * (1.0 + 1e-9))
+        monkeypatch.setattr("bethe6v.cli.log_polynomial",
+                            lambda *args: log_polynomial(*args) + 1e-9)
         code, out = run_cli(
             ["partition", "--capital-n", "3", "--m", "3", "--c", "1.5", "--bruteforce"]
         )
@@ -264,6 +416,17 @@ class TestPartitionCommand:
         rep = parse_report(out)
         assert float(rep["partition.relative_discrepancy"]) == pytest.approx(1e-9, rel=1e-4)
         assert rep["verification.passed"] == "false"
+
+    def test_bruteforce_past_the_double_range(self):
+        # Z = 16 + 2 c^4 overflows a double; its log and the trace's do not
+        code, out = run_cli(
+            ["partition", "--capital-n", "2", "--m", "2", "--c", "1e100", "--bruteforce"]
+        )
+        assert code == 0
+        rep = parse_report(out)
+        assert float(rep["partition.log_bruteforce"]) == pytest.approx(
+            math.log(2.0) + 400.0 * math.log(10.0), rel=1e-15)
+        assert rep["verification.passed"] == "true"
 
     def test_nan_discrepancy_fails_closed(self, capsys):
         # c^2 overflows to inf in the blocks: no trace, and no verdict on it
@@ -347,6 +510,7 @@ class TestSpectrumCommand:
         dim = int(rep["spectrum.dim"])
         assert dim == math.comb(6, 2)
         assert all(f"eigenvalue.{k}" in rep for k in range(dim))
+        assert not [k for k in rep if k.endswith("_defect")]
         header = matrix_path.read_text().splitlines()[0]
         assert header == "6 2 15 transfer"
         csv_lines = csv_path.read_text().splitlines()

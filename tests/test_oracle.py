@@ -12,7 +12,6 @@ from bethe6v import (
     build_transfer_block,
     check_eigenpair,
     dense_eigenvalues,
-    dense_spectrum,
     energy_prediction,
     enumerate_sector,
     ground_state_quantum_numbers,
@@ -32,39 +31,31 @@ def make_matrix(entries, kind="transfer"):
 class TestDenseSpectrum:
     def test_scalar_block(self):
         blk = build_transfer_block(3, 0, Anisotropy(1.1))
-        spec = dense_spectrum(blk)
-        assert spec.eigenvalues.tolist() == [2.0]
+        assert dense_eigenvalues(blk).tolist() == [2.0]
 
     def test_single_particle_closed_form(self):
         for c in (0.5, math.sqrt(2.0), 2.0):
             N = 7
             blk = build_transfer_block(N, 1, Anisotropy(c))
-            spec = dense_spectrum(blk)
+            eigenvalues = dense_eigenvalues(blk)
             expected = np.sort(np.array([2.0 - c * c] * (N - 1) + [2.0 + c * c * (N - 1)]))
-            assert np.allclose(spec.eigenvalues, expected, rtol=0, atol=1e-12)
+            assert np.allclose(eigenvalues, expected, rtol=0, atol=1e-12)
             # the degenerate level matches as a cluster of N-1 indices
-            hits = match_eigenvalue(2.0 - c * c, spec.eigenvalues, 1e-10)
+            hits = match_eigenvalue(2.0 - c * c, eigenvalues, 1e-10)
             assert len(hits) == N - 1
 
     def test_flip_symmetric_spectra(self):
         w = Anisotropy(1.7)
         for N in (5, 6):
             for n in range(N // 2 + 1):
-                lo = dense_spectrum(build_transfer_block(N, n, w)).eigenvalues
-                hi = dense_spectrum(build_transfer_block(N, N - n, w)).eigenvalues
+                lo = dense_eigenvalues(build_transfer_block(N, n, w))
+                hi = dense_eigenvalues(build_transfer_block(N, N - n, w))
                 assert np.max(np.abs(lo - hi)) < 1e-10 * max(1.0, np.max(np.abs(lo)))
-
-    def test_self_consistency_defects(self):
-        blk = build_transfer_block(8, 3, Anisotropy(0.8))
-        spec = dense_spectrum(blk)
-        assert spec.orthonormality_defect < 1e-10 * blk.dim
-        assert spec.reconstruction_defect < 1e-10
 
     def test_trace_consistency(self):
         blk = build_transfer_block(8, 4, Anisotropy(1.4))
-        spec = dense_spectrum(blk)
         trace = float(np.trace(blk.entries))
-        assert abs(np.sum(spec.eigenvalues) - trace) <= 1e-10 * abs(trace)
+        assert abs(np.sum(dense_eigenvalues(blk)) - trace) <= 1e-10 * abs(trace)
 
     def test_power_trace_cross_check(self):
         # sum over blocks of sum(lambda^M) ties the oracle to the trace identity
@@ -72,16 +63,14 @@ class TestDenseSpectrum:
         w = Anisotropy(c)
         total = 0.0
         for n in range(N + 1):
-            spec = dense_spectrum(build_transfer_block(N, n, w))
-            total += float(np.sum(spec.eigenvalues ** M))
+            total += float(np.sum(dense_eigenvalues(build_transfer_block(N, n, w)) ** M))
         reference = math.exp(log_trace_power(N, M, w))
         assert abs(total - reference) <= 1e-9 * abs(reference)
 
     def test_rejects_asymmetric(self):
         bad = make_matrix([[1.0, 2.0], [2.0 + 1e-9, 1.0]])
-        for route in (dense_spectrum, dense_eigenvalues):
-            with pytest.raises(ValueError):
-                route(bad)
+        with pytest.raises(ValueError):
+            dense_eigenvalues(bad)
 
     @pytest.mark.parametrize("entry, value", [((0, 1), math.nan), ((0, 0), math.inf),
                                               ((2, 3), -math.inf)])
@@ -90,15 +79,12 @@ class TestDenseSpectrum:
         entries = blk.entries.copy()
         entries[entry] = value
         bad = make_matrix(entries)
-        for route in (dense_spectrum, dense_eigenvalues):
-            with pytest.raises(DomainError, match="overflow"):
-                route(bad)
+        with pytest.raises(DomainError, match="overflow"):
+            dense_eigenvalues(bad)
 
     def test_dimension_cap(self, monkeypatch):
         blk = build_transfer_block(8, 4, Anisotropy(1.0))
         monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "10")
-        with pytest.raises(CapExceededError):
-            dense_spectrum(blk)
         with pytest.raises(CapExceededError):
             dense_eigenvalues(blk)
 
@@ -112,7 +98,7 @@ class TestDenseEigenvalues:
     def test_matches_full_decomposition(self):
         for N, n, c in self.BLOCKS:
             blk = build_transfer_block(N, n, Anisotropy(c))
-            full = dense_spectrum(blk).eigenvalues
+            full = np.linalg.eigh(blk.entries)[0]  # with eigenvectors
             vals = dense_eigenvalues(blk)
             scale = max(1.0, float(np.max(np.abs(full))))
             assert np.max(np.abs(vals - full)) <= 1e-13 * scale, (N, n, c)
@@ -122,19 +108,24 @@ class TestCheckEigenpair:
     def test_exact_diagonal_pair(self):
         m = make_matrix(np.diag([1.0, 3.0, 7.0]))
         v = np.array([0.0, 1.0, 0.0])
-        assert check_eigenpair(m, v, 3.0) < 1e-15
+        residual, bracket = check_eigenpair(m, v, 3.0)
+        assert residual < 1e-15
+        assert bracket is None  # x is not strictly positive
 
     def test_row_sum_eigenvector(self):
         c, N = 1.6, 6
         blk = build_transfer_block(N, 1, Anisotropy(c))
         ones = np.ones(N)
-        assert check_eigenpair(blk, ones, 2.0 + c * c * (N - 1)) < 1e-12
+        top = 2.0 + c * c * (N - 1)
+        residual, (lo, hi) = check_eigenpair(blk, ones, top)
+        assert residual < 1e-12
+        assert lo == pytest.approx(top, rel=1e-15) and hi == pytest.approx(top, rel=1e-15)
 
     def test_random_vector_is_far(self):
         blk = build_transfer_block(6, 2, Anisotropy(1.0))
         rng = np.random.default_rng(0)
         v = rng.standard_normal(blk.dim)
-        assert check_eigenpair(blk, v, 1.234) > 1e-3
+        assert check_eigenpair(blk, v, 1.234)[0] > 1e-3
 
     def test_zero_vector_rejected(self):
         m = make_matrix(np.eye(2))
@@ -145,6 +136,61 @@ class TestCheckEigenpair:
         m = make_matrix(np.eye(2))
         with pytest.raises(ValueError):
             check_eigenpair(m, np.ones(3), 1.0)
+
+    def test_residual_bit_identical_to_plain_norm(self):
+        blk = build_transfer_block(8, 3, Anisotropy(1.3))
+        psi = np.exp(0.3j) * np.linspace(1.0, 2.0, blk.dim)
+        A = blk.entries
+        plain = float(np.linalg.norm(A @ psi.real + 1j * (A @ psi.imag) - 5.0 * psi)
+                      / np.linalg.norm(psi))
+        assert check_eigenpair(blk, psi, 5.0)[0] == plain
+
+    def test_residual_has_no_overflowing_square(self):
+        # every square of these entries overflows a double
+        m = make_matrix(np.diag([1e200, 2e200]))
+        residual, _ = check_eigenpair(m, np.array([1.0, 1.0]), 1e200)
+        assert residual == pytest.approx(1e200 / math.sqrt(2.0), rel=1e-15)
+
+
+class TestCollatzWielandtBracket:
+    """check_eigenpair's bracket holds the top eigenvalue for any positive x."""
+
+    @pytest.mark.parametrize("kind", ["transfer", "hamiltonian"])
+    def test_positive_vectors_bracket_the_top(self, kind):
+        a = Anisotropy(1.3)
+        blk = (build_transfer_block(8, 3, a) if kind == "transfer"
+               else build_hamiltonian_block(8, 3, a.delta))
+        top = dense_eigenvalues(blk)[-1]
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            x = rng.uniform(0.5, 2.0, blk.dim)
+            _, (lo, hi) = check_eigenpair(blk, x, top)
+            assert lo <= top <= hi
+
+    @pytest.mark.parametrize("phase", [0.0, 0.7, math.pi, -2.0])
+    def test_global_phase_is_removed(self, phase):
+        blk = build_transfer_block(8, 3, Anisotropy(0.8))
+        values, vectors = np.linalg.eigh(blk.entries)
+        ground = np.abs(vectors[:, -1])
+        _, (lo, hi) = check_eigenpair(blk, np.exp(1j * phase) * ground, values[-1])
+        assert lo <= hi
+        assert hi - lo <= 1e-12 * values[-1]
+        assert lo == pytest.approx(values[-1], rel=1e-12)
+
+    def test_excited_eigenvector_has_no_bracket(self):
+        # (Ax)_i / x_i = lambda for every eigenvector, so only positivity
+        # makes the bracket a bound on the top level
+        blk = build_transfer_block(8, 3, Anisotropy(0.8))
+        values, vectors = np.linalg.eigh(blk.entries)
+        residual, bracket = check_eigenpair(blk, vectors[:, -2], values[-2])
+        assert residual < 1e-12
+        assert bracket is None
+
+    def test_vector_with_a_zero_entry_has_no_bracket(self):
+        blk = build_transfer_block(6, 2, Anisotropy(1.0))
+        x = np.ones(blk.dim)
+        x[3] = 0.0
+        assert check_eigenpair(blk, x, 1.0)[1] is None
 
 
 class TestMatchEigenvalue:
@@ -164,7 +210,7 @@ class TestMatchEigenvalue:
         energy = energy_prediction(momenta, 12, a.delta)
         block = build_hamiltonian_block(12, 6, a.delta)
         by_values = match_eigenvalue(energy, dense_eigenvalues(block), 1e-8)
-        by_pairs = match_eigenvalue(energy, dense_spectrum(block).eigenvalues, 1e-8)
+        by_pairs = match_eigenvalue(energy, np.linalg.eigh(block.entries)[0], 1e-8)
         assert by_values == by_pairs == [922, 923]
 
     def test_relative_tolerance_for_large_values(self):

@@ -22,7 +22,13 @@ def run_script(name, *args):
 def test_ground_state_scan():
     proc = run_script("ground_state_scan.py", "--ring-sizes", "4,6", "--c-values", "1.0")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    lines = proc.stdout.splitlines()
+    assert lines[0].split()[-2:] == ["CW", "width"]
+    rows = lines[2:lines.index("")]
+    assert len(rows) == 5  # n = 1, 2 at N = 4 and n = 1..3 at N = 6
+    for row in rows:
+        # every ground state is certified: its bracket is within solve's 1e-8
+        assert float(row.split()[-1]) <= 1e-8, row
 
 
 def test_partition_scan():

@@ -7,15 +7,15 @@ from bethe6v import (
     Anisotropy,
     CapExceededError,
     build_transfer_block,
-    build_transfer_block_by_configuration,
     enumerate_row_completions,
+    log_polynomial,
     log_trace_power,
     matrix_text,
     partition_function_bruteforce,
     write_matrix,
 )
 
-from helpers import raw_torus_partition, spins
+from helpers import build_transfer_block_by_configuration, raw_torus_partition, spins
 
 
 class TestTransferBlock:
@@ -93,33 +93,52 @@ class TestConfigurationOracle:
 
 class TestPartitionFunction:
     def test_smallest_torus_against_raw_enumeration(self):
+        counts = partition_function_bruteforce(2, 2)
+        assert counts == [16, 0, 0, 0, 2]  # Z = 16 + 2 c^4
         for c in (0.5, 1.0, 1.5):
             w = Anisotropy(c)
-            z = partition_function_bruteforce(2, 2, w)
-            assert z == pytest.approx(raw_torus_partition(2, 2, c), rel=1e-14)
-            assert z == pytest.approx(16.0 + 2.0 * c ** 4, rel=1e-14)
-            assert math.log(z) == pytest.approx(log_trace_power(2, 2, w), rel=1e-13)
+            log_z = log_polynomial(counts, c)
+            assert math.exp(log_z) == pytest.approx(raw_torus_partition(2, 2, c), rel=1e-14)
+            assert log_z == pytest.approx(log_trace_power(2, 2, w), rel=1e-13)
 
     def test_matches_trace_power(self):
         for (N, M) in ((2, 3), (3, 2), (3, 3)):
             w = Anisotropy(1.25)
-            z = partition_function_bruteforce(N, M, w)
-            assert abs(math.expm1(math.log(z) - log_trace_power(N, M, w))) <= 1e-12
+            log_z = log_polynomial(partition_function_bruteforce(N, M), 1.25)
+            assert abs(math.expm1(log_z - log_trace_power(N, M, w))) <= 1e-12
 
     def test_polarized_lower_bound(self):
-        # the two fully polarized configurations alone contribute weight 2
-        assert partition_function_bruteforce(3, 2, Anisotropy(0.1)) >= 2.0
+        # the two fully polarized configurations have no c-vertex
+        assert partition_function_bruteforce(3, 2)[0] >= 2
+
+    def test_counts_every_configuration(self):
+        # at c = 1 every ice-rule configuration weighs 1
+        assert sum(partition_function_bruteforce(3, 2)) == raw_torus_partition(3, 2, 1.0)
 
     def test_rejects_degenerate_torus(self):
-        w = Anisotropy(1.0)
         with pytest.raises(ValueError):
-            partition_function_bruteforce(1, 3, w)
+            partition_function_bruteforce(1, 3)
         with pytest.raises(ValueError):
-            partition_function_bruteforce(3, 1, w)
+            partition_function_bruteforce(3, 1)
 
     def test_enumeration_cap(self):
         with pytest.raises(CapExceededError):
-            partition_function_bruteforce(4, 4, Anisotropy(1.0))
+            partition_function_bruteforce(4, 4)
+
+
+class TestLogPolynomial:
+    def test_small_values(self):
+        assert log_polynomial([1, 2], 3.0) == pytest.approx(math.log(7.0), rel=1e-15)
+        assert log_polynomial([0, 0, 5], 0.5) == pytest.approx(math.log(1.25), rel=1e-15)
+
+    def test_terms_past_the_double_range(self):
+        # 16 + 2 c^4 at c = 1e100: c^4 alone overflows a double
+        value = log_polynomial([16, 0, 0, 0, 2], 1e100)
+        assert value == pytest.approx(math.log(2.0) + 400.0 * math.log(10.0), rel=1e-15)
+
+    def test_counts_past_the_double_range(self):
+        assert log_polynomial([10**400], 1.0) == pytest.approx(400 * math.log(10.0),
+                                                             rel=1e-15)
 
 
 class TestTracePower:

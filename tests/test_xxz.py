@@ -13,7 +13,6 @@ from bethe6v import (
     build_hamiltonian_block,
     build_transfer_block,
     check_eigenpair,
-    commutator_norm,
     commutator_probe,
     energy_prediction,
     enumerate_sector,
@@ -21,6 +20,8 @@ from bethe6v import (
     ground_state_quantum_numbers,
     solve,
 )
+
+from helpers import commutator_norm
 
 
 def full_space_hamiltonian(N, delta):
@@ -135,7 +136,8 @@ class TestEnergyPrediction:
         sector = enumerate_sector(N, n)
         pred = full_prediction(sector, AmplitudeEvaluator(report.momenta))
         blk = build_hamiltonian_block(N, n, a.delta)
-        assert check_eigenpair(blk, pred.psi, pred.energy) < 1e-9
+        residual, _ = check_eigenpair(blk, pred.psi, pred.energy)
+        assert residual < 1e-9
 
 
 # the production probe and its dense-product oracle, each with the floor a
@@ -190,6 +192,17 @@ class TestCommutation:
         assert commutator_probe(v, h) == value
         scaled = dataclasses.replace(v, entries=1e6 * v.entries)
         assert commutator_probe(scaled, h) == pytest.approx(value, rel=1e-12)
+        # past 1e154 the Frobenius squares would overflow; power-of-two scaling is exact
+        huge = dataclasses.replace(v, entries=2.0**600 * v.entries)
+        assert commutator_probe(huge, h) == value
+
+    def test_probe_past_the_double_range_in_row_chunks(self):
+        # the 924 rows of (12, 6) span four row chunks of the rescued norm
+        a = Anisotropy(1.3)
+        v = build_transfer_block(12, 6, a)
+        h = build_hamiltonian_block(12, 6, a.delta)
+        huge = dataclasses.replace(v, entries=2.0**600 * v.entries)
+        assert commutator_probe(huge, h) == pytest.approx(commutator_probe(v, h), rel=1e-12)
 
     def test_sector_mismatch_rejected(self):
         v = build_transfer_block(6, 2, Anisotropy(1.0))
