@@ -33,8 +33,8 @@ def scan_case(N, n, c):
         return dict(N=N, n=n, c=c, converged=False)
     sector = enumerate_sector(N, n)
     pred = full_prediction(sector, AmplitudeEvaluator(report.momenta))
-    v_block = build_transfer_block(N, n, a, sector=sector)
-    h_block = build_hamiltonian_block(N, n, a.delta, sector=sector)
+    v_block = build_transfer_block(sector, a)
+    h_block = build_hamiltonian_block(sector, a.delta)
     spectrum = dense_eigenvalues(v_block)
     v_res, bracket = check_eigenpair(v_block, pred.psi, pred.lam)
     h_res, _ = check_eigenpair(h_block, pred.psi, pred.energy)

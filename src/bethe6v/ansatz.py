@@ -24,7 +24,6 @@ MomentumSet, never by catching the singular-factor error.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass
 
@@ -42,6 +41,7 @@ from .functions import (
     theta,
     theta_partial_1,
 )
+from .xxz import energy_prediction
 
 __all__ = [
     "AmplitudeEvaluator",
@@ -63,8 +63,8 @@ class SpectralPrediction:
     """Coefficients over a sector basis plus the predicted eigenvalues."""
 
     psi: np.ndarray
-    lam: complex | None
-    energy: float | None
+    lam: complex
+    energy: float
     psi_norm: float
     singular: bool
 
@@ -153,20 +153,12 @@ def _subset_sum(ev: AmplitudeEvaluator, X: np.ndarray, zpow: np.ndarray) -> np.n
     return layer[(1 << n) - 1]
 
 
-def build_psi(sector: SectorIndex, ev: AmplitudeEvaluator) -> SpectralPrediction:
+def build_psi(sector: SectorIndex, ev: AmplitudeEvaluator) -> np.ndarray:
     """Coefficient vector over the whole sector, in the canonical basis order."""
     if sector.n != ev.n:
         raise SectorMismatchError("sector particle number differs from momentum count")
     zpow = ev.z[:, None] ** np.arange(sector.N + 1)[None, :]
-    coeffs = _subset_sum(ev, sector.positions, zpow)
-    norm = float(np.linalg.norm(coeffs))
-    return SpectralPrediction(
-        psi=coeffs,
-        lam=None,
-        energy=None,
-        psi_norm=norm,
-        singular=ev.momenta.zero_index is not None,
-    )
+    return _subset_sum(ev, sector.positions, zpow)
 
 
 def eigenvalue_regular(m: MomentumSet) -> complex:
@@ -283,10 +275,7 @@ def identity_suite(m: MomentumSet, ring_size: int, samples: int = 20) -> Identit
 
 def full_prediction(sector: SectorIndex, ev: AmplitudeEvaluator) -> SpectralPrediction:
     """psi plus both predicted eigenvalues (transfer and spin chain)."""
-    from .xxz import energy_prediction
-
-    base = build_psi(sector, ev)
+    psi = build_psi(sector, ev)
     lam, singular = transfer_eigenvalue(ev.momenta, sector.N)
     energy = energy_prediction(ev.momenta, sector.N, ev.momenta.anisotropy.delta)
-    assert singular == base.singular
-    return dataclasses.replace(base, lam=lam, energy=energy)
+    return SpectralPrediction(psi, lam, energy, float(np.linalg.norm(psi)), singular)

@@ -17,8 +17,6 @@ from math import comb
 
 import numpy as np
 
-from .errors import SectorMismatchError
-
 __all__ = ["SectorIndex", "enumerate_sector"]
 
 
@@ -82,14 +80,3 @@ def enumerate_sector(N: int, n: int) -> SectorIndex:
     if n < 0 or n > N:
         raise ValueError(f"particle count {n} outside 0..{N}")
     return SectorIndex(N, n)
-
-
-def checked_sector(N: int, n: int, sector: SectorIndex | None = None) -> SectorIndex:
-    """The given sector after checking that it is (N, n), else a fresh enumeration."""
-    if sector is None:
-        return enumerate_sector(N, n)
-    if (sector.N, sector.n) != (N, n):
-        raise SectorMismatchError(
-            f"sector ({sector.N},{sector.n}) given for a ({N},{n}) block"
-        )
-    return sector

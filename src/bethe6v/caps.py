@@ -35,8 +35,14 @@ def perm_cap():
     return _from_env("BETHE6V_PERM_CAP", PERM_CAP)
 
 
-def check_dim(dim: int) -> None:
-    """Refuse a dense sector block with more rows than the dense cap."""
+def check_dim(dim: int, spectrum: bool = False) -> None:
+    """Refuse a dense sector block with more rows than the dense cap.
+
+    With ``spectrum``, also refuse a dense spectrum above the spectrum cap.
+    Callers that know C(N, n) check it before they enumerate the sector.
+    """
     cap = dim_cap()
     if dim > cap:
         raise CapExceededError(f"sector dimension {dim} exceeds dense cap {cap}")
+    if spectrum and dim > (cap := spectrum_cap()):
+        raise CapExceededError(f"dimension {dim} exceeds spectrum cap {cap}")

@@ -16,8 +16,8 @@ Reports are emitted as "key: value" lines; every float carries 17
 significant digits.  Identical flags reproduce byte-identical reports apart
 from the timing lines.  Exit codes: 0 success, 1 invalid usage, 2 solver
 non-convergence (a root on the edge of the open momentum domain included), a
-resource cap or a numeric-range limit (``DomainError``, ``LinAlgError``), 3
-verification failure.
+resource cap, exhausted memory or a numeric-range limit (``DomainError``,
+``LinAlgError``), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -209,9 +209,10 @@ def _cmd_solve(args) -> tuple[Report, int]:
 
     failures: list[str] = []
     m = report.momenta
+    ev = AmplitudeEvaluator(m)  # checks the subset-sum cap before the sector exists
     sector = enumerate_sector(N, n)
     with rep.stage("psi"):
-        prediction = full_prediction(sector, AmplitudeEvaluator(m))
+        prediction = full_prediction(sector, ev)
     lam, energy = prediction.lam, prediction.energy
     rep.add("prediction.singular", prediction.singular)
     rep.add("prediction.lambda.re", float(lam.real))
@@ -237,9 +238,9 @@ def _cmd_solve(args) -> tuple[Report, int]:
         rep.add("checks.route", "skipped:psi-trivial")
     else:
         with rep.stage("v"):
-            v_block = build_transfer_block(N, n, a, sector=sector)
+            v_block = build_transfer_block(sector, a)
         with rep.stage("h"):
-            h_block = build_hamiltonian_block(N, n, a.delta, sector=sector)
+            h_block = build_hamiltonian_block(sector, a.delta)
         with rep.stage("residuals"):
             rv, v_bracket = check_eigenpair(v_block, prediction.psi, lam)
             rh, h_bracket = check_eigenpair(h_block, prediction.psi, energy)
@@ -328,15 +329,20 @@ def _cmd_verify_identities(args) -> tuple[Report, int]:
 
 
 def _sector_block(args, command: str):
-    """Validate the sector flags, open the report and build the requested block."""
+    """Validate the sector flags, open the report and build the requested block.
+
+    The caps are checked on C(N, n) before the sector is enumerated.
+    """
     a = Anisotropy(args.c)
     if args.n < 0 or args.n > args.N:
         raise ValueError("need 0 <= n <= N")
+    caps.check_dim(math.comb(args.N, args.n), spectrum=command == "spectrum")
     rep = Report(command)
+    sector = enumerate_sector(args.N, args.n)
     if args.kind == "transfer":
-        block = build_transfer_block(args.N, args.n, a)
+        block = build_transfer_block(sector, a)
     else:
-        block = build_hamiltonian_block(args.N, args.n, a.delta)
+        block = build_hamiltonian_block(sector, a.delta)
     rep.add("param.N", args.N)
     rep.add("param.n", args.n)
     rep.add("param.c", args.c)
@@ -432,6 +438,9 @@ def main(argv=None) -> int:
     except (CapExceededError, DomainError, np.linalg.LinAlgError) as exc:
         # a resource cap, or a value outside the numeric range of the routes
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:  # numpy's names the allocation; a bare one has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:  # bad input and degenerate-momentum errors
         print(f"error: {exc}", file=sys.stderr)

@@ -64,10 +64,6 @@ class Anisotropy:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "domain_halfwidth", math.pi - mu)
 
-    def contains(self, p) -> bool:
-        """Strict membership of momenta in the open interval D."""
-        return bool(np.all(np.abs(p) < self.domain_halfwidth))
-
 
 @dataclass(frozen=True)
 class MomentumSet:

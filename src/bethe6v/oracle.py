@@ -16,8 +16,7 @@ import random
 import numpy as np
 
 from . import caps
-from .basis import checked_sector
-from .errors import CapExceededError, DomainError
+from .errors import DomainError, SectorMismatchError
 from .transfer import SectorMatrix
 
 __all__ = [
@@ -52,9 +51,7 @@ def _norm(a: np.ndarray) -> float:
 
 def dense_eigenvalues(m: SectorMatrix) -> np.ndarray:
     """Ascending spectrum of a symmetric block, once its size, finiteness and symmetry pass."""
-    cap = caps.spectrum_cap()
-    if m.dim > cap:
-        raise CapExceededError(f"dimension {m.dim} exceeds spectrum cap {cap}")
+    caps.check_dim(m.dim, spectrum=True)
     A = m.entries
     if not np.all(np.isfinite(A)):
         raise DomainError("block entries overflow to inf or NaN; no dense spectrum")
@@ -110,7 +107,8 @@ def commutator_probe(v: SectorMatrix, h: SectorMatrix) -> float:
     seed 0 (importing numpy.random alone costs 6.5 MB of memory).  Frobenius
     norms make the value scale-free with no dim^2 temporary.
     """
-    checked_sector(v.N, v.n, h.basis)
+    if (v.N, v.n) != (h.N, h.n):
+        raise SectorMismatchError(f"blocks of sectors ({v.N},{v.n}) and ({h.N},{h.n})")
     V, H = v.entries, h.entries
     x = np.frombuffer(random.Random(0).randbytes(8 * v.dim), np.uint64) / 2.0**64 - 0.5
     defect = _norm(V @ (H @ x) - H @ (V @ x))

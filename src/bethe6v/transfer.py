@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import caps
-from .basis import SectorIndex, checked_sector, enumerate_sector
+from .basis import SectorIndex, enumerate_sector
 from .errors import CapExceededError, DomainError
 from .functions import Anisotropy
 
@@ -81,8 +81,7 @@ def _prefix_xor(words: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_transfer_block(N: int, n: int, a: Anisotropy,
-                         sector: SectorIndex | None = None) -> SectorMatrix:
+def build_transfer_block(sector: SectorIndex, a: Anisotropy) -> SectorMatrix:
     """Sector block of the transfer matrix from the closed-form entry rule.
 
     Pairs are tested on the sector's occupation bitmasks (``sector.masks``,
@@ -92,15 +91,13 @@ def build_transfer_block(N: int, n: int, a: Anisotropy,
     mx & d == d & prefix_xor(d); the other order is the same test for y.
     prefix_xor is linear, so prefix_xor(d) = Px ^ Py from per-state tables.
     The entry c^popcount(d) is read from the repeated-squaring table of
-    powers of c^2, as the configuration route's weights are.  A given
-    sector is reused instead of enumerated again.
+    powers of c^2, as the configuration route's weights are.
     """
-    sector = checked_sector(N, n, sector)
     dim = sector.dim
     caps.check_dim(dim)
 
     c2 = a.c * a.c
-    cpow = np.array([_int_power(c2, k) for k in range(n + 1)])
+    cpow = np.array([_int_power(c2, k) for k in range(sector.n + 1)])
 
     masks = sector.masks
     prefix = _prefix_xor(masks)
@@ -258,7 +255,7 @@ def log_trace_power(N: int, M: int, a: Anisotropy) -> float:
     """
     if N < 1 or M < 1:
         raise ValueError("need N >= 1 and M >= 1")
-    return _log_sum_exp([_log_trace(build_transfer_block(N, n, a).entries, M)
+    return _log_sum_exp([_log_trace(build_transfer_block(enumerate_sector(N, n), a).entries, M)
                          for n in range(N + 1)])
 
 

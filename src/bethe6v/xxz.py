@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import caps
-from .basis import SectorIndex, checked_sector
+from .basis import SectorIndex
 from .functions import MomentumSet
 from .transfer import SectorMatrix
 
@@ -22,16 +22,11 @@ __all__ = [
 ]
 
 
-def build_hamiltonian_block(N: int, n: int, delta: float,
-                            sector: SectorIndex | None = None) -> SectorMatrix:
-    """Sector block of the spin-chain Hamiltonian (exchange conserves n).
-
-    A given sector is reused instead of enumerated again.
-    """
+def build_hamiltonian_block(sector: SectorIndex, delta: float) -> SectorMatrix:
+    """Sector block of the spin-chain Hamiltonian (exchange conserves n)."""
+    N, dim = sector.N, sector.dim
     if N < 2:
         raise ValueError("chain needs N >= 2")
-    sector = checked_sector(N, n, sector)
-    dim = sector.dim
     caps.check_dim(dim)
     half_delta = 0.5 * float(delta)
     X, occupied = sector.positions, sector.occupied

@@ -15,8 +15,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 
-from bethe6v import SectorMatrix, caps, enumerate_row_completions, enumerate_sector
-from bethe6v.basis import checked_sector
+from bethe6v import SectorMatrix, SectorMismatchError, caps, enumerate_row_completions
 from bethe6v.cli import main
 
 
@@ -128,12 +127,11 @@ def two_kernel_theta_partial_1(x, y, a):
     return -1.0 + np.exp(-1j * x) / s_xy + np.exp(1j * x) / s_yx
 
 
-def build_transfer_block_by_configuration(N, n, a):
+def build_transfer_block_by_configuration(sector, a):
     """V's sector block rebuilt entry by entry from ``enumerate_row_completions``.
 
     The +-1 spin patterns are read off the sector's occupancy table.
     """
-    sector = enumerate_sector(N, n)
     dim = sector.dim
     caps.check_dim(dim)
     spins = np.where(sector.occupied, 1, -1)
@@ -146,5 +144,6 @@ def build_transfer_block_by_configuration(N, n, a):
 
 def commutator_norm(v, h):
     """Max absolute entry of VH - HV from two dense products (the probe's oracle)."""
-    checked_sector(v.N, v.n, h.basis)
+    if (v.N, v.n) != (h.N, h.n):
+        raise SectorMismatchError(f"blocks of sectors ({v.N},{v.n}) and ({h.N},{h.n})")
     return float(np.max(np.abs(v.entries @ h.entries - h.entries @ v.entries)))

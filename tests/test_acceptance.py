@@ -76,7 +76,7 @@ def prediction(N, n, c):
 def transfer_verification(N, n, c):
     """Eigenpair residual and spectrum match, with the block built once."""
     pred = prediction(N, n, c)
-    block = build_transfer_block(N, n, Anisotropy(c))
+    block = build_transfer_block(enumerate_sector(N, n), Anisotropy(c))
     residual, _ = check_eigenpair(block, pred.psi, pred.lam)
     hits = match_eigenvalue(pred.lam.real, dense_eigenvalues(block), MATCH_TOL)
     return residual, len(hits), pred
@@ -125,7 +125,7 @@ def test_a2_xxz_eigenpairs():
     for N, n, c in sweep(parity=0):
         a = Anisotropy(c)
         pred = prediction(N, n, c)
-        block = build_hamiltonian_block(N, n, a.delta)
+        block = build_hamiltonian_block(enumerate_sector(N, n), a.delta)
         residual, _ = check_eigenpair(block, pred.psi, pred.energy)
         worst = max(worst, residual)
         if residual > EIGENPAIR_TOL:
@@ -165,18 +165,18 @@ def test_a4_commutation():
         a = Anisotropy(c)
         for N in range(2, 13):
             for n in range(N + 1):
-                norm = commutator_norm(
-                    build_transfer_block(N, n, a),
-                    build_hamiltonian_block(N, n, a.delta),
-                )
+                sector = enumerate_sector(N, n)
+                norm = commutator_norm(build_transfer_block(sector, a),
+                                       build_hamiltonian_block(sector, a.delta))
                 worst = max(worst, norm)
                 if norm > COMMUTATOR_TOL:
                     failures.append((N, n, c, norm))
     # negative control: wrong delta must produce a visibly nonzero commutator
     # (n = 1 blocks commute with any circulant, so the control probes n = 2)
+    sector = enumerate_sector(6, 2)
     control = commutator_norm(
-        build_transfer_block(6, 2, Anisotropy(1.0)),
-        build_hamiltonian_block(6, 2, Anisotropy(1.0).delta + 0.1),
+        build_transfer_block(sector, Anisotropy(1.0)),
+        build_hamiltonian_block(sector, Anisotropy(1.0).delta + 0.1),
     )
     if control < 1e-3:
         failures.append(("control", control))
@@ -213,8 +213,9 @@ def test_a6_configuration_oracle_equality():
         w = Anisotropy(c)
         for N in range(1, 9):
             for n in range(N + 1):
-                direct = build_transfer_block(N, n, w).entries
-                by_conf = build_transfer_block_by_configuration(N, n, w).entries
+                sector = enumerate_sector(N, n)
+                direct = build_transfer_block(sector, w).entries
+                by_conf = build_transfer_block_by_configuration(sector, w).entries
                 if not np.array_equal(direct, by_conf):
                     failures.append((N, n, c))
     emit("A6", not failures, "entry rule equals configuration enumeration, exactly")
@@ -257,9 +258,9 @@ def test_a9_degenerate_momenta_collapse():
         for c in (1.0, 2.0):
             m = MomentumSet.relaxed(values, Anisotropy(c))
             ev = AmplitudeEvaluator(m)
-            pred = build_psi(enumerate_sector(8, n), ev)
+            psi = build_psi(enumerate_sector(8, n), ev)
             bound = 1e-12 * math.factorial(n) * float(np.max(np.abs(ev.pair_factors)))
-            peak = float(np.max(np.abs(pred.psi)))
+            peak = float(np.max(np.abs(psi)))
             worst = max(worst, peak / bound)
             if peak > bound:
                 failures.append((n, c, peak, bound))
@@ -274,8 +275,8 @@ def test_a10_flip_symmetric_spectra():
         w = Anisotropy(c)
         for N in range(2, 13):
             for n in range(N // 2 + 1):
-                lo = dense_eigenvalues(build_transfer_block(N, n, w))
-                hi = dense_eigenvalues(build_transfer_block(N, N - n, w))
+                lo = dense_eigenvalues(build_transfer_block(enumerate_sector(N, n), w))
+                hi = dense_eigenvalues(build_transfer_block(enumerate_sector(N, N - n), w))
                 scale = max(1.0, float(np.max(np.abs(lo))))
                 gap = float(np.max(np.abs(lo - hi))) / scale
                 worst = max(worst, gap)

@@ -71,7 +71,7 @@ class TestAmplitudes:
                 for sigma in itertools.permutations(range(n)):
                     waves = np.prod(ev.z[list(sigma)] ** X, axis=1)
                     direct += amplitude(sigma, ev) * waves
-                fast = build_psi(sector, ev).psi
+                fast = build_psi(sector, ev)
                 scale = np.maximum(1.0, np.abs(direct))
                 assert np.all(np.abs(fast - direct) <= 1e-12 * scale), (c, n)
 
@@ -101,7 +101,7 @@ class TestPsiCoefficient:
                     for k in range(n) for l in range(k + 1, n)
                 )
                 sector = enumerate_sector(8, n)
-                psi = build_psi(sector, ev).psi
+                psi = build_psi(sector, ev)
                 for k in rng.choice(sector.dim, size=min(sector.dim, 12), replace=False):
                     pos = tuple(sector.positions[k].tolist())
                     ref = naive_psi_coefficient(pos, tuple(p), a.delta) / modulus
@@ -110,7 +110,7 @@ class TestPsiCoefficient:
     def test_single_plane_wave(self):
         ev = AmplitudeEvaluator(momentum_set((0.6,)))
         sector = enumerate_sector(8, 1)
-        psi = build_psi(sector, ev).psi
+        psi = build_psi(sector, ev)
         k = sector.ranks(np.array([[3]]))[0]
         assert psi[k] == pytest.approx(np.exp(1j * 0.6 * 3), rel=1e-14)
 
@@ -123,14 +123,14 @@ class TestPsiCoefficient:
 class TestBuildPsi:
     def test_zero_momentum_gives_all_ones(self):
         m = momentum_set((0.0,))
-        pred = build_psi(enumerate_sector(6, 1), AmplitudeEvaluator(m))
+        pred = full_prediction(enumerate_sector(6, 1), AmplitudeEvaluator(m))
         assert np.allclose(pred.psi, np.ones(6), rtol=0, atol=1e-15)
         assert pred.singular is True
 
     def test_fourier_mode(self):
         N = 8
         m = momentum_set((2.0 * math.pi / N,))
-        pred = build_psi(enumerate_sector(N, 1), AmplitudeEvaluator(m))
+        pred = full_prediction(enumerate_sector(N, 1), AmplitudeEvaluator(m))
         expected = np.exp(1j * 2.0 * math.pi / N * np.arange(1, N + 1))
         assert np.allclose(pred.psi, expected, rtol=1e-14, atol=0)
         assert pred.psi_norm == pytest.approx(math.sqrt(N), rel=1e-14)
@@ -143,9 +143,9 @@ class TestBuildPsi:
             values = (0.4, 0.4) if n == 2 else (0.5, 0.5, -0.3)
             m = MomentumSet.relaxed(values, a)
             ev = AmplitudeEvaluator(m)
-            pred = build_psi(enumerate_sector(8, n), ev)
+            psi = build_psi(enumerate_sector(8, n), ev)
             scale = math.factorial(n) * float(np.max(np.abs(ev.pair_factors)))
-            assert np.max(np.abs(pred.psi)) <= 1e-12 * scale
+            assert np.max(np.abs(psi)) <= 1e-12 * scale
 
 
 class TestEigenvalues:
@@ -227,7 +227,7 @@ class TestFullPrediction:
         rep = solve(N, ground_state_quantum_numbers(n), a)
         sector = enumerate_sector(N, n)
         pred = full_prediction(sector, AmplitudeEvaluator(rep.momenta))
-        blk = build_transfer_block(N, n, a)
+        blk = build_transfer_block(sector, a)
         residual, _ = check_eigenpair(blk, pred.psi, pred.lam)
         assert residual < 1e-9
         assert abs(pred.lam.imag) < 1e-9

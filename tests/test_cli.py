@@ -19,6 +19,15 @@ def strip_timing(text):
     )
 
 
+def refuse_sectors(monkeypatch):
+    """Fail the test if the CLI enumerates a sector or builds a block."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sector allocated")
+
+    for name in ("enumerate_sector", "build_transfer_block", "build_hamiltonian_block"):
+        monkeypatch.setattr(f"bethe6v.cli.{name}", refuse)
+
+
 class TestSolveCommand:
     def test_regular_case(self):
         code, out = run_cli(["solve", "--capital-n", "8", "--n", "2", "--c", "1.0"])
@@ -131,6 +140,28 @@ class TestSolveCommand:
         assert code == 0
         assert parse_report(out)["checks.route"] == "certified"
         assert calls == [(8, 3)]
+
+    def test_subset_sum_cap_checked_before_the_sector(self, monkeypatch, capsys):
+        # C(40, 20) states would take 20 TiB to enumerate
+        refuse_sectors(monkeypatch)
+        code, out = run_cli(["solve", "--capital-n", "40", "--n", "20", "--c", "1.0"])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == "error: 20 momenta exceed the subset-sum cap 9\n"
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 1.92 GiB for an array", "Unable to allocate 1.92 GiB for an array"),
+        ("", "out of memory"),  # the interpreter's own MemoryError carries no text
+    ], ids=["numpy", "bare"])
+    def test_memory_exhaustion_exits_2(self, monkeypatch, capsys, message, line):
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("bethe6v.cli.full_prediction", exhausted)
+        code, out = run_cli(["solve", "--capital-n", "8", "--n", "2", "--c", "1.0"])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == f"error: {line}\n"
 
     def test_nan_residual_fails_closed(self, monkeypatch):
         monkeypatch.setattr("bethe6v.cli.check_eigenpair", lambda *args: (math.nan, None))
@@ -348,6 +379,22 @@ class TestSpectralRoute:
         assert code == 0
         assert parse_report(out)["checks.route"] == "dense"
 
+    def test_certified_index_is_exact_where_dense_names_a_cluster(self, monkeypatch):
+        # (6, 3) at c = 50: H's top two levels, 3747.0024 and 3747.00240384,
+        # lie within MATCH_TOL.  The Perron root is simple, so the certificate
+        # names the top, 19; the dense match names the cluster [18, 19] by 18.
+        argv = ["solve", "--capital-n", "6", "--n", "3", "--c", "50"]
+        code, out = run_cli(argv)
+        assert code == 0
+        assert parse_report(out)["checks.route"] == "certified"
+        assert oracle_lines(out)["oracle.xxz_match_index"] == "19"
+        force_dense(monkeypatch)
+        code, out = run_cli(argv)
+        assert code == 0
+        assert parse_report(out)["checks.route"] == "dense"
+        assert oracle_lines(out)["oracle.xxz_match_count"] == "2"
+        assert oracle_lines(out)["oracle.xxz_match_index"] == "18"
+
     def test_rounding_level_negative_psi_takes_the_dense_route(self):
         # at c = 1e30 (lambda = 1e180) psi has entries of -1e-16 after its
         # phase, so no bracket exists; the overflow-safe norms still pass it
@@ -543,6 +590,24 @@ class TestDumpMatrixCommand:
         parsed = np.array([[float(v) for v in row.split()] for row in lines[1:]])
         assert parsed.shape == (10, 10)
         assert np.array_equal(parsed, parsed.T)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # C(16, 8) = 12870 rows fit the dense cap but not the spectrum cap
+    (["spectrum", "--capital-n", "16", "--n", "8"],
+     "dimension 12870 exceeds spectrum cap 4096"),
+    # C(40, 9) states would take 18 GiB to enumerate
+    (["spectrum", "--capital-n", "40", "--n", "9", "--kind", "hamiltonian"],
+     "sector dimension 273438880 exceeds dense cap 20000"),
+    (["dump-matrix", "--capital-n", "40", "--n", "9", "--out", "/dev/null"],
+     "sector dimension 273438880 exceeds dense cap 20000"),
+], ids=["spectrum-cap", "spectrum-dense-cap", "dump-matrix-dense-cap"])
+def test_caps_checked_before_the_sector(argv, message, monkeypatch, capsys):
+    refuse_sectors(monkeypatch)
+    code, out = run_cli(argv + ["--c", "1.0"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -51,11 +51,6 @@ class TestAnisotropy:
         with pytest.raises(ValueError):
             Anisotropy(-1.0)
 
-    def test_contains(self):
-        a = Anisotropy(1.0)
-        assert a.contains(0.0)
-        assert not a.contains(a.domain_halfwidth)
-
 
 class TestScatteringKernel:
     def test_at_origin(self):

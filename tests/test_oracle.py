@@ -30,13 +30,13 @@ def make_matrix(entries, kind="transfer"):
 
 class TestDenseSpectrum:
     def test_scalar_block(self):
-        blk = build_transfer_block(3, 0, Anisotropy(1.1))
+        blk = build_transfer_block(enumerate_sector(3, 0), Anisotropy(1.1))
         assert dense_eigenvalues(blk).tolist() == [2.0]
 
     def test_single_particle_closed_form(self):
         for c in (0.5, math.sqrt(2.0), 2.0):
             N = 7
-            blk = build_transfer_block(N, 1, Anisotropy(c))
+            blk = build_transfer_block(enumerate_sector(N, 1), Anisotropy(c))
             eigenvalues = dense_eigenvalues(blk)
             expected = np.sort(np.array([2.0 - c * c] * (N - 1) + [2.0 + c * c * (N - 1)]))
             assert np.allclose(eigenvalues, expected, rtol=0, atol=1e-12)
@@ -48,12 +48,12 @@ class TestDenseSpectrum:
         w = Anisotropy(1.7)
         for N in (5, 6):
             for n in range(N // 2 + 1):
-                lo = dense_eigenvalues(build_transfer_block(N, n, w))
-                hi = dense_eigenvalues(build_transfer_block(N, N - n, w))
+                lo = dense_eigenvalues(build_transfer_block(enumerate_sector(N, n), w))
+                hi = dense_eigenvalues(build_transfer_block(enumerate_sector(N, N - n), w))
                 assert np.max(np.abs(lo - hi)) < 1e-10 * max(1.0, np.max(np.abs(lo)))
 
     def test_trace_consistency(self):
-        blk = build_transfer_block(8, 4, Anisotropy(1.4))
+        blk = build_transfer_block(enumerate_sector(8, 4), Anisotropy(1.4))
         trace = float(np.trace(blk.entries))
         assert abs(np.sum(dense_eigenvalues(blk)) - trace) <= 1e-10 * abs(trace)
 
@@ -63,7 +63,8 @@ class TestDenseSpectrum:
         w = Anisotropy(c)
         total = 0.0
         for n in range(N + 1):
-            total += float(np.sum(dense_eigenvalues(build_transfer_block(N, n, w)) ** M))
+            blk = build_transfer_block(enumerate_sector(N, n), w)
+            total += float(np.sum(dense_eigenvalues(blk) ** M))
         reference = math.exp(log_trace_power(N, M, w))
         assert abs(total - reference) <= 1e-9 * abs(reference)
 
@@ -75,7 +76,7 @@ class TestDenseSpectrum:
     @pytest.mark.parametrize("entry, value", [((0, 1), math.nan), ((0, 0), math.inf),
                                               ((2, 3), -math.inf)])
     def test_rejects_non_finite_entries(self, entry, value):
-        blk = build_transfer_block(4, 2, Anisotropy(1.0))
+        blk = build_transfer_block(enumerate_sector(4, 2), Anisotropy(1.0))
         entries = blk.entries.copy()
         entries[entry] = value
         bad = make_matrix(entries)
@@ -83,7 +84,7 @@ class TestDenseSpectrum:
             dense_eigenvalues(bad)
 
     def test_dimension_cap(self, monkeypatch):
-        blk = build_transfer_block(8, 4, Anisotropy(1.0))
+        blk = build_transfer_block(enumerate_sector(8, 4), Anisotropy(1.0))
         monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "10")
         with pytest.raises(CapExceededError):
             dense_eigenvalues(blk)
@@ -97,7 +98,7 @@ class TestDenseEigenvalues:
 
     def test_matches_full_decomposition(self):
         for N, n, c in self.BLOCKS:
-            blk = build_transfer_block(N, n, Anisotropy(c))
+            blk = build_transfer_block(enumerate_sector(N, n), Anisotropy(c))
             full = np.linalg.eigh(blk.entries)[0]  # with eigenvectors
             vals = dense_eigenvalues(blk)
             scale = max(1.0, float(np.max(np.abs(full))))
@@ -114,7 +115,7 @@ class TestCheckEigenpair:
 
     def test_row_sum_eigenvector(self):
         c, N = 1.6, 6
-        blk = build_transfer_block(N, 1, Anisotropy(c))
+        blk = build_transfer_block(enumerate_sector(N, 1), Anisotropy(c))
         ones = np.ones(N)
         top = 2.0 + c * c * (N - 1)
         residual, (lo, hi) = check_eigenpair(blk, ones, top)
@@ -122,7 +123,7 @@ class TestCheckEigenpair:
         assert lo == pytest.approx(top, rel=1e-15) and hi == pytest.approx(top, rel=1e-15)
 
     def test_random_vector_is_far(self):
-        blk = build_transfer_block(6, 2, Anisotropy(1.0))
+        blk = build_transfer_block(enumerate_sector(6, 2), Anisotropy(1.0))
         rng = np.random.default_rng(0)
         v = rng.standard_normal(blk.dim)
         assert check_eigenpair(blk, v, 1.234)[0] > 1e-3
@@ -138,7 +139,7 @@ class TestCheckEigenpair:
             check_eigenpair(m, np.ones(3), 1.0)
 
     def test_residual_bit_identical_to_plain_norm(self):
-        blk = build_transfer_block(8, 3, Anisotropy(1.3))
+        blk = build_transfer_block(enumerate_sector(8, 3), Anisotropy(1.3))
         psi = np.exp(0.3j) * np.linspace(1.0, 2.0, blk.dim)
         A = blk.entries
         plain = float(np.linalg.norm(A @ psi.real + 1j * (A @ psi.imag) - 5.0 * psi)
@@ -157,9 +158,9 @@ class TestCollatzWielandtBracket:
 
     @pytest.mark.parametrize("kind", ["transfer", "hamiltonian"])
     def test_positive_vectors_bracket_the_top(self, kind):
-        a = Anisotropy(1.3)
-        blk = (build_transfer_block(8, 3, a) if kind == "transfer"
-               else build_hamiltonian_block(8, 3, a.delta))
+        a, sector = Anisotropy(1.3), enumerate_sector(8, 3)
+        blk = (build_transfer_block(sector, a) if kind == "transfer"
+               else build_hamiltonian_block(sector, a.delta))
         top = dense_eigenvalues(blk)[-1]
         rng = np.random.default_rng(1)
         for _ in range(5):
@@ -169,7 +170,7 @@ class TestCollatzWielandtBracket:
 
     @pytest.mark.parametrize("phase", [0.0, 0.7, math.pi, -2.0])
     def test_global_phase_is_removed(self, phase):
-        blk = build_transfer_block(8, 3, Anisotropy(0.8))
+        blk = build_transfer_block(enumerate_sector(8, 3), Anisotropy(0.8))
         values, vectors = np.linalg.eigh(blk.entries)
         ground = np.abs(vectors[:, -1])
         _, (lo, hi) = check_eigenpair(blk, np.exp(1j * phase) * ground, values[-1])
@@ -180,14 +181,14 @@ class TestCollatzWielandtBracket:
     def test_excited_eigenvector_has_no_bracket(self):
         # (Ax)_i / x_i = lambda for every eigenvector, so only positivity
         # makes the bracket a bound on the top level
-        blk = build_transfer_block(8, 3, Anisotropy(0.8))
+        blk = build_transfer_block(enumerate_sector(8, 3), Anisotropy(0.8))
         values, vectors = np.linalg.eigh(blk.entries)
         residual, bracket = check_eigenpair(blk, vectors[:, -2], values[-2])
         assert residual < 1e-12
         assert bracket is None
 
     def test_vector_with_a_zero_entry_has_no_bracket(self):
-        blk = build_transfer_block(6, 2, Anisotropy(1.0))
+        blk = build_transfer_block(enumerate_sector(6, 2), Anisotropy(1.0))
         x = np.ones(blk.dim)
         x[3] = 0.0
         assert check_eigenpair(blk, x, 1.0)[1] is None
@@ -208,7 +209,7 @@ class TestMatchEigenvalue:
         a = Anisotropy(50.0)
         momenta = solve(12, ground_state_quantum_numbers(6), a).momenta
         energy = energy_prediction(momenta, 12, a.delta)
-        block = build_hamiltonian_block(12, 6, a.delta)
+        block = build_hamiltonian_block(enumerate_sector(12, 6), a.delta)
         by_values = match_eigenvalue(energy, dense_eigenvalues(block), 1e-8)
         by_pairs = match_eigenvalue(energy, np.linalg.eigh(block.entries)[0], 1e-8)
         assert by_values == by_pairs == [922, 923]

@@ -8,6 +8,7 @@ from bethe6v import (
     CapExceededError,
     build_transfer_block,
     enumerate_row_completions,
+    enumerate_sector,
     log_polynomial,
     log_trace_power,
     matrix_text,
@@ -20,25 +21,26 @@ from helpers import build_transfer_block_by_configuration, raw_torus_partition, 
 
 class TestTransferBlock:
     def test_two_site_block(self):
-        blk = build_transfer_block(2, 1, Anisotropy(1.5))
+        blk = build_transfer_block(enumerate_sector(2, 1), Anisotropy(1.5))
         assert blk.entries.tolist() == [[2.0, 2.25], [2.25, 2.0]]
 
     def test_empty_sector_block(self):
-        blk = build_transfer_block(3, 0, Anisotropy(0.7))
+        blk = build_transfer_block(enumerate_sector(3, 0), Anisotropy(0.7))
         assert blk.entries.tolist() == [[2.0]]
 
     def test_single_particle_structure(self):
         # every pair of one-particle states is interlaced with mismatch 2
         c = 1.3
-        blk = build_transfer_block(4, 1, Anisotropy(c))
+        sector = enumerate_sector(4, 1)
+        blk = build_transfer_block(sector, Anisotropy(c))
         expected = (2.0 - c * c) * np.eye(4) + c * c * np.ones((4, 4))
         assert np.allclose(blk.entries, expected, rtol=0, atol=1e-15)
-        by_conf = build_transfer_block_by_configuration(4, 1, Anisotropy(c))
+        by_conf = build_transfer_block_by_configuration(sector, Anisotropy(c))
         assert np.array_equal(blk.entries, by_conf.entries)
 
     def test_symmetry_and_diagonal(self):
         for c in (0.5, math.sqrt(2.0), 2.0):
-            blk = build_transfer_block(6, 3, Anisotropy(c))
+            blk = build_transfer_block(enumerate_sector(6, 3), Anisotropy(c))
             assert np.array_equal(blk.entries, blk.entries.T)
             assert np.all(np.diag(blk.entries) == 2.0)
             assert np.all(blk.entries >= 0.0)
@@ -46,7 +48,7 @@ class TestTransferBlock:
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setenv("BETHE6V_DIM_CAP", "10")
         with pytest.raises(CapExceededError):
-            build_transfer_block(8, 4, Anisotropy(1.0))
+            build_transfer_block(enumerate_sector(8, 4), Anisotropy(1.0))
 
 
 class TestConfigurationOracle:
@@ -56,8 +58,9 @@ class TestConfigurationOracle:
             w = Anisotropy(c)
             for N in range(1, 8):
                 for n in range(N + 1):
-                    direct = build_transfer_block(N, n, w).entries
-                    by_conf = build_transfer_block_by_configuration(N, n, w).entries
+                    sector = enumerate_sector(N, n)
+                    direct = build_transfer_block(sector, w).entries
+                    by_conf = build_transfer_block_by_configuration(sector, w).entries
                     assert np.array_equal(direct, by_conf), (N, n, c)
 
     def test_multiword_ring_matches_pair_predicates(self):
@@ -66,7 +69,7 @@ class TestConfigurationOracle:
         # as the block's table of (c^2)^k, so the two agree exactly
         a = Anisotropy(1.3)
         for N in (70, 130):
-            blk = build_transfer_block(N, 2, a)
+            blk = build_transfer_block(enumerate_sector(N, 2), a)
             occupied = blk.basis.occupied
             rng = np.random.default_rng(3)
             for i, j in rng.integers(0, blk.dim, size=(3000, 2)):
@@ -159,14 +162,14 @@ class TestTracePower:
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 7, 8, 12])
     def test_matches_dense_powers(self, M):
         a = Anisotropy(1.3)
-        total = sum(np.trace(np.linalg.matrix_power(build_transfer_block(5, n, a).entries, M))
-                    for n in range(6))
+        blocks = [build_transfer_block(enumerate_sector(5, n), a).entries for n in range(6)]
+        total = sum(np.trace(np.linalg.matrix_power(block, M)) for block in blocks)
         assert log_trace_power(5, M, a) == pytest.approx(math.log(total), rel=1e-14)
 
 
 class TestMatrixDump:
     def test_header_and_round_trip(self, tmp_path):
-        blk = build_transfer_block(4, 2, Anisotropy(math.sqrt(2.0)))
+        blk = build_transfer_block(enumerate_sector(4, 2), Anisotropy(math.sqrt(2.0)))
         path = tmp_path / "block.txt"
         write_matrix(blk, path)
         lines = path.read_text().splitlines()
@@ -176,7 +179,7 @@ class TestMatrixDump:
         assert np.array_equal(parsed, blk.entries)
 
     def test_text_matches_writer(self, tmp_path):
-        blk = build_transfer_block(3, 1, Anisotropy(0.8))
+        blk = build_transfer_block(enumerate_sector(3, 1), Anisotropy(0.8))
         path = tmp_path / "b.txt"
         write_matrix(blk, path)
         assert path.read_text() == matrix_text(blk)

@@ -45,20 +45,20 @@ def full_space_hamiltonian(N, delta):
 class TestHamiltonianBlock:
     def test_two_site_block(self):
         delta = 0.35
-        blk = build_hamiltonian_block(2, 1, delta)
+        blk = build_hamiltonian_block(enumerate_sector(2, 1), delta)
         assert np.allclose(
             blk.entries, [[-delta, 2.0], [2.0, -delta]], rtol=0, atol=1e-16
         )
 
     def test_polarized_sector_diagonal(self):
         for N in (3, 5, 8):
-            blk = build_hamiltonian_block(N, 0, 0.7)
+            blk = build_hamiltonian_block(enumerate_sector(N, 0), 0.7)
             assert blk.entries.tolist() == [[pytest.approx(N * 0.7 / 2.0)]]
 
     def test_alternating_state_diagonal(self):
         delta = 0.9
         sector = enumerate_sector(4, 2)
-        blk = build_hamiltonian_block(4, 2, delta)
+        blk = build_hamiltonian_block(sector, delta)
         k = sector.ranks(np.array([[1, 3]]))[0]
         assert blk.entries[k, k] == pytest.approx(-2.0 * delta, rel=1e-15)
 
@@ -67,7 +67,7 @@ class TestHamiltonianBlock:
         delta = -0.6
         N, n = 7, 3
         sector = enumerate_sector(N, n)
-        blk = build_hamiltonian_block(N, n, delta)
+        blk = build_hamiltonian_block(sector, delta)
         for k in range(sector.dim):
             spins = np.where(sector.occupied[k], 1, -1)
             boundaries = int(np.sum(spins != np.roll(spins, -1)))
@@ -75,7 +75,7 @@ class TestHamiltonianBlock:
             assert blk.entries[k, k] == pytest.approx(expected, rel=1e-13, abs=1e-15)
 
     def test_symmetry(self):
-        blk = build_hamiltonian_block(8, 3, -1.2)
+        blk = build_hamiltonian_block(enumerate_sector(8, 3), -1.2)
         assert np.array_equal(blk.entries, blk.entries.T)
 
     def test_matches_full_space_projection(self):
@@ -86,7 +86,7 @@ class TestHamiltonianBlock:
                 rows = [states.index(tuple(np.where(occupied, 1, -1).tolist()))
                         for occupied in sector.occupied]
                 projected = H[np.ix_(rows, rows)]
-                blk = build_hamiltonian_block(N, n, delta)
+                blk = build_hamiltonian_block(sector, delta)
                 assert np.array_equal(projected, blk.entries), (N, n)
                 # exchange preserves particle number: no coupling leaves the sector
                 others = [r for r in range(2 ** N) if r not in rows]
@@ -96,18 +96,14 @@ class TestHamiltonianBlock:
         sector = enumerate_sector(8, 3)
         for build, arg in ((build_hamiltonian_block, 0.3),
                            (build_transfer_block, Anisotropy(1.3))):
-            fresh = build(8, 3, arg)
-            reused = build(8, 3, arg, sector=sector)
+            fresh = build(enumerate_sector(8, 3), arg)
+            reused = build(sector, arg)
             assert reused.basis is sector
             assert np.array_equal(reused.entries, fresh.entries)
-            with pytest.raises(SectorMismatchError):
-                build(8, 2, arg, sector=sector)
-            with pytest.raises(SectorMismatchError):
-                build(9, 3, arg, sector=sector)
 
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError):
-            build_hamiltonian_block(1, 0, 0.5)
+            build_hamiltonian_block(enumerate_sector(1, 0), 0.5)
 
 
 class TestEnergyPrediction:
@@ -135,7 +131,7 @@ class TestEnergyPrediction:
         report = solve(N, ground_state_quantum_numbers(n), a)
         sector = enumerate_sector(N, n)
         pred = full_prediction(sector, AmplitudeEvaluator(report.momenta))
-        blk = build_hamiltonian_block(N, n, a.delta)
+        blk = build_hamiltonian_block(sector, a.delta)
         residual, _ = check_eigenpair(blk, pred.psi, pred.energy)
         assert residual < 1e-9
 
@@ -151,15 +147,17 @@ class TestCommutation:
             a = Anisotropy(c)
             for N in (4, 6):
                 for n in range(N + 1):
-                    v = build_transfer_block(N, n, a)
-                    h = build_hamiltonian_block(N, n, a.delta)
+                    sector = enumerate_sector(N, n)
+                    v = build_transfer_block(sector, a)
+                    h = build_hamiltonian_block(sector, a.delta)
                     for route, _ in COMMUTATOR_ROUTES:
                         assert route(v, h) < 1e-12, (route.__name__, c, N, n)
 
     def test_scalar_sector_commutes_exactly(self):
-        v = build_transfer_block(5, 0, Anisotropy(1.3))
+        sector = enumerate_sector(5, 0)
+        v = build_transfer_block(sector, Anisotropy(1.3))
         for delta in (Anisotropy(1.3).delta, 0.0):  # delta = 0: H is the zero block
-            h = build_hamiltonian_block(5, 0, delta)
+            h = build_hamiltonian_block(sector, delta)
             for route, _ in COMMUTATOR_ROUTES:
                 assert route(v, h) == 0.0, (route.__name__, delta)
 
@@ -167,8 +165,9 @@ class TestCommutation:
         # n = 1 blocks commute with any circulant, so probe n >= 2
         a = Anisotropy(1.0)
         for (N, n) in ((4, 2), (6, 2), (6, 3)):
-            v = build_transfer_block(N, n, a)
-            h = build_hamiltonian_block(N, n, a.delta + 0.1)
+            sector = enumerate_sector(N, n)
+            v = build_transfer_block(sector, a)
+            h = build_hamiltonian_block(sector, a.delta + 0.1)
             for route, floor in COMMUTATOR_ROUTES:
                 assert route(v, h) >= floor, (route.__name__, N, n)
 
@@ -179,15 +178,17 @@ class TestCommutation:
             a = Anisotropy(c)
             for N in (5, 7, 8):
                 for n in range(N + 1):
-                    v = build_transfer_block(N, n, a)
+                    sector = enumerate_sector(N, n)
+                    v = build_transfer_block(sector, a)
                     for delta in (a.delta, a.delta + 0.1):
-                        h = build_hamiltonian_block(N, n, delta)
+                        h = build_hamiltonian_block(sector, delta)
                         probe, dense = commutator_probe(v, h), commutator_norm(v, h)
                         assert (probe <= 1e-12) == (dense <= 1e-10), (c, N, n, delta)
 
     def test_probe_is_seeded_and_scale_free(self):
-        v = build_transfer_block(8, 3, Anisotropy(1.3))
-        h = build_hamiltonian_block(8, 3, Anisotropy(1.3).delta + 0.1)
+        sector = enumerate_sector(8, 3)
+        v = build_transfer_block(sector, Anisotropy(1.3))
+        h = build_hamiltonian_block(sector, Anisotropy(1.3).delta + 0.1)
         value = commutator_probe(v, h)
         assert commutator_probe(v, h) == value
         scaled = dataclasses.replace(v, entries=1e6 * v.entries)
@@ -199,14 +200,16 @@ class TestCommutation:
     def test_probe_past_the_double_range_in_row_chunks(self):
         # the 924 rows of (12, 6) span four row chunks of the rescued norm
         a = Anisotropy(1.3)
-        v = build_transfer_block(12, 6, a)
-        h = build_hamiltonian_block(12, 6, a.delta)
+        sector = enumerate_sector(12, 6)
+        v = build_transfer_block(sector, a)
+        h = build_hamiltonian_block(sector, a.delta)
         huge = dataclasses.replace(v, entries=2.0**600 * v.entries)
         assert commutator_probe(huge, h) == pytest.approx(commutator_probe(v, h), rel=1e-12)
 
     def test_sector_mismatch_rejected(self):
-        v = build_transfer_block(6, 2, Anisotropy(1.0))
-        h = build_hamiltonian_block(6, 3, 0.5)
-        for route, _ in COMMUTATOR_ROUTES:
-            with pytest.raises(SectorMismatchError):
-                route(v, h)
+        v = build_transfer_block(enumerate_sector(6, 2), Anisotropy(1.0))
+        for N, n in ((6, 3), (7, 2)):  # another n, another N
+            h = build_hamiltonian_block(enumerate_sector(N, n), 0.5)
+            for route, _ in COMMUTATOR_ROUTES:
+                with pytest.raises(SectorMismatchError):
+                    route(v, h)
