@@ -7,6 +7,7 @@ Example:
 """
 
 import argparse
+import math
 import time
 
 import numpy as np
@@ -17,6 +18,7 @@ from bethe6v import (
     bethe_residual,
     build_hamiltonian_block,
     build_transfer_block,
+    caps,
     check_eigenpair,
     dense_eigenvalues,
     enumerate_sector,
@@ -31,6 +33,9 @@ def scan_case(N, n, c):
     report = solve(N, ground_state_quantum_numbers(n), a)
     if not report.converged:
         return dict(N=N, n=n, c=c, converged=False)
+    caps.check_perm(n)
+    caps.check_dim(dim := math.comb(N, n))
+    caps.check_spectrum(dim)
     sector = enumerate_sector(N, n)
     pred = full_prediction(sector, AmplitudeEvaluator(report.momenta))
     v_block = build_transfer_block(sector, a)

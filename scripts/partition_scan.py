@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Torus partition function: brute-force arrow enumeration against log Tr(V^M).
 
-The grid holds every torus with N, M >= 2 and N*M <= --max-cells.  Tori past
-the enumeration cap (BETHE6V_ENUM_CAP, default 14 cells) stop the scan with
-an error and exit code 2, as the CLI does.
+The grid holds every torus with N, M >= 2 and N*M <= --max-cells.  Each torus
+is checked against the enumeration and dense caps before it is computed; one
+past a cap (BETHE6V_ENUM_CAP, default 14 cells) stops the scan with an error
+and exit code 2, as the CLI does.
 
 Example:
     python scripts/partition_scan.py --max-cells 12 --c-values 0.5,1.0,2.0
@@ -14,7 +15,7 @@ import math
 import sys
 import time
 
-from bethe6v import (Anisotropy, CapExceededError, log_polynomial, log_trace_power,
+from bethe6v import (Anisotropy, CapExceededError, caps, log_polynomial, log_trace_power,
                     partition_function_bruteforce)
 
 
@@ -34,12 +35,14 @@ def main():
     print(f"{'N':>3} {'M':>3} {'c':>6} {'log Z (enumerated)':>20} "
           f"{'log Tr V^M':>20} {'rel diff':>10} {'time':>7}")
     for N, M in pairs:
-        t0 = time.perf_counter()
         try:
-            counts = partition_function_bruteforce(N, M)
+            caps.check_enum(N, M)
+            caps.check_dim(math.comb(N, N // 2))  # log_trace_power's widest block
         except CapExceededError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        t0 = time.perf_counter()
+        counts = partition_function_bruteforce(N, M)
         elapsed = time.perf_counter() - t0
         for c in c_values:
             a = Anisotropy(c)

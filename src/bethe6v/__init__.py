@@ -8,8 +8,6 @@ from .ansatz import (
     amplitude,
     bethe_residual,
     build_psi,
-    eigenvalue_regular,
-    eigenvalue_singular,
     full_prediction,
     identity_suite,
     transfer_eigenvalue,

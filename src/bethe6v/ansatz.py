@@ -12,26 +12,28 @@ without it the norm of psi spans tens of decades across c.  Production
 evaluation is a dynamic program over subsets of momenta (Held-Karp style):
 extending a partial permutation by one value multiplies its amplitude by a
 factor that depends on the set already placed, not on its order, so the
-n!-term sum costs O(2^n n) per coefficient.
+n!-term sum costs O(2^n n) per coefficient.  The basis rows are independent,
+so they are assembled in chunks that bound the DP's scratch memory.
 The direct product form is kept as ``amplitude`` and serves as the test
 oracle.
 
 The predicted transfer eigenvalue has two branches: a product formula when
 no momentum vanishes, and a derivative-corrected formula when one momentum
-is (numerically) zero.  Branch selection is by the zero-momentum flag of the
-MomentumSet, never by catching the singular-factor error.
+is (numerically) zero.  ``transfer_eigenvalue`` picks the branch by the
+zero-momentum flag of the MomentumSet, never by catching the singular-factor
+error.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import caps
 from .basis import SectorIndex
-from .errors import CapExceededError, SectorMismatchError, SingularMomentumError
+from .errors import SectorMismatchError, SingularMomentumError
 from .functions import (
     ZERO_MOMENTUM_TOL,
     L_factor,
@@ -50,12 +52,12 @@ __all__ = [
     "amplitude",
     "build_psi",
     "full_prediction",
-    "eigenvalue_regular",
-    "eigenvalue_singular",
     "transfer_eigenvalue",
     "bethe_residual",
     "identity_suite",
 ]
+
+_CHUNK_ELEMENTS = 1 << 20  # scratch budget (complex entries) for one DP layer
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,11 +80,6 @@ class AmplitudeEvaluator:
     """
 
     def __init__(self, momenta: MomentumSet):
-        cap = caps.perm_cap()
-        if momenta.n > cap:
-            raise CapExceededError(
-                f"{momenta.n} momenta exceed the subset-sum cap {cap}"
-            )
         self.momenta = momenta
         self.n = momenta.n
         p = momenta.as_array()
@@ -154,55 +151,40 @@ def _subset_sum(ev: AmplitudeEvaluator, X: np.ndarray, zpow: np.ndarray) -> np.n
 
 
 def build_psi(sector: SectorIndex, ev: AmplitudeEvaluator) -> np.ndarray:
-    """Coefficient vector over the whole sector, in the canonical basis order."""
+    """Coefficient vector over the whole sector, in the canonical basis order.
+
+    The DP runs on chunks of rows, so its widest layer, C(n, n/2) vectors
+    of one chunk's rows, holds about _CHUNK_ELEMENTS complex entries.
+    """
     if sector.n != ev.n:
         raise SectorMismatchError("sector particle number differs from momentum count")
     zpow = ev.z[:, None] ** np.arange(sector.N + 1)[None, :]
-    return _subset_sum(ev, sector.positions, zpow)
-
-
-def eigenvalue_regular(m: MomentumSet) -> complex:
-    """Product-formula eigenvalue; valid only when no momentum is near zero."""
-    if m.zero_index is not None:
-        raise SingularMomentumError(
-            "zero momentum present; use eigenvalue_singular"
-        )
-    a = m.anisotropy
-    z = np.exp(1j * m.as_array())
-    return complex(np.prod(L_factor(z, a)) + np.prod(M_factor(z, a)))
-
-
-def eigenvalue_singular(m: MomentumSet, ring_size: int) -> complex:
-    """Derivative-corrected eigenvalue for a momentum set containing zero.
-
-    The product formula diverges as any momentum approaches zero; the correct
-    value keeps the derivative terms that would otherwise cancel:
-
-        [2 + c^2 (N-1) + c^2 sum_{j != l} d1 theta(0, p_j)] * prod_{j != l} M(z_j).
-    """
-    if m.zero_index is None:
-        raise ValueError("no zero momentum; use eigenvalue_regular")
-    a = m.anisotropy
-    others = np.array(
-        [p for i, p in enumerate(m.momenta) if i != m.zero_index], dtype=float
-    )
-    if others.size and np.min(np.abs(others)) < ZERO_MOMENTUM_TOL:
-        raise SingularMomentumError("more than one momentum is near zero")
-    c2 = a.c * a.c
-    bracket = 2.0 + c2 * (ring_size - 1)
-    if others.size:
-        bracket += c2 * float(np.sum(theta_partial_1(0.0, others, a)))
-        tail = complex(np.prod(M_factor(np.exp(1j * others), a)))
-    else:
-        tail = 1.0 + 0.0j
-    return bracket * tail
+    X = sector.positions
+    rows = max(1, _CHUNK_ELEMENTS // math.comb(ev.n, ev.n // 2))
+    return np.concatenate([_subset_sum(ev, X[lo:lo + rows], zpow)
+                           for lo in range(0, sector.dim, rows)])
 
 
 def transfer_eigenvalue(m: MomentumSet, ring_size: int) -> tuple[complex, bool]:
-    """Predicted eigenvalue with the branch picked by the zero-momentum flag."""
+    """Predicted transfer eigenvalue, and whether the zero-momentum branch gave it.
+
+    With no momentum near zero it is the product formula
+    prod_j L(z_j) + prod_j M(z_j).  That formula diverges as a momentum p_l
+    approaches zero; the value there keeps the derivative terms that would
+    otherwise cancel:
+
+        [2 + c^2 (N-1) + c^2 sum_{j != l} d1 theta(0, p_j)] * prod_{j != l} M(z_j).
+    """
+    a = m.anisotropy
     if m.zero_index is None:
-        return eigenvalue_regular(m), False
-    return eigenvalue_singular(m, ring_size), True
+        z = np.exp(1j * m.as_array())
+        return complex(np.prod(L_factor(z, a)) + np.prod(M_factor(z, a))), False
+    others = np.delete(m.as_array(), m.zero_index)
+    if others.size and np.min(np.abs(others)) < ZERO_MOMENTUM_TOL:
+        raise SingularMomentumError("more than one momentum is near zero")
+    c2 = a.c * a.c
+    bracket = 2.0 + c2 * (ring_size - 1) + c2 * float(np.sum(theta_partial_1(0.0, others, a)))
+    return bracket * complex(np.prod(M_factor(np.exp(1j * others), a))), True
 
 
 def bethe_residual(m: MomentumSet, ring_size: int) -> np.ndarray:

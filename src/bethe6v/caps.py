@@ -1,7 +1,8 @@
 """Resource caps, overridable through environment variables.
 
 Every cap can be raised or lowered without touching code by setting the
-corresponding BETHE6V_* variable.
+corresponding BETHE6V_* variable.  The commands and scripts check the caps
+of what they will build, before any work; the library routes are uncapped.
 """
 
 import os
@@ -27,22 +28,25 @@ def spectrum_cap():
     return _from_env("BETHE6V_SPECTRUM_CAP", SPECTRUM_CAP)
 
 
-def enum_cap():
-    return _from_env("BETHE6V_ENUM_CAP", ENUM_CAP)
-
-
-def perm_cap():
-    return _from_env("BETHE6V_PERM_CAP", PERM_CAP)
-
-
-def check_dim(dim: int, spectrum: bool = False) -> None:
-    """Refuse a dense sector block with more rows than the dense cap.
-
-    With ``spectrum``, also refuse a dense spectrum above the spectrum cap.
-    Callers that know C(N, n) check it before they enumerate the sector.
-    """
-    cap = dim_cap()
-    if dim > cap:
+def check_dim(dim: int) -> None:
+    """Refuse a dense sector block with more rows than the dense cap."""
+    if dim > (cap := dim_cap()):
         raise CapExceededError(f"sector dimension {dim} exceeds dense cap {cap}")
-    if spectrum and dim > (cap := spectrum_cap()):
+
+
+def check_spectrum(dim: int) -> None:
+    """Refuse a dense spectrum above the spectrum cap."""
+    if dim > (cap := spectrum_cap()):
         raise CapExceededError(f"dimension {dim} exceeds spectrum cap {cap}")
+
+
+def check_enum(N: int, M: int) -> None:
+    """Refuse an N x M torus enumeration past the enumeration cap."""
+    if N * M > (cap := _from_env("BETHE6V_ENUM_CAP", ENUM_CAP)):
+        raise CapExceededError(f"N*M = {N * M} exceeds enumeration cap {cap}")
+
+
+def check_perm(n: int) -> None:
+    """Refuse psi's 2^n subset sums past the subset-sum cap."""
+    if n > (cap := _from_env("BETHE6V_PERM_CAP", PERM_CAP)):
+        raise CapExceededError(f"{n} momenta exceed the subset-sum cap {cap}")

@@ -9,14 +9,15 @@ Subcommands:
   against brute-force torus enumeration;
 * ``verify-identities``: grid suite for the function-level identities plus,
   when a sector is given, the amplitude-ratio identities on solved roots;
-* ``spectrum``: dense sector eigenvalues with optional matrix dump and CSV;
+* ``spectrum``: dense sector eigenvalues;
 * ``dump-matrix``: write a sector block in the plain-text matrix format.
 
 Reports are emitted as "key: value" lines; every float carries 17
 significant digits.  Identical flags reproduce byte-identical reports apart
 from the timing lines.  Exit codes: 0 success, 1 invalid usage, 2 solver
 non-convergence (a root on the edge of the open momentum domain included), a
-resource cap, exhausted memory or a numeric-range limit (``DomainError``,
+resource cap (each command checks the caps of what it will build before any
+work), exhausted memory or a numeric-range limit (``DomainError``,
 ``LinAlgError``), 3 verification failure.
 """
 
@@ -209,10 +210,10 @@ def _cmd_solve(args) -> tuple[Report, int]:
 
     failures: list[str] = []
     m = report.momenta
-    ev = AmplitudeEvaluator(m)  # checks the subset-sum cap before the sector exists
+    caps.check_perm(n)
     sector = enumerate_sector(N, n)
     with rep.stage("psi"):
-        prediction = full_prediction(sector, ev)
+        prediction = full_prediction(sector, AmplitudeEvaluator(m))
     lam, energy = prediction.lam, prediction.energy
     rep.add("prediction.singular", prediction.singular)
     rep.add("prediction.lambda.re", float(lam.real))
@@ -272,6 +273,9 @@ def _cmd_partition(args) -> tuple[Report, int]:
         raise ValueError("need N >= 1 and M >= 1")
     if args.bruteforce and (args.N < 2 or args.m < 2):
         raise ValueError("brute-force enumeration needs N >= 2 and M >= 2")
+    caps.check_dim(math.comb(args.N, args.N // 2))  # the widest sector
+    if args.bruteforce:
+        caps.check_enum(args.N, args.m)
     rep = Report("partition")
     rep.add("param.N", args.N)
     rep.add("param.M", args.m)
@@ -336,7 +340,9 @@ def _sector_block(args, command: str):
     a = Anisotropy(args.c)
     if args.n < 0 or args.n > args.N:
         raise ValueError("need 0 <= n <= N")
-    caps.check_dim(math.comb(args.N, args.n), spectrum=command == "spectrum")
+    caps.check_dim(dim := math.comb(args.N, args.n))
+    if command == "spectrum":
+        caps.check_spectrum(dim)
     rep = Report(command)
     sector = enumerate_sector(args.N, args.n)
     if args.kind == "transfer":
@@ -356,15 +362,6 @@ def _cmd_spectrum(args) -> tuple[Report, int]:
     rep.add("spectrum.dim", block.dim)
     for k, value in enumerate(eigenvalues):
         rep.add(f"eigenvalue.{k}", float(value))
-    if args.dump_matrix:
-        write_matrix(block, args.dump_matrix)
-        rep.add("dump.matrix_path", args.dump_matrix)
-    if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write("index,eigenvalue\n")
-            for k, value in enumerate(eigenvalues):
-                handle.write(f"{k},{format(float(value), '.17g')}\n")
-        rep.add("dump.csv_path", args.csv)
     return rep, EXIT_OK
 
 
@@ -417,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = ("transfer", "hamiltonian")
     p_spec = sub.add_parser("spectrum", parents=[sector], help="dense sector spectrum")
     p_spec.add_argument("--kind", choices=kinds, default="transfer")
-    p_spec.add_argument("--dump-matrix", default=None, metavar="PATH")
-    p_spec.add_argument("--csv", default=None, metavar="PATH")
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_dump = sub.add_parser("dump-matrix", parents=[sector],

@@ -15,7 +15,6 @@ import random
 
 import numpy as np
 
-from . import caps
 from .errors import DomainError, SectorMismatchError
 from .transfer import SectorMatrix
 
@@ -50,8 +49,7 @@ def _norm(a: np.ndarray) -> float:
 
 
 def dense_eigenvalues(m: SectorMatrix) -> np.ndarray:
-    """Ascending spectrum of a symmetric block, once its size, finiteness and symmetry pass."""
-    caps.check_dim(m.dim, spectrum=True)
+    """Ascending spectrum of a symmetric block, once its finiteness and symmetry pass."""
     A = m.entries
     if not np.all(np.isfinite(A)):
         raise DomainError("block entries overflow to inf or NaN; no dense spectrum")

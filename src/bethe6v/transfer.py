@@ -25,9 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import caps
 from .basis import SectorIndex, enumerate_sector
-from .errors import CapExceededError, DomainError
+from .errors import DomainError
 from .functions import Anisotropy
 
 __all__ = [
@@ -94,8 +93,6 @@ def build_transfer_block(sector: SectorIndex, a: Anisotropy) -> SectorMatrix:
     powers of c^2, as the configuration route's weights are.
     """
     dim = sector.dim
-    caps.check_dim(dim)
-
     c2 = a.c * a.c
     cpow = np.array([_int_power(c2, k) for k in range(sector.n + 1)])
 
@@ -158,9 +155,6 @@ def partition_function_bruteforce(N: int, M: int) -> list[int]:
     """
     if N < 2 or M < 2:
         raise ValueError("torus enumeration needs N >= 2 and M >= 2")
-    cap = caps.enum_cap()
-    if N * M > cap:
-        raise CapExceededError(f"N*M = {N * M} exceeds enumeration cap {cap}")
 
     def h_id(i, j):
         return 2 * ((j % M) * N + (i % N))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import caps
 from .basis import SectorIndex
 from .functions import MomentumSet
 from .transfer import SectorMatrix
@@ -27,7 +26,6 @@ def build_hamiltonian_block(sector: SectorIndex, delta: float) -> SectorMatrix:
     N, dim = sector.N, sector.dim
     if N < 2:
         raise ValueError("chain needs N >= 2")
-    caps.check_dim(dim)
     half_delta = 0.5 * float(delta)
     X, occupied = sector.positions, sector.occupied
     entries = np.zeros((dim, dim))

@@ -15,7 +15,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 
-from bethe6v import SectorMatrix, SectorMismatchError, caps, enumerate_row_completions
+from bethe6v import SectorMatrix, SectorMismatchError, enumerate_row_completions
 from bethe6v.cli import main
 
 
@@ -133,7 +133,6 @@ def build_transfer_block_by_configuration(sector, a):
     The +-1 spin patterns are read off the sector's occupancy table.
     """
     dim = sector.dim
-    caps.check_dim(dim)
     spins = np.where(sector.occupied, 1, -1)
     entries = np.zeros((dim, dim))
     for i, sx in enumerate(spins):

@@ -21,7 +21,6 @@ from bethe6v import (
     check_eigenpair,
     dense_eigenvalues,
     enumerate_sector,
-    eigenvalue_singular,
     full_prediction,
     grid_suite,
     ground_state_quantum_numbers,
@@ -31,6 +30,7 @@ from bethe6v import (
     match_eigenvalue,
     partition_function_bruteforce,
     solve,
+    transfer_eigenvalue,
 )
 
 from helpers import build_transfer_block_by_configuration, commutator_norm
@@ -151,8 +151,8 @@ def test_a3_singular_branch():
         if residual > EIGENPAIR_TOL:
             failures.append((N, n, c, f"residual {residual:.2e}"))
         if n == 1:
-            lam = eigenvalue_singular(report.momenta, N)
-            if lam != complex(2.0 + c * c * (N - 1)):
+            lam, singular = transfer_eigenvalue(report.momenta, N)
+            if not singular or lam != complex(2.0 + c * c * (N - 1)):
                 failures.append((N, n, c, "n=1 collapse not exact"))
     emit("A3", not failures, f"singular branch: residual<={worst_residual:.1e}")
     assert not failures, failures

@@ -7,7 +7,8 @@ import pytest
 from bethe6v import (
     AmplitudeEvaluator,
     Anisotropy,
-    CapExceededError,
+    L_factor,
+    M_factor,
     MomentumSet,
     SectorMismatchError,
     SingularMomentumError,
@@ -16,14 +17,13 @@ from bethe6v import (
     build_psi,
     build_transfer_block,
     check_eigenpair,
-    eigenvalue_regular,
-    eigenvalue_singular,
     enumerate_sector,
     full_prediction,
     ground_state_quantum_numbers,
     identity_suite,
     solve,
     theta,
+    theta_partial_1,
     transfer_eigenvalue,
 )
 
@@ -80,11 +80,6 @@ class TestAmplitudes:
         with pytest.raises(ValueError):
             amplitude((0, 0), ev)
 
-    def test_factorial_cap(self, monkeypatch):
-        monkeypatch.setenv("BETHE6V_PERM_CAP", "2")
-        with pytest.raises(CapExceededError):
-            AmplitudeEvaluator(momentum_set((0.1, 0.2, 0.3)))
-
 
 class TestPsiCoefficient:
     def test_matches_naive_oracle(self):
@@ -136,6 +131,23 @@ class TestBuildPsi:
         assert pred.psi_norm == pytest.approx(math.sqrt(N), rel=1e-14)
         assert pred.singular is False
 
+    def test_row_chunks_match_one_chunk(self, monkeypatch):
+        # 7-row chunks, and one chunk of exactly dim rows, against the default
+        rng = np.random.default_rng(3)
+        for c in (0.5, 1.0, 2.0):
+            a = Anisotropy(c)
+            for N, n in ((7, 1), (9, 3), (10, 4), (11, 5), (12, 6)):
+                p = np.sort(rng.uniform(-0.9, 0.9, size=n)) * a.domain_halfwidth
+                ev = AmplitudeEvaluator(MomentumSet(tuple(p), a))
+                sector = enumerate_sector(N, n)
+                whole = build_psi(sector, ev)
+                for rows, tol in ((7, 1e-15), (sector.dim, 0.0)):
+                    monkeypatch.setattr("bethe6v.ansatz._CHUNK_ELEMENTS",
+                                        rows * math.comb(n, n // 2))
+                    chunked = build_psi(sector, ev)
+                    assert np.max(np.abs(chunked - whole)) <= tol * np.max(np.abs(whole))
+                monkeypatch.undo()
+
     def test_coincident_momenta_collapse(self):
         # with two equal momenta every coefficient cancels
         for c, n in ((1.0, 2), (2.0, 3)):
@@ -150,26 +162,29 @@ class TestBuildPsi:
 
 class TestEigenvalues:
     def test_empty_set(self):
-        assert eigenvalue_regular(momentum_set(())) == 2.0 + 0.0j
+        assert transfer_eigenvalue(momentum_set(()), 8) == (2.0 + 0.0j, False)
 
     def test_single_nonzero_momentum(self):
         for c in (0.5, 1.0, 2.0):
             N = 16  # keeps 2*pi/N inside the narrow c = 0.5 domain
             m = momentum_set((2.0 * math.pi / N,), c)
-            lam = eigenvalue_regular(m)
+            lam, singular = transfer_eigenvalue(m, N)
+            assert singular is False
             assert lam == pytest.approx(2.0 - c * c, rel=1e-13)
 
     def test_single_zero_momentum(self):
         for c, N in ((0.5, 6), (1.0, 8), (2.0, 10)):
             m = momentum_set((0.0,), c)
-            lam = eigenvalue_singular(m, N)
-            assert lam == complex(2.0 + c * c * (N - 1))
+            assert transfer_eigenvalue(m, N) == (complex(2.0 + c * c * (N - 1)), True)
 
     def test_branch_dispatch(self):
+        # the zero-momentum branch: [2 + c^2 (N-1) + c^2 d1 theta(0, p)] M(e^{ip})
         m = momentum_set((0.0, 0.7))
         lam, singular = transfer_eigenvalue(m, 8)
         assert singular is True
-        assert lam == eigenvalue_singular(m, 8)
+        a = m.anisotropy
+        bracket = 2.0 + 7.0 + float(theta_partial_1(0.0, 0.7, a))
+        assert lam == pytest.approx(bracket * M_factor(np.exp(0.7j), a), rel=1e-14)
 
     def test_near_zero_family_uses_regular_branch(self):
         # |p| = 1e-3 sits above the zero threshold: regular branch, no fallthrough
@@ -177,13 +192,15 @@ class TestEigenvalues:
         lam, singular = transfer_eigenvalue(m, 8)
         assert singular is False
         assert np.isfinite(lam.real) and np.isfinite(lam.imag)
-        assert lam == eigenvalue_regular(m)
-        with pytest.raises(ValueError):
-            eigenvalue_singular(m, 8)
+        z = np.exp(1j * m.as_array())
+        a = m.anisotropy
+        assert lam == np.prod(L_factor(z, a)) + np.prod(M_factor(z, a))
 
     def test_regular_branch_refuses_zero(self):
+        # one zero takes the derivative branch; two reach a singular product factor
+        assert transfer_eigenvalue(momentum_set((0.0, 0.5)), 8)[1] is True
         with pytest.raises(SingularMomentumError):
-            eigenvalue_regular(momentum_set((0.0, 0.5)))
+            transfer_eigenvalue(MomentumSet.relaxed((0.0, 0.0), Anisotropy(1.0)), 8)
 
 
 class TestBetheResidual:

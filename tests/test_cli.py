@@ -4,7 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from bethe6v import log_polynomial
+from bethe6v import (
+    AmplitudeEvaluator,
+    Anisotropy,
+    build_hamiltonian_block,
+    build_psi,
+    build_transfer_block,
+    dense_eigenvalues,
+    enumerate_sector,
+    ground_state_quantum_numbers,
+    identity_suite,
+    log_polynomial,
+    partition_function_bruteforce,
+    solve,
+)
 from helpers import parse_report, run_cli
 
 
@@ -20,11 +33,12 @@ def strip_timing(text):
 
 
 def refuse_sectors(monkeypatch):
-    """Fail the test if the CLI enumerates a sector or builds a block."""
+    """Fail the test if the CLI enumerates a sector, builds a block or a torus."""
     def refuse(*args, **kwargs):
         raise AssertionError("sector allocated")
 
-    for name in ("enumerate_sector", "build_transfer_block", "build_hamiltonian_block"):
+    for name in ("enumerate_sector", "build_transfer_block", "build_hamiltonian_block",
+                 "log_trace_power", "partition_function_bruteforce"):
         monkeypatch.setattr(f"bethe6v.cli.{name}", refuse)
 
 
@@ -543,26 +557,38 @@ class TestVerifyIdentitiesCommand:
         assert float(rep["identity.cyclic_max"]) < 1e-9
         assert float(rep["identity.boundary_max"]) < 1e-9
 
+    def test_solved_root_section_runs_no_subset_sum(self):
+        # more momenta than the subset-sum cap: the ratio identities need no psi
+        code, out = run_cli(["verify-identities", "--c", "1", "--capital-n", "24",
+                             "--n", "10", "--grid", "5", "--samples", "3"])
+        assert code == 0
+        assert parse_report(out)["verification.passed"] == "true"
+
 
 class TestSpectrumCommand:
     def test_report_and_dumps(self, tmp_path):
-        matrix_path = tmp_path / "block.txt"
-        csv_path = tmp_path / "spec.csv"
-        code, out = run_cli(
-            ["spectrum", "--capital-n", "6", "--n", "2", "--c", "1.0",
-             "--dump-matrix", str(matrix_path), "--csv", str(csv_path)]
-        )
+        sector = ["--capital-n", "6", "--n", "2", "--c", "1.0"]
+        code, out = run_cli(["spectrum", *sector])
         assert code == 0
         rep = parse_report(out)
         dim = int(rep["spectrum.dim"])
         assert dim == math.comb(6, 2)
         assert all(f"eigenvalue.{k}" in rep for k in range(dim))
         assert not [k for k in rep if k.endswith("_defect")]
+        matrix_path = tmp_path / "block.txt"
+        assert run_cli(["dump-matrix", *sector, "--out", str(matrix_path)])[0] == 0
         header = matrix_path.read_text().splitlines()[0]
         assert header == "6 2 15 transfer"
-        csv_lines = csv_path.read_text().splitlines()
-        assert csv_lines[0] == "index,eigenvalue"
-        assert len(csv_lines) == dim + 1
+
+    @pytest.mark.parametrize("flag", ["--dump-matrix", "--csv"])
+    def test_dump_flags_are_gone(self, flag, tmp_path, capsys):
+        # dump-matrix writes the block; the report already lists the eigenvalues
+        path = tmp_path / "out.txt"
+        code, out = run_cli(["spectrum", "--capital-n", "6", "--n", "2", "--c", "1.0",
+                             flag, str(path)])
+        assert code == 1
+        assert out == "" and not path.exists()
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_hamiltonian_kind(self):
         code, out = run_cli(
@@ -601,7 +627,13 @@ class TestDumpMatrixCommand:
      "sector dimension 273438880 exceeds dense cap 20000"),
     (["dump-matrix", "--capital-n", "40", "--n", "9", "--out", "/dev/null"],
      "sector dimension 273438880 exceeds dense cap 20000"),
-], ids=["spectrum-cap", "spectrum-dense-cap", "dump-matrix-dense-cap"])
+    # C(18, 9) states, the widest sector, would need 17.6 GiB as one dense block
+    (["partition", "--capital-n", "18", "--m", "2"],
+     "sector dimension 48620 exceeds dense cap 20000"),
+    (["partition", "--capital-n", "15", "--m", "15", "--bruteforce"],
+     "N*M = 225 exceeds enumeration cap 14"),
+], ids=["spectrum-cap", "spectrum-dense-cap", "dump-matrix-dense-cap", "partition-dense-cap",
+        "partition-enumeration-cap"])
 def test_caps_checked_before_the_sector(argv, message, monkeypatch, capsys):
     refuse_sectors(monkeypatch)
     code, out = run_cli(argv + ["--c", "1.0"])
@@ -626,6 +658,19 @@ def test_every_command_rejects_bad_c(argv, capsys):
 
 
 class TestEnvironmentCaps:
+    def test_library_routes_are_uncapped(self, monkeypatch):
+        # the commands own the caps; the routes compute what they are asked
+        for name in ("DIM", "SPECTRUM", "ENUM", "PERM"):
+            monkeypatch.setenv(f"BETHE6V_{name}_CAP", "1")
+        a = Anisotropy(1.0)
+        sector = enumerate_sector(6, 3)
+        assert build_hamiltonian_block(sector, a.delta).dim == 20
+        assert dense_eigenvalues(build_transfer_block(sector, a)).shape == (20,)
+        momenta = solve(6, ground_state_quantum_numbers(3), a).momenta
+        assert np.all(np.isfinite(build_psi(sector, AmplitudeEvaluator(momenta))))
+        assert identity_suite(momenta, 6, samples=2).samples == 2
+        assert sum(partition_function_bruteforce(2, 2)) == 18
+
     def test_dim_cap_override(self, monkeypatch):
         monkeypatch.setenv("BETHE6V_DIM_CAP", "5")
         code, _ = run_cli(

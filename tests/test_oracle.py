@@ -5,7 +5,6 @@ import pytest
 
 from bethe6v import (
     Anisotropy,
-    CapExceededError,
     DomainError,
     SectorMatrix,
     build_hamiltonian_block,
@@ -82,12 +81,6 @@ class TestDenseSpectrum:
         bad = make_matrix(entries)
         with pytest.raises(DomainError, match="overflow"):
             dense_eigenvalues(bad)
-
-    def test_dimension_cap(self, monkeypatch):
-        blk = build_transfer_block(enumerate_sector(8, 4), Anisotropy(1.0))
-        monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "10")
-        with pytest.raises(CapExceededError):
-            dense_eigenvalues(blk)
 
 
 class TestDenseEigenvalues:

@@ -36,3 +36,10 @@ def test_partition_scan():
     proc = run_script("partition_scan.py", "--max-cells", "4", "--c-values", "1.0")
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.strip().splitlines()) == 2
+
+
+def test_partition_scan_stops_at_the_enumeration_cap():
+    # tori up to 2 x 7 fit the default cap of 14 cells; 2 x 8 is past it
+    proc = run_script("partition_scan.py", "--max-cells", "16", "--c-values", "1.0")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: N*M = 16 exceeds enumeration cap 14\n"

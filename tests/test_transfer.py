@@ -5,7 +5,6 @@ import pytest
 
 from bethe6v import (
     Anisotropy,
-    CapExceededError,
     build_transfer_block,
     enumerate_row_completions,
     enumerate_sector,
@@ -44,11 +43,6 @@ class TestTransferBlock:
             assert np.array_equal(blk.entries, blk.entries.T)
             assert np.all(np.diag(blk.entries) == 2.0)
             assert np.all(blk.entries >= 0.0)
-
-    def test_dimension_cap(self, monkeypatch):
-        monkeypatch.setenv("BETHE6V_DIM_CAP", "10")
-        with pytest.raises(CapExceededError):
-            build_transfer_block(enumerate_sector(8, 4), Anisotropy(1.0))
 
 
 class TestConfigurationOracle:
@@ -123,10 +117,6 @@ class TestPartitionFunction:
             partition_function_bruteforce(1, 3)
         with pytest.raises(ValueError):
             partition_function_bruteforce(3, 1)
-
-    def test_enumeration_cap(self):
-        with pytest.raises(CapExceededError):
-            partition_function_bruteforce(4, 4)
 
 
 class TestLogPolynomial:
