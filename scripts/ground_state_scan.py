@@ -2,19 +2,24 @@
 """Scan ground-state predictions over (N, n, c) and confront each one with
 the dense sector spectrum and its Perron–Frobenius certificate.
 
+Each converged case is checked against the subset-sum, dense and spectrum
+caps before its sector is built; one past a cap stops the scan with an
+error and exit code 2, as the CLI does.
+
 Example:
     python scripts/ground_state_scan.py --ring-sizes 6,8,10 --c-values 0.5,1.0,2.0
 """
 
 import argparse
 import math
+import sys
 import time
 
 import numpy as np
 
 from bethe6v import (
-    AmplitudeEvaluator,
     Anisotropy,
+    CapExceededError,
     bethe_residual,
     build_hamiltonian_block,
     build_transfer_block,
@@ -37,7 +42,7 @@ def scan_case(N, n, c):
     caps.check_dim(dim := math.comb(N, n))
     caps.check_spectrum(dim)
     sector = enumerate_sector(N, n)
-    pred = full_prediction(sector, AmplitudeEvaluator(report.momenta))
+    pred = full_prediction(sector, report.momenta)
     v_block = build_transfer_block(sector, a)
     h_block = build_hamiltonian_block(sector, a.delta)
     spectrum = dense_eigenvalues(v_block)
@@ -78,7 +83,11 @@ def main():
     for c in c_values:
         for N in ring_sizes:
             for n in range(1, N // 2 + 1):
-                row = scan_case(N, n, c)
+                try:
+                    row = scan_case(N, n, c)
+                except CapExceededError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 2
                 if not row["converged"]:
                     print(f"{N:>3} {n:>3} {c:>8.4f}  -- solver did not converge --")
                     continue
@@ -95,7 +104,8 @@ def main():
     print("CW width: V's Collatz–Wielandt bracket on psi widened to lambda, over "
           "max(1, |lambda|); nan when psi is not positive after its phase. Within "
           "1e-8 it certifies lambda as the top without the dense spectrum")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,7 +2,6 @@
 the periodic XXZ chain, with brute-force verification oracles."""
 
 from .ansatz import (
-    AmplitudeEvaluator,
     IdentityReport,
     SpectralPrediction,
     amplitude,
@@ -10,6 +9,7 @@ from .ansatz import (
     build_psi,
     full_prediction,
     identity_suite,
+    pair_factors,
     transfer_eigenvalue,
 )
 from .basis import SectorIndex, enumerate_sector

@@ -4,8 +4,8 @@ The candidate eigenvector on the n-particle sector has coefficients
 
     psi(x) = sum over permutations sigma of  A(sigma) * prod_k z_{sigma(k)}^{x_k}
 
-with A(sigma) the signed product of the cached pair factors
-e^{i p_k} S(p_k, p_l) / |S(p_k, p_l)|.  Every permutation takes each
+with A(sigma) the signed product of the pair factors
+e^{i p_k} S(p_k, p_l) / |S(p_k, p_l)| (``pair_factors``).  Every permutation takes each
 unordered pair once and |S(y, x)| = |S(x, y)|, so dividing by the modulus
 scales psi by the one positive constant 1 / prod_{k<l} |S(p_k, p_l)|;
 without it the norm of psi spans tens of decades across c.  Production
@@ -19,13 +19,14 @@ oracle.
 
 The predicted transfer eigenvalue has two branches: a product formula when
 no momentum vanishes, and a derivative-corrected formula when one momentum
-is (numerically) zero.  ``transfer_eigenvalue`` picks the branch by the
-zero-momentum flag of the MomentumSet, never by catching the singular-factor
+is (numerically) zero.  ``transfer_eigenvalue`` picks the branch by counting
+the momenta below ZERO_MOMENTUM_TOL, never by catching the singular-factor
 error.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SectorIndex
-from .errors import SectorMismatchError, SingularMomentumError
+from .errors import DomainError, SectorMismatchError, SingularMomentumError
 from .functions import (
     ZERO_MOMENTUM_TOL,
     L_factor,
@@ -46,9 +47,9 @@ from .functions import (
 from .xxz import energy_prediction
 
 __all__ = [
-    "AmplitudeEvaluator",
     "SpectralPrediction",
     "IdentityReport",
+    "pair_factors",
     "amplitude",
     "build_psi",
     "full_prediction",
@@ -71,22 +72,15 @@ class SpectralPrediction:
     singular: bool
 
 
-class AmplitudeEvaluator:
-    """Permutation amplitudes for a fixed momentum set.
+def pair_factors(m: MomentumSet) -> np.ndarray:
+    """B[k, l] = e^{i p_k} S(p_k, p_l) / |S(p_k, p_l)|, of modulus 1.
 
-    pair_factors[k, l] = e^{i p_k} S(p_k, p_l) / |S(p_k, p_l)|, of modulus 1.
     The amplitude of a permutation (a tuple over 0..n-1) is its signature
-    times the product of pair_factors over ascending position pairs.
+    times the product of B over ascending position pairs.
     """
-
-    def __init__(self, momenta: MomentumSet):
-        self.momenta = momenta
-        self.n = momenta.n
-        p = momenta.as_array()
-        self.z = np.exp(1j * p)
-        kernel = scattering_kernel(p[:, None], p[None, :], momenta.anisotropy)
-        kernel = np.asarray(kernel).reshape(self.n, self.n)
-        self.pair_factors = self.z[:, None] * (kernel / np.abs(kernel))
+    p = m.as_array()
+    kernel = scattering_kernel(p[:, None], p[None, :], m.anisotropy)  # (n, n), also at n = 0
+    return np.exp(1j * p)[:, None] * (kernel / np.abs(kernel))
 
 
 def _signature(sigma) -> int:
@@ -99,20 +93,20 @@ def _signature(sigma) -> int:
     return -1 if inversions & 1 else 1
 
 
-def amplitude(sigma, ev: AmplitudeEvaluator) -> complex:
-    """Direct product form of A(sigma); used as the oracle for the fast path."""
+def amplitude(sigma, B: np.ndarray) -> complex:
+    """Direct product form of A(sigma) from ``pair_factors`` B; the fast path's oracle."""
+    n = len(B)
     sigma = tuple(int(s) for s in sigma)
-    if sorted(sigma) != list(range(ev.n)):
-        raise ValueError(f"{sigma} is not a permutation of 0..{ev.n - 1}")
+    if sorted(sigma) != list(range(n)):
+        raise ValueError(f"{sigma} is not a permutation of 0..{n - 1}")
     amp = complex(_signature(sigma))
-    B = ev.pair_factors
-    for k in range(ev.n):
-        for l in range(k + 1, ev.n):
+    for k in range(n):
+        for l in range(k + 1, n):
             amp *= B[sigma[k], sigma[l]]
     return amp
 
 
-def _subset_sum(ev: AmplitudeEvaluator, X: np.ndarray, zpow: np.ndarray) -> np.ndarray:
+def _subset_sum(B: np.ndarray, X: np.ndarray, zpow: np.ndarray) -> np.ndarray:
     """psi at every row of the (rows, n) position matrix X by a subset DP.
 
     F[S] sums A(sigma) prod_k z_{sigma(k)}^{x_k} over the orderings sigma of
@@ -123,8 +117,7 @@ def _subset_sum(ev: AmplitudeEvaluator, X: np.ndarray, zpow: np.ndarray) -> np.n
     subsets by ascending bitmask and j ascending within each: a fixed
     accumulation order, so dumped vectors reproduce bit for bit.
     """
-    n = ev.n
-    B = ev.pair_factors
+    n = len(B)
     # factor[S][j] for j not in S, built from factor[S without its top bit]
     factor = [np.ones(n, dtype=complex)]
     for S in range(1, 1 << n):
@@ -150,18 +143,19 @@ def _subset_sum(ev: AmplitudeEvaluator, X: np.ndarray, zpow: np.ndarray) -> np.n
     return layer[(1 << n) - 1]
 
 
-def build_psi(sector: SectorIndex, ev: AmplitudeEvaluator) -> np.ndarray:
+def build_psi(sector: SectorIndex, m: MomentumSet) -> np.ndarray:
     """Coefficient vector over the whole sector, in the canonical basis order.
 
     The DP runs on chunks of rows, so its widest layer, C(n, n/2) vectors
     of one chunk's rows, holds about _CHUNK_ELEMENTS complex entries.
     """
-    if sector.n != ev.n:
+    if sector.n != m.n:
         raise SectorMismatchError("sector particle number differs from momentum count")
-    zpow = ev.z[:, None] ** np.arange(sector.N + 1)[None, :]
+    B = pair_factors(m)
+    zpow = np.exp(1j * m.as_array())[:, None] ** np.arange(sector.N + 1)[None, :]
     X = sector.positions
-    rows = max(1, _CHUNK_ELEMENTS // math.comb(ev.n, ev.n // 2))
-    return np.concatenate([_subset_sum(ev, X[lo:lo + rows], zpow)
+    rows = max(1, _CHUNK_ELEMENTS // math.comb(m.n, m.n // 2))
+    return np.concatenate([_subset_sum(B, X[lo:lo + rows], zpow)
                            for lo in range(0, sector.dim, rows)])
 
 
@@ -174,17 +168,27 @@ def transfer_eigenvalue(m: MomentumSet, ring_size: int) -> tuple[complex, bool]:
     otherwise cancel:
 
         [2 + c^2 (N-1) + c^2 sum_{j != l} d1 theta(0, p_j)] * prod_{j != l} M(z_j).
+
+    A momentum counts as zero below ZERO_MOMENTUM_TOL; two or more such
+    momenta raise ``SingularMomentumError``, and a value past the double
+    range raises ``DomainError``.
     """
-    a = m.anisotropy
-    if m.zero_index is None:
-        z = np.exp(1j * m.as_array())
-        return complex(np.prod(L_factor(z, a)) + np.prod(M_factor(z, a))), False
-    others = np.delete(m.as_array(), m.zero_index)
-    if others.size and np.min(np.abs(others)) < ZERO_MOMENTUM_TOL:
+    a, p = m.anisotropy, m.as_array()
+    zero = np.abs(p) < ZERO_MOMENTUM_TOL
+    if np.count_nonzero(zero) > 1:
         raise SingularMomentumError("more than one momentum is near zero")
-    c2 = a.c * a.c
-    bracket = 2.0 + c2 * (ring_size - 1) + c2 * float(np.sum(theta_partial_1(0.0, others, a)))
-    return bracket * complex(np.prod(M_factor(np.exp(1j * others), a))), True
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        if singular := bool(zero.any()):
+            others, c2 = p[~zero], a.c * a.c
+            d1 = float(np.sum(theta_partial_1(0.0, others, a)))
+            bracket = 2.0 + c2 * (ring_size - 1) + c2 * d1
+            lam = bracket * complex(np.prod(M_factor(np.exp(1j * others), a)))
+        else:
+            z = np.exp(1j * p)
+            lam = complex(np.prod(L_factor(z, a)) + np.prod(M_factor(z, a)))
+    if not cmath.isfinite(lam):
+        raise DomainError(f"predicted transfer eigenvalue overflows at c = {a.c!r}")
+    return lam, singular
 
 
 def bethe_residual(m: MomentumSet, ring_size: int) -> np.ndarray:
@@ -216,11 +220,12 @@ def identity_suite(m: MomentumSet, ring_size: int, samples: int = 20) -> Identit
     boundary ratios additionally assume the momenta solve the boundary
     equations, so call this on solver output.
     """
-    ev = AmplitudeEvaluator(m)
-    n = ev.n
+    n = m.n
     if n == 0:
         return IdentityReport(0, 0.0, 0.0, 0.0)
+    B = pair_factors(m)
     p = m.as_array()
+    z = np.exp(1j * p)
     a = m.anisotropy
     rng = random.Random(0)  # a fixed seed: reports repeat byte for byte
     adjacent = boundary = cyclic = 0.0
@@ -228,11 +233,11 @@ def identity_suite(m: MomentumSet, ring_size: int, samples: int = 20) -> Identit
         sigma = list(range(n))
         rng.shuffle(sigma)
         sigma = tuple(sigma)
-        base = amplitude(sigma, ev)
+        base = amplitude(sigma, B)
 
         rotated = sigma[1:] + sigma[:1]
-        expected = ev.z[sigma[0]] ** (-ring_size)
-        cyclic = max(cyclic, abs(amplitude(rotated, ev) / base / expected - 1.0))
+        expected = z[sigma[0]] ** (-ring_size)
+        cyclic = max(cyclic, abs(amplitude(rotated, B) / base / expected - 1.0))
 
         if n >= 2:
             j = rng.randrange(n - 1)
@@ -240,7 +245,7 @@ def identity_suite(m: MomentumSet, ring_size: int, samples: int = 20) -> Identit
             swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
             expected = -np.exp(1j * theta(p[sigma[j]], p[sigma[j + 1]], a))
             adjacent = max(
-                adjacent, abs(amplitude(swapped, ev) / base / expected - 1.0)
+                adjacent, abs(amplitude(swapped, B) / base / expected - 1.0)
             )
 
             ends = list(sigma)
@@ -250,14 +255,14 @@ def identity_suite(m: MomentumSet, ring_size: int, samples: int = 20) -> Identit
                 1j * theta(p[last], p[first], a)
             )
             boundary = max(
-                boundary, abs(amplitude(ends, ev) / base / expected - 1.0)
+                boundary, abs(amplitude(ends, B) / base / expected - 1.0)
             )
     return IdentityReport(samples, adjacent, boundary, cyclic)
 
 
-def full_prediction(sector: SectorIndex, ev: AmplitudeEvaluator) -> SpectralPrediction:
+def full_prediction(sector: SectorIndex, m: MomentumSet) -> SpectralPrediction:
     """psi plus both predicted eigenvalues (transfer and spin chain)."""
-    psi = build_psi(sector, ev)
-    lam, singular = transfer_eigenvalue(ev.momenta, sector.N)
-    energy = energy_prediction(ev.momenta, sector.N, ev.momenta.anisotropy.delta)
+    psi = build_psi(sector, m)
+    lam, singular = transfer_eigenvalue(m, sector.N)
+    energy = energy_prediction(m, sector.N, m.anisotropy.delta)
     return SpectralPrediction(psi, lam, energy, float(np.linalg.norm(psi)), singular)

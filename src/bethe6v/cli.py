@@ -34,12 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import caps
-from .ansatz import (
-    AmplitudeEvaluator,
-    bethe_residual,
-    full_prediction,
-    identity_suite,
-)
+from .ansatz import bethe_residual, full_prediction, identity_suite
 from .basis import enumerate_sector
 from .errors import CapExceededError, DomainError
 from .functions import Anisotropy, grid_suite
@@ -213,7 +208,7 @@ def _cmd_solve(args) -> tuple[Report, int]:
     caps.check_perm(n)
     sector = enumerate_sector(N, n)
     with rep.stage("psi"):
-        prediction = full_prediction(sector, AmplitudeEvaluator(m))
+        prediction = full_prediction(sector, m)
     lam, energy = prediction.lam, prediction.energy
     rep.add("prediction.singular", prediction.singular)
     rep.add("prediction.lambda.re", float(lam.real))

@@ -2,7 +2,7 @@
 
 
 class DomainError(ValueError):
-    """Momenta left the phase's certified branch domain, or block entries overflowed."""
+    """Momenta left the phase's certified branch domain, or a value overflowed a double."""
 
 
 class SingularMomentumError(ValueError):

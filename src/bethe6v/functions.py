@@ -67,7 +67,7 @@ class Anisotropy:
 
 @dataclass(frozen=True)
 class MomentumSet:
-    """Distinct real momenta inside D, with the near-zero root flagged by index.
+    """Distinct real momenta inside D.
 
     The constructor hard-rejects momenta outside D and collisions closer than
     DISTINCT_MOMENTUM_TOL.  `relaxed` skips the distinctness check; it exists
@@ -77,7 +77,6 @@ class MomentumSet:
 
     momenta: tuple[float, ...]
     anisotropy: Anisotropy
-    zero_index: int | None = field(init=False)
     enforce_distinct: InitVar[bool] = True
 
     def __post_init__(self, enforce_distinct):
@@ -93,11 +92,6 @@ class MomentumSet:
                     if abs(momenta[i] - momenta[j]) <= DISTINCT_MOMENTUM_TOL:
                         raise DegenerateMomentaError(f"momenta {i} and {j} coincide "
                                                      f"within {DISTINCT_MOMENTUM_TOL}")
-        zeros = [i for i, p in enumerate(momenta) if abs(p) < ZERO_MOMENTUM_TOL]
-        if enforce_distinct and len(zeros) > 1:
-            raise DegenerateMomentaError("more than one near-zero momentum")
-        zero_index = zeros[0] if len(zeros) == 1 else None
-        object.__setattr__(self, "zero_index", zero_index)
 
     @classmethod
     def relaxed(cls, momenta, anisotropy):

@@ -103,12 +103,17 @@ def commutator_probe(v: SectorMatrix, h: SectorMatrix) -> float:
 
     x is uniform on [-1/2, 1/2] from the standard library's generator at
     seed 0 (importing numpy.random alone costs 6.5 MB of memory).  Frobenius
-    norms make the value scale-free with no dim^2 temporary.
+    norms make the value scale-free with no dim^2 temporary.  x, and each
+    product by a block, are scaled by the power of two at that norm, so no
+    product overflows where both blocks are finite; the scaling is exact.
     """
     if (v.N, v.n) != (h.N, h.n):
         raise SectorMismatchError(f"blocks of sectors ({v.N},{v.n}) and ({h.N},{h.n})")
     V, H = v.entries, h.entries
     x = np.frombuffer(random.Random(0).randbytes(8 * v.dim), np.uint64) / 2.0**64 - 0.5
-    defect = _norm(V @ (H @ x) - H @ (V @ x))
-    scale = _norm(V) * _norm(H) * _norm(x)
-    return defect / scale if defect else 0.0  # H is zero at n = 0, delta = 0
+    (mv, ev), (mh, eh), (mx, ex) = map(math.frexp, (_norm(V), _norm(H), _norm(x)))
+    x = np.ldexp(x, -ex)
+    vhx = np.ldexp(V @ np.ldexp(H @ x, -eh), -ev)
+    hvx = np.ldexp(H @ np.ldexp(V @ x, -ev), -eh)
+    defect = _norm(vhx - hvx)
+    return defect / (mv * mh * mx) if defect else 0.0  # H is zero at n = 0, delta = 0

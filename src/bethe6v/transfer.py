@@ -90,11 +90,16 @@ def build_transfer_block(sector: SectorIndex, a: Anisotropy) -> SectorMatrix:
     mx & d == d & prefix_xor(d); the other order is the same test for y.
     prefix_xor is linear, so prefix_xor(d) = Px ^ Py from per-state tables.
     The entry c^popcount(d) is read from the repeated-squaring table of
-    powers of c^2, as the configuration route's weights are.
+    powers of c^2, as the configuration route's weights are.  Two states
+    differ on at most 2 min(n, N - n) sites; a block whose weight there
+    overflows raises ``DomainError`` before any allocation.
     """
     dim = sector.dim
     c2 = a.c * a.c
     cpow = np.array([_int_power(c2, k) for k in range(sector.n + 1)])
+    top = min(sector.n, sector.N - sector.n)
+    if not math.isfinite(cpow[top]):
+        raise DomainError(f"transfer weight c^{2 * top} overflows at c = {a.c!r}")
 
     masks = sector.masks
     prefix = _prefix_xor(masks)
@@ -204,14 +209,8 @@ def log_polynomial(counts, x: float) -> float:
 
 
 def _scale(m: np.ndarray) -> float:
-    """Divide a nonnegative matrix in place by its largest entry; return that entry's log.
-
-    Only a block can hold inf or NaN (products of scaled factors cannot
-    overflow); it raises ``DomainError``.
-    """
+    """Divide a finite nonnegative matrix in place by its largest entry; return its log."""
     top = float(m.max())
-    if not math.isfinite(top):
-        raise DomainError("block entries overflow to inf or NaN; no transfer trace")
     m /= top
     return math.log(top)
 
@@ -244,8 +243,8 @@ def log_trace_power(N: int, M: int, a: Anisotropy) -> float:
     """log Tr(V^M), the log torus partition function, summed over sectors.
 
     Each sector's log trace comes from ``_log_trace``; the sectors are
-    combined by log-sum-exp.  Blocks whose entries overflow to inf or NaN
-    raise ``DomainError``.
+    combined by log-sum-exp.  A block whose weights overflow raises
+    ``DomainError``.
     """
     if N < 1 or M < 1:
         raise ValueError("need N >= 1 and M >= 1")

@@ -12,7 +12,6 @@ from functools import lru_cache
 import numpy as np
 
 from bethe6v import (
-    AmplitudeEvaluator,
     Anisotropy,
     MomentumSet,
     build_hamiltonian_block,
@@ -28,6 +27,7 @@ from bethe6v import (
     log_polynomial,
     log_trace_power,
     match_eigenvalue,
+    pair_factors,
     partition_function_bruteforce,
     solve,
     transfer_eigenvalue,
@@ -67,9 +67,7 @@ def solved(N, n, c):
 def prediction(N, n, c):
     report = solved(N, n, c)
     assert report.converged
-    return full_prediction(
-        enumerate_sector(N, n), AmplitudeEvaluator(report.momenta)
-    )
+    return full_prediction(enumerate_sector(N, n), report.momenta)
 
 
 @lru_cache(maxsize=None)
@@ -257,9 +255,8 @@ def test_a9_degenerate_momenta_collapse():
     for n, values in ((2, (0.4, 0.4)), (3, (0.5, 0.5, -0.3))):
         for c in (1.0, 2.0):
             m = MomentumSet.relaxed(values, Anisotropy(c))
-            ev = AmplitudeEvaluator(m)
-            psi = build_psi(enumerate_sector(8, n), ev)
-            bound = 1e-12 * math.factorial(n) * float(np.max(np.abs(ev.pair_factors)))
+            psi = build_psi(enumerate_sector(8, n), m)
+            bound = 1e-12 * math.factorial(n) * float(np.max(np.abs(pair_factors(m))))
             peak = float(np.max(np.abs(psi)))
             worst = max(worst, peak / bound)
             if peak > bound:

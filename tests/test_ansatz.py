@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bethe6v import (
-    AmplitudeEvaluator,
     Anisotropy,
+    DomainError,
     L_factor,
     M_factor,
     MomentumSet,
@@ -21,6 +21,7 @@ from bethe6v import (
     full_prediction,
     ground_state_quantum_numbers,
     identity_suite,
+    pair_factors,
     solve,
     theta,
     theta_partial_1,
@@ -37,23 +38,22 @@ def momentum_set(values, c=1.0):
 class TestAmplitudes:
     def test_pair_factor_table(self):
         m = momentum_set((-0.4, 0.2, 0.7))
-        ev = AmplitudeEvaluator(m)
+        B = pair_factors(m)
         a = m.anisotropy
         for k in range(3):
             for l in range(3):
                 pk, pl = m.momenta[k], m.momenta[l]
                 kernel = np.exp(-1j * pk) + np.exp(1j * pl) - 2.0 * a.delta
                 expected = np.exp(1j * pk) * kernel / abs(kernel)
-                assert ev.pair_factors[k, l] == pytest.approx(expected, rel=1e-15)
+                assert B[k, l] == pytest.approx(expected, rel=1e-15)
 
     def test_single_momentum_identity(self):
-        ev = AmplitudeEvaluator(momentum_set((0.5,)))
-        assert amplitude((0,), ev) == 1.0 + 0.0j
+        assert amplitude((0,), pair_factors(momentum_set((0.5,)))) == 1.0 + 0.0j
 
     def test_transposition_ratio_matches_phase(self):
         m = momentum_set((-0.45, 0.3))
-        ev = AmplitudeEvaluator(m)
-        ratio = amplitude((1, 0), ev) / amplitude((0, 1), ev)
+        B = pair_factors(m)
+        ratio = amplitude((1, 0), B) / amplitude((0, 1), B)
         expected = -np.exp(1j * theta(m.momenta[0], m.momenta[1], m.anisotropy))
         assert ratio == pytest.approx(expected, rel=1e-13)
 
@@ -64,21 +64,21 @@ class TestAmplitudes:
             a = Anisotropy(c)
             for n, N in ((1, 5), (2, 6), (3, 7), (4, 8), (5, 10)):
                 p = np.sort(rng.uniform(-0.9, 0.9, size=n)) * a.domain_halfwidth
-                ev = AmplitudeEvaluator(MomentumSet(tuple(p), a))
+                m = MomentumSet(tuple(p), a)
+                B, z = pair_factors(m), np.exp(1j * m.as_array())
                 sector = enumerate_sector(N, n)
                 X = sector.positions
                 direct = np.zeros(sector.dim, dtype=complex)
                 for sigma in itertools.permutations(range(n)):
-                    waves = np.prod(ev.z[list(sigma)] ** X, axis=1)
-                    direct += amplitude(sigma, ev) * waves
-                fast = build_psi(sector, ev)
+                    waves = np.prod(z[list(sigma)] ** X, axis=1)
+                    direct += amplitude(sigma, B) * waves
+                fast = build_psi(sector, m)
                 scale = np.maximum(1.0, np.abs(direct))
                 assert np.all(np.abs(fast - direct) <= 1e-12 * scale), (c, n)
 
     def test_invalid_permutation_rejected(self):
-        ev = AmplitudeEvaluator(momentum_set((0.1, 0.4)))
         with pytest.raises(ValueError):
-            amplitude((0, 0), ev)
+            amplitude((0, 0), pair_factors(momentum_set((0.1, 0.4))))
 
 
 class TestPsiCoefficient:
@@ -89,43 +89,41 @@ class TestPsiCoefficient:
             a = Anisotropy(c)
             for n in (1, 2, 3, 4):
                 p = np.sort(rng.uniform(-0.85, 0.85, size=n)) * a.domain_halfwidth
-                ev = AmplitudeEvaluator(MomentumSet(tuple(p), a))
+                m = MomentumSet(tuple(p), a)
                 # the library drops the common modulus prod_{k<l} |S(p_k, p_l)|
                 modulus = math.prod(
                     abs(np.exp(-1j * p[k]) + np.exp(1j * p[l]) - 2.0 * a.delta)
                     for k in range(n) for l in range(k + 1, n)
                 )
                 sector = enumerate_sector(8, n)
-                psi = build_psi(sector, ev)
+                psi = build_psi(sector, m)
                 for k in rng.choice(sector.dim, size=min(sector.dim, 12), replace=False):
                     pos = tuple(sector.positions[k].tolist())
                     ref = naive_psi_coefficient(pos, tuple(p), a.delta) / modulus
                     assert abs(psi[k] - ref) <= 1e-12 * max(1.0, abs(ref)), (c, n, pos)
 
     def test_single_plane_wave(self):
-        ev = AmplitudeEvaluator(momentum_set((0.6,)))
         sector = enumerate_sector(8, 1)
-        psi = build_psi(sector, ev)
+        psi = build_psi(sector, momentum_set((0.6,)))
         k = sector.ranks(np.array([[3]]))[0]
         assert psi[k] == pytest.approx(np.exp(1j * 0.6 * 3), rel=1e-14)
 
     def test_particle_count_mismatch(self):
-        ev = AmplitudeEvaluator(momentum_set((0.1, 0.5)))
         with pytest.raises(SectorMismatchError):
-            build_psi(enumerate_sector(4, 1), ev)
+            build_psi(enumerate_sector(4, 1), momentum_set((0.1, 0.5)))
 
 
 class TestBuildPsi:
     def test_zero_momentum_gives_all_ones(self):
         m = momentum_set((0.0,))
-        pred = full_prediction(enumerate_sector(6, 1), AmplitudeEvaluator(m))
+        pred = full_prediction(enumerate_sector(6, 1), m)
         assert np.allclose(pred.psi, np.ones(6), rtol=0, atol=1e-15)
         assert pred.singular is True
 
     def test_fourier_mode(self):
         N = 8
         m = momentum_set((2.0 * math.pi / N,))
-        pred = full_prediction(enumerate_sector(N, 1), AmplitudeEvaluator(m))
+        pred = full_prediction(enumerate_sector(N, 1), m)
         expected = np.exp(1j * 2.0 * math.pi / N * np.arange(1, N + 1))
         assert np.allclose(pred.psi, expected, rtol=1e-14, atol=0)
         assert pred.psi_norm == pytest.approx(math.sqrt(N), rel=1e-14)
@@ -138,13 +136,13 @@ class TestBuildPsi:
             a = Anisotropy(c)
             for N, n in ((7, 1), (9, 3), (10, 4), (11, 5), (12, 6)):
                 p = np.sort(rng.uniform(-0.9, 0.9, size=n)) * a.domain_halfwidth
-                ev = AmplitudeEvaluator(MomentumSet(tuple(p), a))
+                m = MomentumSet(tuple(p), a)
                 sector = enumerate_sector(N, n)
-                whole = build_psi(sector, ev)
+                whole = build_psi(sector, m)
                 for rows, tol in ((7, 1e-15), (sector.dim, 0.0)):
                     monkeypatch.setattr("bethe6v.ansatz._CHUNK_ELEMENTS",
                                         rows * math.comb(n, n // 2))
-                    chunked = build_psi(sector, ev)
+                    chunked = build_psi(sector, m)
                     assert np.max(np.abs(chunked - whole)) <= tol * np.max(np.abs(whole))
                 monkeypatch.undo()
 
@@ -154,9 +152,8 @@ class TestBuildPsi:
             a = Anisotropy(c)
             values = (0.4, 0.4) if n == 2 else (0.5, 0.5, -0.3)
             m = MomentumSet.relaxed(values, a)
-            ev = AmplitudeEvaluator(m)
-            psi = build_psi(enumerate_sector(8, n), ev)
-            scale = math.factorial(n) * float(np.max(np.abs(ev.pair_factors)))
+            psi = build_psi(enumerate_sector(8, n), m)
+            scale = math.factorial(n) * float(np.max(np.abs(pair_factors(m))))
             assert np.max(np.abs(psi)) <= 1e-12 * scale
 
 
@@ -197,10 +194,18 @@ class TestEigenvalues:
         assert lam == np.prod(L_factor(z, a)) + np.prod(M_factor(z, a))
 
     def test_regular_branch_refuses_zero(self):
-        # one zero takes the derivative branch; two reach a singular product factor
+        # one zero takes the derivative branch; two below 1e-9, equal or not, have none
         assert transfer_eigenvalue(momentum_set((0.0, 0.5)), 8)[1] is True
-        with pytest.raises(SingularMomentumError):
-            transfer_eigenvalue(MomentumSet.relaxed((0.0, 0.0), Anisotropy(1.0)), 8)
+        for values in ((0.0, 0.0), (0.0, 5e-10)):
+            m = MomentumSet.relaxed(values, Anisotropy(1.0))
+            with pytest.raises(SingularMomentumError, match="more than one momentum is near zero"):
+                transfer_eigenvalue(m, 8)
+
+    @pytest.mark.parametrize("values", [(-0.5, 0.5), (0.0, 0.5)], ids=["product", "zero"])
+    def test_overflow_refused_on_either_branch(self, values):
+        # at c = 1e100 each factor is about c^2, so two overflow a double
+        with pytest.raises(DomainError, match="predicted transfer eigenvalue overflows"):
+            transfer_eigenvalue(momentum_set(values, 1e100), 8)
 
 
 class TestBetheResidual:
@@ -243,7 +248,7 @@ class TestFullPrediction:
         a = Anisotropy(c)
         rep = solve(N, ground_state_quantum_numbers(n), a)
         sector = enumerate_sector(N, n)
-        pred = full_prediction(sector, AmplitudeEvaluator(rep.momenta))
+        pred = full_prediction(sector, rep.momenta)
         blk = build_transfer_block(sector, a)
         residual, _ = check_eigenpair(blk, pred.psi, pred.lam)
         assert residual < 1e-9
@@ -251,6 +256,5 @@ class TestFullPrediction:
         assert pred.psi_norm > 1e-6 * math.sqrt(sector.dim)
 
     def test_sector_mismatch(self):
-        ev = AmplitudeEvaluator(momentum_set((0.1, 0.5)))
         with pytest.raises(SectorMismatchError):
-            build_psi(enumerate_sector(8, 3), ev)
+            build_psi(enumerate_sector(8, 3), momentum_set((0.1, 0.5)))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bethe6v import (
-    AmplitudeEvaluator,
     Anisotropy,
     build_hamiltonian_block,
     build_psi,
@@ -121,9 +120,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("c", [
         "1e-9",  # the scattering kernel leaves the right half-plane
         "3e-4",  # the scattering kernel vanishes
-        # V's entries overflow, so the dense eigensolver does not converge
-        pytest.param("1e100", marks=pytest.mark.filterwarnings(
-            "ignore:overflow encountered", "ignore:invalid value encountered")),
+        "1e100",  # lambda and V's weight c^6 overflow a double
     ])
     def test_numeric_range_limit_exit_code(self, c, capsys):
         code, out = run_cli(["solve", "--capital-n", "6", "--n", "3", "--c", c])
@@ -132,9 +129,15 @@ class TestSolveCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
-    @pytest.mark.parametrize("c", ["1e-3", "1e20", "1e30"])
-    def test_numeric_range_ends_still_pass(self, c):
-        code, out = run_cli(["solve", "--capital-n", "6", "--n", "3", "--c", c])
+    @pytest.mark.parametrize("N, n, c", [
+        pytest.param("6", "3", "1e-3", id="1e-3"),
+        pytest.param("6", "3", "1e20", id="1e20"),
+        pytest.param("6", "3", "1e30", id="1e30"),
+        # both blocks are finite, but V(Hx) unscaled would overflow
+        pytest.param("10", "5", "1e30", id="10-5-1e30"),
+    ])
+    def test_numeric_range_ends_still_pass(self, N, n, c):
+        code, out = run_cli(["solve", "--capital-n", N, "--n", n, "--c", c])
         assert code == 0
         assert parse_report(out)["verification.passed"] == "true"
 
@@ -208,8 +211,8 @@ class TestSolveCommand:
 
         full_prediction = bethe6v.cli.full_prediction
 
-        def perturbed(sector, ev):
-            pred = full_prediction(sector, ev)
+        def perturbed(sector, m):
+            pred = full_prediction(sector, m)
             return dataclasses.replace(pred, lam=pred.lam * (1.0 + 1e-8))
 
         monkeypatch.setattr("bethe6v.cli.full_prediction", perturbed)
@@ -490,14 +493,13 @@ class TestPartitionCommand:
         assert rep["verification.passed"] == "true"
 
     def test_nan_discrepancy_fails_closed(self, capsys):
-        # c^2 overflows to inf in the blocks: no trace, and no verdict on it
+        # c^2 overflows a double: V refuses its block, so no trace and no verdict
         code, out = run_cli(
             ["partition", "--capital-n", "2", "--m", "2", "--c", "1e200", "--bruteforce"]
         )
         assert code == 2
         assert out == ""
-        assert capsys.readouterr().err == (
-            "error: block entries overflow to inf or NaN; no transfer trace\n")
+        assert capsys.readouterr().err == "error: transfer weight c^2 overflows at c = 1e+200\n"
 
     def test_enumeration_cap(self):
         code, _ = run_cli(
@@ -617,6 +619,16 @@ class TestDumpMatrixCommand:
         assert parsed.shape == (10, 10)
         assert np.array_equal(parsed, parsed.T)
 
+    def test_overflowing_weight_refused(self, tmp_path, capsys):
+        # c^6 overflows a double: no block, so no file of inf rows
+        path = tmp_path / "v.txt"
+        code, out = run_cli(["dump-matrix", "--capital-n", "6", "--n", "3", "--c", "1e100",
+                             "--out", str(path)])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == "error: transfer weight c^6 overflows at c = 1e+100\n"
+        assert not path.exists()
+
 
 @pytest.mark.parametrize("argv, message", [
     # C(16, 8) = 12870 rows fit the dense cap but not the spectrum cap
@@ -667,7 +679,7 @@ class TestEnvironmentCaps:
         assert build_hamiltonian_block(sector, a.delta).dim == 20
         assert dense_eigenvalues(build_transfer_block(sector, a)).shape == (20,)
         momenta = solve(6, ground_state_quantum_numbers(3), a).momenta
-        assert np.all(np.isfinite(build_psi(sector, AmplitudeEvaluator(momenta))))
+        assert np.all(np.isfinite(build_psi(sector, momenta)))
         assert identity_suite(momenta, 6, samples=2).samples == 2
         assert sum(partition_function_bruteforce(2, 2)) == 18
 

@@ -16,6 +16,7 @@ from bethe6v import (
     scattering_kernel,
     theta,
     theta_partial_1,
+    transfer_eigenvalue,
 )
 
 from helpers import two_kernel_theta, two_kernel_theta_partial_1
@@ -249,10 +250,10 @@ class TestEigenvalueFactors:
 
 class TestMomentumSet:
     def test_zero_detection(self):
+        # the transfer eigenvalue takes its zero-momentum branch for one |p| < 1e-9
         a = Anisotropy(1.0)
-        m = MomentumSet((-0.4, 1e-12, 0.4), a)
-        assert m.zero_index == 1
-        assert MomentumSet((-0.4, 0.4), a).zero_index is None
+        assert transfer_eigenvalue(MomentumSet((-0.4, 1e-12, 0.4), a), 8)[1] is True
+        assert transfer_eigenvalue(MomentumSet((-0.4, 0.4), a), 8)[1] is False
 
     def test_rejects_outside_domain(self):
         a = Anisotropy(0.5)
@@ -273,7 +274,7 @@ class TestMomentumSet:
 
     def test_empty(self):
         m = MomentumSet((), Anisotropy(1.0))
-        assert m.n == 0 and m.zero_index is None
+        assert m.n == 0 and transfer_eigenvalue(m, 8)[1] is False
 
 
 @settings(deadline=None, max_examples=80)

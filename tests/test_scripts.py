@@ -43,3 +43,11 @@ def test_partition_scan_stops_at_the_enumeration_cap():
     proc = run_script("partition_scan.py", "--max-cells", "16", "--c-values", "1.0")
     assert proc.returncode == 2
     assert proc.stderr == "error: N*M = 16 exceeds enumeration cap 14\n"
+
+
+def test_ground_state_scan_stops_at_a_cap(monkeypatch):
+    # (6, 1) has 6 states, one past a spectrum cap of 5
+    monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "5")
+    proc = run_script("ground_state_scan.py", "--ring-sizes", "6", "--c-values", "1")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: dimension 6 exceeds spectrum cap 5\n"

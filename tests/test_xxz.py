@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bethe6v import (
-    AmplitudeEvaluator,
     Anisotropy,
     MomentumSet,
     SectorMismatchError,
@@ -130,7 +129,7 @@ class TestEnergyPrediction:
         a = Anisotropy(c)
         report = solve(N, ground_state_quantum_numbers(n), a)
         sector = enumerate_sector(N, n)
-        pred = full_prediction(sector, AmplitudeEvaluator(report.momenta))
+        pred = full_prediction(sector, report.momenta)
         blk = build_hamiltonian_block(sector, a.delta)
         residual, _ = check_eigenpair(blk, pred.psi, pred.energy)
         assert residual < 1e-9
