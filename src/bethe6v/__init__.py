@@ -45,14 +45,21 @@ from .solver import (
 )
 from .transfer import (
     SectorMatrix,
+    TransferOperator,
     build_transfer_block,
     enumerate_row_completions,
     log_polynomial,
     log_trace_power,
     matrix_text,
     partition_function_bruteforce,
+    transfer_operator,
     write_matrix,
 )
-from .xxz import build_hamiltonian_block, energy_prediction
+from .xxz import (
+    HamiltonianOperator,
+    build_hamiltonian_block,
+    energy_prediction,
+    hamiltonian_operator,
+)
 
 __version__ = "0.1.0"

@@ -6,7 +6,9 @@ colexicographic on position lists (ascending occupation bitmask) and fixed
 globally, so every matrix or coefficient dump is reproducible bit for bit.
 This module is the one place that knows the state encoding: a sector holds
 its states as position, occupancy and bitmask arrays, and ``ranks`` is the
-one route from states back to their indices.
+one route from states back to their indices; ``toggled_ranks`` and
+``swapped_ranks`` give the indices of the states one site flip or one bond
+swap away, by colex arithmetic on the sector's own positions.
 """
 
 from __future__ import annotations
@@ -71,6 +73,63 @@ class SectorIndex:
         Table entries above dim are clipped; no state of the sector uses them.
         """
         return self._colex_table[positions - 1, np.arange(self.n)].sum(axis=1)
+
+    def toggled_ranks(self) -> np.ndarray:
+        """(N, dim) ranks of the states with one site toggled, row i - 1 for site i.
+
+        An empty site i is filled, giving a state of sector n + 1; an occupied
+        one is emptied, giving one of sector n - 1.  With j the occupied
+        sites left of i, filling i moves x_(j+1)..x_n up one index in the
+        colex sum and adds C(i - 1, j + 1); emptying i = x_(j+1) moves
+        x_(j+2)..x_n down one.  Prefix sums of the kept, raised and lowered
+        terms give every rank at once, with no other sector enumerated.
+        """
+        N, n, dim = self.N, self.n, self.dim
+        # C(q, k) for k <= n + 1, clipped where no rank of sectors n +- 1 reaches
+        cap = max(dim, comb(N, n + 1), comb(N, n - 1) if n else 0)
+        table = [[min(comb(q, k), cap) for k in range(n + 2)] for q in range(N)]
+        table = np.array(table, dtype=np.int64).reshape(N, n + 2)
+        k = np.arange(1, n + 1)[:, None]
+        below = self.positions.T - 1
+        zero = np.zeros((1, dim), dtype=np.int64)
+        # kept[j]: the terms of x_1..x_j; raised[j]: those of x_(j+1)..x_n one
+        # index up; lowered[j]: those of x_(j+2)..x_n one index down
+        kept = np.cumsum(np.vstack([zero, table[below, k]]), axis=0)
+        raised = np.cumsum(np.vstack([table[below, k + 1], zero])[::-1], axis=0)[::-1]
+        lowered = np.cumsum(np.vstack([table[below[1:], k[:-1]], zero])[::-1], axis=0)[::-1]
+        # rows j < n + 2: site empty, j occupied on its left; rows n + 2 + j:
+        # site occupied; the filled site's own term C(i - 1, j + 1) is added
+        # from ``filled``, zero on occupied rows
+        tail = np.vstack([kept + raised, zero, kept[:-1] + lowered, zero])
+        filled = np.hstack([table[:, 1:], np.zeros((N, n + 2), dtype=np.int64)])
+        occupied = self.occupied.T
+        row = np.cumsum(occupied, axis=0)  # sites up to i occupied: j, or j + 1 if i is
+        row += (n + 1) * occupied
+        return tail[row, np.arange(dim)] + filled[np.arange(N)[:, None], row]
+
+    def swapped_ranks(self) -> np.ndarray:
+        """(N, dim) ranks of the states with the arrows of sites i and i + 1 swapped.
+
+        Row i - 1 is the bond (i, i + 1), site 1 following site N; where the
+        two arrows agree the entry is dim.  On an open bond the moving
+        particle keeps its index k = j + 1, j the occupied sites left of i,
+        so the rank moves by C(i, k) - C(i - 1, k) = C(i - 1, j), up when it
+        moves right.  The bond (N, 1) reorders the positions, so its states
+        are ranked directly.
+        """
+        N, dim = self.N, self.dim
+        occupied = self.occupied.T
+        hops = occupied != np.concatenate([occupied[1:], occupied[:1]])
+        left = np.cumsum(occupied[:-1], axis=0) - occupied[:-1]
+        table = np.hstack([np.ones((N, 1), dtype=np.int64), self._colex_table])  # C(q, 0..n)
+        step = table[np.arange(N - 1)[:, None], left]
+        out = np.full((N, dim), dim)
+        out[:-1] = np.where(hops[:-1], np.arange(dim) + np.where(occupied[:-1], step, -step), dim)
+        wrap = np.flatnonzero(hops[-1])
+        swapped = self.positions[wrap]
+        swapped = np.where(swapped == N, 1, np.where(swapped == 1, N, swapped))
+        out[-1, wrap] = self.ranks(np.sort(swapped, axis=1))
+        return out
 
 
 def enumerate_sector(N: int, n: int) -> SectorIndex:

@@ -3,8 +3,9 @@
 Subcommands:
 
 * ``solve``: solve the logarithmic equations, build the predicted
-  eigenvector and both eigenvalues, verify them against the sector blocks
-  and name their level by a Perron–Frobenius certificate or dense spectrum;
+  eigenvector and both eigenvalues, verify them against the sector
+  operators and name their level by a Perron–Frobenius certificate or dense
+  spectrum;
 * ``partition``: log partition function log Tr(V^M), optionally checked
   against brute-force torus enumeration;
 * ``verify-identities``: grid suite for the function-level identities plus,
@@ -30,6 +31,7 @@ import resource
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -46,9 +48,10 @@ from .transfer import (
     log_polynomial,
     log_trace_power,
     partition_function_bruteforce,
+    transfer_operator,
     write_matrix,
 )
-from .xxz import build_hamiltonian_block
+from .xxz import build_hamiltonian_block, hamiltonian_operator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -139,12 +142,13 @@ def _verdict(rep: Report, failures: list[str]) -> int:
 
 
 def _match_level(rep: Report, dim: int, checks) -> list[str]:
-    """Name the levels of (kind, value, bracket, block) checks on one route; return failures.
+    """Name the levels of (kind, value, bracket, build) checks on one route; return failures.
 
     ``certified`` when every bracket is finite and, widened to contain its
     value, within MATCH_TOL * max(1, |value|): each value is then the top
     level, dim - 1, and no eigensolver runs.  Else ``dense`` up to the
-    spectrum cap, each value named by its lowest hit; above it, no level.
+    spectrum cap, each value named by its lowest hit in the spectrum of the
+    block ``build()`` returns; above it, no level and no block.
     """
     widths = [max(b[1], value) - min(b[0], value) if b and all(map(math.isfinite, b))
               else math.inf for _, value, b, _ in checks]
@@ -159,7 +163,7 @@ def _match_level(rep: Report, dim: int, checks) -> list[str]:
         return []
     rep.add("checks.route", "dense")
     with rep.stage("spectrum"):
-        spectra = [(kind, value, dense_eigenvalues(block)) for kind, value, _, block in checks]
+        spectra = [(kind, value, dense_eigenvalues(build())) for kind, value, _, build in checks]
     failures = []
     for kind, value, eigenvalues in spectra:
         hits = match_eigenvalue(value, eigenvalues, MATCH_TOL)
@@ -195,6 +199,8 @@ def _cmd_solve(args) -> tuple[Report, int]:
         report = solve(N, qn, a)
     rep.add("solver.converged", report.converged)
     rep.add("solver.iterations", report.iterations)
+    rep.add("solver.step_halvings", report.step_halvings)
+    rep.add("solver.polish_steps", report.polish_steps)
     rep.add("solver.final_residual", report.final_residual)
     rep.add("solver.jacobian_condition_estimate", report.jacobian_condition_estimate)
     rep.add("solver.degenerate", report.degenerate)
@@ -234,14 +240,14 @@ def _cmd_solve(args) -> tuple[Report, int]:
         rep.add("checks.route", "skipped:psi-trivial")
     else:
         with rep.stage("v"):
-            v_block = build_transfer_block(sector, a)
+            v_op = transfer_operator(sector, a)
         with rep.stage("h"):
-            h_block = build_hamiltonian_block(sector, a.delta)
+            h_op = hamiltonian_operator(sector, a.delta)
         with rep.stage("residuals"):
-            rv, v_bracket = check_eigenpair(v_block, prediction.psi, lam)
-            rh, h_bracket = check_eigenpair(h_block, prediction.psi, energy)
+            rv, v_bracket = check_eigenpair(v_op, prediction.psi, lam)
+            rh, h_bracket = check_eigenpair(h_op, prediction.psi, energy)
         with rep.stage("commutator"):
-            comm = commutator_probe(v_block, h_block)
+            comm = commutator_probe(v_op, h_op)
         rep.add("residual.transfer_eigenpair", rv)
         rep.add("residual.xxz_eigenpair", rh)
         rep.add("residual.commutator_probe", comm)
@@ -252,9 +258,10 @@ def _cmd_solve(args) -> tuple[Report, int]:
             failures.append("xxz_eigenpair")
         if not comm <= COMMUTATOR_TOL:
             failures.append("commutator")
-        failures += _match_level(rep, sector.dim,
-                                 (("transfer", lam.real, v_bracket, v_block),
-                                  ("xxz", energy, h_bracket, h_block)))
+        failures += _match_level(
+            rep, sector.dim,
+            (("transfer", lam.real, v_bracket, partial(build_transfer_block, sector, a)),
+             ("xxz", energy, h_bracket, partial(build_hamiltonian_block, sector, a.delta))))
 
     if args.dump_psi:
         _write_psi(args.dump_psi, prediction.psi)

@@ -45,7 +45,11 @@ _KERNEL_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class Anisotropy:
-    """Derived spectral parameters of the isotropic six-vertex weight c > 0."""
+    """Derived spectral parameters of the isotropic six-vertex weight c > 0.
+
+    A c whose square overflows a double raises ``DomainError``: delta, the
+    eigenvalue factors and every weight of V are made from c^2.
+    """
 
     c: float
     delta: float = field(init=False)
@@ -56,6 +60,8 @@ class Anisotropy:
         c = float(self.c)
         if not c > 0.0:
             raise ValueError("c must be positive")
+        if not math.isfinite(c * c):
+            raise DomainError(f"transfer weight c^2 overflows at c = {c!r}")
         object.__setattr__(self, "c", c)
         delta = (2.0 - c * c) / 2.0
         # cos(mu) = -delta with mu in [0, pi); at and below delta = -1 this pins mu = 0

@@ -90,12 +90,21 @@ def ground_state_quantum_numbers(n: int) -> QuantumNumbers:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
+    """The root and how the iteration got there.
+
+    ``iterations`` counts accepted steps, polish steps included;
+    ``step_halvings`` counts every halving of the line search and
+    ``polish_steps`` the accepted full steps after 1e-12 was met.
+    """
+
     momenta: MomentumSet
     iterations: int
     final_residual: float
     converged: bool
     jacobian_condition_estimate: float
     degenerate: bool = False
+    step_halvings: int = 0
+    polish_steps: int = 0
 
 
 def log_equations(N: int, qn: QuantumNumbers, a: Anisotropy):
@@ -156,7 +165,7 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
     p = _initial_guess(N, qn, a)
     f = residual(p)
     res = float(np.max(np.abs(f)))
-    iterations = 0
+    iterations = halvings = polished = 0
     converged = res <= _TOL
     polish = 3
 
@@ -177,6 +186,7 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
             if res_trial < res or alpha <= _STEP_FLOOR:
                 break
             alpha *= 0.5
+            halvings += 1
         if not res_trial < res:
             # stalled at the step floor (or off the domain): the best iterate
             # is a root iff rounding explains its residual; the full step just
@@ -197,6 +207,7 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
         if res_trial >= res:
             break
         iterations += 1
+        polished += 1
         p, f, res = trial, f_trial, res_trial
 
     try:
@@ -210,4 +221,4 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
     except DegenerateMomentaError:
         momenta = MomentumSet.relaxed(tuple(p), a)
         degenerate = True
-    return SolveReport(momenta, iterations, res, converged, cond, degenerate)
+    return SolveReport(momenta, iterations, res, converged, cond, degenerate, halvings, polished)

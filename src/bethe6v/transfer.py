@@ -1,6 +1,8 @@
-"""Six-vertex transfer-matrix blocks and the torus partition function.
+"""Six-vertex transfer matrix on a sector, its blocks and the torus partition function.
 
-Three independent routes are provided on purpose:
+``transfer_operator`` applies V to a vector without forming it: a row sweep
+over the sites, the paper's definition of V read site by site.  Three
+independent routes then build or check its blocks:
 
 * ``build_transfer_block``: the closed-form entries (2 on the diagonal,
   c^P between distinct states whose positions interlace,
@@ -20,7 +22,7 @@ are computed by repeated squaring so the first two routes agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +30,12 @@ import numpy as np
 from .basis import SectorIndex, enumerate_sector
 from .errors import DomainError
 from .functions import Anisotropy
+from .oracle import _norm
 
 __all__ = [
     "SectorMatrix",
+    "TransferOperator",
+    "transfer_operator",
     "build_transfer_block",
     "enumerate_row_completions",
     "partition_function_bruteforce",
@@ -68,6 +73,96 @@ class SectorMatrix:
     n = property(lambda self: self.basis.n)
     dim = property(lambda self: self.basis.dim)
 
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        A = self.entries
+        if np.iscomplexobj(x):  # A @ complex(x) would first copy A to complex
+            return A @ x.real + 1j * (A @ x.imag)
+        return A @ x
+
+    def frobenius(self) -> float:
+        return _norm(self.entries)
+
+
+def _check_weight(sector: SectorIndex, c: float) -> None:
+    """Refuse V's largest weight c^(2 min(n, N - n)) past the double range."""
+    top = min(sector.n, sector.N - sector.n)
+    if not math.isfinite(_int_power(c * c, top)):
+        raise DomainError(f"transfer weight c^{2 * top} overflows at c = {c!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class TransferOperator:
+    """V on one sector, applied by a row sweep with no dim^2 array.
+
+    The wrap-around arrow h0 is fixed and the sites are swept in order.  At
+    each site the vertex weights mix two states, (h = +, site empty) and
+    (h = -, site occupied, every other site the same), by [[1, c], [c, 1]];
+    every other state passes with weight 1.  The seed h0 = + carries the
+    vector between sectors n (h = +) and n + 1 (h = -), the seed h0 = -
+    between n (h = -) and n - 1 (h = +), and Vx is the sum of what each
+    channel returns to its seed.  The sweep state is one array
+    [seed + in n | seed - in n | seed + in n + 1 | seed - in n - 1], and
+    ``maps[i]`` holds, for every state of sector n, the index of its entry
+    that site i + 1 mixes (row 0) and of its partner's (row 1): one gather
+    and one scatter per site for both channels.
+    """
+
+    basis: SectorIndex
+    c: float
+    maps: np.ndarray = field(repr=False)  # (N, 2, dim) indices into the sweep state
+    size: int                             # length of the sweep state
+    N = property(lambda self: self.basis.N)
+    n = property(lambda self: self.basis.n)
+    dim = property(lambda self: self.basis.dim)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        dim = self.dim
+        z = np.zeros(self.size, dtype=np.result_type(x, float))
+        z[:dim] = x
+        z[dim:2 * dim] = x
+        # a path the sweep discards may carry one more factor of c than any
+        # entry of V, so it may overflow; no kept path reads it
+        with np.errstate(over="ignore"):
+            for site in self.maps:
+                pair = z[site]
+                z[site] = pair + self.c * pair[::-1]
+        return z[:dim] + z[dim:2 * dim]
+
+    def frobenius(self) -> float:
+        """||V||_F from the number of entries of each weight.
+
+        Two distinct states interlace across 2k sites in 2 C(N, 2k)
+        C(N - 2k, n - k) ordered ways: the 2k sites alternate between them,
+        starting with either, and the n - k sites they share lie anywhere
+        else.  Such an entry is c^(2k), and the dim diagonal entries are 2,
+        so ||V||_F^2 = 4 dim + sum_k 2 C(N, 2k) C(N - 2k, n - k) c^(4k),
+        summed by ``log_polynomial`` so that no term need fit a double.
+        """
+        N, n = self.N, self.n
+        counts = [0] * (4 * min(n, N - n) + 1)
+        counts[0] = 4 * self.dim
+        for k in range(1, min(n, N - n) + 1):
+            counts[4 * k] = 2 * math.comb(N, 2 * k) * math.comb(N - 2 * k, n - k)
+        with np.errstate(over="ignore"):  # inf past the double range
+            return float(np.exp(0.5 * log_polynomial(counts, self.c)))
+
+
+def transfer_operator(sector: SectorIndex, a: Anisotropy) -> TransferOperator:
+    """V on a sector as a row sweep; refuses a weight past the double range, as the block does."""
+    _check_weight(sector, a.c)
+    N, n, dim = sector.N, sector.n, sector.dim
+    up, down = math.comb(N, n + 1), math.comb(N, n - 1) if n else 0
+    occupied = sector.occupied.T
+    maps = np.empty((N, 2, dim), dtype=np.int64)
+    # row 0: each state's entry in the sector-n block of the seed that site
+    # i + 1 mixes it in; row 1: its partner's, the state with that site
+    # toggled, in the block of sector n + 1 or n - 1
+    np.multiply(occupied, dim, out=maps[:, 0])
+    maps[:, 0] += np.arange(dim)
+    np.multiply(occupied, up, out=maps[:, 1])
+    maps[:, 1] += sector.toggled_ranks() + 2 * dim
+    return TransferOperator(sector, a.c, maps, 2 * dim + up + down)
+
 
 def _prefix_xor(words: np.ndarray) -> np.ndarray:
     """Bitwise prefix parity of multiword masks: bit s is the XOR of bits 0..s."""
@@ -94,12 +189,10 @@ def build_transfer_block(sector: SectorIndex, a: Anisotropy) -> SectorMatrix:
     differ on at most 2 min(n, N - n) sites; a block whose weight there
     overflows raises ``DomainError`` before any allocation.
     """
+    _check_weight(sector, a.c)
     dim = sector.dim
     c2 = a.c * a.c
     cpow = np.array([_int_power(c2, k) for k in range(sector.n + 1)])
-    top = min(sector.n, sector.N - sector.n)
-    if not math.isfinite(cpow[top]):
-        raise DomainError(f"transfer weight c^{2 * top} overflows at c = {a.c!r}")
 
     masks = sector.masks
     prefix = _prefix_xor(masks)

@@ -1,45 +1,84 @@
-"""Periodic XXZ chain: sector blocks and the closed-form energy.
+"""Periodic XXZ chain: the sector operator, its dense block and the closed-form energy.
 
 Site i of the chain contributes +delta/2 to the diagonal when the arrows at
 i and i+1 agree and -delta/2 when they differ, plus an exchange hop of
-weight 1 between states that differ by swapping those two arrows.  The
-block is accumulated site by site, vectorized over the basis: the sector's
-occupancy table gives the bond terms and its colex ranks the hop targets.
+weight 1 between states that differ by swapping those two arrows.
+``hamiltonian_operator`` reads the hop targets of every bond off the
+sector's ``swapped_ranks`` and keeps them, with the diagonal they imply, as
+index arrays that apply H; ``build_hamiltonian_block`` scatters the same
+hops into a dense block.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import SectorIndex
 from .functions import MomentumSet
+from .oracle import _norm
 from .transfer import SectorMatrix
 
 __all__ = [
+    "HamiltonianOperator",
+    "hamiltonian_operator",
     "build_hamiltonian_block",
     "energy_prediction",
 ]
 
 
-def build_hamiltonian_block(sector: SectorIndex, delta: float) -> SectorMatrix:
-    """Sector block of the spin-chain Hamiltonian (exchange conserves n)."""
-    N, dim = sector.N, sector.dim
-    if N < 2:
+@dataclass(frozen=True, eq=False)
+class HamiltonianOperator:
+    """H on one sector: its diagonal and, per bond, each state's hop target.
+
+    ``targets[i - 1, s]`` is the state that swapping the arrows of bond
+    (i, i + 1) turns state s into, or dim where they agree (no hop).
+    """
+
+    basis: SectorIndex
+    diagonal: np.ndarray = field(repr=False)
+    targets: np.ndarray = field(repr=False)  # (N, dim)
+    N = property(lambda self: self.basis.N)
+    n = property(lambda self: self.basis.n)
+    dim = property(lambda self: self.basis.dim)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        padded = np.append(x, 0.0)  # index dim reads a zero: no hop
+        return self.diagonal * x + padded[self.targets].sum(axis=0)
+
+    def frobenius(self) -> float:
+        """||H||_F = hypot(||diagonal||, sqrt(hops)), each hop an entry of 1.
+
+        At N = 2 both bonds join the same pair of states, so each of those
+        entries is 2 and its square counts twice per hop.
+        """
+        hops = int(np.count_nonzero(self.targets < self.dim)) * (2 if self.N == 2 else 1)
+        return math.hypot(_norm(self.diagonal), math.sqrt(hops))
+
+
+def hamiltonian_operator(sector: SectorIndex, delta: float) -> HamiltonianOperator:
+    """H on a sector (exchange conserves n), as its diagonal and per-bond hops."""
+    if sector.N < 2:
         raise ValueError("chain needs N >= 2")
     half_delta = 0.5 * float(delta)
-    X, occupied = sector.positions, sector.occupied
+    targets = sector.swapped_ranks()
+    diagonal = np.zeros(sector.dim)
+    for hops in targets < sector.dim:  # in bond order: another order could round otherwise
+        diagonal += np.where(hops, -half_delta, half_delta)
+    return HamiltonianOperator(sector, diagonal, targets)
+
+
+def build_hamiltonian_block(sector: SectorIndex, delta: float) -> SectorMatrix:
+    """Sector block of the spin-chain Hamiltonian: the operator's hops scattered densely."""
+    op = hamiltonian_operator(sector, delta)
+    dim = sector.dim
+    bonds, rows = np.nonzero(op.targets < dim)
     entries = np.zeros((dim, dim))
-    diagonal = np.zeros(dim)
-    for i in range(1, N + 1):
-        j = i % N + 1
-        agree = occupied[:, i - 1] == occupied[:, j - 1]
-        diagonal += np.where(agree, half_delta, -half_delta)
-        hop = np.flatnonzero(~agree)
-        swapped = X[hop]
-        swapped = np.where(swapped == i, j, np.where(swapped == j, i, swapped))
-        # += rather than =: at N = 2 both bonds join the same pair of states
-        entries[hop, sector.ranks(np.sort(swapped, axis=1))] += 1.0
-    entries[np.diag_indices(dim)] += diagonal
+    # add.at rather than +=: at N = 2 both bonds join the same pair of states
+    np.add.at(entries, (rows, op.targets[bonds, rows]), 1.0)
+    entries[np.diag_indices(dim)] += op.diagonal
     return SectorMatrix(entries, sector, "hamiltonian")
 
 

@@ -94,6 +94,38 @@ class TestEnumerate:
 # The interlacing rule as the row completions realise it: x and y are
 # interlaced iff some completion exists, and then its weight is c^P with P
 # the number of sites where they differ (c = 2 makes P readable).
+class TestNeighbourRanks:
+    """Colex arithmetic against the ranks of the neighbouring sectors."""
+
+    SECTORS = [(N, n) for N in range(1, 10) for n in range(N + 1)] + [(20, 2), (20, 18)]
+
+    def test_toggled_ranks(self):
+        for N, n in self.SECTORS:
+            sector = enumerate_sector(N, n)
+            toggled = sector.toggled_ranks()
+            neighbours = {k: enumerate_sector(N, k) for k in (n - 1, n + 1) if 0 <= k <= N}
+            for site in range(1, N + 1):
+                for s, state in enumerate(states(sector)):
+                    other = sorted(set(state) ^ {site})
+                    expected = neighbours[len(other)].ranks(np.array([other], dtype=np.int64))
+                    assert toggled[site - 1, s] == expected[0], (N, n, state, site)
+
+    def test_swapped_ranks(self):
+        for N, n in self.SECTORS:
+            if N < 2:
+                continue
+            sector = enumerate_sector(N, n)
+            swapped = sector.swapped_ranks()
+            for site in range(1, N + 1):
+                bond = {site, site % N + 1}
+                for s, state in enumerate(states(sector)):
+                    if len(set(state) & bond) != 1:
+                        assert swapped[site - 1, s] == sector.dim, (N, n, state, site)
+                    else:
+                        other = np.array([sorted(set(state) ^ bond)])
+                        assert swapped[site - 1, s] == sector.ranks(other)[0], (N, n, state)
+
+
 class TestInterlaced:
     def test_examples(self):
         assert completions((1, 3), (2, 4), 4) == [2.0 ** 4]

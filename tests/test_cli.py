@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +133,19 @@ class TestSolveCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_overflowing_c_refused_where_it_is_made(self, capsys):
+        # c^2 overflows a double: Anisotropy refuses it before any route
+        # divides inf by inf, in-process and under -W error alike
+        argv = ["solve", "--capital-n", "6", "--n", "3", "--c", "1e200"]
+        line = "error: transfer weight c^2 overflows at c = 1e+200\n"
+        code, out = run_cli(argv)
+        assert (code, out, capsys.readouterr().err) == (2, "", line)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "bethe6v", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line)
+
     @pytest.mark.parametrize("N, n, c", [
         pytest.param("6", "3", "1e-3", id="1e-3"),
         pytest.param("6", "3", "1e20", id="1e20"),
@@ -157,6 +174,18 @@ class TestSolveCommand:
         assert code == 0
         assert parse_report(out)["checks.route"] == "certified"
         assert calls == [(8, 3)]
+
+    @pytest.mark.parametrize("argv, counters", [
+        # the root sits on the domain edge: every trial step is halved to 2^-20
+        (["--capital-n", "6", "--n", "1", "--c", "1", "--quantum-numbers", "1"], ("20", "0")),
+        (["--capital-n", "8", "--n", "2", "--c", "1.0"], ("0", "1")),
+    ], ids=["halving", "polish"])
+    def test_solver_counters(self, argv, counters):
+        _, out = run_cli(["solve", *argv])
+        rep = parse_report(out)
+        assert (rep["solver.step_halvings"], rep["solver.polish_steps"]) == counters
+        keys = list(rep)
+        assert keys.index("solver.step_halvings") == keys.index("solver.iterations") + 1
 
     def test_subset_sum_cap_checked_before_the_sector(self, monkeypatch, capsys):
         # C(40, 20) states would take 20 TiB to enumerate
@@ -329,6 +358,20 @@ class TestSpectralRoute:
         assert oracle_lines(out).keys() == {
             "oracle.transfer_match_index", "oracle.transfer_bracket_width",
             "oracle.xxz_match_index", "oracle.xxz_bracket_width"}
+
+    def test_certified_run_builds_no_dense_block(self, monkeypatch):
+        # V and H are applied as a row sweep and hop lists: no dim^2 array
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense block built")
+
+        for name in ("cli.build_transfer_block", "transfer.build_transfer_block",
+                     "cli.build_hamiltonian_block", "xxz.build_hamiltonian_block"):
+            monkeypatch.setattr(f"bethe6v.{name}", refuse)
+        code, out = run_cli(["solve", "--capital-n", "12", "--n", "6", "--c", "1.0"])
+        rep = parse_report(out)
+        assert code == 0
+        assert rep["checks.route"] == "certified"
+        assert float(rep["residual.commutator_probe"]) < 1e-16
 
     def test_certified_above_the_spectrum_cap(self):
         code, out = run_cli(["solve", "--capital-n", "15", "--n", "7", "--c", "1.0"])

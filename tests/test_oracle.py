@@ -10,6 +10,7 @@ from bethe6v import (
     build_hamiltonian_block,
     build_transfer_block,
     check_eigenpair,
+    commutator_probe,
     dense_eigenvalues,
     energy_prediction,
     enumerate_sector,
@@ -144,6 +145,26 @@ class TestCheckEigenpair:
         m = make_matrix(np.diag([1e200, 2e200]))
         residual, _ = check_eigenpair(m, np.array([1.0, 1.0]), 1e200)
         assert residual == pytest.approx(1e200 / math.sqrt(2.0), rel=1e-15)
+
+
+class TestOperatorInterface:
+    def test_checks_read_only_n_dim_matmul_and_frobenius(self):
+        a, sector = Anisotropy(1.3), enumerate_sector(8, 3)
+        blk, h = build_transfer_block(sector, a), build_hamiltonian_block(sector, a.delta)
+
+        class Minimal:
+            __slots__ = ()
+            N, n, dim = 8, 3, blk.dim
+
+            def __matmul__(self, x):
+                return blk @ x
+
+            def frobenius(self):
+                return blk.frobenius()
+
+        psi = np.exp(0.3j) * np.linspace(1.0, 2.0, blk.dim)
+        assert check_eigenpair(Minimal(), psi, 5.0) == check_eigenpair(blk, psi, 5.0)
+        assert commutator_probe(Minimal(), h) == commutator_probe(blk, h)
 
 
 class TestCollatzWielandtBracket:

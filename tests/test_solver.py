@@ -131,6 +131,15 @@ class TestSolve:
             report = solve(N, ground_state_quantum_numbers(N // 2), Anisotropy(c))
             assert report.converged and report.final_residual <= 1e-12, (N, c)
 
+    def test_line_search_counters(self):
+        # at N = 256, c = 0.5 one trial step is halved before it is accepted;
+        # at N = 128 the root takes one polish step
+        a = Anisotropy(0.5)
+        for N, counters in ((256, (7, 1, 0)), (128, (7, 0, 1))):
+            r = solve(N, ground_state_quantum_numbers(N // 2), a)
+            assert r.converged
+            assert (r.iterations, r.step_halvings, r.polish_steps) == counters, N
+
     def test_condition_estimate_reported(self):
         N, qn, a = 16, ground_state_quantum_numbers(8), Anisotropy(1.0)
         report = solve(N, qn, a)

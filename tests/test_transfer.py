@@ -5,6 +5,7 @@ import pytest
 
 from bethe6v import (
     Anisotropy,
+    DomainError,
     build_transfer_block,
     enumerate_row_completions,
     enumerate_sector,
@@ -12,8 +13,10 @@ from bethe6v import (
     log_trace_power,
     matrix_text,
     partition_function_bruteforce,
+    transfer_operator,
     write_matrix,
 )
+from bethe6v.oracle import _norm
 
 from helpers import build_transfer_block_by_configuration, raw_torus_partition, spins
 
@@ -43,6 +46,57 @@ class TestTransferBlock:
             assert np.array_equal(blk.entries, blk.entries.T)
             assert np.all(np.diag(blk.entries) == 2.0)
             assert np.all(blk.entries >= 0.0)
+
+
+class TestTransferOperator:
+    """The row sweep against the bitmask block, its oracle at 1e-15 relative."""
+
+    SECTORS = [(N, n) for N in range(1, 13) for n in range(N + 1)] + [(40, 2)]
+
+    @pytest.mark.parametrize("c", [0.3, 1.0, 2.5])
+    def test_sweep_matches_the_block(self, c):
+        a = Anisotropy(c)
+        rng = np.random.default_rng(5)
+        for N, n in self.SECTORS:
+            sector = enumerate_sector(N, n)
+            block = build_transfer_block(sector, a).entries
+            op = transfer_operator(sector, a)
+            x = rng.standard_normal(sector.dim) + 1j * rng.standard_normal(sector.dim)
+            ref = block @ x
+            assert np.max(np.abs(op @ x - ref)) <= 1e-15 * np.max(np.abs(ref)), (N, n)
+            # a real vector cancels more: its error is measured against |V| |x|
+            real = x.real
+            bound = 1e-15 * np.max(block @ np.abs(real))
+            assert np.max(np.abs(op @ real - block @ real)) <= bound, (N, n)
+
+    def test_polarized_sectors_are_exact(self):
+        # no path leaves and returns: V is 2 on both one-state sectors
+        for N in (1, 5, 40):
+            for n in (0, N):
+                op = transfer_operator(enumerate_sector(N, n), Anisotropy(1.7))
+                assert (op @ np.array([0.3 - 0.1j])).tolist() == [0.6 - 0.2j]
+
+    @pytest.mark.parametrize("N, n, c", [(8, 3, 1.3), (12, 6, 2.5), (40, 2, 0.3),
+                                         (6, 3, 1e30), (10, 5, 1e30), (6, 1, 1e100)])
+    def test_frobenius_matches_the_dense_norm(self, N, n, c):
+        # at c = 1e30 and 1e100 the squares of V's largest entries overflow
+        sector, a = enumerate_sector(N, n), Anisotropy(c)
+        dense = _norm(build_transfer_block(sector, a).entries)
+        assert transfer_operator(sector, a).frobenius() == pytest.approx(dense, rel=1e-13)
+
+    def test_overflowing_weight_refused_as_by_the_block(self):
+        sector, a = enumerate_sector(6, 3), Anisotropy(1e100)
+        with pytest.raises(DomainError, match=r"transfer weight c\^6 overflows at c = 1e\+100"):
+            transfer_operator(sector, a)
+
+    def test_discarded_paths_may_overflow(self):
+        # (6, 1) at c = 1e120: V's entries reach c^2 = 1e240, while a path
+        # that never returns to its seed carries c^3 = 1e360
+        sector, a = enumerate_sector(6, 1), Anisotropy(1e120)
+        x = np.linspace(1.0, 2.0, sector.dim)
+        ref = build_transfer_block(sector, a) @ x
+        got = transfer_operator(sector, a) @ x
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestConfigurationOracle:

@@ -17,8 +17,11 @@ from bethe6v import (
     enumerate_sector,
     full_prediction,
     ground_state_quantum_numbers,
+    hamiltonian_operator,
     solve,
+    transfer_operator,
 )
+from bethe6v.oracle import _norm
 
 from helpers import commutator_norm
 
@@ -103,6 +106,46 @@ class TestHamiltonianBlock:
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError):
             build_hamiltonian_block(enumerate_sector(1, 0), 0.5)
+
+
+class TestHamiltonianOperator:
+    """The hop lists against the dense block that scatters them."""
+
+    def test_hops_match_the_block(self):
+        rng = np.random.default_rng(2)
+        for N in range(2, 13):
+            for n in range(N + 1):
+                sector = enumerate_sector(N, n)
+                block = build_hamiltonian_block(sector, -0.35).entries
+                op = hamiltonian_operator(sector, -0.35)
+                x = rng.standard_normal(sector.dim) + 1j * rng.standard_normal(sector.dim)
+                ref = block.astype(complex) @ x
+                scale = max(1.0, float(np.max(np.abs(ref))))
+                assert np.max(np.abs(op @ x - ref)) <= 1e-15 * scale, (N, n)
+                assert np.max(np.abs(op @ x.real - block @ x.real)) <= 1e-15 * scale, (N, n)
+
+    @pytest.mark.parametrize("N, n, c", [(2, 1, 1.0), (5, 2, 0.8), (12, 6, 2.5),
+                                         (6, 3, 1e30), (10, 5, 1e30), (6, 1, 1e100)])
+    def test_frobenius_matches_the_dense_norm(self, N, n, c):
+        # at c = 1e100, delta^2 overflows; at N = 2 both bonds join one pair of states
+        sector, delta = enumerate_sector(N, n), Anisotropy(c).delta
+        dense = _norm(build_hamiltonian_block(sector, delta).entries)
+        assert hamiltonian_operator(sector, delta).frobenius() == pytest.approx(dense, rel=1e-14)
+
+    def test_probe_on_operators_matches_the_blocks(self):
+        for c in (0.5, 1.3):
+            a = Anisotropy(c)
+            for N, n in ((6, 3), (8, 3), (10, 4)):
+                sector = enumerate_sector(N, n)
+                for delta in (a.delta, a.delta + 0.1):
+                    blocks = commutator_probe(build_transfer_block(sector, a),
+                                              build_hamiltonian_block(sector, delta))
+                    ops = commutator_probe(transfer_operator(sector, a),
+                                           hamiltonian_operator(sector, delta))
+                    if delta == a.delta:
+                        assert ops <= 1e-15 and blocks <= 1e-15, (c, N, n)
+                    else:
+                        assert ops == pytest.approx(blocks, rel=1e-10), (c, N, n)
 
 
 class TestEnergyPrediction:
