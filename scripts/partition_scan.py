@@ -37,7 +37,7 @@ def main():
     for N, M in pairs:
         try:
             caps.check_enum(N, M)
-            caps.check_dim(math.comb(N, N // 2))  # log_trace_power's widest block
+            caps.check_dim(math.comb(N, N // 2))  # log_trace_power's widest sector
         except CapExceededError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -44,6 +44,7 @@ from .functions import (
     theta,
     theta_partial_1,
 )
+from .oracle import _norm
 from .xxz import energy_prediction
 
 __all__ = [
@@ -265,4 +266,4 @@ def full_prediction(sector: SectorIndex, m: MomentumSet) -> SpectralPrediction:
     psi = build_psi(sector, m)
     lam, singular = transfer_eigenvalue(m, sector.N)
     energy = energy_prediction(m, sector.N, m.anisotropy.delta)
-    return SpectralPrediction(psi, lam, energy, float(np.linalg.norm(psi)), singular)
+    return SpectralPrediction(psi, lam, energy, _norm(psi), singular)

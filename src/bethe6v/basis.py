@@ -8,7 +8,8 @@ This module is the one place that knows the state encoding: a sector holds
 its states as position, occupancy and bitmask arrays, and ``ranks`` is the
 one route from states back to their indices; ``toggled_ranks`` and
 ``swapped_ranks`` give the indices of the states one site flip or one bond
-swap away, by colex arithmetic on the sector's own positions.
+swap away, by colex arithmetic on the sector's own positions, and
+``orbits`` the translation orbits.
 """
 
 from __future__ import annotations
@@ -130,6 +131,26 @@ class SectorIndex:
         swapped = np.where(swapped == N, 1, np.where(swapped == 1, N, swapped))
         out[-1, wrap] = self.ranks(np.sort(swapped, axis=1))
         return out
+
+    def orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Translation orbits: each state's representative r, shift t and period p.
+
+        T moves every arrow one site on, site N to site 1; r is the lowest rank
+        in the state's orbit, the state is T^t(r) with t < p, and p divides N.
+        T is a rank permutation; following it N - 1 times visits each orbit N / p times.
+        """
+        N, dim = self.N, self.dim
+        step = self.ranks(np.sort(self.positions % N + 1, axis=1))  # site N wraps to 1
+        states = image = rep = np.arange(dim)
+        back, fixed = np.zeros(dim, dtype=np.int64), np.ones(dim, dtype=np.int64)
+        for u in range(1, N):
+            image = step[image]  # T^u(s)
+            lower = image < rep
+            rep = np.where(lower, image, rep)
+            back[lower] = u  # rep = T^back(s)
+            fixed += image == states
+        period = N // fixed
+        return rep, -back % period, period
 
 
 def enumerate_sector(N: int, n: int) -> SectorIndex:

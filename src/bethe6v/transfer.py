@@ -8,12 +8,12 @@ independent routes then build or check its blocks:
   c^P between distinct states whose positions interlace,
   x1 <= y1 <= x2 <= ... <= yn either way round, with P the number of sites
   where they differ, 0 otherwise), read off occupation bitmasks;
-* ``enumerate_row_completions``: one entry as the paper defines it, the
-  weights of the ice-rule horizontal-arrow completions of one lattice row;
-  it is the one pair-level oracle of the entry rule;
+* ``enumerate_row_completions``: one entry as the paper defines it, the one
+  pair-level oracle: the ice-rule horizontal-arrow completions of one row;
 * ``partition_function_bruteforce``: the torus configurations counted by
-  their number of c-vertices over all arrow configurations, an exact
-  polynomial in c whose log must match ``log_trace_power``.
+  their number of c-vertices, an exact polynomial in c whose log must match
+  ``log_trace_power``, which sums lambda^M over V's translation-momentum
+  blocks, built from the same entry rule on orbit representatives' rows.
 
 The vertex weights are a = b = 1 and the ``Anisotropy``'s c.  Powers of c
 are computed by repeated squaring so the first two routes agree bit for bit.
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _CHUNK_ELEMENTS = 1 << 18  # scratch budget (pairs) for the bitmask pair tests
+_CANCELLATION = 8.0  # largest sum |w lambda^M| / sum w lambda^M the spectra are summed at
 
 
 def _int_power(base: float, k: int) -> float:
@@ -117,9 +118,8 @@ class TransferOperator:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         dim = self.dim
-        z = np.zeros(self.size, dtype=np.result_type(x, float))
-        z[:dim] = x
-        z[dim:2 * dim] = x
+        z = np.zeros((self.size,) + x.shape[1:], dtype=np.result_type(x, float))
+        z[:dim] = z[dim:2 * dim] = x
         # a path the sweep discards may carry one more factor of c than any
         # entry of V, so it may overflow; no kept path reads it
         with np.errstate(over="ignore"):
@@ -175,47 +175,47 @@ def _prefix_xor(words: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_transfer_block(sector: SectorIndex, a: Anisotropy) -> SectorMatrix:
-    """Sector block of the transfer matrix from the closed-form entry rule.
+def _entry_rule(sector: SectorIndex, a: Anisotropy):
+    """V's entries between two sets of a sector's states: ``entries(rows, cols)``.
 
-    Pairs are tested on the sector's occupation bitmasks (``sector.masks``,
-    64-bit words, lowest sites first).  With d = mx ^ my the sites
-    where two states differ, x1 <= y1 <= x2 <= ... <= yn holds iff x owns
-    the 1st, 3rd, 5th, ... set bit of d counting from site 1, i.e.
-    mx & d == d & prefix_xor(d); the other order is the same test for y.
-    prefix_xor is linear, so prefix_xor(d) = Px ^ Py from per-state tables.
-    The entry c^popcount(d) is read from the repeated-squaring table of
-    powers of c^2, as the configuration route's weights are.  Two states
-    differ on at most 2 min(n, N - n) sites; a block whose weight there
-    overflows raises ``DomainError`` before any allocation.
+    With d = mx ^ my the sites where two states' bitmasks differ,
+    x1 <= y1 <= x2 <= ... <= yn holds iff x owns the 1st, 3rd, ... set bit of
+    d from site 1: mx & d == d & prefix_xor(d), and prefix_xor(d) = Px ^ Py
+    from per-state tables; the other order is the same test for y.  The
+    entry c^popcount(d) comes from the repeated-squaring table of powers of
+    c^2, whose first entry is the diagonal's 2 (d = 0).  A weight past the
+    double range raises ``DomainError`` before any allocation.
     """
     _check_weight(sector, a.c)
-    dim = sector.dim
-    c2 = a.c * a.c
-    cpow = np.array([_int_power(c2, k) for k in range(sector.n + 1)])
-
-    masks = sector.masks
-    prefix = _prefix_xor(masks)
+    cpow = np.array([2.0] + [_int_power(a.c * a.c, k) for k in range(1, sector.n + 1)])
+    masks, prefix = sector.masks, _prefix_xor(sector.masks)
     masks_prefix = masks ^ prefix
 
-    entries = np.zeros((dim, dim))
-    chunk = max(1, _CHUNK_ELEMENTS // dim)
-    for lo in range(0, dim, chunk):
-        hi = min(dim, lo + chunk)
-        # the rule is symmetric: test columns from lo on, mirror the rest
+    def entries(rows, cols) -> np.ndarray:
         x_first, y_first, popcount = True, True, 0
         for w in range(masks.shape[1]):
-            d = masks[lo:hi, w, None] ^ masks[None, lo:, w]
+            d = masks[rows, w, None] ^ masks[None, cols, w]
             # bits where x disagrees with the alternation pattern of d
-            u = (masks_prefix[lo:hi, w, None] ^ prefix[None, lo:, w]) & d
+            u = (masks_prefix[rows, w, None] ^ prefix[None, cols, w]) & d
             x_first = x_first & (u == 0)
             y_first = y_first & (u == d)
             # uint8: popcount(d) <= 2n, and no storable sector has n >= 128
             popcount = popcount + np.bitwise_count(d)
-        block = np.where(x_first | y_first, cpow[popcount >> 1], 0.0)
-        entries[lo:hi, lo:] = block
-        entries[lo:, lo:hi] = block.T
-    np.fill_diagonal(entries, 2.0)
+        return np.where(x_first | y_first, cpow[popcount >> 1], 0.0)
+
+    return entries
+
+
+def build_transfer_block(sector: SectorIndex, a: Anisotropy) -> SectorMatrix:
+    """Sector block of the transfer matrix from the closed-form entry rule (``_entry_rule``)."""
+    entries_of, dim = _entry_rule(sector, a), sector.dim
+    entries = np.empty((dim, dim))
+    chunk = max(1, _CHUNK_ELEMENTS // dim)
+    for lo in range(0, dim, chunk):
+        # the rule is symmetric: test columns from lo on, mirror the rest
+        block = entries_of(slice(lo, lo + chunk), slice(lo, None))
+        entries[lo:lo + chunk, lo:] = block
+        entries[lo:, lo:lo + chunk] = block.T
     return SectorMatrix(entries, sector, "transfer")
 
 
@@ -301,48 +301,66 @@ def log_polynomial(counts, x: float) -> float:
     return _log_sum_exp([math.log(n) + k * math.log(x) for k, n in enumerate(counts) if n])
 
 
-def _scale(m: np.ndarray) -> float:
-    """Divide a finite nonnegative matrix in place by its largest entry; return its log."""
-    top = float(m.max())
-    m /= top
-    return math.log(top)
+def _sector_log_trace(sector: SectorIndex, a: Anisotropy, M: int) -> float:
+    """log Tr(V^M) on one sector: sum w lambda^M over its momentum blocks, or sweeps.
 
-
-def _log_trace(block: np.ndarray, M: int) -> float:
-    """log Tr(B^M) of a nonnegative block with a positive diagonal; B is overwritten.
-
-    B^M is formed by repeated squaring.  Every factor is divided by its
-    largest entry before it is multiplied and the logs of the divisors are
-    summed, so no product overflows; B >= 0, so none cancels.  Scaling in
-    place keeps at most three dim^2 arrays alive.
+    V commutes with the translation T, so its block at momentum q is the real
+    FFT over t of the representatives' rows grouped by shift, sum_j V(r, j)
+    e^(-2 pi i q t_j / N) sqrt(p_r / p_s) over j = T^(t_j)(s) (Sandvik, AIP
+    Conf. Proc. 1297, 135, 2010, section 4), on the orbits with qp = 0 mod N;
+    the others' rows and columns are zeroed, adding eigenvalues 0.  Blocks q
+    and N - q share a spectrum.  Odd M may cancel below what eigenvalues
+    resolve (eps max |lambda|); past ``_CANCELLATION`` the trace is
+    sum_r p_r <x_r, V x_r> with x_r = V^(M // 2) e_r by nonnegative sweeps.
     """
-    base, log_base = block, _scale(block)
-    power, log_power = None, 0.0
-    while True:
-        if M & 1:
-            if power is None:
-                power, log_power = base, log_base
-            else:
-                power = power @ base
-                log_power += log_base + _scale(power)
-        M >>= 1
-        if not M:
-            return log_power + math.log(np.trace(power))
-        base = base @ base
-        log_base = 2.0 * log_base + _scale(base)
+    N, dim = sector.N, sector.dim
+    rep, shift, period = sector.orbits()
+    reps = np.flatnonzero(rep == np.arange(dim))
+    orbit = np.searchsorted(reps, rep)
+    entries_of = _entry_rule(sector, a)
+    chunks = np.array_split(np.arange(reps.size), -(-reps.size * dim // _CHUNK_ELEMENTS))
+    by_shift = np.zeros((N, reps.size, reps.size))
+    for rows in chunks:
+        by_shift[shift, rows[:, None], orbit] = entries_of(reps[rows], slice(None))
+    top = by_shift.max()
+    by_shift /= top
+    blocks = np.fft.rfft(by_shift, axis=0)
+    del by_shift
+    q, p = np.arange(N // 2 + 1)[:, None], period[reps]
+    kept, root = q * p % N == 0, np.sqrt(p)
+    blocks *= (kept * root)[:, :, None] * (kept / root)[:, None, :]
+    spectra = np.linalg.eigvalsh(blocks)
+    largest = float(np.abs(spectra).max())
+    terms = np.where((q > 0) & (2 * q < N), 2.0, 1.0) * (spectra / largest) ** M
+    total = float(terms.sum())
+    if total > 0.0 and float(np.abs(terms).sum()) <= _CANCELLATION * total:
+        return M * (math.log(top) + math.log(largest)) + math.log(total)
+    V, logs = transfer_operator(sector, a), []
+    for cols in (reps[rows] for rows in chunks):
+        x, scale = (np.arange(dim)[:, None] == cols).astype(float), np.zeros(cols.size)
+        for _ in range(M // 2):
+            x = V @ x
+            scale += np.log(high := x.max(axis=0))
+            x /= high
+        inner = np.sum(x * (V @ x if M % 2 else x), axis=0)
+        logs.extend(2.0 * scale + np.log(period[cols] * inner))
+    return _log_sum_exp(logs)
 
 
 def log_trace_power(N: int, M: int, a: Anisotropy) -> float:
     """log Tr(V^M), the log torus partition function, summed over sectors.
 
-    Each sector's log trace comes from ``_log_trace``; the sectors are
-    combined by log-sum-exp.  A block whose weights overflow raises
+    Arrow reversal maps sector n onto N - n with the same V (a = b), so
+    n < N/2 counts twice.  A weight or sum past the double range raises
     ``DomainError``.
     """
     if N < 1 or M < 1:
         raise ValueError("need N >= 1 and M >= 1")
-    return _log_sum_exp([_log_trace(build_transfer_block(enumerate_sector(N, n), a).entries, M)
-                         for n in range(N + 1)])
+    value = _log_sum_exp([_sector_log_trace(enumerate_sector(N, n), a, M)
+                          + math.log(2 - (2 * n == N)) for n in range(N // 2 + 1)])
+    if not math.isfinite(value):
+        raise DomainError(f"log Tr V^{M} on N = {N} is {value!r}")
+    return value
 
 
 def matrix_text(m: SectorMatrix) -> str:

@@ -15,7 +15,14 @@ from contextlib import redirect_stdout
 
 import numpy as np
 
-from bethe6v import SectorMatrix, SectorMismatchError, enumerate_row_completions
+from bethe6v import (
+    Anisotropy,
+    SectorMatrix,
+    SectorMismatchError,
+    build_transfer_block,
+    enumerate_row_completions,
+    enumerate_sector,
+)
 from bethe6v.cli import main
 
 
@@ -139,6 +146,22 @@ def build_transfer_block_by_configuration(sector, a):
         for j, sy in enumerate(spins):
             entries[i, j] = sum(enumerate_row_completions(sx, sy, a))
     return SectorMatrix(entries, sector, "transfer")
+
+
+def exact_trace_power(N, M, c):
+    """Tr V^M as a Python int, from every sector block's integer entries raised exactly.
+
+    Only for c whose block entries are all integers (c = 1, 2, ... or any
+    c past 2^53, where every double is one); the powers are taken with
+    Python ints, so nothing rounds.
+    """
+    total = 0
+    for n in range(N + 1):
+        entries = build_transfer_block(enumerate_sector(N, n), Anisotropy(c)).entries
+        block = np.array([[int(v) for v in row] for row in entries], dtype=object)
+        assert np.all(block == entries), "entries must be integers"
+        total += int(np.trace(np.linalg.matrix_power(block, M)))
+    return total
 
 
 def commutator_norm(v, h):

@@ -126,6 +126,37 @@ class TestNeighbourRanks:
                         assert swapped[site - 1, s] == sector.ranks(other)[0], (N, n, state)
 
 
+class TestOrbits:
+    """The translation-orbit table against the positions it is read from."""
+
+    SECTORS = [(N, n) for N in range(1, 17) for n in range(N + 1)] + [(70, 2), (70, 68)]
+
+    def test_orbit_table(self):
+        for N, n in self.SECTORS:
+            sector = enumerate_sector(N, n)
+            rep, shift, period = sector.orbits()
+            # every state is its representative moved on by its shift
+            moved = np.sort((sector.positions[rep] + shift[:, None] - 1) % N + 1, axis=1)
+            assert np.array_equal(moved, sector.positions), (N, n)
+            assert np.all(N % period == 0) and np.all((0 <= shift) & (shift < period)), (N, n)
+            # each representative is its own and the lowest of its orbit
+            reps = np.flatnonzero(rep == np.arange(sector.dim))
+            assert np.array_equal(rep[reps], reps) and np.all(rep <= np.arange(sector.dim))
+            assert np.array_equal(period, period[rep]), (N, n)
+            # an orbit holds exactly p states, and the orbits cover the sector
+            assert np.array_equal(np.bincount(rep)[reps], period[reps]), (N, n)
+            assert period[reps].sum() == sector.dim, (N, n)
+
+    def test_period_is_the_smallest_shift_back(self):
+        for N, n in ((6, 2), (6, 3), (8, 4), (9, 3), (12, 6)):
+            sector = enumerate_sector(N, n)
+            _, _, period = sector.orbits()
+            for s, state in enumerate(states(sector)):
+                back = [t for t in range(1, N + 1)
+                        if sorted((x - 1 + t) % N + 1 for x in state) == list(state)]
+                assert period[s] == back[0], (N, n, state)
+
+
 class TestInterlaced:
     def test_examples(self):
         assert completions((1, 3), (2, 4), 4) == [2.0 ** 4]

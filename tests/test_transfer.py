@@ -16,9 +16,14 @@ from bethe6v import (
     transfer_operator,
     write_matrix,
 )
-from bethe6v.oracle import _norm
+from bethe6v.oracle import _norm, dense_eigenvalues
 
-from helpers import build_transfer_block_by_configuration, raw_torus_partition, spins
+from helpers import (
+    build_transfer_block_by_configuration,
+    exact_trace_power,
+    raw_torus_partition,
+    spins,
+)
 
 
 class TestTransferBlock:
@@ -68,6 +73,14 @@ class TestTransferOperator:
             real = x.real
             bound = 1e-15 * np.max(block @ np.abs(real))
             assert np.max(np.abs(op @ real - block @ real)) <= bound, (N, n)
+
+    def test_applies_to_each_column_of_a_block_of_vectors(self):
+        sector, a = enumerate_sector(9, 4), Anisotropy(1.7)
+        op = transfer_operator(sector, a)
+        x = np.random.default_rng(7).random((sector.dim, 5))
+        got = op @ x
+        for k in range(5):
+            assert np.array_equal(got[:, k], op @ x[:, k]), k
 
     def test_polarized_sectors_are_exact(self):
         # no path leaves and returns: V is 2 on both one-state sectors
@@ -209,6 +222,56 @@ class TestTracePower:
         blocks = [build_transfer_block(enumerate_sector(5, n), a).entries for n in range(6)]
         total = sum(np.trace(np.linalg.matrix_power(block, M)) for block in blocks)
         assert log_trace_power(5, M, a) == pytest.approx(math.log(total), rel=1e-14)
+
+
+class TestMomentumTrace:
+    """log Tr(V^M) by momentum blocks against routes that never leave the full sector."""
+
+    def test_arrow_reversal_keeps_the_spectrum(self):
+        # the trace counts sector n < N/2 twice for sector N - n
+        for N in range(1, 11):
+            for n in range(N // 2 + 1):
+                for c in (0.5, 1.3, 2.5):
+                    a = Anisotropy(c)
+                    low = dense_eigenvalues(build_transfer_block(enumerate_sector(N, n), a))
+                    high = dense_eigenvalues(build_transfer_block(enumerate_sector(N, N - n), a))
+                    assert np.allclose(low, high, rtol=0, atol=1e-13 * np.abs(low).max())
+
+    @pytest.mark.parametrize("c", [0.5, 1.7, 3.0])
+    def test_matches_full_sector_spectra(self, c):
+        a = Anisotropy(c)
+        for N in range(1, 11):
+            spectra = [dense_eigenvalues(build_transfer_block(enumerate_sector(N, n), a))
+                       for n in range(N + 1)]
+            for M in (1, 2, 4, 7):
+                total = sum(float(np.sum(lam ** M)) for lam in spectra)
+                assert log_trace_power(N, M, a) == pytest.approx(math.log(total), rel=1e-12)
+
+    @pytest.mark.parametrize("N, M", [(4, 400), (6, 300)])
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    def test_long_tori_against_exact_integer_powers(self, N, M, c):
+        exact = exact_trace_power(N, M, c)
+        assert abs(math.expm1(log_trace_power(N, M, Anisotropy(c)) - math.log(exact))) <= 1e-12
+
+    @pytest.mark.parametrize("N, M, c", [(2, 3, 100.0), (4, 3, 100.0), (6, 1, 1e50),
+                                         (6, 3, 1e50), (6, 5, 1e50), (8, 7, 100.0)])
+    def test_odd_powers_whose_eigenvalues_cancel(self, N, M, c):
+        # eigenvalues of both signs near max |lambda|: their sum keeps only
+        # about eps max|lambda|^M, far below Tr V^M here, so the sweeps take it
+        exact = exact_trace_power(N, M, c)
+        assert abs(math.expm1(log_trace_power(N, M, Anisotropy(c)) - math.log(exact))) <= 1e-12
+
+    @pytest.mark.parametrize("M", [2, 4, 12])
+    def test_entries_near_the_double_range(self, M):
+        # sector 3 of 6 has entries c^6 = 1e300: unscaled eigenvalues would
+        # overflow, and Tr V^M >= lambda_max^M >= (1e300)^M for even M
+        value = log_trace_power(6, M, Anisotropy(1e50))
+        assert math.isfinite(value) and value > M * 300 * math.log(10.0)
+
+    def test_weight_past_the_double_range_is_refused(self):
+        # sector 4 of 8 has entries c^8 = 1e400
+        with pytest.raises(DomainError):
+            log_trace_power(8, 2, Anisotropy(1e50))
 
 
 class TestMatrixDump:
