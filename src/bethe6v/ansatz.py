@@ -12,10 +12,11 @@ without it the norm of psi spans tens of decades across c.  Production
 evaluation is a dynamic program over subsets of momenta (Held-Karp style):
 extending a partial permutation by one value multiplies its amplitude by a
 factor that depends on the set already placed, not on its order, so the
-n!-term sum costs O(2^n n) per coefficient.  The basis rows are independent,
-so they are assembled in chunks that bound the DP's scratch memory.
-The direct product form is kept as ``amplitude`` and serves as the test
-oracle.
+n!-term sum costs O(2^n n) per coefficient.  ``build_psi`` runs it on one
+representative per translation orbit, about dim / N rows, and fills in the
+other states by translation covariance, which holds for momenta that solve
+the Bethe equations.  The DP over every row, ``_subset_sum``, is the orbit
+route's test oracle, and the direct product form ``amplitude`` is the DP's.
 
 The predicted transfer eigenvalue has two branches: a product formula when
 no momentum vanishes, and a derivative-corrected formula when one momentum
@@ -147,17 +148,28 @@ def _subset_sum(B: np.ndarray, X: np.ndarray, zpow: np.ndarray) -> np.ndarray:
 def build_psi(sector: SectorIndex, m: MomentumSet) -> np.ndarray:
     """Coefficient vector over the whole sector, in the canonical basis order.
 
-    The DP runs on chunks of rows, so its widest layer, C(n, n/2) vectors
-    of one chunk's rows, holds about _CHUNK_ELEMENTS complex entries.
+    For momenta that solve the Bethe equations, summing the equations gives
+    psi(T^t r) = e^{iPt} psi(r) with P = sum_j p_j (Sandvik, AIP Conf. Proc.
+    1297, 135, 2010, section 4).  So the DP runs only on the orbit
+    representatives, about dim / N rows, and every state takes its
+    representative's value times that phase; other momenta do not get the
+    permutation sum.  ``solve`` builds psi only from a converged,
+    non-degenerate root.  The DP runs on chunks of rows, so its widest
+    layer, C(n, n/2) vectors of one chunk's rows, holds about
+    _CHUNK_ELEMENTS complex entries.
     """
     if sector.n != m.n:
         raise SectorMismatchError("sector particle number differs from momentum count")
     B = pair_factors(m)
-    zpow = np.exp(1j * m.as_array())[:, None] ** np.arange(sector.N + 1)[None, :]
-    X = sector.positions
+    p = m.as_array()
+    zpow = np.exp(1j * p)[:, None] ** np.arange(sector.N + 1)[None, :]
+    rep, shift, _ = sector.orbits()
+    reps = np.flatnonzero(rep == np.arange(sector.dim))
+    X = sector.positions[reps]
     rows = max(1, _CHUNK_ELEMENTS // math.comb(m.n, m.n // 2))
-    return np.concatenate([_subset_sum(B, X[lo:lo + rows], zpow)
-                           for lo in range(0, sector.dim, rows)])
+    psi_reps = np.concatenate([_subset_sum(B, X[lo:lo + rows], zpow)
+                               for lo in range(0, reps.size, rows)])
+    return psi_reps[np.searchsorted(reps, rep)] * np.exp(1j * p.sum() * shift)
 
 
 def transfer_eigenvalue(m: MomentumSet, ring_size: int) -> tuple[complex, bool]:

@@ -92,12 +92,14 @@ class MomentumSet:
         for p in momenta:
             if not abs(p) < hw:
                 raise DomainError(f"momentum {p!r} outside the open interval (+-{hw})")
-        if enforce_distinct:
-            for i in range(len(momenta)):
-                for j in range(i + 1, len(momenta)):
-                    if abs(momenta[i] - momenta[j]) <= DISTINCT_MOMENTUM_TOL:
-                        raise DegenerateMomentaError(f"momenta {i} and {j} coincide "
-                                                     f"within {DISTINCT_MOMENTUM_TOL}")
+        values = np.asarray(momenta, dtype=float)
+        # two momenta coincide only if two neighbours in sorted order do
+        if enforce_distinct and np.any(np.diff(np.sort(values)) <= DISTINCT_MOMENTUM_TOL):
+            for i in range(values.size):  # name the first pair (i, j), i < j, in index order
+                close = np.flatnonzero(np.abs(values[i + 1:] - values[i]) <= DISTINCT_MOMENTUM_TOL)
+                if close.size:
+                    raise DegenerateMomentaError(f"momenta {i} and {i + 1 + close[0]} coincide "
+                                                 f"within {DISTINCT_MOMENTUM_TOL}")
 
     @classmethod
     def relaxed(cls, momenta, anisotropy):

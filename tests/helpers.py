@@ -23,6 +23,7 @@ from bethe6v import (
     enumerate_row_completions,
     enumerate_sector,
 )
+from bethe6v.ansatz import _subset_sum, pair_factors
 from bethe6v.cli import main
 
 
@@ -73,6 +74,16 @@ def naive_psi_coefficient(positions, momenta, delta):
             term *= np.exp(1j * momenta[sigma[k]] * x)
         total += term
     return total
+
+
+def psi_every_row(sector, m):
+    """The subset-sum DP at every row of the sector: the permutation sum for any momenta.
+
+    ``build_psi`` runs the same DP on the translation-orbit representatives
+    only, which equals this when the momenta solve the Bethe equations.
+    """
+    zpow = np.exp(1j * m.as_array())[:, None] ** np.arange(sector.N + 1)[None, :]
+    return _subset_sum(pair_factors(m), sector.positions, zpow)
 
 
 def spins(positions, N):

@@ -10,6 +10,7 @@ from bethe6v import (
     L_factor,
     M_factor,
     MomentumSet,
+    QuantumNumbers,
     SectorMismatchError,
     SingularMomentumError,
     amplitude,
@@ -28,7 +29,7 @@ from bethe6v import (
     transfer_eigenvalue,
 )
 
-from helpers import naive_psi_coefficient
+from helpers import naive_psi_coefficient, psi_every_row
 
 
 def momentum_set(values, c=1.0):
@@ -58,7 +59,8 @@ class TestAmplitudes:
         assert ratio == pytest.approx(expected, rel=1e-13)
 
     def test_subset_sum_equals_direct(self):
-        # build_psi against the direct permutation sum of amplitude(), n <= 5
+        # the every-row DP against the direct permutation sum of amplitude(), n <= 5;
+        # random momenta are no Bethe roots, so build_psi's orbit route does not apply
         rng = np.random.default_rng(11)
         for c in (0.5, 1.0, 2.0):
             a = Anisotropy(c)
@@ -72,7 +74,7 @@ class TestAmplitudes:
                 for sigma in itertools.permutations(range(n)):
                     waves = np.prod(z[list(sigma)] ** X, axis=1)
                     direct += amplitude(sigma, B) * waves
-                fast = build_psi(sector, m)
+                fast = psi_every_row(sector, m)
                 scale = np.maximum(1.0, np.abs(direct))
                 assert np.all(np.abs(fast - direct) <= 1e-12 * scale), (c, n)
 
@@ -83,7 +85,7 @@ class TestAmplitudes:
 
 class TestPsiCoefficient:
     def test_matches_naive_oracle(self):
-        # build_psi rows against the permutation sum rebuilt from scratch
+        # every-row DP rows against the permutation sum rebuilt from scratch
         rng = np.random.default_rng(5)
         for c in (0.5, 1.0, 2.0):
             a = Anisotropy(c)
@@ -96,7 +98,7 @@ class TestPsiCoefficient:
                     for k in range(n) for l in range(k + 1, n)
                 )
                 sector = enumerate_sector(8, n)
-                psi = build_psi(sector, m)
+                psi = psi_every_row(sector, m)
                 for k in rng.choice(sector.dim, size=min(sector.dim, 12), replace=False):
                     pos = tuple(sector.positions[k].tolist())
                     ref = naive_psi_coefficient(pos, tuple(p), a.delta) / modulus
@@ -155,6 +157,42 @@ class TestBuildPsi:
             psi = build_psi(enumerate_sector(8, n), m)
             scale = math.factorial(n) * float(np.max(np.abs(pair_factors(m))))
             assert np.max(np.abs(psi)) <= 1e-12 * scale
+
+
+class TestOrbitRoute:
+    """build_psi on orbit representatives against the every-row DP, on solved roots."""
+
+    @staticmethod
+    def assert_matches_every_row(N, qn, c):
+        report = solve(N, qn, Anisotropy(c))
+        assert report.converged and not report.degenerate, (N, qn, c)
+        sector = enumerate_sector(N, qn.n)
+        reference = psi_every_row(sector, report.momenta)
+        error = np.max(np.abs(build_psi(sector, report.momenta) - reference))
+        assert error <= 1e-12 * np.max(np.abs(reference)), (N, qn.n, c)
+        return sector, report.momenta
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 2.5])
+    def test_ground_labels(self, c):
+        for N in range(2, 15):
+            for n in range(N // 2 + 1):
+                self.assert_matches_every_row(N, ground_state_quantum_numbers(n), c)
+
+    @pytest.mark.parametrize("N, labels, c", [(10, (-2, 0, 1), 1.3),
+                                              (12, (-1.5, -0.5, 0.5, 2.5), 2.0)])
+    def test_nonzero_total_momentum(self, N, labels, c):
+        # P = 2 pi sum(I) / N != 0 tells e^{+iPt} from e^{-iPt}
+        _, m = self.assert_matches_every_row(N, QuantumNumbers(labels), c)
+        assert abs(np.exp(1j * sum(m.momenta)) - 1.0) > 0.5
+
+    @pytest.mark.parametrize("N, n", [(8, 4), (12, 4), (12, 6)])
+    def test_short_period_orbits(self, N, n):
+        sector, _ = self.assert_matches_every_row(N, ground_state_quantum_numbers(n), 1.0)
+        assert np.any(sector.orbits()[2] < N)
+
+    def test_single_particle(self):
+        for N, label in ((7, 0), (7, 1), (9, -1)):
+            self.assert_matches_every_row(N, QuantumNumbers((label,)), 1.0)
 
 
 class TestEigenvalues:

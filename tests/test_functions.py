@@ -267,6 +267,14 @@ class TestMomentumSet:
         with pytest.raises(DegenerateMomentaError):
             MomentumSet((0.3, 0.3 + 1e-9), a)
 
+    def test_rejects_coincident_unsorted(self):
+        # the pair named is the first (i, j) in index order, not in sorted order
+        a = Anisotropy(1.0)
+        values = (0.5, -0.2, 0.1, -0.2 + 5e-8, 0.5 + 1e-9, 0.7)
+        with pytest.raises(DegenerateMomentaError, match=r"^momenta 0 and 4 coincide within 1e-07$"):
+            MomentumSet(values, a)
+        assert MomentumSet((0.5, -0.2, 0.1, -0.3, 0.7), a).n == 5
+
     def test_relaxed_allows_coincident(self):
         a = Anisotropy(1.0)
         m = MomentumSet.relaxed((0.3, 0.3), a)
