@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
-"""Torus partition function: brute-force arrow enumeration against log Tr(V^M).
+"""Torus partition function: brute-force configuration count against log Tr(V^M).
 
+The count is exact: an integer DP places the vertices one at a time along
+the torus's shorter side (transposing the torus keeps the ice rule and the
+c-vertices) and counts the configurations by their number of c-vertices.
 The grid holds every torus with N, M >= 2 and N*M <= --max-cells.  Each torus
 is checked against the enumeration and dense caps before it is computed; one
 past a cap (BETHE6V_ENUM_CAP, default 14 cells) stops the scan with an error
@@ -15,8 +18,8 @@ import math
 import sys
 import time
 
-from bethe6v import (Anisotropy, CapExceededError, caps, log_polynomial, log_trace_power,
-                    partition_function_bruteforce)
+from bethe6v import (Anisotropy, CapExceededError, DomainError, caps, log_polynomial,
+                    log_trace_power, partition_function_bruteforce)
 
 
 def main():
@@ -38,11 +41,11 @@ def main():
         try:
             caps.check_enum(N, M)
             caps.check_dim(math.comb(N, N // 2))  # log_trace_power's widest sector
-        except CapExceededError as exc:
+            t0 = time.perf_counter()
+            counts = partition_function_bruteforce(N, M)  # refuses counts past int64
+        except (CapExceededError, DomainError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        t0 = time.perf_counter()
-        counts = partition_function_bruteforce(N, M)
         elapsed = time.perf_counter() - t0
         for c in c_values:
             a = Anisotropy(c)

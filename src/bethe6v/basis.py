@@ -140,7 +140,10 @@ class SectorIndex:
         T is a rank permutation; following it N - 1 times visits each orbit N / p times.
         """
         N, dim = self.N, self.dim
-        step = self.ranks(np.sort(self.positions % N + 1, axis=1))  # site N wraps to 1
+        shifted, wraps = self.positions + 1, self.occupied[:, -1]
+        # only a last position N wraps, to 1: its row rolls by one and stays sorted
+        shifted[wraps] = np.roll(self.positions[wraps], 1, axis=1) % N + 1
+        step = self.ranks(shifted)
         states = image = rep = np.arange(dim)
         back, fixed = np.zeros(dim, dtype=np.int64), np.ones(dim, dtype=np.int64)
         for u in range(1, N):

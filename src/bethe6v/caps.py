@@ -11,7 +11,7 @@ from .errors import CapExceededError
 
 DIM_CAP = 20_000       # dense sector-block storage (rows)
 SPECTRUM_CAP = 4096    # dense symmetric eigenvalues (the `dense` route)
-ENUM_CAP = 14          # N*M for torus enumeration (4^(N*M) raw arrow states)
+ENUM_CAP = 14          # N*M for --bruteforce's torus count, a DP on 4^(min(N,M)+1) (N*M+1) counts
 PERM_CAP = 9           # particle count for the 2^n subset sums behind psi
 
 

@@ -277,7 +277,8 @@ def _cmd_partition(args) -> tuple[Report, int]:
         raise ValueError("brute-force enumeration needs N >= 2 and M >= 2")
     caps.check_dim(math.comb(args.N, args.N // 2))  # the widest sector
     if args.bruteforce:
-        caps.check_enum(args.N, args.m)
+        caps.check_enum(args.N, args.m)  # the count goes first: it refuses int64 overflow
+        log_z = log_polynomial(partition_function_bruteforce(args.N, args.m), a.c)
     rep = Report("partition")
     rep.add("param.N", args.N)
     rep.add("param.M", args.m)
@@ -286,7 +287,6 @@ def _cmd_partition(args) -> tuple[Report, int]:
     rep.add("partition.log_trace_power", log_trace)
     if not args.bruteforce:
         return rep, EXIT_OK
-    log_z = log_polynomial(partition_function_bruteforce(args.N, args.m), a.c)
     disc = abs(math.expm1(log_z - log_trace))  # |Z / Tr V^M - 1|
     rep.add("partition.log_bruteforce", log_z)
     rep.add("partition.relative_discrepancy", disc)

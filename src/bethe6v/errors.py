@@ -2,7 +2,7 @@
 
 
 class DomainError(ValueError):
-    """Momenta left the phase's certified branch domain, or a value overflowed a double."""
+    """Momenta left the phase's certified branch domain, or a value overflows a double or int64."""
 
 
 class SingularMomentumError(ValueError):

@@ -11,9 +11,10 @@ independent routes then build or check its blocks:
 * ``enumerate_row_completions``: one entry as the paper defines it, the one
   pair-level oracle: the ice-rule horizontal-arrow completions of one row;
 * ``partition_function_bruteforce``: the torus configurations counted by
-  their number of c-vertices, an exact polynomial in c whose log must match
-  ``log_trace_power``, which sums lambda^M over V's translation-momentum
-  blocks, built from the same entry rule on orbit representatives' rows.
+  their number of c-vertices, vertex by vertex along the shorter side, an
+  exact polynomial in c whose log must match ``log_trace_power``, which
+  sums lambda^M over V's translation-momentum blocks, built from the same
+  entry rule on orbit representatives' rows.
 
 The vertex weights are a = b = 1 and the ``Anisotropy``'s c.  Powers of c
 are computed by repeated squaring so the first two routes agree bit for bit.
@@ -196,12 +197,16 @@ def _entry_rule(sector: SectorIndex, a: Anisotropy):
         for w in range(masks.shape[1]):
             d = masks[rows, w, None] ^ masks[None, cols, w]
             # bits where x disagrees with the alternation pattern of d
-            u = (masks_prefix[rows, w, None] ^ prefix[None, cols, w]) & d
+            u = masks_prefix[rows, w, None] ^ prefix[None, cols, w]
+            u &= d
             x_first = x_first & (u == 0)
             y_first = y_first & (u == d)
             # uint8: popcount(d) <= 2n, and no storable sector has n >= 128
             popcount = popcount + np.bitwise_count(d)
-        return np.where(x_first | y_first, cpow[popcount >> 1], 0.0)
+            del d, u  # free the pair arrays before the weights are gathered
+        weights = cpow[popcount >> 1]
+        weights[~(x_first | y_first)] = 0.0
+        return weights
 
     return entries
 
@@ -242,52 +247,44 @@ def enumerate_row_completions(sx: np.ndarray, sy: np.ndarray,
     return out
 
 
+# the six ice-rule vertices (hl, vb, hr, vt, c), an arrow's bit 1 pointing
+# right or up: hl + vb = hr + vt, and c = 1 on the two with vb != vt
+_VERTICES = ((1, 1, 1, 1, 0), (0, 0, 0, 0, 0), (1, 0, 1, 0, 0), (0, 1, 0, 1, 0),
+             (1, 0, 0, 1, 1), (0, 1, 1, 0, 1))
+
+
 def partition_function_bruteforce(N: int, M: int) -> list[int]:
     """Ice-rule torus configurations counted by their number k of c-vertices.
 
-    Z = sum_k counts[k] c^k is then exact in c.  Edges are assigned
-    row-major (horizontal then vertical at each vertex); as soon as the four
-    edges of a vertex are fixed the ice rule is checked and the branch
-    pruned on violation.  Tori with N < 2 or M < 2 degenerate to self-loop
-    edges and are rejected.
+    Z = sum_k counts[k] c^k is then exact in c.  An integer DP places one
+    vertex at a time along L = max(N, M) rows of width w = min(N, M): the
+    transposed torus has the same counts, as hl + vb = hr + vt is symmetric
+    and gives hr - hl = vb - vt, so c-vertices stay c-vertices.
+    F[b, cut, h0, h, k] counts partial configurations by bottom profile, cut
+    of vertical arrows, row seed, horizontal arrow and c-vertices; each
+    vertex adds one slice per ice-rule vertex on a view of its bit of the
+    cut, a row keeps h == h0 and the torus cut == b.  A count is at most
+    2^(N M + L + w): the b and h0 choices, then at most two vertices per
+    (hl, vb); past int64 it raises ``DomainError`` before any allocation, and
+    N < 2 or M < 2 (self-loop edges) ``ValueError``.
     """
     if N < 2 or M < 2:
         raise ValueError("torus enumeration needs N >= 2 and M >= 2")
-
-    def h_id(i, j):
-        return 2 * ((j % M) * N + (i % N))
-
-    def v_id(i, j):
-        return 2 * ((j % M) * N + (i % N)) + 1
-
-    n_edges = 2 * N * M
-    # each vertex's (left horizontal, bottom vertical, right horizontal, top
-    # vertical) edges, listed under the last of them to be assigned
-    closes_at = [[] for _ in range(n_edges)]
-    for j in range(M):
-        for i in range(N):
-            edges = (h_id(i - 1, j), v_id(i, j - 1), h_id(i, j), v_id(i, j))
-            closes_at[max(edges)].append(edges)
-
-    omega = [0] * n_edges
-    counts = [0] * (N * M + 1)
-
-    def assign(k, nc):
-        if k == n_edges:
-            counts[nc] += 1
-            return
-        for val in (1, -1):
-            omega[k] = val
-            m = nc
-            for hl, vb, hr, vt in closes_at[k]:
-                if omega[hl] + omega[vb] != omega[hr] + omega[vt]:
-                    break  # off the ice rule
-                m += omega[vb] != omega[vt]  # a c-vertex; the other four weigh 1
-            else:
-                assign(k + 1, m)
-
-    assign(0, 0)
-    return counts
+    w, L, K = min(N, M), max(N, M), N * M + 1
+    if N * M + L + w > 62:
+        raise DomainError(f"torus counts on {N} x {M} may exceed int64")
+    closed = np.zeros((B := 1 << w, B, K), dtype=np.int64)  # F summed over h0 = h at a row's end
+    closed[:, :, 0] = np.eye(B, dtype=np.int64)
+    for _ in range(L):
+        F = np.zeros((B, B, 2, 2, K), dtype=np.int64)
+        F[:, :, 0, 0] = F[:, :, 1, 1] = closed
+        for i in range(w):
+            G, F = F.reshape(B, B >> (i + 1), 2, 1 << i, 2, 2, K), np.zeros_like(F)
+            view = F.reshape(G.shape)
+            for hl, vb, hr, vt, dk in _VERTICES:
+                view[:, :, vt, :, :, hr, dk:] += G[:, :, vb, :, :, hl, :K - dk]
+        closed = F[:, :, 0, 0] + F[:, :, 1, 1]
+    return np.trace(closed).tolist()
 
 
 def _log_sum_exp(logs) -> float:

@@ -1,10 +1,11 @@
 """Shared test utilities: CLI driver and independent brute-force oracles.
 
 The oracles here deliberately avoid the library's fast paths: the naive
-coefficient sum rebuilds every amplitude from scratch, and the raw torus
+coefficient sum rebuilds every amplitude from its definition, the raw torus
 enumerator loops over every one of the 2^(2NM) arrow assignments with no
-pruning.  They exist to check the production code, so they must not share
-its shortcuts.
+pruning, and the pruned one walks the arrow assignments edge by edge
+instead of the library's vertex-by-vertex count.  They exist to check the
+production code, so they must not share its shortcuts.
 """
 
 from __future__ import annotations
@@ -120,6 +121,53 @@ def raw_torus_partition(N, M, c):
         total += weight
     return total
 
+
+def enumerate_torus_counts(N, M):
+    """Ice-rule torus configurations counted by their number k of c-vertices.
+
+    Z = sum_k counts[k] c^k is then exact in c.  Edges are assigned
+    row-major (horizontal then vertical at each vertex); as soon as the four
+    edges of a vertex are fixed the ice rule is checked and the branch
+    pruned on violation.  Tori with N < 2 or M < 2 degenerate to self-loop
+    edges and are rejected.
+    """
+    if N < 2 or M < 2:
+        raise ValueError("torus enumeration needs N >= 2 and M >= 2")
+
+    def h_id(i, j):
+        return 2 * ((j % M) * N + (i % N))
+
+    def v_id(i, j):
+        return 2 * ((j % M) * N + (i % N)) + 1
+
+    n_edges = 2 * N * M
+    # each vertex's (left horizontal, bottom vertical, right horizontal, top
+    # vertical) edges, listed under the last of them to be assigned
+    closes_at = [[] for _ in range(n_edges)]
+    for j in range(M):
+        for i in range(N):
+            edges = (h_id(i - 1, j), v_id(i, j - 1), h_id(i, j), v_id(i, j))
+            closes_at[max(edges)].append(edges)
+
+    omega = [0] * n_edges
+    counts = [0] * (N * M + 1)
+
+    def assign(k, nc):
+        if k == n_edges:
+            counts[nc] += 1
+            return
+        for val in (1, -1):
+            omega[k] = val
+            m = nc
+            for hl, vb, hr, vt in closes_at[k]:
+                if omega[hl] + omega[vb] != omega[hr] + omega[vt]:
+                    break  # off the ice rule
+                m += omega[vb] != omega[vt]  # a c-vertex; the other four weigh 1
+            else:
+                assign(k + 1, m)
+
+    assign(0, 0)
+    return counts
 
 
 def _both_kernels(x, y, a):

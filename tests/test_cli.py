@@ -550,6 +550,15 @@ class TestPartitionCommand:
         )
         assert code == 2
 
+    def test_int64_refusal_comes_before_the_trace(self, monkeypatch, capsys):
+        monkeypatch.setenv("BETHE6V_ENUM_CAP", "64")
+        monkeypatch.setattr("bethe6v.cli.log_trace_power", lambda *args: pytest.fail("traced"))
+        code, out = run_cli(
+            ["partition", "--capital-n", "16", "--m", "4", "--c", "1.0", "--bruteforce"]
+        )
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: torus counts on 16 x 4 may exceed int64\n"
+
     def test_degenerate_torus_rejected(self):
         code, _ = run_cli(
             ["partition", "--capital-n", "1", "--m", "3", "--c", "1.0", "--bruteforce"]

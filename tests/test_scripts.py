@@ -45,6 +45,15 @@ def test_partition_scan_stops_at_the_enumeration_cap():
     assert proc.stderr == "error: N*M = 16 exceeds enumeration cap 14\n"
 
 
+def test_partition_scan_stops_where_counts_could_pass_int64(monkeypatch):
+    # with the cap lifted, 2 x 20 is the last torus of the first row counted exactly
+    monkeypatch.setenv("BETHE6V_ENUM_CAP", "42")
+    proc = run_script("partition_scan.py", "--max-cells", "42", "--c-values", "1.0")
+    assert proc.returncode == 2
+    assert len(proc.stdout.strip().splitlines()) == 20  # header, 2 x 2 .. 2 x 20
+    assert proc.stderr == "error: torus counts on 2 x 21 may exceed int64\n"
+
+
 def test_ground_state_scan_stops_at_a_cap(monkeypatch):
     # (6, 1) has 6 states, one past a spectrum cap of 5
     monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "5")

@@ -20,6 +20,7 @@ from bethe6v.oracle import _norm, dense_eigenvalues
 
 from helpers import (
     build_transfer_block_by_configuration,
+    enumerate_torus_counts,
     exact_trace_power,
     raw_torus_partition,
     spins,
@@ -184,6 +185,32 @@ class TestPartitionFunction:
             partition_function_bruteforce(1, 3)
         with pytest.raises(ValueError):
             partition_function_bruteforce(3, 1)
+
+    def test_counts_equal_the_enumeration(self):
+        for N in range(2, 8):
+            for M in range(2, 8):
+                if N * M <= 14:
+                    assert partition_function_bruteforce(N, M) == enumerate_torus_counts(N, M)
+
+    def test_transposed_torus(self):
+        # the DP sweeps along the short side either way round
+        counts = enumerate_torus_counts(7, 2)
+        assert enumerate_torus_counts(2, 7) == counts
+        assert partition_function_bruteforce(2, 7) == counts
+        assert partition_function_bruteforce(7, 2) == counts
+
+    def test_exact_at_the_int64_bound(self):
+        # N*M + L + w = 62: the largest 2 x L torus admitted, and its transpose;
+        # Tr V^20 on two sites is exact at integer c
+        for N, M in ((2, 20), (20, 2)):
+            counts = partition_function_bruteforce(N, M)
+            for c in (1, 2):
+                assert sum(n * c**k for k, n in enumerate(counts)) == exact_trace_power(2, 20, c)
+
+    def test_refuses_int64_overflow_at_once(self):
+        for N, M in ((2, 21), (7, 7), (10**6, 10**6)):
+            with pytest.raises(DomainError, match="int64"):
+                partition_function_bruteforce(N, M)
 
 
 class TestLogPolynomial:
