@@ -2,16 +2,16 @@
 """Scan ground-state predictions over (N, n, c) and confront each one with
 the dense sector spectrum and its Perron–Frobenius certificate.
 
-Each converged case is checked against the subset-sum, dense and spectrum
-caps before its sector is built; one past a cap stops the scan with an
-error and exit code 2, as the CLI does.
+Each converged case builds both dense blocks.  Before its sector is built
+it is checked against the dense cap, the rows of one block (8 * DIM_CAP^2
+bytes, the memory budget every command shares), and the spectrum cap; one
+past a cap stops the scan with an error and exit code 2, as the CLI does.
 
 Example:
     python scripts/ground_state_scan.py --ring-sizes 6,8,10 --c-values 0.5,1.0,2.0
 """
 
 import argparse
-import math
 import sys
 import time
 
@@ -38,9 +38,7 @@ def scan_case(N, n, c):
     report = solve(N, ground_state_quantum_numbers(n), a)
     if not report.converged:
         return dict(N=N, n=n, c=c, converged=False)
-    caps.check_perm(n)
-    caps.check_dim(dim := math.comb(N, n))
-    caps.check_spectrum(dim)
+    caps.check_dim(N, n, spectrum=True)
     sector = enumerate_sector(N, n)
     pred = full_prediction(sector, report.momenta)
     v_block = build_transfer_block(sector, a)

@@ -177,8 +177,9 @@ def _match_level(rep: Report, dim: int, checks) -> list[str]:
 def _cmd_solve(args) -> tuple[Report, int]:
     a = Anisotropy(args.c)
     N, n = args.N, args.n
-    if n < 0 or 2 * n > N:
-        raise ValueError(f"need 0 <= n <= N/2, got n = {n}, N = {N}")
+    if N < 1 or n < 0 or 2 * n > N:
+        raise ValueError(f"need N >= 1 and 0 <= n <= N/2, got n = {n}, N = {N}")
+    caps.check_solve(N, n)  # before the n quantum numbers are even made
     try:
         qn = (_parse_quantum_numbers(args.quantum_numbers) if args.quantum_numbers
               else ground_state_quantum_numbers(n))
@@ -211,7 +212,6 @@ def _cmd_solve(args) -> tuple[Report, int]:
 
     failures: list[str] = []
     m = report.momenta
-    caps.check_perm(n)
     sector = enumerate_sector(N, n)
     with rep.stage("psi"):
         prediction = full_prediction(sector, m)
@@ -234,9 +234,7 @@ def _cmd_solve(args) -> tuple[Report, int]:
     if not abs(lam.imag) <= IMAG_TOL * max(1.0, abs(lam)):
         failures.append("lambda_imaginary")
 
-    if sector.dim > caps.dim_cap():
-        rep.add("checks.route", "skipped:dimension-cap")
-    elif not nontrivial:
+    if not nontrivial:
         rep.add("checks.route", "skipped:psi-trivial")
     else:
         with rep.stage("v"):
@@ -275,7 +273,7 @@ def _cmd_partition(args) -> tuple[Report, int]:
         raise ValueError("need N >= 1 and M >= 1")
     if args.bruteforce and (args.N < 2 or args.m < 2):
         raise ValueError("brute-force enumeration needs N >= 2 and M >= 2")
-    caps.check_dim(math.comb(args.N, args.N // 2))  # the widest sector
+    caps.check_partition(args.N)
     if args.bruteforce:
         caps.check_enum(args.N, args.m)  # the count goes first: it refuses int64 overflow
         log_z = log_polynomial(partition_function_bruteforce(args.N, args.m), a.c)
@@ -337,14 +335,12 @@ def _cmd_verify_identities(args) -> tuple[Report, int]:
 def _sector_block(args, command: str):
     """Validate the sector flags, open the report and build the requested block.
 
-    The caps are checked on C(N, n) before the sector is enumerated.
+    The caps are checked on (N, n) before the sector is enumerated.
     """
     a = Anisotropy(args.c)
     if args.n < 0 or args.n > args.N:
         raise ValueError("need 0 <= n <= N")
-    caps.check_dim(dim := math.comb(args.N, args.n))
-    if command == "spectrum":
-        caps.check_spectrum(dim)
+    caps.check_dim(args.N, args.n, spectrum=command == "spectrum")
     rep = Report(command)
     sector = enumerate_sector(args.N, args.n)
     if args.kind == "transfer":

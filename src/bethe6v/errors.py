@@ -14,7 +14,7 @@ class DegenerateMomentaError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A configured enumeration or dense-storage cap would be exceeded."""
+    """A configured cap, or the memory budget the dense cap sets, would be exceeded."""
 
 
 class SectorMismatchError(ValueError):

@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -187,13 +189,20 @@ class TestSolveCommand:
         keys = list(rep)
         assert keys.index("solver.step_halvings") == keys.index("solver.iterations") + 1
 
-    def test_subset_sum_cap_checked_before_the_sector(self, monkeypatch, capsys):
-        # C(40, 20) states would take 20 TiB to enumerate
+    @pytest.mark.parametrize("N, n, size", [(40, 9, "875"), (24, 12, "5.19")],
+                             ids=["40-9", "24-12"])
+    def test_memory_budget_checked_before_the_solve(self, monkeypatch, capsys, N, n, size):
+        # about 80 N C(N, n) bytes; (40, 9) would ask numpy for 18.3 GiB of positions
         refuse_sectors(monkeypatch)
-        code, out = run_cli(["solve", "--capital-n", "40", "--n", "20", "--c", "1.0"])
+        monkeypatch.setattr("bethe6v.cli.solve", lambda *args: pytest.fail("Newton solve ran"))
+        monkeypatch.setattr("bethe6v.cli.ground_state_quantum_numbers",
+                            lambda *args: pytest.fail("quantum numbers made"))
+        code, out = run_cli(["solve", "--capital-n", str(N), "--n", str(n), "--c", "1.0"])
         assert code == 2
         assert out == ""
-        assert capsys.readouterr().err == "error: 20 momenta exceed the subset-sum cap 9\n"
+        assert capsys.readouterr().err == (
+            f"error: solve at N = {N}, n = {n} needs about {size} GB, "
+            "past the 3.2 GB budget of dense cap 20000\n")
 
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 1.92 GiB for an array", "Unable to allocate 1.92 GiB for an array"),
@@ -278,8 +287,6 @@ class TestSolveCommand:
         assert stages(EXCITED) == checked + ["spectrum"] + closing
         monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "5")
         assert stages(EXCITED) == checked + closing
-        monkeypatch.setenv("BETHE6V_DIM_CAP", "5")
-        assert stages(ground) == ["solve", "psi"] + closing
         unconverged = ["solve", "--capital-n", "2", "--n", "1", "--c", "1.0",
                        "--quantum-numbers", "1"]
         assert stages(unconverged) == ["solve"] + closing
@@ -387,13 +394,16 @@ class TestSpectralRoute:
         assert parse_report(out)["checks.route"] == "skipped:spectrum-cap"
         assert oracle_lines(out) == {}
 
-    def test_dimension_cap_skips_every_block_check(self, monkeypatch):
-        monkeypatch.setenv("BETHE6V_DIM_CAP", "5")
-        code, out = run_cli(["solve", "--capital-n", "8", "--n", "2", "--c", "1.0"])
+    def test_certified_past_the_dense_cap(self):
+        # C(18, 9) = 48620 rows: no dense block could hold them, the sweeps do
+        code, out = run_cli(["solve", "--capital-n", "18", "--n", "9", "--c", "1.0"])
         rep = parse_report(out)
         assert code == 0
-        assert rep["checks.route"] == "skipped:dimension-cap"
-        assert "residual.transfer_eigenpair" not in rep
+        assert rep["checks.route"] == "certified"
+        assert rep["oracle.transfer_match_index"] == rep["oracle.xxz_match_index"] == "48619"
+        assert float(rep["residual.transfer_eigenpair"]) < 1e-9
+        assert float(rep["residual.xxz_eigenpair"]) < 1e-9
+        assert rep["verification.passed"] == "true"
 
     def test_trivial_psi_skips_every_block_check(self, monkeypatch):
         import bethe6v.cli
@@ -691,9 +701,9 @@ class TestDumpMatrixCommand:
      "sector dimension 273438880 exceeds dense cap 20000"),
     (["dump-matrix", "--capital-n", "40", "--n", "9", "--out", "/dev/null"],
      "sector dimension 273438880 exceeds dense cap 20000"),
-    # C(18, 9) states, the widest sector, would need 17.6 GiB as one dense block
-    (["partition", "--capital-n", "18", "--m", "2"],
-     "sector dimension 48620 exceeds dense cap 20000"),
+    # the widest sector's 4862 orbits: momentum blocks of about 24 N R^2 bytes
+    (["partition", "--capital-n", "19", "--m", "2"],
+     "partition at N = 19 needs about 10.8 GB, past the 3.2 GB budget of dense cap 20000"),
     (["partition", "--capital-n", "15", "--m", "15", "--bruteforce"],
      "N*M = 225 exceeds enumeration cap 14"),
 ], ids=["spectrum-cap", "spectrum-dense-cap", "dump-matrix-dense-cap", "partition-dense-cap",
@@ -704,6 +714,35 @@ def test_caps_checked_before_the_sector(argv, message, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_partition_budget_counts_momentum_blocks(monkeypatch, capsys):
+    # C(17, 8) = 24310 rows, but its 1430 orbits' blocks take about 0.83 GB
+    refuse_sectors(monkeypatch)
+    with pytest.raises(AssertionError, match="sector allocated"):
+        run_cli(["partition", "--capital-n", "17", "--m", "2", "--c", "1.0"])
+    code, out = run_cli(["partition", "--capital-n", "20", "--m", "2", "--c", "1.0"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "error: partition at N = 20 needs about 41 GB, past the 3.2 GB budget of dense cap 20000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # C(20000, 10000) has 6018 digits, C(10^6, 5 10^5) takes seconds to form
+    ["spectrum", "--capital-n", "20000", "--n", "10000"],
+    ["partition", "--capital-n", "1000000", "--m", "1"],
+    ["solve", "--capital-n", "20000", "--n", "10000"],
+], ids=["spectrum", "partition", "solve"])
+def test_huge_sectors_refused_by_their_bound(argv, monkeypatch, capsys):
+    refuse_sectors(monkeypatch)
+    start = time.perf_counter()
+    code, out = run_cli(argv + ["--c", "1.0"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -724,7 +763,7 @@ def test_every_command_rejects_bad_c(argv, capsys):
 class TestEnvironmentCaps:
     def test_library_routes_are_uncapped(self, monkeypatch):
         # the commands own the caps; the routes compute what they are asked
-        for name in ("DIM", "SPECTRUM", "ENUM", "PERM"):
+        for name in ("DIM", "SPECTRUM", "ENUM"):
             monkeypatch.setenv(f"BETHE6V_{name}_CAP", "1")
         a = Anisotropy(1.0)
         sector = enumerate_sector(6, 3)
@@ -734,6 +773,27 @@ class TestEnvironmentCaps:
         assert np.all(np.isfinite(build_psi(sector, momenta)))
         assert identity_suite(momenta, 6, samples=2).samples == 2
         assert sum(partition_function_bruteforce(2, 2)) == 18
+
+    @pytest.mark.parametrize("cap", ["0", "-20000"])
+    def test_dim_cap_of_zero_or_below_refuses_every_command(self, cap, monkeypatch, capsys):
+        # squared, -20000 would be the default budget; it leaves none
+        refuse_sectors(monkeypatch)
+        monkeypatch.setenv("BETHE6V_DIM_CAP", cap)
+        for argv in (["solve", "--capital-n", "2", "--n", "0"],
+                     ["partition", "--capital-n", "1", "--m", "1"],
+                     ["spectrum", "--capital-n", "1", "--n", "0"],
+                     ["dump-matrix", "--capital-n", "1", "--n", "0", "--out", "/dev/null"]):
+            code, out = run_cli(argv + ["--c", "1.0"])
+            assert (code, out) == (2, ""), argv
+            assert capsys.readouterr().err.startswith("error: "), argv
+
+    def test_readme_lists_every_cap(self):
+        import bethe6v.caps
+
+        read = set(re.findall(r"BETHE6V_\w+", Path(bethe6v.caps.__file__).read_text()))
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        listed = set(re.findall(r"^\| `(BETHE6V_\w+)`", readme, flags=re.MULTILINE))
+        assert read == listed
 
     def test_dim_cap_override(self, monkeypatch):
         monkeypatch.setenv("BETHE6V_DIM_CAP", "5")

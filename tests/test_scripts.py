@@ -54,6 +54,16 @@ def test_partition_scan_stops_where_counts_could_pass_int64(monkeypatch):
     assert proc.stderr == "error: torus counts on 2 x 21 may exceed int64\n"
 
 
+def test_partition_scan_stops_at_the_memory_budget(monkeypatch):
+    # a dense cap of 4 leaves 128 bytes: 24 N R^2 is 48 at N = 2, 72 at N = 3, 216 at N = 4
+    monkeypatch.setenv("BETHE6V_DIM_CAP", "4")
+    proc = run_script("partition_scan.py", "--max-cells", "8", "--c-values", "1.0")
+    assert proc.returncode == 2
+    assert len(proc.stdout.strip().splitlines()) == 5  # header, 2 x 2 .. 2 x 4, 3 x 2
+    assert proc.stderr == ("error: partition at N = 4 needs about 2.16e-07 GB, "
+                           "past the 1.28e-07 GB budget of dense cap 4\n")
+
+
 def test_ground_state_scan_stops_at_a_cap(monkeypatch):
     # (6, 1) has 6 states, one past a spectrum cap of 5
     monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "5")
