@@ -4,11 +4,11 @@
 The count is exact: an integer DP places the vertices one at a time along
 the torus's shorter side (transposing the torus keeps the ice rule and the
 c-vertices) and counts the configurations by their number of c-vertices.
-The grid holds every torus with N, M >= 2 and N*M <= --max-cells.  Each torus
-is checked against the enumeration cap (BETHE6V_ENUM_CAP, default 14 cells)
-and its trace against the memory budget (8 * BETHE6V_DIM_CAP^2 bytes) before
-it is computed; one past a cap stops the scan with an error and exit code 2,
-as the CLI does.
+The grid holds every torus with N, M >= 2 and N*M <= --max-cells.  Each
+torus's trace is checked against the memory budget (8 * BETHE6V_DIM_CAP^2
+bytes), and its count refused where it could pass int64
+(N*M + max(N, M) + min(N, M) > 62), before either is computed; the first
+torus refused stops the scan with an error and exit code 2, as the CLI does.
 
 Example:
     python scripts/partition_scan.py --max-cells 12 --c-values 0.5,1.0,2.0
@@ -40,7 +40,6 @@ def main():
           f"{'log Tr V^M':>20} {'rel diff':>10} {'time':>7}")
     for N, M in pairs:
         try:
-            caps.check_enum(N, M)
             caps.check_partition(N)
             t0 = time.perf_counter()
             counts = partition_function_bruteforce(N, M)  # refuses counts past int64

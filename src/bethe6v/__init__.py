@@ -50,10 +50,8 @@ from .transfer import (
     enumerate_row_completions,
     log_polynomial,
     log_trace_power,
-    matrix_text,
     partition_function_bruteforce,
     transfer_operator,
-    write_matrix,
 )
 from .xxz import (
     HamiltonianOperator,

@@ -163,13 +163,12 @@ def build_psi(sector: SectorIndex, m: MomentumSet) -> np.ndarray:
     B = pair_factors(m)
     p = m.as_array()
     zpow = np.exp(1j * p)[:, None] ** np.arange(sector.N + 1)[None, :]
-    rep, shift, _ = sector.orbits()
-    reps = np.flatnonzero(rep == np.arange(sector.dim))
+    reps, orbit, shift, _ = sector.orbits()
     X = sector.positions[reps]
     rows = max(1, _CHUNK_ELEMENTS // math.comb(m.n, m.n // 2))
     psi_reps = np.concatenate([_subset_sum(B, X[lo:lo + rows], zpow)
                                for lo in range(0, reps.size, rows)])
-    return psi_reps[np.searchsorted(reps, rep)] * np.exp(1j * p.sum() * shift)
+    return psi_reps[orbit] * np.exp(1j * p.sum() * shift)
 
 
 def transfer_eigenvalue(m: MomentumSet, ring_size: int) -> tuple[complex, bool]:

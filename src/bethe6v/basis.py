@@ -55,8 +55,10 @@ class SectorIndex:
         packed = np.packbits(occupied, axis=1, bitorder="little")
         masks = np.zeros((dim, 8 * ((N + 63) // 64)), dtype=np.uint8)
         masks[:, :packed.shape[1]] = packed
-        table = [[min(comb(q, k), dim) for k in range(1, n + 1)] for q in range(N)]
-        table = np.array(table, dtype=np.int64).reshape(N, n)
+        # C(q, k) for k <= n + 1, clipped where no rank of sectors n and n +- 1 reaches
+        cap = max(dim, comb(N, n + 1), comb(N, n - 1) if n else 0)
+        table = [[min(comb(q, k), cap) for k in range(n + 2)] for q in range(N)]
+        table = np.array(table, dtype=np.int64).reshape(N, n + 2)
         # read-only: consumers share one sector across blocks
         for name, value in (("positions", positions), ("occupied", occupied),
                             ("masks", masks.view("<u8")), ("_colex_table", table)):
@@ -71,9 +73,8 @@ class SectorIndex:
         """Basis indices of the rows of a (rows, n) array of increasing positions.
 
         Colex rank in the combinatorial number system: sum_k C(x_k - 1, k).
-        Table entries above dim are clipped; no state of the sector uses them.
         """
-        return self._colex_table[positions - 1, np.arange(self.n)].sum(axis=1)
+        return self._colex_table[positions - 1, np.arange(1, self.n + 1)].sum(axis=1)
 
     def toggled_ranks(self) -> np.ndarray:
         """(N, dim) ranks of the states with one site toggled, row i - 1 for site i.
@@ -85,11 +86,7 @@ class SectorIndex:
         x_(j+2)..x_n down one.  Prefix sums of the kept, raised and lowered
         terms give every rank at once, with no other sector enumerated.
         """
-        N, n, dim = self.N, self.n, self.dim
-        # C(q, k) for k <= n + 1, clipped where no rank of sectors n +- 1 reaches
-        cap = max(dim, comb(N, n + 1), comb(N, n - 1) if n else 0)
-        table = [[min(comb(q, k), cap) for k in range(n + 2)] for q in range(N)]
-        table = np.array(table, dtype=np.int64).reshape(N, n + 2)
+        N, n, dim, table = self.N, self.n, self.dim, self._colex_table
         k = np.arange(1, n + 1)[:, None]
         below = self.positions.T - 1
         zero = np.zeros((1, dim), dtype=np.int64)
@@ -122,8 +119,7 @@ class SectorIndex:
         occupied = self.occupied.T
         hops = occupied != np.concatenate([occupied[1:], occupied[:1]])
         left = np.cumsum(occupied[:-1], axis=0) - occupied[:-1]
-        table = np.hstack([np.ones((N, 1), dtype=np.int64), self._colex_table])  # C(q, 0..n)
-        step = table[np.arange(N - 1)[:, None], left]
+        step = self._colex_table[np.arange(N - 1)[:, None], left]
         out = np.full((N, dim), dim)
         out[:-1] = np.where(hops[:-1], np.arange(dim) + np.where(occupied[:-1], step, -step), dim)
         wrap = np.flatnonzero(hops[-1])
@@ -132,12 +128,13 @@ class SectorIndex:
         out[-1, wrap] = self.ranks(np.sort(swapped, axis=1))
         return out
 
-    def orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Translation orbits: each state's representative r, shift t and period p.
+    def orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Translation orbits: the representatives, and each state's orbit, shift t and period p.
 
-        T moves every arrow one site on, site N to site 1; r is the lowest rank
-        in the state's orbit, the state is T^t(r) with t < p, and p divides N.
-        T is a rank permutation; following it N - 1 times visits each orbit N / p times.
+        T moves every arrow one site on, site N to site 1.  ``reps`` holds each
+        orbit's lowest rank r, ascending; state s lies in orbit ``orbit[s]``,
+        is T^t(r) for r = reps[orbit[s]] with t < p, and p divides N.  T is a
+        rank permutation; following it N - 1 times visits each orbit N / p times.
         """
         N, dim = self.N, self.dim
         shifted, wraps = self.positions + 1, self.occupied[:, -1]
@@ -153,7 +150,8 @@ class SectorIndex:
             back[lower] = u  # rep = T^back(s)
             fixed += image == states
         period = N // fixed
-        return rep, -back % period, period
+        reps = np.flatnonzero(rep == states)
+        return reps, np.searchsorted(reps, rep), -back % period, period
 
 
 def enumerate_sector(N: int, n: int) -> SectorIndex:

@@ -3,7 +3,9 @@
 One memory budget bounds every command: none plans arrays past the dense
 block the dense cap allows, 8 DIM_CAP^2 bytes (3.2 GB at the default, none at
 a cap of 0 or below).  The commands and scripts check their caps on (N, n)
-before any work, by lgamma first; the library routes are uncapped.
+before any work, by lgamma first; the library routes are uncapped.  The
+torus count needs no cap of its own: ``partition_function_bruteforce``
+refuses, before it allocates, every torus whose counts could pass int64.
 """
 
 import math
@@ -13,7 +15,6 @@ from .errors import CapExceededError
 
 DIM_CAP = 20_000       # dense sector-block rows; 8 DIM_CAP^2 bytes is the memory budget
 SPECTRUM_CAP = 4096    # dense symmetric eigenvalues (the `dense` route), at most DIM_CAP
-ENUM_CAP = 14          # N*M for --bruteforce's torus count, a DP on 4^(min(N,M)+1) (N*M+1) counts
 
 
 def _from_env(env_name, default):
@@ -44,12 +45,6 @@ def check_dim(N: int, n: int, spectrum: bool = False) -> None:
         raise CapExceededError(f"sector dimension {rows} exceeds dense cap {cap}")
     if spectrum and rows > (cap := spectrum_cap()):
         raise CapExceededError(f"dimension {rows} exceeds spectrum cap {cap}")
-
-
-def check_enum(N: int, M: int) -> None:
-    """Refuse an N x M torus enumeration past the enumeration cap."""
-    if N * M > (cap := _from_env("BETHE6V_ENUM_CAP", ENUM_CAP)):
-        raise CapExceededError(f"N*M = {N * M} exceeds enumeration cap {cap}")
 
 
 def _check_bytes(what: str, log_bytes: float) -> None:

@@ -173,28 +173,25 @@ def theta_partial_1(x, y, a: Anisotropy):
     return _as_scalar(val)
 
 
-def L_factor(z, a: Anisotropy):
-    """Eigenvalue factor 1 + c^2 z / (1 - z); singular as z -> 1."""
-    z = np.asarray(z, dtype=complex)
+def _one_minus(z: np.ndarray) -> np.ndarray:
+    """1 - z, refused at the eigenvalue factors' pole z -> 1."""
     one_minus = 1.0 - z
     if np.any(np.abs(one_minus) < ZERO_MOMENTUM_TOL):
         raise SingularMomentumError(
             "z too close to 1; route through the zero-momentum eigenvalue path"
         )
-    val = 1.0 + (a.c * a.c) * z / one_minus
-    return _as_scalar(val)
+    return one_minus
+
+
+def L_factor(z, a: Anisotropy):
+    """Eigenvalue factor 1 + c^2 z / (1 - z); singular as z -> 1."""
+    z = np.asarray(z, dtype=complex)
+    return _as_scalar(1.0 + (a.c * a.c) * z / _one_minus(z))
 
 
 def M_factor(z, a: Anisotropy):
     """Eigenvalue factor 1 - c^2 / (1 - z); singular as z -> 1."""
-    z = np.asarray(z, dtype=complex)
-    one_minus = 1.0 - z
-    if np.any(np.abs(one_minus) < ZERO_MOMENTUM_TOL):
-        raise SingularMomentumError(
-            "z too close to 1; route through the zero-momentum eigenvalue path"
-        )
-    val = 1.0 - (a.c * a.c) / one_minus
-    return _as_scalar(val)
+    return _as_scalar(1.0 - (a.c * a.c) / _one_minus(np.asarray(z, dtype=complex)))
 
 
 def grid_suite(a: Anisotropy, grid: int):

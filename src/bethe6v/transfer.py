@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -42,8 +41,6 @@ __all__ = [
     "partition_function_bruteforce",
     "log_polynomial",
     "log_trace_power",
-    "matrix_text",
-    "write_matrix",
 ]
 
 _CHUNK_ELEMENTS = 1 << 18  # scratch budget (pairs) for the bitmask pair tests
@@ -70,7 +67,6 @@ class SectorMatrix:
 
     entries: np.ndarray
     basis: SectorIndex
-    kind: str  # "transfer" | "hamiltonian"
     N = property(lambda self: self.basis.N)
     n = property(lambda self: self.basis.n)
     dim = property(lambda self: self.basis.dim)
@@ -221,7 +217,7 @@ def build_transfer_block(sector: SectorIndex, a: Anisotropy) -> SectorMatrix:
         block = entries_of(slice(lo, lo + chunk), slice(lo, None))
         entries[lo:lo + chunk, lo:] = block
         entries[lo:, lo:lo + chunk] = block.T
-    return SectorMatrix(entries, sector, "transfer")
+    return SectorMatrix(entries, sector)
 
 
 def enumerate_row_completions(sx: np.ndarray, sy: np.ndarray,
@@ -311,9 +307,7 @@ def _sector_log_trace(sector: SectorIndex, a: Anisotropy, M: int) -> float:
     sum_r p_r <x_r, V x_r> with x_r = V^(M // 2) e_r by nonnegative sweeps.
     """
     N, dim = sector.N, sector.dim
-    rep, shift, period = sector.orbits()
-    reps = np.flatnonzero(rep == np.arange(dim))
-    orbit = np.searchsorted(reps, rep)
+    reps, orbit, shift, period = sector.orbits()
     entries_of = _entry_rule(sector, a)
     chunks = np.array_split(np.arange(reps.size), -(-reps.size * dim // _CHUNK_ELEMENTS))
     by_shift = np.zeros((N, reps.size, reps.size))
@@ -358,15 +352,3 @@ def log_trace_power(N: int, M: int, a: Anisotropy) -> float:
     if not math.isfinite(value):
         raise DomainError(f"log Tr V^{M} on N = {N} is {value!r}")
     return value
-
-
-def matrix_text(m: SectorMatrix) -> str:
-    """Plain-text dump: header "N n dim kind", then rows of 17-digit entries."""
-    lines = [f"{m.N} {m.n} {m.dim} {m.kind}"]
-    for row in m.entries:
-        lines.append(" ".join(format(v, ".17g") for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_matrix(m: SectorMatrix, path) -> None:
-    Path(path).write_text(matrix_text(m))

@@ -79,7 +79,7 @@ def build_hamiltonian_block(sector: SectorIndex, delta: float) -> SectorMatrix:
     # add.at rather than +=: at N = 2 both bonds join the same pair of states
     np.add.at(entries, (rows, op.targets[bonds, rows]), 1.0)
     entries[np.diag_indices(dim)] += op.diagonal
-    return SectorMatrix(entries, sector, "hamiltonian")
+    return SectorMatrix(entries, sector)
 
 
 def energy_prediction(m: MomentumSet, ring_size: int, delta: float) -> float:

@@ -204,7 +204,7 @@ def build_transfer_block_by_configuration(sector, a):
     for i, sx in enumerate(spins):
         for j, sy in enumerate(spins):
             entries[i, j] = sum(enumerate_row_completions(sx, sy, a))
-    return SectorMatrix(entries, sector, "transfer")
+    return SectorMatrix(entries, sector)
 
 
 def exact_trace_power(N, M, c):

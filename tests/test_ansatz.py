@@ -188,7 +188,7 @@ class TestOrbitRoute:
     @pytest.mark.parametrize("N, n", [(8, 4), (12, 4), (12, 6)])
     def test_short_period_orbits(self, N, n):
         sector, _ = self.assert_matches_every_row(N, ground_state_quantum_numbers(n), 1.0)
-        assert np.any(sector.orbits()[2] < N)
+        assert np.any(sector.orbits()[3] < N)
 
     def test_single_particle(self):
         for N, label in ((7, 0), (7, 1), (9, -1)):

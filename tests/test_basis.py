@@ -134,13 +134,14 @@ class TestOrbits:
     def test_orbit_table(self):
         for N, n in self.SECTORS:
             sector = enumerate_sector(N, n)
-            rep, shift, period = sector.orbits()
+            reps, orbit, shift, period = sector.orbits()
+            rep = reps[orbit]
             # every state is its representative moved on by its shift
             moved = np.sort((sector.positions[rep] + shift[:, None] - 1) % N + 1, axis=1)
             assert np.array_equal(moved, sector.positions), (N, n)
             assert np.all(N % period == 0) and np.all((0 <= shift) & (shift < period)), (N, n)
-            # each representative is its own and the lowest of its orbit
-            reps = np.flatnonzero(rep == np.arange(sector.dim))
+            # the representatives ascend, each is its own and the lowest of its orbit
+            assert np.all(np.diff(reps) > 0), (N, n)
             assert np.array_equal(rep[reps], reps) and np.all(rep <= np.arange(sector.dim))
             assert np.array_equal(period, period[rep]), (N, n)
             # an orbit holds exactly p states, and the orbits cover the sector
@@ -150,7 +151,7 @@ class TestOrbits:
     def test_period_is_the_smallest_shift_back(self):
         for N, n in ((6, 2), (6, 3), (8, 4), (9, 3), (12, 6)):
             sector = enumerate_sector(N, n)
-            _, _, period = sector.orbits()
+            *_, period = sector.orbits()
             for s, state in enumerate(states(sector)):
                 back = [t for t in range(1, N + 1)
                         if sorted((x - 1 + t) % N + 1 for x in state) == list(state)]

@@ -38,12 +38,15 @@ def strip_timing(text):
 
 
 def refuse_sectors(monkeypatch):
-    """Fail the test if the CLI enumerates a sector, builds a block or a torus."""
+    """Fail the test if the CLI enumerates a sector, builds a block or takes a trace.
+
+    The torus count stays real: it refuses a torus past int64 before it allocates.
+    """
     def refuse(*args, **kwargs):
         raise AssertionError("sector allocated")
 
     for name in ("enumerate_sector", "build_transfer_block", "build_hamiltonian_block",
-                 "log_trace_power", "partition_function_bruteforce"):
+                 "log_trace_power"):
         monkeypatch.setattr(f"bethe6v.cli.{name}", refuse)
 
 
@@ -554,14 +557,16 @@ class TestPartitionCommand:
         assert out == ""
         assert capsys.readouterr().err == "error: transfer weight c^2 overflows at c = 1e+200\n"
 
-    def test_enumeration_cap(self):
-        code, _ = run_cli(
-            ["partition", "--capital-n", "4", "--m", "4", "--c", "1.0", "--bruteforce"]
+    @pytest.mark.parametrize("N, M", [(4, 4), (2, 8), (8, 2)])
+    def test_bruteforce_needs_no_enumeration_cap(self, N, M):
+        # only the int64 bound limits the count: N*M + max + min <= 62 here
+        code, out = run_cli(
+            ["partition", "--capital-n", str(N), "--m", str(M), "--c", "1.3", "--bruteforce"]
         )
-        assert code == 2
+        assert code == 0
+        assert parse_report(out)["verification.passed"] == "true"
 
     def test_int64_refusal_comes_before_the_trace(self, monkeypatch, capsys):
-        monkeypatch.setenv("BETHE6V_ENUM_CAP", "64")
         monkeypatch.setattr("bethe6v.cli.log_trace_power", lambda *args: pytest.fail("traced"))
         code, out = run_cli(
             ["partition", "--capital-n", "16", "--m", "4", "--c", "1.0", "--bruteforce"]
@@ -569,11 +574,12 @@ class TestPartitionCommand:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: torus counts on 16 x 4 may exceed int64\n"
 
-    def test_degenerate_torus_rejected(self):
-        code, _ = run_cli(
-            ["partition", "--capital-n", "1", "--m", "3", "--c", "1.0", "--bruteforce"]
-        )
-        assert code == 1
+    def test_degenerate_torus_rejected(self, monkeypatch, capsys):
+        monkeypatch.setattr("bethe6v.cli.log_trace_power", lambda *args: pytest.fail("traced"))
+        for argv in (["--capital-n", "1", "--m", "3"], ["--capital-n", "3", "--m", "1"]):
+            code, out = run_cli(["partition", *argv, "--c", "1.0", "--bruteforce"])
+            assert (code, out) == (1, "")
+            assert capsys.readouterr().err == "error: torus enumeration needs N >= 2 and M >= 2\n"
 
 
 class TestVerifyIdentitiesCommand:
@@ -704,8 +710,9 @@ class TestDumpMatrixCommand:
     # the widest sector's 4862 orbits: momentum blocks of about 24 N R^2 bytes
     (["partition", "--capital-n", "19", "--m", "2"],
      "partition at N = 19 needs about 10.8 GB, past the 3.2 GB budget of dense cap 20000"),
+    # the count's own int64 bound, the only cap on --bruteforce, comes before the trace
     (["partition", "--capital-n", "15", "--m", "15", "--bruteforce"],
-     "N*M = 225 exceeds enumeration cap 14"),
+     "torus counts on 15 x 15 may exceed int64"),
 ], ids=["spectrum-cap", "spectrum-dense-cap", "dump-matrix-dense-cap", "partition-dense-cap",
         "partition-enumeration-cap"])
 def test_caps_checked_before_the_sector(argv, message, monkeypatch, capsys):
@@ -763,7 +770,7 @@ def test_every_command_rejects_bad_c(argv, capsys):
 class TestEnvironmentCaps:
     def test_library_routes_are_uncapped(self, monkeypatch):
         # the commands own the caps; the routes compute what they are asked
-        for name in ("DIM", "SPECTRUM", "ENUM"):
+        for name in ("DIM", "SPECTRUM"):
             monkeypatch.setenv(f"BETHE6V_{name}_CAP", "1")
         a = Anisotropy(1.0)
         sector = enumerate_sector(6, 3)
@@ -800,18 +807,5 @@ class TestEnvironmentCaps:
         code, _ = run_cli(
             ["dump-matrix", "--capital-n", "6", "--n", "3", "--c", "1.0",
              "--out", "/dev/null"]
-        )
-        assert code == 2
-
-    def test_enum_cap_override(self, monkeypatch):
-        monkeypatch.setenv("BETHE6V_ENUM_CAP", "20")
-        code, out = run_cli(
-            ["partition", "--capital-n", "4", "--m", "4", "--c", "1.0"]
-        )
-        # trace-only path ignores the enumeration cap; bruteforce honors it
-        assert code == 0
-        monkeypatch.setenv("BETHE6V_ENUM_CAP", "8")
-        code, _ = run_cli(
-            ["partition", "--capital-n", "3", "--m", "3", "--c", "1.0", "--bruteforce"]
         )
         assert code == 2

@@ -21,11 +21,11 @@ from bethe6v import (
 )
 
 
-def make_matrix(entries, kind="transfer"):
+def make_matrix(entries):
     entries = np.asarray(entries, dtype=float)
     dim = entries.shape[0]
     # n chosen so the sector dimension is irrelevant for these synthetic cases
-    return SectorMatrix(entries, enumerate_sector(dim, 1), kind)
+    return SectorMatrix(entries, enumerate_sector(dim, 1))
 
 
 class TestDenseSpectrum:

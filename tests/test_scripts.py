@@ -38,16 +38,15 @@ def test_partition_scan():
     assert len(proc.stdout.strip().splitlines()) == 2
 
 
-def test_partition_scan_stops_at_the_enumeration_cap():
-    # tori up to 2 x 7 fit the default cap of 14 cells; 2 x 8 is past it
+def test_partition_scan_needs_no_enumeration_cap():
+    # every torus up to 16 cells is counted and traced, 2 x 8 and 8 x 2 included
     proc = run_script("partition_scan.py", "--max-cells", "16", "--c-values", "1.0")
-    assert proc.returncode == 2
-    assert proc.stderr == "error: N*M = 16 exceeds enumeration cap 14\n"
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.strip().splitlines()) == 20  # header and 19 tori
 
 
-def test_partition_scan_stops_where_counts_could_pass_int64(monkeypatch):
-    # with the cap lifted, 2 x 20 is the last torus of the first row counted exactly
-    monkeypatch.setenv("BETHE6V_ENUM_CAP", "42")
+def test_partition_scan_stops_where_counts_could_pass_int64():
+    # 2 x 20 is the last torus of the first row counted exactly
     proc = run_script("partition_scan.py", "--max-cells", "42", "--c-values", "1.0")
     assert proc.returncode == 2
     assert len(proc.stdout.strip().splitlines()) == 20  # header, 2 x 2 .. 2 x 20

@@ -6,15 +6,14 @@ import pytest
 from bethe6v import (
     Anisotropy,
     DomainError,
+    build_hamiltonian_block,
     build_transfer_block,
     enumerate_row_completions,
     enumerate_sector,
     log_polynomial,
     log_trace_power,
-    matrix_text,
     partition_function_bruteforce,
     transfer_operator,
-    write_matrix,
 )
 from bethe6v.oracle import _norm, dense_eigenvalues
 
@@ -23,6 +22,7 @@ from helpers import (
     enumerate_torus_counts,
     exact_trace_power,
     raw_torus_partition,
+    run_cli,
     spins,
 )
 
@@ -302,18 +302,31 @@ class TestMomentumTrace:
 
 
 class TestMatrixDump:
+    @staticmethod
+    def dump(tmp_path, N, n, c, kind="transfer", suffix=".txt"):
+        path = tmp_path / f"{kind}-{N}-{n}{suffix}"
+        code, _ = run_cli(["dump-matrix", "--capital-n", str(N), "--n", str(n),
+                           "--c", repr(c), "--kind", kind, "--out", str(path)])
+        assert code == 0
+        return path.read_text()
+
     def test_header_and_round_trip(self, tmp_path):
         blk = build_transfer_block(enumerate_sector(4, 2), Anisotropy(math.sqrt(2.0)))
-        path = tmp_path / "block.txt"
-        write_matrix(blk, path)
-        lines = path.read_text().splitlines()
+        # plain text whatever the name: np.savetxt given the path would gzip it
+        lines = self.dump(tmp_path, 4, 2, math.sqrt(2.0), suffix=".txt.gz").splitlines()
         assert lines[0] == "4 2 6 transfer"
         assert len(lines) == 1 + blk.dim
         parsed = np.array([[float(v) for v in row.split()] for row in lines[1:]])
         assert np.array_equal(parsed, blk.entries)
 
     def test_text_matches_writer(self, tmp_path):
-        blk = build_transfer_block(enumerate_sector(3, 1), Anisotropy(0.8))
-        path = tmp_path / "b.txt"
-        write_matrix(blk, path)
-        assert path.read_text() == matrix_text(blk)
+        # an independent join of 17-digit entries; at c = sqrt(2) delta is -2.2e-16,
+        # so the Hamiltonian's diagonal holds rounding-sized entries
+        for N, n, c, kind in ((3, 1, 0.8, "transfer"), (6, 3, 1.3, "transfer"),
+                              (6, 3, math.sqrt(2.0), "hamiltonian"), (5, 0, 2.5, "hamiltonian")):
+            sector, a = enumerate_sector(N, n), Anisotropy(c)
+            blk = (build_transfer_block(sector, a) if kind == "transfer"
+                   else build_hamiltonian_block(sector, a.delta))
+            rows = [" ".join(format(v, ".17g") for v in row) for row in blk.entries]
+            expected = "\n".join([f"{N} {n} {blk.dim} {kind}"] + rows) + "\n"
+            assert self.dump(tmp_path, N, n, c, kind) == expected, (N, n, c, kind)
