@@ -33,8 +33,8 @@ from .functions import (
 from .oracle import (
     check_eigenpair,
     commutator_probe,
-    dense_eigenvalues,
     match_eigenvalue,
+    momentum_spectra,
 )
 from .solver import (
     QuantumNumbers,
@@ -47,16 +47,17 @@ from .transfer import (
     SectorMatrix,
     TransferOperator,
     build_transfer_block,
-    enumerate_row_completions,
     log_polynomial,
     log_trace_power,
     partition_function_bruteforce,
+    transfer_by_shift,
     transfer_operator,
 )
 from .xxz import (
     HamiltonianOperator,
     build_hamiltonian_block,
     energy_prediction,
+    hamiltonian_by_shift,
     hamiltonian_operator,
 )
 

@@ -14,7 +14,7 @@ import os
 from .errors import CapExceededError
 
 DIM_CAP = 20_000       # dense sector-block rows; 8 DIM_CAP^2 bytes is the memory budget
-SPECTRUM_CAP = 4096    # dense symmetric eigenvalues (the `dense` route), at most DIM_CAP
+SPECTRUM_CAP = 4096    # sector-spectrum rows (`spectrum`, the `block` route), at most DIM_CAP
 
 
 def _from_env(env_name, default):
@@ -26,7 +26,7 @@ def dim_cap():
     return _from_env("BETHE6V_DIM_CAP", DIM_CAP)
 
 
-def spectrum_cap():  # a dense spectrum needs the dense block
+def spectrum_cap():  # never past the dense cap
     return min(_from_env("BETHE6V_SPECTRUM_CAP", SPECTRUM_CAP), dim_cap())
 
 

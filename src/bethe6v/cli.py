@@ -4,13 +4,13 @@ Subcommands:
 
 * ``solve``: solve the logarithmic equations, build the predicted
   eigenvector and both eigenvalues, verify them against the sector
-  operators and name their level by a Perron–Frobenius certificate or dense
-  spectrum;
+  operators and name their level by a Perron–Frobenius certificate or the
+  sector spectrum;
 * ``partition``: log partition function log Tr(V^M), optionally checked
   against brute-force torus enumeration;
 * ``verify-identities``: grid suite for the function-level identities plus,
   when a sector is given, the amplitude-ratio identities on solved roots;
-* ``spectrum``: dense sector eigenvalues;
+* ``spectrum``: sector eigenvalues, the union of the momentum blocks' spectra;
 * ``dump-matrix``: write a sector block in the plain-text matrix format.
 
 Reports are emitted as "key: value" lines; every float carries 17
@@ -40,17 +40,18 @@ from .ansatz import bethe_residual, full_prediction, identity_suite
 from .basis import enumerate_sector
 from .errors import CapExceededError, DomainError
 from .functions import Anisotropy, grid_suite
-from .oracle import (check_eigenpair, commutator_probe, dense_eigenvalues,
-                     match_eigenvalue)
+from .oracle import (check_eigenpair, commutator_probe, match_eigenvalue,
+                     momentum_spectra)
 from .solver import QuantumNumbers, ground_state_quantum_numbers, solve
 from .transfer import (
     build_transfer_block,
     log_polynomial,
     log_trace_power,
     partition_function_bruteforce,
+    transfer_by_shift,
     transfer_operator,
 )
-from .xxz import build_hamiltonian_block, hamiltonian_operator
+from .xxz import build_hamiltonian_block, hamiltonian_by_shift, hamiltonian_operator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,14 +141,22 @@ def _verdict(rep: Report, failures: list[str]) -> int:
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 
+def _spectrum(sector, a: Anisotropy, kind: str) -> np.ndarray:
+    """Ascending spectrum of V or H on a sector, the union of its momentum blocks'."""
+    rows = (transfer_by_shift(sector, a) if kind == "transfer"
+            else hamiltonian_by_shift(sector, a.delta))
+    spectra, weights, exponent = momentum_spectra(*rows)
+    return np.ldexp(np.sort(np.repeat(spectra.ravel(), weights.ravel())), exponent)
+
+
 def _match_level(rep: Report, dim: int, checks) -> list[str]:
-    """Name the levels of (kind, value, bracket, build) checks on one route; return failures.
+    """Name the levels of (kind, value, bracket, spectrum) checks on one route; return failures.
 
     ``certified`` when every bracket is finite and, widened to contain its
     value, within MATCH_TOL * max(1, |value|): each value is then the top
-    level, dim - 1, and no eigensolver runs.  Else ``dense`` up to the
-    spectrum cap, each value named by its lowest hit in the spectrum of the
-    block ``build()`` returns; above it, no level and no block.
+    level, dim - 1, and no eigensolver runs.  Else ``block`` up to the
+    spectrum cap, each value named by its lowest hit in the ascending
+    ``spectrum()``; above it, no level and no eigensolve.
     """
     widths = [max(b[1], value) - min(b[0], value) if b and all(map(math.isfinite, b))
               else math.inf for _, value, b, _ in checks]
@@ -160,9 +169,9 @@ def _match_level(rep: Report, dim: int, checks) -> list[str]:
     if dim > caps.spectrum_cap():
         rep.add("checks.route", "skipped:spectrum-cap")
         return []
-    rep.add("checks.route", "dense")
+    rep.add("checks.route", "block")
     with rep.stage("spectrum"):
-        spectra = [(kind, value, dense_eigenvalues(build())) for kind, value, _, build in checks]
+        spectra = [(kind, value, spectrum()) for kind, value, _, spectrum in checks]
     failures = []
     for kind, value, eigenvalues in spectra:
         hits = match_eigenvalue(value, eigenvalues, MATCH_TOL)
@@ -257,8 +266,8 @@ def _cmd_solve(args) -> tuple[Report, int]:
             failures.append("commutator")
         failures += _match_level(
             rep, sector.dim,
-            (("transfer", lam.real, v_bracket, partial(build_transfer_block, sector, a)),
-             ("xxz", energy, h_bracket, partial(build_hamiltonian_block, sector, a.delta))))
+            (("transfer", lam.real, v_bracket, partial(_spectrum, sector, a, "transfer")),
+             ("xxz", energy, h_bracket, partial(_spectrum, sector, a, "hamiltonian"))))
 
     if args.dump_psi:
         _write_psi(args.dump_psi, prediction.psi)
@@ -328,39 +337,31 @@ def _cmd_verify_identities(args) -> tuple[Report, int]:
     return rep, _verdict(rep, failures)
 
 
-def _sector_block(args, command: str):
-    """Validate the sector flags, open the report and build the requested block.
-
-    The caps are checked on (N, n) before the sector is enumerated.
-    """
+def _sector(args, command: str):
+    """Validate the sector flags, check the caps on (N, n), open the report, enumerate."""
     a = Anisotropy(args.c)
     if args.n < 0 or args.n > args.N:
         raise ValueError("need 0 <= n <= N")
     caps.check_dim(args.N, args.n, spectrum=command == "spectrum")
     rep = Report(command)
-    sector = enumerate_sector(args.N, args.n)
-    if args.kind == "transfer":
-        block = build_transfer_block(sector, a)
-    else:
-        block = build_hamiltonian_block(sector, a.delta)
-    rep.add("param.N", args.N)
-    rep.add("param.n", args.n)
-    rep.add("param.c", args.c)
-    rep.add("param.kind", args.kind)
-    return rep, block
+    for key in ("N", "n", "c", "kind"):
+        rep.add(f"param.{key}", getattr(args, key))
+    return rep, enumerate_sector(args.N, args.n), a
 
 
 def _cmd_spectrum(args) -> tuple[Report, int]:
-    rep, block = _sector_block(args, "spectrum")
-    eigenvalues = dense_eigenvalues(block)
-    rep.add("spectrum.dim", block.dim)
+    rep, sector, a = _sector(args, "spectrum")
+    eigenvalues = _spectrum(sector, a, args.kind)
+    rep.add("spectrum.dim", sector.dim)
     for k, value in enumerate(eigenvalues):
         rep.add(f"eigenvalue.{k}", float(value))
     return rep, EXIT_OK
 
 
 def _cmd_dump_matrix(args) -> tuple[Report, int]:
-    rep, block = _sector_block(args, "dump-matrix")
+    rep, sector, a = _sector(args, "dump-matrix")
+    block = (build_transfer_block(sector, a) if args.kind == "transfer"
+             else build_hamiltonian_block(sector, a.delta))
     # row by row, never the whole text; a handle, since savetxt gzips a path ending .gz
     with open(args.out, "w") as handle:
         np.savetxt(handle, block.entries, fmt="%.17g",
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=_cmd_verify_identities)
 
     kinds = ("transfer", "hamiltonian")
-    p_spec = sub.add_parser("spectrum", parents=[sector], help="dense sector spectrum")
+    p_spec = sub.add_parser("spectrum", parents=[sector], help="sector spectrum")
     p_spec.add_argument("--kind", choices=kinds, default="transfer")
     p_spec.set_defaults(func=_cmd_spectrum)
 

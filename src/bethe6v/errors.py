@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "SingularMomentumError", "DegenerateMomentaError",
+           "CapExceededError", "SectorMismatchError"]
+
 
 class DomainError(ValueError):
     """Momenta left the phase's certified branch domain, or a value overflows a double or int64."""

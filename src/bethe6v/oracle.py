@@ -1,11 +1,13 @@
-"""Eigenpair residuals and certificates, dense eigenvalues, commutation probe.
+"""Eigenpair residuals and certificates, momentum-block spectra, commutation probe.
 
 ``check_eigenpair`` also returns the vector's Collatz–Wielandt bracket.  For
 a symmetric operator with nonnegative off-diagonal entries (V's c^P, H's +1
 hops) it holds the top eigenvalue (Collatz 1942; Wielandt 1950), so a narrow
 bracket names the level without an eigensolve; other levels are matched
-against ``dense_eigenvalues``.  ``commutator_probe`` checks [V, H] = 0 by one
-seeded Freivalds (1977) probe of four matrix-vector products.
+against the spectrum ``momentum_spectra`` folds from the operator's rows at
+the translation-orbit representatives.  ``commutator_probe`` checks
+[V, H] = 0 by one seeded Freivalds (1977) probe of four matrix-vector
+products.
 
 The residual and the probe read an operator only through ``N``, ``n``,
 ``dim``, ``op @ x`` for a real or complex vector x and ``op.frobenius()``,
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import DomainError, SectorMismatchError
 
 __all__ = [
-    "dense_eigenvalues",
+    "momentum_spectra",
     "check_eigenpair",
     "match_eigenvalue",
     "commutator_probe",
@@ -55,15 +57,35 @@ def _norm(a: np.ndarray) -> float:
     return math.hypot(*(float(np.linalg.norm(chunk * scale)) for chunk in chunks)) / scale
 
 
-def dense_eigenvalues(m) -> np.ndarray:
-    """Ascending spectrum of a symmetric block, once its finiteness and symmetry pass."""
-    A = m.entries
-    if not np.all(np.isfinite(A)):
-        raise DomainError("block entries overflow to inf or NaN; no dense spectrum")
-    asym = float(np.max(np.abs(A - A.T)))
-    if not asym <= 1e-12:
-        raise ValueError(f"matrix asymmetry {asym:g} exceeds 1e-12")
-    return np.linalg.eigvalsh(A)
+def momentum_spectra(by_shift: np.ndarray, period: np.ndarray):
+    """Spectrum of a symmetric operator that commutes with the translation T, block by block.
+
+    ``by_shift[t, r, s]`` is its entry from the r-th orbit representative to
+    T^t of the s-th, ``period`` the R orbits' periods p.  Block q is the real
+    FFT over t times sqrt(p_r / p_s) (Sandvik, AIP Conf. Proc. 1297, 135,
+    2010, section 4) on the orbits with q p = 0 mod N; the others keep only a
+    diagonal below the largest absolute row sum, so one batched ``eigvalsh``
+    puts them first, weighted 0; the rest weigh 2 for 0 < q < N/2 (block
+    N - q shares the spectrum), else 1.  Returns the (N // 2 + 1, R) ascending
+    eigenvalues in units of 2^exponent, their weights and the exponent;
+    by_shift is scaled in place by 2^-exponent, exactly, so no sum overflows.
+    """
+    N, R = by_shift.shape[:2]
+    top = max(float(by_shift.max()), -float(by_shift.min()))
+    if not math.isfinite(top):
+        raise DomainError("operator entries overflow to inf or NaN; no spectrum")
+    exponent = math.frexp(top)[1]
+    np.ldexp(by_shift, -exponent, out=by_shift)
+    bound = float(np.abs(by_shift).sum(axis=(0, 2)).max())
+    blocks = np.fft.rfft(by_shift, axis=0)
+    q = np.arange(N // 2 + 1)[:, None]
+    kept, root = q * period % N == 0, np.sqrt(period)
+    blocks *= (kept * root)[:, :, None] * (kept / root)[:, None, :]
+    outside, orbit = np.nonzero(~kept)
+    blocks[outside, orbit, orbit] = -1.0 - bound
+    # sorted, a block's mask lists its kept orbits last, as eigvalsh does their eigenvalues
+    weights = (np.sign(q) + (2 * q < N)) * np.sort(kept, axis=1)
+    return np.linalg.eigvalsh(blocks), weights, exponent
 
 
 def check_eigenpair(m, vector, lam) -> tuple[float, tuple[float, float] | None]:

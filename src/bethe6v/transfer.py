@@ -1,23 +1,21 @@
 """Six-vertex transfer matrix on a sector, its blocks and the torus partition function.
 
-``transfer_operator`` applies V to a vector without forming it: a row sweep
-over the sites, the paper's definition of V read site by site.  Three
-independent routes then build or check its blocks:
-
-* ``build_transfer_block``: the closed-form entries (2 on the diagonal,
-  c^P between distinct states whose positions interlace,
-  x1 <= y1 <= x2 <= ... <= yn either way round, with P the number of sites
-  where they differ, 0 otherwise), read off occupation bitmasks;
-* ``enumerate_row_completions``: one entry as the paper defines it, the one
-  pair-level oracle: the ice-rule horizontal-arrow completions of one row;
-* ``partition_function_bruteforce``: the torus configurations counted by
-  their number of c-vertices, vertex by vertex along the shorter side, an
-  exact polynomial in c whose log must match ``log_trace_power``, which
-  sums lambda^M over V's translation-momentum blocks, built from the same
-  entry rule on orbit representatives' rows.
+Two production routes read V.  ``transfer_operator`` applies it to a vector
+without forming it: a row sweep over the sites, the paper's definition of V
+read site by site.  ``_entry_rule`` gives its entries in closed form (2 on
+the diagonal, c^P between distinct states whose positions interlace,
+x1 <= y1 <= x2 <= ... <= yn either way round, with P the number of sites
+where they differ, 0 otherwise) off occupation bitmasks; it fills the dense
+``build_transfer_block`` and ``transfer_by_shift``, the orbit
+representatives' rows whose momentum blocks give ``log_trace_power`` its
+sum of lambda^M.  ``partition_function_bruteforce`` counts the torus
+configurations by their number of c-vertices, an exact polynomial in c whose
+log must match ``log_trace_power``.  The test oracle of single entries, the
+ice-rule completions of one row, lives with the tests.
 
 The vertex weights are a = b = 1 and the ``Anisotropy``'s c.  Powers of c
-are computed by repeated squaring so the first two routes agree bit for bit.
+are computed by repeated squaring so the entry rule and the row completions
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -30,14 +28,14 @@ import numpy as np
 from .basis import SectorIndex, enumerate_sector
 from .errors import DomainError
 from .functions import Anisotropy
-from .oracle import _norm
+from .oracle import _norm, momentum_spectra
 
 __all__ = [
     "SectorMatrix",
     "TransferOperator",
     "transfer_operator",
     "build_transfer_block",
-    "enumerate_row_completions",
+    "transfer_by_shift",
     "partition_function_bruteforce",
     "log_polynomial",
     "log_trace_power",
@@ -220,27 +218,14 @@ def build_transfer_block(sector: SectorIndex, a: Anisotropy) -> SectorMatrix:
     return SectorMatrix(entries, sector)
 
 
-def enumerate_row_completions(sx: np.ndarray, sy: np.ndarray,
-                              a: Anisotropy) -> list[float]:
-    """Weights of all ice-rule horizontal-arrow completions of one lattice row.
-
-    sx and sy are the +-1 vertical-arrow patterns below and above the row.
-    Candidate horizontal assignments are explored from each seed value of the
-    wrap-around edge; the ice rule at site i forces h_i = h_{i-1} + sx_i - sy_i
-    and prunes anything leaving {-1, +1} or failing to close the ring.
-    """
-    out = []
-    for seed in (1, -1):
-        h, nc = seed, 0
-        for vx, vy in zip(map(int, sx), map(int, sy)):
-            h += vx - vy
-            if h != 1 and h != -1:
-                break
-            nc += vx != vy  # a c vertex; the other four weigh 1
-        else:
-            if h == seed:
-                out.append(_int_power(a.c, nc))
-    return out
+def transfer_by_shift(sector: SectorIndex, a: Anisotropy) -> tuple[np.ndarray, np.ndarray]:
+    """V's input to ``oracle.momentum_spectra``: its orbit representatives' rows by shift."""
+    reps, orbit, shift, period = sector.orbits()
+    entries_of = _entry_rule(sector, a)
+    by_shift = np.zeros((sector.N, reps.size, reps.size))
+    for rows in np.array_split(np.arange(reps.size), -(-reps.size * sector.dim // _CHUNK_ELEMENTS)):
+        by_shift[shift, rows[:, None], orbit] = entries_of(reps[rows], slice(None))
+    return by_shift, period[reps]
 
 
 # the six ice-rule vertices (hl, vb, hr, vt, c), an arrow's bit 1 pointing
@@ -297,37 +282,20 @@ def log_polynomial(counts, x: float) -> float:
 def _sector_log_trace(sector: SectorIndex, a: Anisotropy, M: int) -> float:
     """log Tr(V^M) on one sector: sum w lambda^M over its momentum blocks, or sweeps.
 
-    V commutes with the translation T, so its block at momentum q is the real
-    FFT over t of the representatives' rows grouped by shift, sum_j V(r, j)
-    e^(-2 pi i q t_j / N) sqrt(p_r / p_s) over j = T^(t_j)(s) (Sandvik, AIP
-    Conf. Proc. 1297, 135, 2010, section 4), on the orbits with qp = 0 mod N;
-    the others' rows and columns are zeroed, adding eigenvalues 0.  Blocks q
-    and N - q share a spectrum.  Odd M may cancel below what eigenvalues
-    resolve (eps max |lambda|); past ``_CANCELLATION`` the trace is
-    sum_r p_r <x_r, V x_r> with x_r = V^(M // 2) e_r by nonnegative sweeps.
+    Odd M may cancel below what eigenvalues resolve (eps max |lambda|); past
+    ``_CANCELLATION`` the trace is sum_r p_r <x_r, V x_r> with
+    x_r = V^(M // 2) e_r by nonnegative sweeps.
     """
-    N, dim = sector.N, sector.dim
-    reps, orbit, shift, period = sector.orbits()
-    entries_of = _entry_rule(sector, a)
-    chunks = np.array_split(np.arange(reps.size), -(-reps.size * dim // _CHUNK_ELEMENTS))
-    by_shift = np.zeros((N, reps.size, reps.size))
-    for rows in chunks:
-        by_shift[shift, rows[:, None], orbit] = entries_of(reps[rows], slice(None))
-    top = by_shift.max()
-    by_shift /= top
-    blocks = np.fft.rfft(by_shift, axis=0)
-    del by_shift
-    q, p = np.arange(N // 2 + 1)[:, None], period[reps]
-    kept, root = q * p % N == 0, np.sqrt(p)
-    blocks *= (kept * root)[:, :, None] * (kept / root)[:, None, :]
-    spectra = np.linalg.eigvalsh(blocks)
+    spectra, weights, exponent = momentum_spectra(*transfer_by_shift(sector, a))
+    spectra, weights = spectra[weights > 0], weights[weights > 0]
     largest = float(np.abs(spectra).max())
-    terms = np.where((q > 0) & (2 * q < N), 2.0, 1.0) * (spectra / largest) ** M
+    terms = weights * (spectra / largest) ** M
     total = float(terms.sum())
     if total > 0.0 and float(np.abs(terms).sum()) <= _CANCELLATION * total:
-        return M * (math.log(top) + math.log(largest)) + math.log(total)
-    V, logs = transfer_operator(sector, a), []
-    for cols in (reps[rows] for rows in chunks):
+        return M * (exponent * math.log(2.0) + math.log(largest)) + math.log(total)
+    reps, _, _, period = sector.orbits()
+    V, logs, dim = transfer_operator(sector, a), [], sector.dim
+    for cols in np.array_split(reps, -(-reps.size * dim // _CHUNK_ELEMENTS)):
         x, scale = (np.arange(dim)[:, None] == cols).astype(float), np.zeros(cols.size)
         for _ in range(M // 2):
             x = V @ x

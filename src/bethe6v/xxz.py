@@ -1,11 +1,12 @@
-"""Periodic XXZ chain: the sector operator, its dense block and the closed-form energy.
+"""Periodic XXZ chain: the sector operator, its blocks and the closed-form energy.
 
 Site i of the chain contributes +delta/2 to the diagonal when the arrows at
 i and i+1 agree and -delta/2 when they differ, plus an exchange hop of
 weight 1 between states that differ by swapping those two arrows.
 ``hamiltonian_operator`` reads the hop targets of every bond off the
 sector's ``swapped_ranks`` and keeps them, with the diagonal they imply, as
-index arrays that apply H; ``build_hamiltonian_block`` scatters the same
+index arrays that apply H; ``hamiltonian_by_shift`` scatters the orbit
+representatives' hops for H's spectrum, and ``build_hamiltonian_block`` all
 hops into a dense block.
 """
 
@@ -24,6 +25,7 @@ from .transfer import SectorMatrix
 __all__ = [
     "HamiltonianOperator",
     "hamiltonian_operator",
+    "hamiltonian_by_shift",
     "build_hamiltonian_block",
     "energy_prediction",
 ]
@@ -45,8 +47,8 @@ class HamiltonianOperator:
     dim = property(lambda self: self.basis.dim)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        padded = np.append(x, 0.0)  # index dim reads a zero: no hop
-        return self.diagonal * x + padded[self.targets].sum(axis=0)
+        padded = np.concatenate([x, np.zeros_like(x[:1])])  # index dim reads a zero: no hop
+        return (self.diagonal * x.T).T + padded[self.targets].sum(axis=0)
 
     def frobenius(self) -> float:
         """||H||_F = hypot(||diagonal||, sqrt(hops)), each hop an entry of 1.
@@ -68,6 +70,19 @@ def hamiltonian_operator(sector: SectorIndex, delta: float) -> HamiltonianOperat
     for hops in targets < sector.dim:  # in bond order: another order could round otherwise
         diagonal += np.where(hops, -half_delta, half_delta)
     return HamiltonianOperator(sector, diagonal, targets)
+
+
+def hamiltonian_by_shift(sector: SectorIndex, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """H's input to ``oracle.momentum_spectra``: its orbit representatives' rows by shift."""
+    op = hamiltonian_operator(sector, delta)
+    reps, orbit, shift, period = sector.orbits()
+    by_shift = np.zeros((sector.N, reps.size, reps.size))
+    bonds, rows = np.nonzero(op.targets[:, reps] < sector.dim)
+    hops = op.targets[bonds, reps[rows]]
+    # add.at rather than +=: at N = 2 both bonds join the same pair of states
+    np.add.at(by_shift, (shift[hops], rows, orbit[hops]), 1.0)
+    by_shift[0][np.diag_indices(reps.size)] += op.diagonal[reps]
+    return by_shift, period[reps]
 
 
 def build_hamiltonian_block(sector: SectorIndex, delta: float) -> SectorMatrix:

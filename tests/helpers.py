@@ -18,14 +18,15 @@ import numpy as np
 
 from bethe6v import (
     Anisotropy,
+    DomainError,
     SectorMatrix,
     SectorMismatchError,
     build_transfer_block,
-    enumerate_row_completions,
     enumerate_sector,
 )
 from bethe6v.ansatz import _subset_sum, pair_factors
 from bethe6v.cli import main
+from bethe6v.transfer import _int_power
 
 
 def run_cli(argv):
@@ -191,6 +192,45 @@ def two_kernel_theta_partial_1(x, y, a):
     y = np.asarray(y, dtype=float)
     s_xy, s_yx = _both_kernels(x, y, a)
     return -1.0 + np.exp(-1j * x) / s_xy + np.exp(1j * x) / s_yx
+
+
+def dense_eigenvalues(m):
+    """Ascending spectrum of a symmetric dense block, once its finiteness and symmetry pass.
+
+    The oracle of the momentum-block spectra: one ``eigvalsh`` of the whole
+    dim x dim block, with no use of the translation symmetry.
+    """
+    A = m.entries
+    if not np.all(np.isfinite(A)):
+        raise DomainError("block entries overflow to inf or NaN; no dense spectrum")
+    asym = float(np.max(np.abs(A - A.T)))
+    if not asym <= 1e-12:
+        raise ValueError(f"matrix asymmetry {asym:g} exceeds 1e-12")
+    return np.linalg.eigvalsh(A)
+
+
+def enumerate_row_completions(sx, sy, a):
+    """Weights of all ice-rule horizontal-arrow completions of one lattice row.
+
+    sx and sy are the +-1 vertical-arrow patterns below and above the row.
+    Candidate horizontal assignments are explored from each seed value of the
+    wrap-around edge; the ice rule at site i forces h_i = h_{i-1} + sx_i - sy_i
+    and prunes anything leaving {-1, +1} or failing to close the ring.  Powers
+    of c come from the library's repeated squaring, so that a block rebuilt
+    from completions matches ``build_transfer_block`` bit for bit.
+    """
+    out = []
+    for seed in (1, -1):
+        h, nc = seed, 0
+        for vx, vy in zip(map(int, sx), map(int, sy)):
+            h += vx - vy
+            if h != 1 and h != -1:
+                break
+            nc += vx != vy  # a c vertex; the other four weigh 1
+        else:
+            if h == seed:
+                out.append(_int_power(a.c, nc))
+    return out
 
 
 def build_transfer_block_by_configuration(sector, a):

@@ -18,7 +18,6 @@ from bethe6v import (
     build_psi,
     build_transfer_block,
     check_eigenpair,
-    dense_eigenvalues,
     enumerate_sector,
     full_prediction,
     grid_suite,
@@ -33,7 +32,7 @@ from bethe6v import (
     transfer_eigenvalue,
 )
 
-from helpers import build_transfer_block_by_configuration, commutator_norm
+from helpers import build_transfer_block_by_configuration, commutator_norm, dense_eigenvalues
 
 RING_SIZES = (6, 8, 10, 12)
 C_VALUES = (0.5, 1.0, math.sqrt(2.0), 2.0)

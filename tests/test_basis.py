@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bethe6v import Anisotropy, enumerate_row_completions, enumerate_sector
+from bethe6v import Anisotropy, enumerate_sector
 
-from helpers import spins
+from helpers import enumerate_row_completions, spins
 
 
 def states(sector):

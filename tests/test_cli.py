@@ -15,15 +15,19 @@ from bethe6v import (
     build_hamiltonian_block,
     build_psi,
     build_transfer_block,
-    dense_eigenvalues,
     enumerate_sector,
     ground_state_quantum_numbers,
     identity_suite,
     log_polynomial,
+    match_eigenvalue,
+    momentum_spectra,
     partition_function_bruteforce,
     solve,
+    transfer_by_shift,
 )
-from helpers import parse_report, run_cli
+from bethe6v.cli import MATCH_TOL
+
+from helpers import dense_eigenvalues, parse_report, run_cli
 
 
 # a converged excited level of the (8, 2) sector at c = 1.2
@@ -262,7 +266,7 @@ class TestSolveCommand:
         assert "transfer_eigenpair" in parse_report(out)["verification.failures"].split(",")
 
     def test_spectrum_match_needs_no_eigenvectors(self, monkeypatch):
-        # an excited level: psi changes sign, so the dense route names it
+        # an excited level: psi changes sign, so the block route names it
         def refuse(*args, **kwargs):
             raise AssertionError("eigenvectors computed")
 
@@ -270,7 +274,7 @@ class TestSolveCommand:
         code, out = run_cli(EXCITED)
         rep = parse_report(out)
         assert code == 0
-        assert rep["checks.route"] == "dense"
+        assert rep["checks.route"] == "block"
         assert {k: v for k, v in rep.items() if k.startswith("oracle.")} == {
             "oracle.transfer_match_count": "1", "oracle.transfer_match_index": "20",
             "oracle.xxz_match_count": "1", "oracle.xxz_match_index": "22"}
@@ -327,13 +331,27 @@ def oracle_lines(out):
     return {k: v for k, v in parse_report(out).items() if k.startswith("oracle.")}
 
 
-def force_dense(monkeypatch):
-    """Withhold every bracket, so solve takes the dense route."""
+def force_block(monkeypatch):
+    """Withhold every bracket, so solve takes the block route."""
     import bethe6v.cli
 
     check = bethe6v.cli.check_eigenpair
     monkeypatch.setattr("bethe6v.cli.check_eigenpair",
                         lambda *args: (check(*args)[0], None))
+
+
+def dense_oracle_lines(rep):
+    """The oracle.* lines a solve report would carry if the dense oracle named its levels."""
+    N, n, c = int(rep["param.N"]), int(rep["param.n"]), float(rep["param.c"])
+    sector, a = enumerate_sector(N, n), Anisotropy(c)
+    out = {}
+    for kind, value, block in (
+            ("transfer", rep["prediction.lambda.re"], build_transfer_block(sector, a)),
+            ("xxz", rep["prediction.energy"], build_hamiltonian_block(sector, a.delta))):
+        hits = match_eigenvalue(float(value), dense_eigenvalues(block), MATCH_TOL)
+        out[f"oracle.{kind}_match_count"] = str(len(hits))
+        out[f"oracle.{kind}_match_index"] = str(hits[0] if hits else -1)
+    return out
 
 
 class TestSpectralRoute:
@@ -346,15 +364,16 @@ class TestSpectralRoute:
             assert code == 0, argv
             assert parse_report(out)["checks.route"] == "certified", argv
             certified.append(oracle_lines(out))
-        force_dense(monkeypatch)
+        force_block(monkeypatch)
         for argv, lines in zip(runs, certified):
             code, out = run_cli(argv)
-            dense = oracle_lines(out)
-            assert code == 0 and parse_report(out)["checks.route"] == "dense", argv
+            block = oracle_lines(out)
+            assert code == 0 and parse_report(out)["checks.route"] == "block", argv
             for kind in ("transfer", "xxz"):
-                assert dense[f"oracle.{kind}_match_count"] == "1", argv
-                assert lines[f"oracle.{kind}_match_index"] == dense[
+                assert block[f"oracle.{kind}_match_count"] == "1", argv
+                assert lines[f"oracle.{kind}_match_index"] == block[
                     f"oracle.{kind}_match_index"], argv
+            assert block == dense_oracle_lines(parse_report(out)), argv
 
     def test_certified_run_calls_no_eigensolver(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -370,7 +389,8 @@ class TestSpectralRoute:
             "oracle.xxz_match_index", "oracle.xxz_bracket_width"}
 
     def test_certified_run_builds_no_dense_block(self, monkeypatch):
-        # V and H are applied as a row sweep and hop lists: no dim^2 array
+        # V and H are applied as a row sweep and hop lists, and their spectra
+        # come from momentum blocks: no dim^2 array on any of these routes
         def refuse(*args, **kwargs):
             raise AssertionError("dense block built")
 
@@ -382,6 +402,15 @@ class TestSpectralRoute:
         assert code == 0
         assert rep["checks.route"] == "certified"
         assert float(rep["residual.commutator_probe"]) < 1e-16
+        code, out = run_cli(EXCITED)
+        assert code == 0 and parse_report(out)["checks.route"] == "block"
+        for kind in ("transfer", "hamiltonian"):
+            code, out = run_cli(["spectrum", "--capital-n", "10", "--n", "5", "--c", "1.3",
+                                 "--kind", kind])
+            assert code == 0 and parse_report(out)["spectrum.dim"] == "252"
+        force_block(monkeypatch)
+        code, out = run_cli(["solve", "--capital-n", "12", "--n", "6", "--c", "1.0"])
+        assert code == 0 and parse_report(out)["checks.route"] == "block"
 
     def test_certified_above_the_spectrum_cap(self):
         code, out = run_cli(["solve", "--capital-n", "15", "--n", "7", "--c", "1.0"])
@@ -431,7 +460,7 @@ class TestSpectralRoute:
         code, out = run_cli(["solve", "--capital-n", "8", "--n", "3", "--c", "1.2"])
         rep = parse_report(out)
         assert code == 3
-        assert rep["checks.route"] == "dense"
+        assert rep["checks.route"] == "block"
         assert "transfer_spectrum_match" in rep["verification.failures"].split(",")
 
     @pytest.mark.parametrize("bracket", [(math.nan, math.nan), (0.0, math.inf),
@@ -450,31 +479,46 @@ class TestSpectralRoute:
         monkeypatch.setattr("bethe6v.cli.check_eigenpair", broken)
         code, out = run_cli(["solve", "--capital-n", "8", "--n", "3", "--c", "1.2"])
         assert code == 0
-        assert parse_report(out)["checks.route"] == "dense"
+        assert parse_report(out)["checks.route"] == "block"
 
     def test_certified_index_is_exact_where_dense_names_a_cluster(self, monkeypatch):
         # (6, 3) at c = 50: H's top two levels, 3747.0024 and 3747.00240384,
         # lie within MATCH_TOL.  The Perron root is simple, so the certificate
-        # names the top, 19; the dense match names the cluster [18, 19] by 18.
+        # names the top, 19; a spectrum match, by the momentum blocks or by the
+        # dense oracle, names the cluster [18, 19] by 18.
         argv = ["solve", "--capital-n", "6", "--n", "3", "--c", "50"]
         code, out = run_cli(argv)
         assert code == 0
         assert parse_report(out)["checks.route"] == "certified"
         assert oracle_lines(out)["oracle.xxz_match_index"] == "19"
-        force_dense(monkeypatch)
+        force_block(monkeypatch)
         code, out = run_cli(argv)
         assert code == 0
-        assert parse_report(out)["checks.route"] == "dense"
+        assert parse_report(out)["checks.route"] == "block"
         assert oracle_lines(out)["oracle.xxz_match_count"] == "2"
         assert oracle_lines(out)["oracle.xxz_match_index"] == "18"
+        assert oracle_lines(out) == dense_oracle_lines(parse_report(out))
 
-    def test_rounding_level_negative_psi_takes_the_dense_route(self):
+    @pytest.mark.parametrize("argv, indices", [
+        (EXCITED, ("20", "22")),
+        (["solve", "--capital-n", "13", "--n", "6", "--c", "10"], ("1715", "1715")),
+        (["solve", "--capital-n", "6", "--n", "3", "--c", "1e30"], ("19", "18")),
+    ], ids=["excited", "13-6-c10", "6-3-c1e30"])
+    def test_block_index_is_the_dense_oracle_index(self, monkeypatch, argv, indices):
+        force_block(monkeypatch)
+        code, out = run_cli(argv)
+        rep = parse_report(out)
+        assert code == 0 and rep["checks.route"] == "block"
+        assert (rep["oracle.transfer_match_index"], rep["oracle.xxz_match_index"]) == indices
+        assert oracle_lines(out) == dense_oracle_lines(rep)
+
+    def test_rounding_level_negative_psi_takes_the_block_route(self):
         # at c = 1e30 (lambda = 1e180) psi has entries of -1e-16 after its
         # phase, so no bracket exists; the overflow-safe norms still pass it
         code, out = run_cli(["solve", "--capital-n", "6", "--n", "3", "--c", "1e30"])
         rep = parse_report(out)
         assert code == 0
-        assert rep["checks.route"] == "dense"
+        assert rep["checks.route"] == "block"
         assert float(rep["residual.transfer_eigenpair"]) < 1e-9 * 1e180
 
 
@@ -775,7 +819,8 @@ class TestEnvironmentCaps:
         a = Anisotropy(1.0)
         sector = enumerate_sector(6, 3)
         assert build_hamiltonian_block(sector, a.delta).dim == 20
-        assert dense_eigenvalues(build_transfer_block(sector, a)).shape == (20,)
+        assert build_transfer_block(sector, a).dim == 20
+        assert int(momentum_spectra(*transfer_by_shift(sector, a))[1].sum()) == 20
         momenta = solve(6, ground_state_quantum_numbers(3), a).momenta
         assert np.all(np.isfinite(build_psi(sector, momenta)))
         assert identity_suite(momenta, 6, samples=2).samples == 2

@@ -11,14 +11,19 @@ from bethe6v import (
     build_transfer_block,
     check_eigenpair,
     commutator_probe,
-    dense_eigenvalues,
     energy_prediction,
     enumerate_sector,
     ground_state_quantum_numbers,
+    hamiltonian_by_shift,
     log_trace_power,
     match_eigenvalue,
+    momentum_spectra,
     solve,
+    transfer_by_shift,
 )
+from bethe6v.cli import _spectrum
+
+from helpers import dense_eigenvalues
 
 
 def make_matrix(entries):
@@ -82,6 +87,60 @@ class TestDenseSpectrum:
         bad = make_matrix(entries)
         with pytest.raises(DomainError, match="overflow"):
             dense_eigenvalues(bad)
+
+
+class TestMomentumSpectra:
+    """The momentum-block spectra of V and H against the dense oracle.
+
+    Both routes round like eps times the operator's norm, so the values are
+    compared on the scale of the largest eigenvalue, max(1, max |lambda|).
+    """
+
+    @staticmethod
+    def assert_matches_the_oracle(N, n, c):
+        sector, a = enumerate_sector(N, n), Anisotropy(c)
+        kinds = ["transfer"] + (["hamiltonian"] if N >= 2 else [])
+        for kind in kinds:
+            block = (build_transfer_block(sector, a) if kind == "transfer"
+                     else build_hamiltonian_block(sector, a.delta))
+            dense, spectrum = dense_eigenvalues(block), _spectrum(sector, a, kind)
+            assert spectrum.shape == (sector.dim,), (N, n, c, kind)
+            scale = max(1.0, float(np.max(np.abs(dense))))
+            assert np.max(np.abs(spectrum - dense)) <= 1e-12 * scale, (N, n, c, kind)
+
+    @pytest.mark.parametrize("c", [0.3, 1.0, math.sqrt(2.0), 2.5, 7.0])
+    def test_every_sector_up_to_twelve_sites(self, c):
+        for N in range(1, 13):
+            for n in range(N + 1):
+                self.assert_matches_the_oracle(N, n, c)
+
+    def test_huge_weights(self):
+        # V's entries reach c^6 = 1e180: the blocks are scaled by a power of two
+        self.assert_matches_the_oracle(6, 3, 1e30)
+
+    def test_all_zero_hamiltonian(self):
+        # n = 0 has no hops, and delta = 1 - c^2 / 2 is 0 up to rounding at
+        # c = sqrt(2) and exactly 0 when given: H is (about) 0, and no scale
+        for N in (2, 5, 12):
+            self.assert_matches_the_oracle(N, 0, math.sqrt(2.0))
+            spectra, weights, exponent = momentum_spectra(
+                *hamiltonian_by_shift(enumerate_sector(N, 0), 0.0))
+            assert (spectra[weights > 0].tolist(), weights.sum(), exponent) == ([0.0], 1, 0)
+
+    def test_weights_count_every_state(self):
+        for N, n in ((2, 0), (2, 1), (6, 3), (9, 3), (12, 6)):
+            sector, a = enumerate_sector(N, n), Anisotropy(1.3)
+            for rows in (transfer_by_shift(sector, a), hamiltonian_by_shift(sector, a.delta)):
+                spectra, weights, _ = momentum_spectra(*rows)
+                assert spectra.shape == weights.shape == (N // 2 + 1, rows[1].size)
+                assert int(weights.sum()) == sector.dim
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, value):
+        by_shift, period = transfer_by_shift(enumerate_sector(6, 2), Anisotropy(1.0))
+        by_shift[1, 0, 0] = value
+        with pytest.raises(DomainError, match="overflow"):
+            momentum_spectra(by_shift, period)
 
 
 class TestDenseEigenvalues:

@@ -1,4 +1,4 @@
-"""Smoke runs of the scan scripts, which call the block builders directly."""
+"""Smoke runs of the scan scripts, which call the library routes directly."""
 
 import os
 import subprocess

@@ -8,17 +8,18 @@ from bethe6v import (
     DomainError,
     build_hamiltonian_block,
     build_transfer_block,
-    enumerate_row_completions,
     enumerate_sector,
     log_polynomial,
     log_trace_power,
     partition_function_bruteforce,
     transfer_operator,
 )
-from bethe6v.oracle import _norm, dense_eigenvalues
+from bethe6v.oracle import _norm
 
 from helpers import (
     build_transfer_block_by_configuration,
+    dense_eigenvalues,
+    enumerate_row_completions,
     enumerate_torus_counts,
     exact_trace_power,
     raw_torus_partition,

@@ -44,6 +44,30 @@ def full_space_hamiltonian(N, delta):
     return states, H
 
 
+class TestOperatorShapes:
+    """Both sweep operators against their dense blocks on one vector and on blocks of them."""
+
+    @pytest.mark.parametrize("kind", ["transfer", "hamiltonian"])
+    @pytest.mark.parametrize("columns", [None, 3, "dim"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_the_dense_block(self, kind, columns, dtype):
+        # (6, 3) at delta = 0.3: 1 - c^2 / 2 = delta
+        sector, a = enumerate_sector(6, 3), Anisotropy(math.sqrt(1.4))
+        if kind == "transfer":
+            op, block = transfer_operator(sector, a), build_transfer_block(sector, a)
+        else:
+            op, block = hamiltonian_operator(sector, 0.3), build_hamiltonian_block(sector, 0.3)
+        shape = (sector.dim,) if columns is None else (
+            sector.dim, sector.dim if columns == "dim" else columns)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(shape)
+        if dtype is complex:
+            x = x + 1j * rng.standard_normal(shape)
+        got, ref = op @ x, block.entries @ x
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(block.entries) @ np.abs(x))
+
+
 class TestHamiltonianBlock:
     def test_two_site_block(self):
         delta = 0.35
