@@ -4,10 +4,12 @@ the sector spectrum and its Perron–Frobenius certificate.
 
 Each converged case applies V and H as sweeps, as ``solve`` does, for the
 residuals and the bracket, and takes V's top level from its momentum
-blocks; no dim^2 block is built.  Before its sector is built it is checked
-against the dense cap (8 * DIM_CAP^2 bytes, the memory budget every command
-shares) and the spectrum cap; one past a cap stops the scan with an error
-and exit code 2, as the CLI does.
+blocks; no dim^2 block is built.  Before its sector is built, the plan of
+``solve``'s ``block`` route (the solve's arrays and the momentum blocks) is
+checked against the memory budget every command shares,
+8 * BETHE6V_DIM_CAP^2 bytes; a case past it stops the scan with an error
+and exit code 2, and a malformed BETHE6V_DIM_CAP with exit code 1, as the
+CLI does.
 
 Example:
     python scripts/ground_state_scan.py --ring-sizes 6,8,10 --c-values 0.5,1.0,2.0
@@ -42,7 +44,7 @@ def scan_case(N, n, c):
     report = solve(N, ground_state_quantum_numbers(n), a)
     if not report.converged:
         return dict(N=N, n=n, c=c, converged=False)
-    caps.check_dim(N, n, spectrum=True)
+    caps.check_solve(N, n, blocks=True)
     sector = enumerate_sector(N, n)
     pred = full_prediction(sector, report.momenta)
     spectra, weights, exponent = momentum_spectra(*transfer_by_shift(sector, a))
@@ -74,6 +76,11 @@ def main():
     args = parser.parse_args()
     ring_sizes = [int(v) for v in args.ring_sizes.split(",")]
     c_values = [float(v) for v in args.c_values.split(",")]
+    try:
+        caps.dim_cap()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     header = (f"{'N':>3} {'n':>3} {'c':>8} {'sing':>5} {'lambda':>14} "
               f"{'energy':>12} {'BE':>9} {'V res':>9} {'H res':>9} {'top gap':>9} "

@@ -8,7 +8,8 @@ The grid holds every torus with N, M >= 2 and N*M <= --max-cells.  Each
 torus's trace is checked against the memory budget (8 * BETHE6V_DIM_CAP^2
 bytes), and its count refused where it could pass int64
 (N*M + max(N, M) + min(N, M) > 62), before either is computed; the first
-torus refused stops the scan with an error and exit code 2, as the CLI does.
+torus refused stops the scan with an error and exit code 2, and a malformed
+BETHE6V_DIM_CAP with exit code 1, as the CLI does.
 
 Example:
     python scripts/partition_scan.py --max-cells 12 --c-values 0.5,1.0,2.0
@@ -30,6 +31,11 @@ def main():
     parser.add_argument("--c-values", default="0.5,1.0,2.0")
     args = parser.parse_args()
     c_values = [float(v) for v in args.c_values.split(",")]
+    try:
+        caps.dim_cap()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     pairs = [
         (N, M)

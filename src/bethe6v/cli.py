@@ -15,11 +15,12 @@ Subcommands:
 
 Reports are emitted as "key: value" lines; every float carries 17
 significant digits.  Identical flags reproduce byte-identical reports apart
-from the timing lines.  Exit codes: 0 success, 1 invalid usage, 2 solver
-non-convergence (a root on the edge of the open momentum domain included), a
-resource cap (each command checks the caps of what it will build before any
-work), exhausted memory or a numeric-range limit (``DomainError``,
-``LinAlgError``), 3 verification failure.
+from the timing lines.  Exit codes: 0 success, 1 invalid usage (an
+unwritable output path included), 2 solver non-convergence (a root on the
+edge of the open momentum domain included), the memory budget (each command
+checks the plan of what it will build before any work), exhausted memory or
+a numeric-range limit (``DomainError``, ``LinAlgError``), 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import resource
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -126,11 +126,9 @@ def _parse_quantum_numbers(text: str) -> QuantumNumbers:
 
 
 def _write_psi(path: str, psi: np.ndarray) -> None:
-    with open(path, "w") as handle:
-        for k, value in enumerate(psi):
-            handle.write(
-                f"{k} {format(value.real, '.17g')} {format(value.imag, '.17g')}\n"
-            )
+    with open(path, "w") as handle:  # a handle, as in dump-matrix: savetxt gzips a .gz path
+        np.savetxt(handle, np.column_stack((np.arange(psi.size), psi.real, psi.imag)),
+                   fmt="%d %.17g %.17g")
 
 
 def _verdict(rep: Report, failures: list[str]) -> int:
@@ -142,36 +140,38 @@ def _verdict(rep: Report, failures: list[str]) -> int:
 
 
 def _spectrum(sector, a: Anisotropy, kind: str) -> np.ndarray:
-    """Ascending spectrum of V or H on a sector, the union of its momentum blocks'."""
+    """Ascending spectrum of V (``transfer``) or else H on a sector: its momentum blocks' union."""
     rows = (transfer_by_shift(sector, a) if kind == "transfer"
             else hamiltonian_by_shift(sector, a.delta))
     spectra, weights, exponent = momentum_spectra(*rows)
     return np.ldexp(np.sort(np.repeat(spectra.ravel(), weights.ravel())), exponent)
 
 
-def _match_level(rep: Report, dim: int, checks) -> list[str]:
-    """Name the levels of (kind, value, bracket, spectrum) checks on one route; return failures.
+def _match_level(rep: Report, sector, a: Anisotropy, checks) -> list[str]:
+    """Name the levels of (kind, value, bracket) checks on one route; return failures.
 
     ``certified`` when every bracket is finite and, widened to contain its
     value, within MATCH_TOL * max(1, |value|): each value is then the top
-    level, dim - 1, and no eigensolver runs.  Else ``block`` up to the
-    spectrum cap, each value named by its lowest hit in the ascending
-    ``spectrum()``; above it, no level and no eigensolve.
+    level, dim - 1, and no eigensolver runs.  Else ``block`` where the
+    momentum blocks fit the budget on top of the solve, each value named by
+    its lowest hit in the ascending ``_spectrum``; else ``skipped:budget``.
     """
     widths = [max(b[1], value) - min(b[0], value) if b and all(map(math.isfinite, b))
-              else math.inf for _, value, b, _ in checks]
+              else math.inf for _, value, b in checks]
     if all(w <= MATCH_TOL * max(1.0, abs(c[1])) for w, c in zip(widths, checks)):
         rep.add("checks.route", "certified")
         for width, (kind, *_) in zip(widths, checks):
-            rep.add(f"oracle.{kind}_match_index", dim - 1)
+            rep.add(f"oracle.{kind}_match_index", sector.dim - 1)
             rep.add(f"oracle.{kind}_bracket_width", width)
         return []
-    if dim > caps.spectrum_cap():
-        rep.add("checks.route", "skipped:spectrum-cap")
+    try:
+        caps.check_solve(sector.N, sector.n, blocks=True)
+    except CapExceededError:
+        rep.add("checks.route", "skipped:budget")
         return []
     rep.add("checks.route", "block")
     with rep.stage("spectrum"):
-        spectra = [(kind, value, spectrum()) for kind, value, _, spectrum in checks]
+        spectra = [(kind, value, _spectrum(sector, a, kind)) for kind, value, _ in checks]
     failures = []
     for kind, value, eigenvalues in spectra:
         hits = match_eigenvalue(value, eigenvalues, MATCH_TOL)
@@ -264,10 +264,8 @@ def _cmd_solve(args) -> tuple[Report, int]:
             failures.append("xxz_eigenpair")
         if not comm <= COMMUTATOR_TOL:
             failures.append("commutator")
-        failures += _match_level(
-            rep, sector.dim,
-            (("transfer", lam.real, v_bracket, partial(_spectrum, sector, a, "transfer")),
-             ("xxz", energy, h_bracket, partial(_spectrum, sector, a, "hamiltonian"))))
+        failures += _match_level(rep, sector, a, (("transfer", lam.real, v_bracket),
+                                                  ("xxz", energy, h_bracket)))
 
     if args.dump_psi:
         _write_psi(args.dump_psi, prediction.psi)
@@ -338,11 +336,11 @@ def _cmd_verify_identities(args) -> tuple[Report, int]:
 
 
 def _sector(args, command: str):
-    """Validate the sector flags, check the caps on (N, n), open the report, enumerate."""
+    """Validate the sector flags, check the budget on (N, n), open the report, enumerate."""
     a = Anisotropy(args.c)
-    if args.n < 0 or args.n > args.N:
-        raise ValueError("need 0 <= n <= N")
-    caps.check_dim(args.N, args.n, spectrum=command == "spectrum")
+    if args.N < 1 or not 0 <= args.n <= args.N:
+        raise ValueError("need N >= 1 and 0 <= n <= N")
+    (caps.check_spectrum if command == "spectrum" else caps.check_dim)(args.N, args.n)
     rep = Report(command)
     for key in ("N", "n", "c", "kind"):
         rep.add(f"param.{key}", getattr(args, key))
@@ -429,13 +427,13 @@ def main(argv=None) -> int:
     try:
         rep, code = args.func(args)
     except (CapExceededError, DomainError, np.linalg.LinAlgError) as exc:
-        # a resource cap, or a value outside the numeric range of the routes
+        # the memory budget, or a value outside the numeric range of the routes
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except MemoryError as exc:  # numpy's names the allocation; a bare one has no text
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:  # bad input and degenerate-momentum errors
+    except (ValueError, OSError) as exc:  # bad input, degenerate momenta, unwritable paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # the process's peak so far; ru_maxrss counts KiB on Linux

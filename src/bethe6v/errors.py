@@ -17,7 +17,7 @@ class DegenerateMomentaError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A configured cap, or the memory budget the dense cap sets, would be exceeded."""
+    """The memory budget that the dense cap sets, or the dense cap itself, would be exceeded."""
 
 
 class SectorMismatchError(ValueError):

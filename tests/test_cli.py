@@ -16,6 +16,7 @@ from bethe6v import (
     build_psi,
     build_transfer_block,
     enumerate_sector,
+    full_prediction,
     ground_state_quantum_numbers,
     identity_suite,
     log_polynomial,
@@ -292,7 +293,7 @@ class TestSolveCommand:
         closing = ["peak_rss_bytes", "seconds"]
         assert stages(ground) == checked + closing  # certified: no eigensolve
         assert stages(EXCITED) == checked + ["spectrum"] + closing
-        monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "5")
+        monkeypatch.setenv("BETHE6V_DIM_CAP", "49")  # the solve fits, not its blocks
         assert stages(EXCITED) == checked + closing
         unconverged = ["solve", "--capital-n", "2", "--n", "1", "--c", "1.0",
                        "--quantum-numbers", "1"]
@@ -310,6 +311,14 @@ class TestSolveCommand:
         lam = float(rep["prediction.lambda.re"])
         assert format(lam, ".17g") == rep["prediction.lambda.re"]
 
+    def test_unwritable_psi_path_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "psi.txt"
+        code, out = run_cli(["solve", "--capital-n", "6", "--n", "2", "--c", "1.0",
+                             "--dump-psi", str(path)])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{path}'\n")
+
     def test_psi_dump(self, tmp_path):
         path = tmp_path / "psi.txt"
         code, out = run_cli(
@@ -319,9 +328,10 @@ class TestSolveCommand:
         assert code == 0
         lines = path.read_text().splitlines()
         assert len(lines) == math.comb(6, 2)
-        idx, re_part, im_part = lines[3].split()
-        assert idx == "3"
-        float(re_part), float(im_part)
+        momenta = solve(6, ground_state_quantum_numbers(2), Anisotropy(1.0)).momenta
+        psi = full_prediction(enumerate_sector(6, 2), momenta).psi
+        assert lines == [f"{k} {format(v.real, '.17g')} {format(v.imag, '.17g')}"
+                         for k, v in enumerate(psi)]
 
 
 SWEEP_C = (0.1, 0.5, 1.0, math.sqrt(2.0), 2.0, 2.5)
@@ -419,12 +429,32 @@ class TestSpectralRoute:
         assert rep["checks.route"] == "certified"
         assert rep["oracle.transfer_match_index"] == rep["oracle.xxz_match_index"] == "6434"
 
-    def test_excited_level_above_the_spectrum_cap_is_skipped(self, monkeypatch):
-        monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "5")
+    def test_block_route_above_4096_rows(self):
+        # psi is not positive at c = 5: the 435 orbits' blocks name the top, 6434
+        code, out = run_cli(["solve", "--capital-n", "15", "--n", "7", "--c", "5"])
+        rep = parse_report(out)
+        assert code == 0
+        assert rep["checks.route"] == "block"
+        assert rep["oracle.transfer_match_index"] == rep["oracle.xxz_match_index"] == "6434"
+        assert rep["oracle.transfer_match_count"] == rep["oracle.xxz_match_count"] == "1"
+
+    def test_excited_level_past_the_budget_is_skipped(self, monkeypatch, capsys):
+        # (8, 2): the solve plans 80 N dim = 17920 bytes, its blocks 24 dim^2 / N = 2352
+        # more; a dense cap of 49 leaves 19208, so the solve runs and its blocks do not
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setenv("BETHE6V_DIM_CAP", "49")
         code, out = run_cli(EXCITED)
         assert code == 0
-        assert parse_report(out)["checks.route"] == "skipped:spectrum-cap"
+        assert parse_report(out)["checks.route"] == "skipped:budget"
         assert oracle_lines(out) == {}
+        monkeypatch.setenv("BETHE6V_DIM_CAP", "47")  # 17672 bytes: not even the solve
+        assert run_cli(EXCITED) == (2, "")
+        assert capsys.readouterr().err == ("error: solve at N = 8, n = 2 needs about "
+                                           "1.79e-05 GB, past the 1.77e-05 GB budget of "
+                                           "dense cap 47\n")
 
     def test_certified_past_the_dense_cap(self):
         # C(18, 9) = 48620 rows: no dense block could hold them, the sweeps do
@@ -712,9 +742,21 @@ class TestSpectrumCommand:
         assert code == 0
 
     def test_cap_exceeded(self, monkeypatch):
-        monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "3")
+        # (6, 3): momentum blocks of 24 dim^2 / N = 1600 bytes; a dense cap of 14 leaves 1568
+        monkeypatch.setenv("BETHE6V_DIM_CAP", "14")
         code, _ = run_cli(["spectrum", "--capital-n", "6", "--n", "3", "--c", "1.0"])
         assert code == 2
+
+    def test_budget_counts_momentum_blocks_not_rows(self, monkeypatch):
+        # C(12, 6) = 924 rows, past a dense cap of 600, but the blocks take about
+        # 1.7 MB of its 2.88 MB budget: the same spectrum as at the default cap
+        argv = ["spectrum", "--capital-n", "12", "--n", "6", "--c", "1.3"]
+        code, default = run_cli(argv)
+        assert code == 0 and parse_report(default)["spectrum.dim"] == "924"
+        monkeypatch.setenv("BETHE6V_DIM_CAP", "600")
+        code, out = run_cli(argv)
+        assert code == 0
+        assert strip_timing(out) == strip_timing(default)
 
 
 class TestDumpMatrixCommand:
@@ -731,6 +773,14 @@ class TestDumpMatrixCommand:
         assert parsed.shape == (10, 10)
         assert np.array_equal(parsed, parsed.T)
 
+    def test_unwritable_path_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "v.txt"
+        code, out = run_cli(["dump-matrix", "--capital-n", "6", "--n", "3", "--c", "1.0",
+                             "--out", str(path)])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{path}'\n")
+
     def test_overflowing_weight_refused(self, tmp_path, capsys):
         # c^6 overflows a double: no block, so no file of inf rows
         path = tmp_path / "v.txt"
@@ -743,12 +793,13 @@ class TestDumpMatrixCommand:
 
 
 @pytest.mark.parametrize("argv, message", [
-    # C(16, 8) = 12870 rows fit the dense cap but not the spectrum cap
-    (["spectrum", "--capital-n", "16", "--n", "8"],
-     "dimension 12870 exceeds spectrum cap 4096"),
+    # the 4862 orbits of C(19, 9) = 92378 rows: momentum blocks of about 24 N R^2 bytes
+    (["spectrum", "--capital-n", "19", "--n", "9"],
+     "spectrum at N = 19, n = 9 needs about 10.8 GB, past the 3.2 GB budget of dense cap 20000"),
     # C(40, 9) states would take 18 GiB to enumerate
     (["spectrum", "--capital-n", "40", "--n", "9", "--kind", "hamiltonian"],
-     "sector dimension 273438880 exceeds dense cap 20000"),
+     "spectrum at N = 40, n = 9 needs about 4.49e+07 GB, past the 3.2 GB budget of "
+     "dense cap 20000"),
     (["dump-matrix", "--capital-n", "40", "--n", "9", "--out", "/dev/null"],
      "sector dimension 273438880 exceeds dense cap 20000"),
     # the widest sector's 4862 orbits: momentum blocks of about 24 N R^2 bytes
@@ -757,8 +808,8 @@ class TestDumpMatrixCommand:
     # the count's own int64 bound, the only cap on --bruteforce, comes before the trace
     (["partition", "--capital-n", "15", "--m", "15", "--bruteforce"],
      "torus counts on 15 x 15 may exceed int64"),
-], ids=["spectrum-cap", "spectrum-dense-cap", "dump-matrix-dense-cap", "partition-dense-cap",
-        "partition-enumeration-cap"])
+], ids=["spectrum-budget", "spectrum-hamiltonian-budget", "dump-matrix-dense-cap",
+        "partition-dense-cap", "partition-enumeration-cap"])
 def test_caps_checked_before_the_sector(argv, message, monkeypatch, capsys):
     refuse_sectors(monkeypatch)
     code, out = run_cli(argv + ["--c", "1.0"])
@@ -814,8 +865,7 @@ def test_every_command_rejects_bad_c(argv, capsys):
 class TestEnvironmentCaps:
     def test_library_routes_are_uncapped(self, monkeypatch):
         # the commands own the caps; the routes compute what they are asked
-        for name in ("DIM", "SPECTRUM"):
-            monkeypatch.setenv(f"BETHE6V_{name}_CAP", "1")
+        monkeypatch.setenv("BETHE6V_DIM_CAP", "1")
         a = Anisotropy(1.0)
         sector = enumerate_sector(6, 3)
         assert build_hamiltonian_block(sector, a.delta).dim == 20
@@ -840,12 +890,28 @@ class TestEnvironmentCaps:
             assert capsys.readouterr().err.startswith("error: "), argv
 
     def test_readme_lists_every_cap(self):
-        import bethe6v.caps
+        # one knob: caps.py alone reads the environment, src/ and scripts/ name
+        # no BETHE6V_* variable but BETHE6V_DIM_CAP, and the README's table lists it
+        root = Path(__file__).resolve().parent.parent
+        sources = {path.name: path.read_text()
+                   for path in [*root.glob("src/**/*.py"), *root.glob("scripts/*.py")]}
+        named = {name for text in sources.values() for name in re.findall(r"BETHE6V_\w+", text)}
+        readers = {name for name, text in sources.items() if re.search(r"environ|getenv", text)}
+        readme = (root / "README.md").read_text()
+        listed = re.findall(r"^\| `(BETHE6V_\w+)`", readme, flags=re.MULTILINE)
+        assert (named, readers, listed) == ({"BETHE6V_DIM_CAP"}, {"caps.py"}, ["BETHE6V_DIM_CAP"])
 
-        read = set(re.findall(r"BETHE6V_\w+", Path(bethe6v.caps.__file__).read_text()))
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        listed = set(re.findall(r"^\| `(BETHE6V_\w+)`", readme, flags=re.MULTILINE))
-        assert read == listed
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--capital-n", "6", "--n", "2"],
+        ["partition", "--capital-n", "2", "--m", "2"],
+        ["spectrum", "--capital-n", "4", "--n", "1"],
+        ["dump-matrix", "--capital-n", "4", "--n", "1", "--out", "/dev/null"],
+    ], ids=["solve", "partition", "spectrum", "dump-matrix"])
+    def test_malformed_dim_cap_is_named(self, argv, monkeypatch, capsys):
+        refuse_sectors(monkeypatch)
+        monkeypatch.setenv("BETHE6V_DIM_CAP", "abc")
+        assert run_cli(argv + ["--c", "1.0"]) == (1, "")
+        assert capsys.readouterr().err == "error: BETHE6V_DIM_CAP must be an integer, got 'abc'\n"
 
     def test_dim_cap_override(self, monkeypatch):
         monkeypatch.setenv("BETHE6V_DIM_CAP", "5")

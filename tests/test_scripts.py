@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -64,8 +66,19 @@ def test_partition_scan_stops_at_the_memory_budget(monkeypatch):
 
 
 def test_ground_state_scan_stops_at_a_cap(monkeypatch):
-    # (6, 1) has 6 states, one past a spectrum cap of 5
-    monkeypatch.setenv("BETHE6V_SPECTRUM_CAP", "5")
-    proc = run_script("ground_state_scan.py", "--ring-sizes", "6", "--c-values", "1")
+    # a solve and its blocks, 80 N dim + 24 dim^2 / N bytes: 1376 at (4, 1), 2136 at
+    # (4, 2) and 3024 at (6, 1), past the 2888 a dense cap of 19 leaves
+    monkeypatch.setenv("BETHE6V_DIM_CAP", "19")
+    proc = run_script("ground_state_scan.py", "--ring-sizes", "4,6", "--c-values", "1")
     assert proc.returncode == 2
-    assert proc.stderr == "error: dimension 6 exceeds spectrum cap 5\n"
+    assert len(proc.stdout.splitlines()) == 4  # header, rule, (4, 1) and (4, 2)
+    assert proc.stderr == ("error: solve at N = 6, n = 1 needs about 3.02e-06 GB, "
+                           "past the 2.89e-06 GB budget of dense cap 19\n")
+
+
+@pytest.mark.parametrize("name", ["ground_state_scan.py", "partition_scan.py"])
+def test_scans_name_a_malformed_dim_cap(name, monkeypatch):
+    monkeypatch.setenv("BETHE6V_DIM_CAP", "abc")
+    proc = run_script(name)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: BETHE6V_DIM_CAP must be an integer, got 'abc'\n"
