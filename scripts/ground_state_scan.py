@@ -44,7 +44,7 @@ def scan_case(N, n, c):
     report = solve(N, ground_state_quantum_numbers(n), a)
     if not report.converged:
         return dict(N=N, n=n, c=c, converged=False)
-    caps.check_solve(N, n, blocks=True)
+    caps.check_sector("solve", N, n, blocks=True)
     sector = enumerate_sector(N, n)
     pred = full_prediction(sector, report.momenta)
     spectra, weights, exponent = momentum_spectra(*transfer_by_shift(sector, a))

@@ -11,6 +11,7 @@ import math
 import os
 
 from .errors import CapExceededError
+from .functions import _log_sum_exp
 
 DIM_CAP = 20_000       # dense sector-block rows; 8 DIM_CAP^2 bytes is the memory budget
 
@@ -37,9 +38,9 @@ def check_dim(N: int, n: int) -> None:
         raise CapExceededError(f"sector dimension {rows} exceeds dense cap {cap}")
 
 
-def _check_bytes(what: str, log_bytes: float) -> None:
-    """Refuse a plan of about exp(log_bytes) bytes past the memory budget."""
-    budget = 8 * max(cap := dim_cap(), 0) ** 2
+def _check_bytes(what: str, logs) -> None:
+    """Refuse a plan of about sum exp(logs) bytes past the memory budget."""
+    budget, log_bytes = 8 * max(cap := dim_cap(), 0) ** 2, _log_sum_exp(logs)
     if not (budget and log_bytes <= math.log(budget)):
         gb = log_bytes / math.log(10) - 9  # log10 of the size in GB, which may pass any double
         size = f"{10 ** gb:.3g}" if gb < 300 else f"10^{gb:.0f}"
@@ -51,18 +52,12 @@ def _log_blocks(N: int, n: int) -> float:  # R ~ C(N, n) / N orbits: 24 N R^2 by
     return math.log(24 / N) + 2 * _log_comb(N, n)
 
 
-def check_solve(N: int, n: int, blocks: bool = False) -> None:
-    """Refuse a verified solve, 80 N C(N, n) bytes (66-81 measured), and blocks if ``blocks``."""
-    low, high = sorted((math.log(80 * N) + _log_comb(N, n),
-                        _log_blocks(N, n) if blocks else -math.inf))
-    _check_bytes(f"solve at N = {N}, n = {n}", high + math.log1p(math.exp(low - high)))
-
-
-def check_spectrum(N: int, n: int) -> None:
-    """Refuse a sector spectrum: its momentum blocks."""
-    _check_bytes(f"spectrum at N = {N}, n = {n}", _log_blocks(N, n))
+def check_sector(command: str, N: int, n: int, blocks: bool = False) -> None:
+    """Refuse a sector's arrays, 80 N C(N, n) bytes (66-81 measured), and blocks if ``blocks``."""
+    _check_bytes(f"{command} at N = {N}, n = {n}",
+                 [math.log(80 * N) + _log_comb(N, n)] + ([_log_blocks(N, n)] if blocks else []))
 
 
 def check_partition(N: int) -> None:
     """Refuse log Tr(V^M): the momentum blocks of the widest sector."""
-    _check_bytes(f"partition at N = {N}", _log_blocks(N, N // 2))
+    _check_bytes(f"partition at N = {N}", [_log_blocks(N, N // 2)])

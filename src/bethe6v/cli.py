@@ -15,12 +15,11 @@ Subcommands:
 
 Reports are emitted as "key: value" lines; every float carries 17
 significant digits.  Identical flags reproduce byte-identical reports apart
-from the timing lines.  Exit codes: 0 success, 1 invalid usage (an
-unwritable output path included), 2 solver non-convergence (a root on the
-edge of the open momentum domain included), the memory budget (each command
-checks the plan of what it will build before any work), exhausted memory or
-a numeric-range limit (``DomainError``, ``LinAlgError``), 3 verification
-failure.
+from the timing lines.  Exit codes: 0 success, 1 invalid usage or an
+unwritable output path, 2 solver non-convergence (a root on the edge of the
+open momentum domain included), the memory budget (each command checks the
+plan of what it will build before any work), exhausted memory or a
+numeric-range limit (``DomainError``, ``LinAlgError``), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -126,9 +125,11 @@ def _parse_quantum_numbers(text: str) -> QuantumNumbers:
 
 
 def _write_psi(path: str, psi: np.ndarray) -> None:
-    with open(path, "w") as handle:  # a handle, as in dump-matrix: savetxt gzips a .gz path
-        np.savetxt(handle, np.column_stack((np.arange(psi.size), psi.real, psi.imag)),
-                   fmt="%d %.17g %.17g")
+    with open(path, "w") as handle:
+        for k, value in enumerate(psi):
+            handle.write(
+                f"{k} {format(value.real, '.17g')} {format(value.imag, '.17g')}\n"
+            )
 
 
 def _verdict(rep: Report, failures: list[str]) -> int:
@@ -165,7 +166,7 @@ def _match_level(rep: Report, sector, a: Anisotropy, checks) -> list[str]:
             rep.add(f"oracle.{kind}_bracket_width", width)
         return []
     try:
-        caps.check_solve(sector.N, sector.n, blocks=True)
+        caps.check_sector("solve", sector.N, sector.n, blocks=True)
     except CapExceededError:
         rep.add("checks.route", "skipped:budget")
         return []
@@ -187,7 +188,7 @@ def _cmd_solve(args) -> tuple[Report, int]:
     N, n = args.N, args.n
     if N < 1 or n < 0 or 2 * n > N:
         raise ValueError(f"need N >= 1 and 0 <= n <= N/2, got n = {n}, N = {N}")
-    caps.check_solve(N, n)  # before the n quantum numbers are even made
+    caps.check_sector("solve", N, n)  # before the n quantum numbers are even made
     try:
         qn = (_parse_quantum_numbers(args.quantum_numbers) if args.quantum_numbers
               else ground_state_quantum_numbers(n))
@@ -340,7 +341,10 @@ def _sector(args, command: str):
     a = Anisotropy(args.c)
     if args.N < 1 or not 0 <= args.n <= args.N:
         raise ValueError("need N >= 1 and 0 <= n <= N")
-    (caps.check_spectrum if command == "spectrum" else caps.check_dim)(args.N, args.n)
+    if command == "spectrum":  # the plan of solve's block route
+        caps.check_sector(command, args.N, args.n, blocks=True)
+    else:
+        caps.check_dim(args.N, args.n)
     rep = Report(command)
     for key in ("N", "n", "c", "kind"):
         rep.add(f"param.{key}", getattr(args, key))

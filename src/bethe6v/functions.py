@@ -117,6 +117,12 @@ def _as_scalar(value):
     return value.item() if isinstance(value, np.ndarray) and value.ndim == 0 else value
 
 
+def _log_sum_exp(logs) -> float:
+    """log sum_k exp(logs[k]), taken relative to the largest term."""
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
 def scattering_kernel(x, y, a: Anisotropy):
     """S(x, y) = exp(-ix) + exp(iy) - 2*delta; swapping arguments conjugates it."""
     x = np.asarray(x, dtype=float)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import SectorIndex, enumerate_sector
 from .errors import DomainError
-from .functions import Anisotropy
+from .functions import Anisotropy, _log_sum_exp
 from .oracle import _norm, momentum_spectra
 
 __all__ = [
@@ -266,12 +266,6 @@ def partition_function_bruteforce(N: int, M: int) -> list[int]:
                 view[:, :, vt, :, :, hr, dk:] += G[:, :, vb, :, :, hl, :K - dk]
         closed = F[:, :, 0, 0] + F[:, :, 1, 1]
     return np.trace(closed).tolist()
-
-
-def _log_sum_exp(logs) -> float:
-    """log sum_k exp(logs[k]), taken relative to the largest term."""
-    top = max(logs)
-    return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
 def log_polynomial(counts, x: float) -> float:
