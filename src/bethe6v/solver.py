@@ -12,12 +12,20 @@ the k = j term theta(p_j, p_j) vanishes identically, so
     dF_j/dp_j = N + sum_{k != j} d1 theta(p_j, p_k),
     dF_j/dp_k = -d1 theta(p_k, p_j)                  for k != j.
 
+A label set inside the half-filled sea (every |I_j| < N/4, as in every
+ground state) starts at its continuum root (Yang and Yang 1966; see
+`_initial_guess`), about 1e-5 from the root at N = 1024; any other set
+starts at 2 pi I_j / N, shrunk into the domain.
+
 Iterates are clamped strictly inside the momentum interval (the phase is
 undefined outside) and each step is halved until the max-norm residual
-decreases, aiming at 1e-12 within 200 steps.  A step halved down to 2^-20
-that still does not decrease it ends the iteration at its best iterate: a
-root iff its residual is within the equations' rounding floor, which grows
-with N and n past 1e-12; else the trial left the domain or no root is near.
+decreases, aiming at 1e-12 within 200 steps.  A trial that rounds to the
+iterate bit for bit is not evaluated: every shorter step rounds to it too,
+so its halvings down to 2^-20 are counted without evaluation.  A step
+halved down to 2^-20 that still does not decrease it ends the iteration at
+its best iterate: a root iff its residual is within the equations' rounding
+floor, which grows with N and n past 1e-12; else the trial left the domain
+or no root is near.
 Non-convergence is reported, never raised.  The domain is open (the phase
 is undefined on its closure), so a label set whose root lies on the edge,
 such as N = 6, I = 1 at c = 1 (2 pi / 6 = pi - mu), stalls against the
@@ -118,21 +126,38 @@ def log_equations(N: int, qn: QuantumNumbers, a: Anisotropy):
 
     def jacobian(p: np.ndarray) -> np.ndarray:
         d1 = np.asarray(theta_partial_1(p[:, None], p[None, :], a)).reshape(n, n)
-        jac = -d1.T.copy()
-        np.fill_diagonal(jac, 0.0)
-        jac += np.diag(N + d1.sum(axis=1) - np.diag(d1))
+        # C order: solve and cond round differently on the transposed layout
+        jac = np.negative(d1.T, order="C")
+        jac.flat[::n + 1] = N + d1.sum(axis=1) - d1.diagonal()
         return jac
 
     return residual, jacobian
 
 
 def _initial_guess(N, qn, a):
-    """Phase-free starting point 2 pi I_j / N, shrunk to land inside the domain."""
-    p = 2.0 * math.pi * np.array([float(v) for v in qn.values]) / N
-    pmax = float(np.max(np.abs(p)))
-    if pmax > 0.0:
-        p = p * min(1.0, (a.domain_halfwidth - 1e-3) / pmax)
+    """The half-filled sea's continuum root when every |I_j| < N/4, else 2 pi I_j / N.
+
+    In the thermodynamic limit the ground state fills the rapidity line with
+    density 1/(2 cosh(pi v)) (Yang and Yang, Phys. Rev. 150, 321, 1966).  Its
+    counting function tan(pi I / N) = tanh(pi v / 2) places label I_j at
+
+        v_j = (2/pi) artanh(tan(pi I_j / N)),
+        p_j = 2 arctan(tanh(mu v_j) / tan(mu / 2)),
+
+    and its limit mu -> 0, p_j = 2 arctan(2 v_j), serves every delta <= -1,
+    where mu = 0.  At delta = 0 the start is the root 2 pi I_j / N itself.
+    A label set reaching past the sea, some |I_j| >= N/4, starts at the
+    phase-free 2 pi I_j / N, shrunk to land inside the domain.
+    """
+    labels = np.array([float(v) for v in qn.values])
     hw = a.domain_halfwidth
+    if np.all(4.0 * np.abs(labels) < N):
+        v = (2.0 / math.pi) * np.arctanh(np.tan(math.pi * labels / N))
+        mu = a.mu
+        p = 2.0 * np.arctan(2.0 * v if mu == 0.0 else np.tanh(mu * v) / math.tan(mu / 2.0))
+    else:
+        p = 2.0 * math.pi * labels / N
+        p = p * min(1.0, (hw - 1e-3) / float(np.max(np.abs(p))))
     return np.clip(p, -hw + _DOMAIN_MARGIN, hw - _DOMAIN_MARGIN)
 
 
@@ -178,6 +203,12 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
         alpha = 1.0
         while True:
             trial = np.clip(p + alpha * step, lo, hi)
+            if np.array_equal(trial, p):
+                # every shorter step rounds to p too: count its halvings down
+                # to the floor without evaluating the iterate's residual again
+                halvings += round(math.log2(alpha / _STEP_FLOOR))
+                res_trial = res
+                break
             try:
                 f_trial = residual(trial)
                 res_trial = float(np.max(np.abs(f_trial)))

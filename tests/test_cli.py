@@ -130,17 +130,17 @@ class TestSolveCommand:
         assert code == 2
         assert parse_report(out)["solver.converged"] == "false"
 
-    @pytest.mark.parametrize("c", [
-        "1e-9",  # the scattering kernel leaves the right half-plane
-        "3e-4",  # the scattering kernel vanishes
-        "1e100",  # lambda and V's weight c^6 overflow a double
-    ])
-    def test_numeric_range_limit_exit_code(self, c, capsys):
+    @pytest.mark.parametrize("c, reason", [
+        ("1e-9", "scattering kernel left the right half-plane"),
+        ("1e-6", "scattering kernel vanished"),
+        ("1e100", "predicted transfer eigenvalue overflows"),  # lambda and V's c^6
+    ], ids=["1e-9", "1e-6", "1e100"])
+    def test_numeric_range_limit_exit_code(self, c, reason, capsys):
         code, out = run_cli(["solve", "--capital-n", "6", "--n", "3", "--c", c])
         assert code == 2
         assert out == ""
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith(f"error: {reason}")
 
     def test_overflowing_c_refused_where_it_is_made(self, capsys):
         # c^2 overflows a double: Anisotropy refuses it before any route
@@ -157,6 +157,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("N, n, c", [
         pytest.param("6", "3", "1e-3", id="1e-3"),
+        pytest.param("6", "3", "3e-4", id="3e-4"),
         pytest.param("6", "3", "1e20", id="1e20"),
         pytest.param("6", "3", "1e30", id="1e30"),
         # both blocks are finite, but V(Hx) unscaled would overflow
@@ -187,7 +188,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("argv, counters", [
         # the root sits on the domain edge: every trial step is halved to 2^-20
         (["--capital-n", "6", "--n", "1", "--c", "1", "--quantum-numbers", "1"], ("20", "0")),
-        (["--capital-n", "8", "--n", "2", "--c", "1.0"], ("0", "1")),
+        (["--capital-n", "8", "--n", "2", "--c", "1.5"], ("0", "1")),
     ], ids=["halving", "polish"])
     def test_solver_counters(self, argv, counters):
         _, out = run_cli(["solve", *argv])

@@ -14,7 +14,7 @@ from bethe6v import (
     solve,
     transfer_eigenvalue,
 )
-from bethe6v.functions import ZERO_MOMENTUM_TOL
+from bethe6v.functions import ZERO_MOMENTUM_TOL, theta
 
 
 class TestQuantumNumbers:
@@ -132,13 +132,29 @@ class TestSolve:
             assert report.converged and report.final_residual <= 1e-12, (N, c)
 
     def test_line_search_counters(self):
-        # at N = 256, c = 0.5 one trial step is halved before it is accepted;
-        # at N = 128 the root takes one polish step
-        a = Anisotropy(0.5)
-        for N, counters in ((256, (7, 1, 0)), (128, (7, 0, 1))):
-            r = solve(N, ground_state_quantum_numbers(N // 2), a)
+        # at N = 135, c = 0.1 one trial step is halved before it is accepted;
+        # at N = 128, c = 1.5 the root takes one polish step
+        for N, c, counters in ((135, 0.1, (5, 1, 0)), (128, 1.5, (3, 0, 1))):
+            r = solve(N, ground_state_quantum_numbers(N // 2), Anisotropy(c))
             assert r.converged
             assert (r.iterations, r.step_halvings, r.polish_steps) == counters, N
+
+    def test_stalled_step_evaluates_no_rounded_trial(self, monkeypatch):
+        # the root 2 pi / 6 = pi - mu lies on the domain edge, so the second
+        # step is clamped back onto the iterate: all of its 20 halvings round
+        # to it and none is evaluated.  theta runs once for the start, once
+        # for the accepted step and once for the rounding floor.
+        calls = []
+
+        def counting(x, y, a):
+            calls.append(1)
+            return theta(x, y, a)
+
+        monkeypatch.setattr(solver, "theta", counting)
+        r = solve(6, QuantumNumbers((Fraction(1),)), Anisotropy(1.0))
+        assert not r.converged
+        assert (r.iterations, r.step_halvings, r.polish_steps) == (2, 20, 0)
+        assert len(calls) == 3
 
     def test_condition_estimate_reported(self):
         N, qn, a = 16, ground_state_quantum_numbers(8), Anisotropy(1.0)
@@ -149,6 +165,37 @@ class TestSolve:
         _, jacobian = log_equations(N, qn, a)
         jac = jacobian(report.momenta.as_array())
         assert report.jacobian_condition_estimate == np.linalg.cond(jac, 1)
+
+
+class TestInitialGuess:
+    @pytest.mark.parametrize("c", [1e-3, 0.5, 1.0, math.sqrt(2.0), 2.0, 2.5, 10.0])
+    def test_ground_states_start_inside_the_domain(self, c):
+        a = Anisotropy(c)
+        for N in range(2, 65):
+            for n in range(1, N // 2 + 1):
+                p = solver._initial_guess(N, ground_state_quantum_numbers(n), a)
+                assert np.all(np.isfinite(p)), (N, n)
+                assert np.all(np.diff(p) > 0.0), (N, n)
+                # strictly inside, with no help from the clamp
+                assert np.max(np.abs(p)) < a.domain_halfwidth - 1e-12, (N, n)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 1.5])
+    def test_ground_state_starts_near_its_root(self, c):
+        # the phase-free start 2 pi I_j / N is about 7e-2 away at N = 256
+        N, qn, a = 256, ground_state_quantum_numbers(128), Anisotropy(c)
+        root = solve(N, qn, a).momenta.as_array()
+        assert np.max(np.abs(solver._initial_guess(N, qn, a) - root)) < 1e-3
+
+    @pytest.mark.parametrize("N, labels", [
+        (8, (Fraction(2),)),                        # |I| = N/4 exactly
+        (8, (Fraction(-1, 2), Fraction(5, 2))),
+    ], ids=["edge", "past"])
+    def test_labels_past_the_sea_keep_the_phase_free_start(self, N, labels):
+        a = Anisotropy(1.0)
+        p = 2.0 * math.pi * np.array([float(v) for v in labels]) / N
+        p = p * min(1.0, (a.domain_halfwidth - 1e-3) / float(np.max(np.abs(p))))
+        start = solver._initial_guess(N, QuantumNumbers(labels), a)
+        assert np.array_equal(start, p)
 
 
 class TestNewtonQuality:
