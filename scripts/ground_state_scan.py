@@ -34,8 +34,8 @@ from bethe6v import (
     hamiltonian_operator,
     momentum_spectra,
     solve,
-    transfer_by_shift,
     transfer_operator,
+    transfer_rows,
 )
 
 
@@ -47,7 +47,7 @@ def scan_case(N, n, c):
     caps.check_sector("solve", N, n, blocks=True)
     sector = enumerate_sector(N, n)
     pred = full_prediction(sector, report.momenta)
-    spectra, weights, exponent = momentum_spectra(*transfer_by_shift(sector, a))
+    spectra, weights, exponent = momentum_spectra(sector, transfer_rows(sector, a))
     top = math.ldexp(float(spectra[weights > 0].max()), exponent)
     v_res, bracket = check_eigenpair(transfer_operator(sector, a), pred.psi, pred.lam)
     h_res, _ = check_eigenpair(hamiltonian_operator(sector, a.delta), pred.psi, pred.energy)

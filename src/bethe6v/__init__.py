@@ -44,21 +44,18 @@ from .solver import (
     solve,
 )
 from .transfer import (
-    SectorMatrix,
     TransferOperator,
-    build_transfer_block,
     log_polynomial,
     log_trace_power,
     partition_function_bruteforce,
-    transfer_by_shift,
     transfer_operator,
+    transfer_rows,
 )
 from .xxz import (
     HamiltonianOperator,
-    build_hamiltonian_block,
     energy_prediction,
-    hamiltonian_by_shift,
     hamiltonian_operator,
+    hamiltonian_rows,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,8 @@ Subcommands:
 * ``verify-identities``: grid suite for the function-level identities plus,
   when a sector is given, the amplitude-ratio identities on solved roots;
 * ``spectrum``: sector eigenvalues, the union of the momentum blocks' spectra;
-* ``dump-matrix``: write a sector block in the plain-text matrix format.
+* ``dump-matrix``: write a sector block in the plain-text matrix format,
+  one chunk of rows at a time.
 
 Reports are emitted as "key: value" lines; every float carries 17
 significant digits.  Identical flags reproduce byte-identical reports apart
@@ -39,18 +40,17 @@ from .ansatz import bethe_residual, full_prediction, identity_suite
 from .basis import enumerate_sector
 from .errors import CapExceededError, DomainError
 from .functions import Anisotropy, grid_suite
-from .oracle import (check_eigenpair, commutator_probe, match_eigenvalue,
+from .oracle import (_row_chunks, check_eigenpair, commutator_probe, match_eigenvalue,
                      momentum_spectra)
 from .solver import QuantumNumbers, ground_state_quantum_numbers, solve
 from .transfer import (
-    build_transfer_block,
     log_polynomial,
     log_trace_power,
     partition_function_bruteforce,
-    transfer_by_shift,
     transfer_operator,
+    transfer_rows,
 )
-from .xxz import build_hamiltonian_block, hamiltonian_by_shift, hamiltonian_operator
+from .xxz import hamiltonian_operator, hamiltonian_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,11 +140,14 @@ def _verdict(rep: Report, failures: list[str]) -> int:
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 
+def _rows(sector, a: Anisotropy, kind: str):
+    """The row function of V (``transfer``) or else H on a sector."""
+    return transfer_rows(sector, a) if kind == "transfer" else hamiltonian_rows(sector, a.delta)
+
+
 def _spectrum(sector, a: Anisotropy, kind: str) -> np.ndarray:
     """Ascending spectrum of V (``transfer``) or else H on a sector: its momentum blocks' union."""
-    rows = (transfer_by_shift(sector, a) if kind == "transfer"
-            else hamiltonian_by_shift(sector, a.delta))
-    spectra, weights, exponent = momentum_spectra(*rows)
+    spectra, weights, exponent = momentum_spectra(sector, _rows(sector, a, kind))
     return np.ldexp(np.sort(np.repeat(spectra.ravel(), weights.ravel())), exponent)
 
 
@@ -361,14 +364,21 @@ def _cmd_spectrum(args) -> tuple[Report, int]:
 
 
 def _cmd_dump_matrix(args) -> tuple[Report, int]:
+    """Write the header "N n dim kind", then the block's rows, one chunk of rows at a time.
+
+    The dense cap bounds the rows written; memory holds one chunk.  Every
+    refusal (the budget, the dense cap, a weight past the double range, H at
+    N = 1) comes before the file is opened, but a run interrupted mid-write,
+    by ``MemoryError`` say, can leave a partial file.
+    """
     rep, sector, a = _sector(args, "dump-matrix")
-    block = (build_transfer_block(sector, a) if args.kind == "transfer"
-             else build_hamiltonian_block(sector, a.delta))
-    # row by row, never the whole text; a handle, since savetxt gzips a path ending .gz
+    rows_of = _rows(sector, a, args.kind)
+    # a handle, since savetxt gzips a path ending .gz
     with open(args.out, "w") as handle:
-        np.savetxt(handle, block.entries, fmt="%.17g",
-                   header=f"{args.N} {args.n} {block.dim} {args.kind}", comments="")
-    rep.add("dump.dim", block.dim)
+        handle.write(f"{args.N} {args.n} {sector.dim} {args.kind}\n")
+        for rows in _row_chunks(sector.dim, sector.dim):
+            np.savetxt(handle, rows_of(rows), fmt="%.17g")
+    rep.add("dump.dim", sector.dim)
     rep.add("dump.path", args.out)
     return rep, EXIT_OK
 

@@ -5,14 +5,15 @@ a symmetric operator with nonnegative off-diagonal entries (V's c^P, H's +1
 hops) it holds the top eigenvalue (Collatz 1942; Wielandt 1950), so a narrow
 bracket names the level without an eigensolve; other levels are matched
 against the spectrum ``momentum_spectra`` folds from the operator's rows at
-the translation-orbit representatives.  ``commutator_probe`` checks
-[V, H] = 0 by one seeded Freivalds (1977) probe of four matrix-vector
-products.
+the translation-orbit representatives, read through the operator's row
+function (``transfer_rows``, ``hamiltonian_rows``) one chunk of rows at a
+time.  ``commutator_probe`` checks [V, H] = 0 by one seeded Freivalds (1977)
+probe of four matrix-vector products.
 
 The residual and the probe read an operator only through ``N``, ``n``,
 ``dim``, ``op @ x`` for a real or complex vector x and ``op.frobenius()``,
-an overflow-safe Frobenius norm, so the sweep operators of ``transfer`` and
-``xxz`` and a dense ``SectorMatrix`` serve alike.
+an overflow-safe Frobenius norm, which the sweep operators of ``transfer``
+and ``xxz`` provide.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ __all__ = [
 ]
 
 _CHUNK_ELEMENTS = 1 << 13  # entries per norm chunk, below the size at which BLAS starts threads
+_ROW_ELEMENTS = 1 << 18  # entries per chunk of operator rows, and per chunk of sweep columns
+
+
+def _row_chunks(count: int, dim: int) -> list[np.ndarray]:
+    """range(count) in consecutive runs of at most ceil(``_ROW_ELEMENTS`` / dim) each."""
+    return np.array_split(np.arange(count), -(-count * dim // _ROW_ELEMENTS))
 
 
 def _norm(a: np.ndarray) -> float:
@@ -57,20 +64,27 @@ def _norm(a: np.ndarray) -> float:
     return math.hypot(*(float(np.linalg.norm(chunk * scale)) for chunk in chunks)) / scale
 
 
-def momentum_spectra(by_shift: np.ndarray, period: np.ndarray):
+def momentum_spectra(sector, rows_of):
     """Spectrum of a symmetric operator that commutes with the translation T, block by block.
 
-    ``by_shift[t, r, s]`` is its entry from the r-th orbit representative to
-    T^t of the s-th, ``period`` the R orbits' periods p.  Block q is the real
-    FFT over t times sqrt(p_r / p_s) (Sandvik, AIP Conf. Proc. 1297, 135,
-    2010, section 4) on the orbits with q p = 0 mod N; the others keep only a
-    diagonal below the largest absolute row sum, so one batched ``eigvalsh``
-    puts them first, weighted 0; the rest weigh 2 for 0 < q < N/2 (block
-    N - q shares the spectrum), else 1.  Returns the (N // 2 + 1, R) ascending
-    eigenvalues in units of 2^exponent, their weights and the exponent;
-    by_shift is scaled in place by 2^-exponent, exactly, so no sum overflows.
+    ``rows_of(states)`` gives the operator's rows at the given states of the
+    sector, (k, dim).  Each chunk of the R orbit representatives' rows is
+    scattered by column into ``by_shift[t, r, s]``, the entry from the r-th
+    representative to T^t of the s-th.  Block q is the real FFT over t times
+    sqrt(p_r / p_s), p the orbits' periods (Sandvik, AIP Conf. Proc. 1297,
+    135, 2010, section 4), on the orbits with q p = 0 mod N; the others keep
+    only a diagonal below the largest absolute row sum, so one batched
+    ``eigvalsh`` puts them first, weighted 0; the rest weigh 2 for
+    0 < q < N/2 (block N - q shares the spectrum), else 1.  Returns the
+    (N // 2 + 1, R) ascending eigenvalues in units of 2^exponent, their
+    weights and the exponent; the entries are scaled by 2^-exponent,
+    exactly, so no sum overflows.
     """
-    N, R = by_shift.shape[:2]
+    reps, orbit, shift, period = sector.orbits()
+    N, R, period = sector.N, reps.size, period[reps]
+    by_shift = np.zeros((N, R, R))
+    for rows in _row_chunks(R, sector.dim):
+        by_shift[shift, rows[:, None], orbit] = rows_of(reps[rows])
     top = max(float(by_shift.max()), -float(by_shift.min()))
     if not math.isfinite(top):
         raise DomainError("operator entries overflow to inf or NaN; no spectrum")

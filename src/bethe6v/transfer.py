@@ -1,20 +1,20 @@
-"""Six-vertex transfer matrix on a sector, its blocks and the torus partition function.
+"""Six-vertex transfer matrix on a sector, its rows and the torus partition function.
 
 Two production routes read V.  ``transfer_operator`` applies it to a vector
 without forming it: a row sweep over the sites, the paper's definition of V
-read site by site.  ``_entry_rule`` gives its entries in closed form (2 on
-the diagonal, c^P between distinct states whose positions interlace,
-x1 <= y1 <= x2 <= ... <= yn either way round, with P the number of sites
-where they differ, 0 otherwise) off occupation bitmasks; it fills the dense
-``build_transfer_block`` and ``transfer_by_shift``, the orbit
-representatives' rows whose momentum blocks give ``log_trace_power`` its
-sum of lambda^M.  ``partition_function_bruteforce`` counts the torus
-configurations by their number of c-vertices, an exact polynomial in c whose
-log must match ``log_trace_power``.  The test oracle of single entries, the
-ice-rule completions of one row, lives with the tests.
+read site by site.  ``transfer_rows`` gives its rows at any states in closed
+form (2 on the diagonal, c^P between distinct states whose positions
+interlace, x1 <= y1 <= x2 <= ... <= yn either way round, with P the number
+of sites where they differ, 0 otherwise) off occupation bitmasks; the orbit
+representatives' rows fold into the momentum blocks whose spectra give
+``log_trace_power`` its sum of lambda^M, and ``dump-matrix`` writes every
+row, one chunk at a time.  ``partition_function_bruteforce`` counts the
+torus configurations by their number of c-vertices, an exact polynomial in
+c whose log must match ``log_trace_power``.  The test oracle of single
+entries, the ice-rule completions of one row, lives with the tests.
 
 The vertex weights are a = b = 1 and the ``Anisotropy``'s c.  Powers of c
-are computed by repeated squaring so the entry rule and the row completions
+are computed by repeated squaring so the rows and the row completions
 agree bit for bit.
 """
 
@@ -28,20 +28,17 @@ import numpy as np
 from .basis import SectorIndex, enumerate_sector
 from .errors import DomainError
 from .functions import Anisotropy, _log_sum_exp
-from .oracle import _norm, momentum_spectra
+from .oracle import _row_chunks, momentum_spectra
 
 __all__ = [
-    "SectorMatrix",
     "TransferOperator",
     "transfer_operator",
-    "build_transfer_block",
-    "transfer_by_shift",
+    "transfer_rows",
     "partition_function_bruteforce",
     "log_polynomial",
     "log_trace_power",
 ]
 
-_CHUNK_ELEMENTS = 1 << 18  # scratch budget (pairs) for the bitmask pair tests
 _CANCELLATION = 8.0  # largest sum |w lambda^M| / sum w lambda^M the spectra are summed at
 
 
@@ -57,26 +54,6 @@ def _int_power(base: float, k: int) -> float:
         sq *= sq
         k >>= 1
     return result
-
-
-@dataclass(frozen=True, eq=False)
-class SectorMatrix:
-    """Dense symmetric block of an operator restricted to one sector."""
-
-    entries: np.ndarray
-    basis: SectorIndex
-    N = property(lambda self: self.basis.N)
-    n = property(lambda self: self.basis.n)
-    dim = property(lambda self: self.basis.dim)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        A = self.entries
-        if np.iscomplexobj(x):  # A @ complex(x) would first copy A to complex
-            return A @ x.real + 1j * (A @ x.imag)
-        return A @ x
-
-    def frobenius(self) -> float:
-        return _norm(self.entries)
 
 
 def _check_weight(sector: SectorIndex, c: float) -> None:
@@ -143,7 +120,7 @@ class TransferOperator:
 
 
 def transfer_operator(sector: SectorIndex, a: Anisotropy) -> TransferOperator:
-    """V on a sector as a row sweep; refuses a weight past the double range, as the block does."""
+    """V on a sector as a row sweep; refuses a weight past the double range, as its rows do."""
     _check_weight(sector, a.c)
     N, n, dim = sector.N, sector.n, sector.dim
     up, down = math.comb(N, n + 1), math.comb(N, n - 1) if n else 0
@@ -170,8 +147,8 @@ def _prefix_xor(words: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entry_rule(sector: SectorIndex, a: Anisotropy):
-    """V's entries between two sets of a sector's states: ``entries(rows, cols)``.
+def transfer_rows(sector: SectorIndex, a: Anisotropy):
+    """V's rows at a sector's states: ``rows_of(states)``, (k, dim) for k states.
 
     With d = mx ^ my the sites where two states' bitmasks differ,
     x1 <= y1 <= x2 <= ... <= yn holds iff x owns the 1st, 3rd, ... set bit of
@@ -179,19 +156,19 @@ def _entry_rule(sector: SectorIndex, a: Anisotropy):
     from per-state tables; the other order is the same test for y.  The
     entry c^popcount(d) comes from the repeated-squaring table of powers of
     c^2, whose first entry is the diagonal's 2 (d = 0).  A weight past the
-    double range raises ``DomainError`` before any allocation.
+    double range raises ``DomainError`` here, before any row is formed.
     """
     _check_weight(sector, a.c)
     cpow = np.array([2.0] + [_int_power(a.c * a.c, k) for k in range(1, sector.n + 1)])
     masks, prefix = sector.masks, _prefix_xor(sector.masks)
     masks_prefix = masks ^ prefix
 
-    def entries(rows, cols) -> np.ndarray:
+    def rows_of(states) -> np.ndarray:
         x_first, y_first, popcount = True, True, 0
         for w in range(masks.shape[1]):
-            d = masks[rows, w, None] ^ masks[None, cols, w]
+            d = masks[states, w, None] ^ masks[:, w]
             # bits where x disagrees with the alternation pattern of d
-            u = masks_prefix[rows, w, None] ^ prefix[None, cols, w]
+            u = masks_prefix[states, w, None] ^ prefix[:, w]
             u &= d
             x_first = x_first & (u == 0)
             y_first = y_first & (u == d)
@@ -202,30 +179,7 @@ def _entry_rule(sector: SectorIndex, a: Anisotropy):
         weights[~(x_first | y_first)] = 0.0
         return weights
 
-    return entries
-
-
-def build_transfer_block(sector: SectorIndex, a: Anisotropy) -> SectorMatrix:
-    """Sector block of the transfer matrix from the closed-form entry rule (``_entry_rule``)."""
-    entries_of, dim = _entry_rule(sector, a), sector.dim
-    entries = np.empty((dim, dim))
-    chunk = max(1, _CHUNK_ELEMENTS // dim)
-    for lo in range(0, dim, chunk):
-        # the rule is symmetric: test columns from lo on, mirror the rest
-        block = entries_of(slice(lo, lo + chunk), slice(lo, None))
-        entries[lo:lo + chunk, lo:] = block
-        entries[lo:, lo:lo + chunk] = block.T
-    return SectorMatrix(entries, sector)
-
-
-def transfer_by_shift(sector: SectorIndex, a: Anisotropy) -> tuple[np.ndarray, np.ndarray]:
-    """V's input to ``oracle.momentum_spectra``: its orbit representatives' rows by shift."""
-    reps, orbit, shift, period = sector.orbits()
-    entries_of = _entry_rule(sector, a)
-    by_shift = np.zeros((sector.N, reps.size, reps.size))
-    for rows in np.array_split(np.arange(reps.size), -(-reps.size * sector.dim // _CHUNK_ELEMENTS)):
-        by_shift[shift, rows[:, None], orbit] = entries_of(reps[rows], slice(None))
-    return by_shift, period[reps]
+    return rows_of
 
 
 # the six ice-rule vertices (hl, vb, hr, vt, c), an arrow's bit 1 pointing
@@ -280,7 +234,7 @@ def _sector_log_trace(sector: SectorIndex, a: Anisotropy, M: int) -> float:
     ``_CANCELLATION`` the trace is sum_r p_r <x_r, V x_r> with
     x_r = V^(M // 2) e_r by nonnegative sweeps.
     """
-    spectra, weights, exponent = momentum_spectra(*transfer_by_shift(sector, a))
+    spectra, weights, exponent = momentum_spectra(sector, transfer_rows(sector, a))
     spectra, weights = spectra[weights > 0], weights[weights > 0]
     largest = float(np.abs(spectra).max())
     terms = weights * (spectra / largest) ** M
@@ -289,7 +243,8 @@ def _sector_log_trace(sector: SectorIndex, a: Anisotropy, M: int) -> float:
         return M * (exponent * math.log(2.0) + math.log(largest)) + math.log(total)
     reps, _, _, period = sector.orbits()
     V, logs, dim = transfer_operator(sector, a), [], sector.dim
-    for cols in np.array_split(reps, -(-reps.size * dim // _CHUNK_ELEMENTS)):
+    for chunk in _row_chunks(reps.size, dim):
+        cols = reps[chunk]
         x, scale = (np.arange(dim)[:, None] == cols).astype(float), np.zeros(cols.size)
         for _ in range(M // 2):
             x = V @ x

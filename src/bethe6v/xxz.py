@@ -1,13 +1,13 @@
-"""Periodic XXZ chain: the sector operator, its blocks and the closed-form energy.
+"""Periodic XXZ chain: the sector operator, its rows and the closed-form energy.
 
 Site i of the chain contributes +delta/2 to the diagonal when the arrows at
 i and i+1 agree and -delta/2 when they differ, plus an exchange hop of
 weight 1 between states that differ by swapping those two arrows.
 ``hamiltonian_operator`` reads the hop targets of every bond off the
 sector's ``swapped_ranks`` and keeps them, with the diagonal they imply, as
-index arrays that apply H; ``hamiltonian_by_shift`` scatters the orbit
-representatives' hops for H's spectrum, and ``build_hamiltonian_block`` all
-hops into a dense block.
+index arrays that apply H; ``hamiltonian_rows`` scatters the hops and the
+diagonal of any states into their rows, which fold into H's momentum blocks
+and which ``dump-matrix`` writes, one chunk at a time.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ import numpy as np
 from .basis import SectorIndex
 from .functions import MomentumSet
 from .oracle import _norm
-from .transfer import SectorMatrix
 
 __all__ = [
     "HamiltonianOperator",
     "hamiltonian_operator",
-    "hamiltonian_by_shift",
-    "build_hamiltonian_block",
+    "hamiltonian_rows",
     "energy_prediction",
 ]
 
@@ -72,29 +70,19 @@ def hamiltonian_operator(sector: SectorIndex, delta: float) -> HamiltonianOperat
     return HamiltonianOperator(sector, diagonal, targets)
 
 
-def hamiltonian_by_shift(sector: SectorIndex, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """H's input to ``oracle.momentum_spectra``: its orbit representatives' rows by shift."""
-    op = hamiltonian_operator(sector, delta)
-    reps, orbit, shift, period = sector.orbits()
-    by_shift = np.zeros((sector.N, reps.size, reps.size))
-    bonds, rows = np.nonzero(op.targets[:, reps] < sector.dim)
-    hops = op.targets[bonds, reps[rows]]
-    # add.at rather than +=: at N = 2 both bonds join the same pair of states
-    np.add.at(by_shift, (shift[hops], rows, orbit[hops]), 1.0)
-    by_shift[0][np.diag_indices(reps.size)] += op.diagonal[reps]
-    return by_shift, period[reps]
+def hamiltonian_rows(sector: SectorIndex, delta: float):
+    """H's rows at a sector's states: ``rows_of(states)``, (k, dim) for k states."""
+    op, dim = hamiltonian_operator(sector, delta), sector.dim
 
+    def rows_of(states) -> np.ndarray:
+        rows = np.zeros((states.size, dim))
+        bonds, k = np.nonzero(op.targets[:, states] < dim)
+        # add.at rather than +=: at N = 2 both bonds join the same pair of states
+        np.add.at(rows, (k, op.targets[bonds, states[k]]), 1.0)
+        rows[np.arange(states.size), states] += op.diagonal[states]
+        return rows
 
-def build_hamiltonian_block(sector: SectorIndex, delta: float) -> SectorMatrix:
-    """Sector block of the spin-chain Hamiltonian: the operator's hops scattered densely."""
-    op = hamiltonian_operator(sector, delta)
-    dim = sector.dim
-    bonds, rows = np.nonzero(op.targets < dim)
-    entries = np.zeros((dim, dim))
-    # add.at rather than +=: at N = 2 both bonds join the same pair of states
-    np.add.at(entries, (rows, op.targets[bonds, rows]), 1.0)
-    entries[np.diag_indices(dim)] += op.diagonal
-    return SectorMatrix(entries, sector)
+    return rows_of
 
 
 def energy_prediction(m: MomentumSet, ring_size: int, delta: float) -> float:

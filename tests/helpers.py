@@ -1,11 +1,12 @@
-"""Shared test utilities: CLI driver and independent brute-force oracles.
+"""Shared test utilities: CLI driver, dense sector blocks and independent brute-force oracles.
 
 The oracles here deliberately avoid the library's fast paths: the naive
 coefficient sum rebuilds every amplitude from its definition, the raw torus
 enumerator loops over every one of the 2^(2NM) arrow assignments with no
 pruning, and the pruned one walks the arrow assignments edge by edge
 instead of the library's vertex-by-vertex count.  They exist to check the
-production code, so they must not share its shortcuts.
+production code, so they must not share its shortcuts.  The dense blocks of
+V and H are the library's rows of every state, stacked.
 """
 
 from __future__ import annotations
@@ -13,19 +14,22 @@ from __future__ import annotations
 import io
 import itertools
 from contextlib import redirect_stdout
+from dataclasses import dataclass
 
 import numpy as np
 
 from bethe6v import (
     Anisotropy,
     DomainError,
-    SectorMatrix,
+    SectorIndex,
     SectorMismatchError,
-    build_transfer_block,
     enumerate_sector,
+    hamiltonian_rows,
+    transfer_rows,
 )
 from bethe6v.ansatz import _subset_sum, pair_factors
 from bethe6v.cli import main
+from bethe6v.oracle import _norm, _row_chunks
 from bethe6v.transfer import _int_power
 
 
@@ -38,6 +42,43 @@ def run_cli(argv):
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 1
     return code, buffer.getvalue()
+
+
+@dataclass(frozen=True, eq=False)
+class SectorMatrix:
+    """Dense symmetric block of an operator restricted to one sector."""
+
+    entries: np.ndarray
+    basis: SectorIndex
+    N = property(lambda self: self.basis.N)
+    n = property(lambda self: self.basis.n)
+    dim = property(lambda self: self.basis.dim)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        A = self.entries
+        if np.iscomplexobj(x):  # A @ complex(x) would first copy A to complex
+            return A @ x.real + 1j * (A @ x.imag)
+        return A @ x
+
+    def frobenius(self) -> float:
+        return _norm(self.entries)
+
+
+def _stack_rows(sector, rows_of):
+    entries = np.empty((sector.dim, sector.dim))
+    for rows in _row_chunks(sector.dim, sector.dim):
+        entries[rows] = rows_of(rows)
+    return SectorMatrix(entries, sector)
+
+
+def build_transfer_block(sector, a):
+    """V's dense sector block: ``transfer_rows`` at every state."""
+    return _stack_rows(sector, transfer_rows(sector, a))
+
+
+def build_hamiltonian_block(sector, delta):
+    """H's dense sector block: ``hamiltonian_rows`` at every state."""
+    return _stack_rows(sector, hamiltonian_rows(sector, delta))
 
 
 def parse_report(text):

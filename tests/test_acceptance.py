@@ -14,9 +14,7 @@ import numpy as np
 from bethe6v import (
     Anisotropy,
     MomentumSet,
-    build_hamiltonian_block,
     build_psi,
-    build_transfer_block,
     check_eigenpair,
     enumerate_sector,
     full_prediction,
@@ -32,7 +30,13 @@ from bethe6v import (
     transfer_eigenvalue,
 )
 
-from helpers import build_transfer_block_by_configuration, commutator_norm, dense_eigenvalues
+from helpers import (
+    build_hamiltonian_block,
+    build_transfer_block,
+    build_transfer_block_by_configuration,
+    commutator_norm,
+    dense_eigenvalues,
+)
 
 RING_SIZES = (6, 8, 10, 12)
 C_VALUES = (0.5, 1.0, math.sqrt(2.0), 2.0)

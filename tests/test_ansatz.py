@@ -16,7 +16,6 @@ from bethe6v import (
     amplitude,
     bethe_residual,
     build_psi,
-    build_transfer_block,
     check_eigenpair,
     enumerate_sector,
     full_prediction,
@@ -29,7 +28,7 @@ from bethe6v import (
     transfer_eigenvalue,
 )
 
-from helpers import naive_psi_coefficient, psi_every_row
+from helpers import build_transfer_block, naive_psi_coefficient, psi_every_row
 
 
 def momentum_set(values, c=1.0):

@@ -12,9 +12,7 @@ import pytest
 
 from bethe6v import (
     Anisotropy,
-    build_hamiltonian_block,
     build_psi,
-    build_transfer_block,
     enumerate_sector,
     ground_state_quantum_numbers,
     identity_suite,
@@ -23,11 +21,17 @@ from bethe6v import (
     momentum_spectra,
     partition_function_bruteforce,
     solve,
-    transfer_by_shift,
+    transfer_rows,
 )
 from bethe6v.cli import MATCH_TOL
 
-from helpers import dense_eigenvalues, parse_report, run_cli
+from helpers import (
+    build_hamiltonian_block,
+    build_transfer_block,
+    dense_eigenvalues,
+    parse_report,
+    run_cli,
+)
 
 
 # a converged excited level of the (8, 2) sector at c = 1.2
@@ -42,15 +46,14 @@ def strip_timing(text):
 
 
 def refuse_sectors(monkeypatch):
-    """Fail the test if the CLI enumerates a sector, builds a block or takes a trace.
+    """Fail the test if the CLI enumerates a sector, reads an operator's rows or takes a trace.
 
     The torus count stays real: it refuses a torus past int64 before it allocates.
     """
     def refuse(*args, **kwargs):
         raise AssertionError("sector allocated")
 
-    for name in ("enumerate_sector", "build_transfer_block", "build_hamiltonian_block",
-                 "log_trace_power"):
+    for name in ("enumerate_sector", "transfer_rows", "hamiltonian_rows", "log_trace_power"):
         monkeypatch.setattr(f"bethe6v.cli.{name}", refuse)
 
 
@@ -398,25 +401,23 @@ class TestSpectralRoute:
             "oracle.xxz_match_index", "oracle.xxz_bracket_width"}
 
     def test_certified_run_builds_no_dense_block(self, monkeypatch):
-        # V and H are applied as a row sweep and hop lists, and their spectra
-        # come from momentum blocks: no dim^2 array on any of these routes
+        # V and H are applied as a row sweep and hop lists: a certified run
+        # reads neither operator by rows, so it folds no momentum blocks
         def refuse(*args, **kwargs):
-            raise AssertionError("dense block built")
+            raise AssertionError("operator rows read")
 
-        for name in ("cli.build_transfer_block", "transfer.build_transfer_block",
-                     "cli.build_hamiltonian_block", "xxz.build_hamiltonian_block"):
-            monkeypatch.setattr(f"bethe6v.{name}", refuse)
+        for name in ("transfer_rows", "hamiltonian_rows"):
+            monkeypatch.setattr(f"bethe6v.cli.{name}", refuse)
         code, out = run_cli(["solve", "--capital-n", "12", "--n", "6", "--c", "1.0"])
         rep = parse_report(out)
         assert code == 0
         assert rep["checks.route"] == "certified"
         assert float(rep["residual.commutator_probe"]) < 1e-16
+        with pytest.raises(AssertionError, match="operator rows read"):
+            run_cli(EXCITED)  # the block route reads them
+        monkeypatch.undo()
         code, out = run_cli(EXCITED)
         assert code == 0 and parse_report(out)["checks.route"] == "block"
-        for kind in ("transfer", "hamiltonian"):
-            code, out = run_cli(["spectrum", "--capital-n", "10", "--n", "5", "--c", "1.3",
-                                 "--kind", kind])
-            assert code == 0 and parse_report(out)["spectrum.dim"] == "252"
         force_block(monkeypatch)
         code, out = run_cli(["solve", "--capital-n", "12", "--n", "6", "--c", "1.0"])
         assert code == 0 and parse_report(out)["checks.route"] == "block"
@@ -792,6 +793,12 @@ class TestDumpMatrixCommand:
         assert out == ""
         assert capsys.readouterr().err == "error: transfer weight c^6 overflows at c = 1e+100\n"
         assert not path.exists()
+        # nor a header with no rows for the chain of one site, which has no bond
+        code, out = run_cli(["dump-matrix", "--capital-n", "1", "--n", "0", "--c", "1.0",
+                             "--kind", "hamiltonian", "--out", str(path)])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: chain needs N >= 2\n"
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -878,7 +885,7 @@ class TestEnvironmentCaps:
         sector = enumerate_sector(6, 3)
         assert build_hamiltonian_block(sector, a.delta).dim == 20
         assert build_transfer_block(sector, a).dim == 20
-        assert int(momentum_spectra(*transfer_by_shift(sector, a))[1].sum()) == 20
+        assert int(momentum_spectra(sector, transfer_rows(sector, a))[1].sum()) == 20
         momenta = solve(6, ground_state_quantum_numbers(3), a).momenta
         assert np.all(np.isfinite(build_psi(sector, momenta)))
         assert identity_suite(momenta, 6, samples=2).samples == 2

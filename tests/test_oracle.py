@@ -6,24 +6,21 @@ import pytest
 from bethe6v import (
     Anisotropy,
     DomainError,
-    SectorMatrix,
-    build_hamiltonian_block,
-    build_transfer_block,
     check_eigenpair,
     commutator_probe,
     energy_prediction,
     enumerate_sector,
     ground_state_quantum_numbers,
-    hamiltonian_by_shift,
+    hamiltonian_rows,
     log_trace_power,
     match_eigenvalue,
     momentum_spectra,
     solve,
-    transfer_by_shift,
+    transfer_rows,
 )
 from bethe6v.cli import _spectrum
 
-from helpers import dense_eigenvalues
+from helpers import SectorMatrix, build_hamiltonian_block, build_transfer_block, dense_eigenvalues
 
 
 def make_matrix(entries):
@@ -123,24 +120,30 @@ class TestMomentumSpectra:
         # c = sqrt(2) and exactly 0 when given: H is (about) 0, and no scale
         for N in (2, 5, 12):
             self.assert_matches_the_oracle(N, 0, math.sqrt(2.0))
-            spectra, weights, exponent = momentum_spectra(
-                *hamiltonian_by_shift(enumerate_sector(N, 0), 0.0))
+            sector = enumerate_sector(N, 0)
+            spectra, weights, exponent = momentum_spectra(sector, hamiltonian_rows(sector, 0.0))
             assert (spectra[weights > 0].tolist(), weights.sum(), exponent) == ([0.0], 1, 0)
 
     def test_weights_count_every_state(self):
         for N, n in ((2, 0), (2, 1), (6, 3), (9, 3), (12, 6)):
             sector, a = enumerate_sector(N, n), Anisotropy(1.3)
-            for rows in (transfer_by_shift(sector, a), hamiltonian_by_shift(sector, a.delta)):
-                spectra, weights, _ = momentum_spectra(*rows)
-                assert spectra.shape == weights.shape == (N // 2 + 1, rows[1].size)
+            for rows_of in (transfer_rows(sector, a), hamiltonian_rows(sector, a.delta)):
+                spectra, weights, _ = momentum_spectra(sector, rows_of)
+                assert spectra.shape == weights.shape == (N // 2 + 1, sector.orbits()[0].size)
                 assert int(weights.sum()) == sector.dim
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_entries(self, value):
-        by_shift, period = transfer_by_shift(enumerate_sector(6, 2), Anisotropy(1.0))
-        by_shift[1, 0, 0] = value
+        sector = enumerate_sector(6, 2)
+        rows_of = transfer_rows(sector, Anisotropy(1.0))
+
+        def poisoned(states):
+            rows = rows_of(states)
+            rows[0, 1] = value  # the first representative's row, at another state
+            return rows
+
         with pytest.raises(DomainError, match="overflow"):
-            momentum_spectra(by_shift, period)
+            momentum_spectra(sector, poisoned)
 
 
 class TestDenseEigenvalues:

@@ -6,17 +6,17 @@ import pytest
 from bethe6v import (
     Anisotropy,
     DomainError,
-    build_hamiltonian_block,
-    build_transfer_block,
     enumerate_sector,
     log_polynomial,
     log_trace_power,
     partition_function_bruteforce,
     transfer_operator,
 )
-from bethe6v.oracle import _norm
+from bethe6v.oracle import _ROW_ELEMENTS, _norm
 
 from helpers import (
+    build_hamiltonian_block,
+    build_transfer_block,
     build_transfer_block_by_configuration,
     dense_eigenvalues,
     enumerate_row_completions,
@@ -322,12 +322,36 @@ class TestMatrixDump:
 
     def test_text_matches_writer(self, tmp_path):
         # an independent join of 17-digit entries; at c = sqrt(2) delta is -2.2e-16,
-        # so the Hamiltonian's diagonal holds rounding-sized entries
+        # so the Hamiltonian's diagonal holds rounding-sized entries; the 924 rows
+        # of (12, 6) are written in four chunks
         for N, n, c, kind in ((3, 1, 0.8, "transfer"), (6, 3, 1.3, "transfer"),
-                              (6, 3, math.sqrt(2.0), "hamiltonian"), (5, 0, 2.5, "hamiltonian")):
+                              (6, 3, math.sqrt(2.0), "hamiltonian"), (5, 0, 2.5, "hamiltonian"),
+                              (12, 6, 1.3, "transfer"), (12, 6, 1.3, "hamiltonian")):
             sector, a = enumerate_sector(N, n), Anisotropy(c)
             blk = (build_transfer_block(sector, a) if kind == "transfer"
                    else build_hamiltonian_block(sector, a.delta))
             rows = [" ".join(format(v, ".17g") for v in row) for row in blk.entries]
             expected = "\n".join([f"{N} {n} {blk.dim} {kind}"] + rows) + "\n"
             assert self.dump(tmp_path, N, n, c, kind) == expected, (N, n, c, kind)
+
+    @pytest.mark.parametrize("kind", ["transfer", "hamiltonian"])
+    def test_reads_one_chunk_of_rows_at_a_time(self, tmp_path, monkeypatch, kind):
+        import bethe6v.cli
+
+        calls = []
+
+        def recorded(rows):
+            def rows_of(states):
+                calls.append(states.tolist())
+                return rows(states)
+            return rows_of
+
+        name = f"{kind}_rows"
+        make = getattr(bethe6v.cli, name)
+        monkeypatch.setattr(f"bethe6v.cli.{name}", lambda *args: recorded(make(*args)))
+        text = self.dump(tmp_path, 12, 6, 1.3, kind)
+        assert len(text.splitlines()) == 1 + 924
+        # every row once, in order, and no call past one chunk of rows
+        assert len(calls) > 1
+        assert sum(calls, []) == list(range(924))
+        assert max(map(len, calls)) <= -(-_ROW_ELEMENTS // 924)

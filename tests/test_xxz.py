@@ -9,8 +9,6 @@ from bethe6v import (
     Anisotropy,
     MomentumSet,
     SectorMismatchError,
-    build_hamiltonian_block,
-    build_transfer_block,
     check_eigenpair,
     commutator_probe,
     energy_prediction,
@@ -23,7 +21,7 @@ from bethe6v import (
 )
 from bethe6v.oracle import _norm
 
-from helpers import commutator_norm
+from helpers import build_hamiltonian_block, build_transfer_block, commutator_norm
 
 
 def full_space_hamiltonian(N, delta):
