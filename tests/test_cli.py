@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bethe6v.cli
 from bethe6v import (
     Anisotropy,
     build_psi,
@@ -406,8 +407,9 @@ class TestSpectralRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("operator rows read")
 
-        for name in ("transfer_rows", "hamiltonian_rows"):
-            monkeypatch.setattr(f"bethe6v.cli.{name}", refuse)
+        for name in ("cli.transfer_rows", "transfer.transfer_rows",
+                     "cli.hamiltonian_rows", "xxz.hamiltonian_rows"):
+            monkeypatch.setattr(f"bethe6v.{name}", refuse)
         code, out = run_cli(["solve", "--capital-n", "12", "--n", "6", "--c", "1.0"])
         rep = parse_report(out)
         assert code == 0
@@ -418,6 +420,26 @@ class TestSpectralRoute:
         monkeypatch.undo()
         code, out = run_cli(EXCITED)
         assert code == 0 and parse_report(out)["checks.route"] == "block"
+        # a spectrum reads only the R orbit representatives' rows, each once,
+        # never all dim of them
+        reps = enumerate_sector(10, 5).orbits()[0].tolist()
+        for kind in ("transfer", "hamiltonian"):
+            calls = []
+
+            def recorded(rows):
+                def rows_of(states):
+                    calls.append(states.tolist())
+                    return rows(states)
+                return rows_of
+
+            name = f"{kind}_rows"
+            make = getattr(bethe6v.cli, name)
+            with monkeypatch.context() as m:
+                m.setattr(f"bethe6v.cli.{name}", lambda *args: recorded(make(*args)))
+                code, out = run_cli(["spectrum", "--capital-n", "10", "--n", "5", "--c", "1.3",
+                                     "--kind", kind])
+            assert code == 0 and parse_report(out)["spectrum.dim"] == "252"
+            assert sum(calls, []) == reps
         force_block(monkeypatch)
         code, out = run_cli(["solve", "--capital-n", "12", "--n", "6", "--c", "1.0"])
         assert code == 0 and parse_report(out)["checks.route"] == "block"
