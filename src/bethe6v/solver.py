@@ -12,6 +12,12 @@ the k = j term theta(p_j, p_j) vanishes identically, so
     dF_j/dp_j = N + sum_{k != j} d1 theta(p_j, p_k),
     dF_j/dp_k = -d1 theta(p_k, p_j)                  for k != j.
 
+A mirrored label set, values[j] = -values[n-1-j] (every ground state), has
+an odd root p = (-q reversed, [0] for odd n, q), so Newton runs on the
+n // 2 unknowns q alone, with every n x n quantity taken on the
+ceil(n/2) x n block of rows p[n//2:] (`_mirror_equations`).  Any other
+label set is solved on all n unknowns.
+
 A label set inside the half-filled sea (every |I_j| < N/4, as in every
 ground state) starts at its continuum root (Yang and Yang 1966; see
 `_initial_guess`), about 1e-5 from the root at N = 1024; any other set
@@ -38,7 +44,7 @@ stopping right at 1e-12 would waste most of the available accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -65,25 +71,35 @@ class QuantumNumbers:
     """Distinct (half-)integer labels selecting one solution branch."""
 
     values: tuple[Fraction, ...]
+    _floats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = tuple(Fraction(v) for v in self.values)
+        values = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", values)
-        if len(set(values)) != len(values):
-            raise ValueError("quantum numbers must be pairwise distinct")
         n = len(values)
-        for v in values:
-            doubled = 2 * v
-            if doubled.denominator != 1:
+        # in lowest terms, equal labels have equal (numerator, denominator) and
+        # 2v is an integer iff the denominator is 1 (2v even) or 2 (2v odd)
+        terms = [(v.numerator, v.denominator) for v in values]
+        if len(set(terms)) != n:
+            raise ValueError("quantum numbers must be pairwise distinct")
+        for v, (_, denominator) in zip(values, terms):
+            if denominator > 2:
                 raise ValueError(f"{v} is not an integer or half integer")
-            if n % 2 == 1 and doubled.numerator % 2 != 0:
+            if n % 2 == 1 and denominator != 1:
                 raise ValueError(f"odd particle number needs integers, got {v}")
-            if n % 2 == 0 and doubled.numerator % 2 != 1:
+            if n % 2 == 0 and denominator != 2:
                 raise ValueError(f"even particle number needs half integers, got {v}")
+        floats = np.array([numerator for numerator, _ in terms], dtype=float) / (2 - n % 2)
+        floats.flags.writeable = False
+        object.__setattr__(self, "_floats", floats)
 
     @property
     def n(self) -> int:
         return len(self.values)
+
+    def as_array(self) -> np.ndarray:
+        """The labels as floats, exactly (a read-only array)."""
+        return self._floats
 
 
 def ground_state_quantum_numbers(n: int) -> QuantumNumbers:
@@ -116,8 +132,10 @@ class SolveReport:
 
 
 def log_equations(N: int, qn: QuantumNumbers, a: Anisotropy):
-    """Residual and analytic-Jacobian callables for the logarithmic equations."""
-    targets = 2.0 * math.pi * np.array([float(v) for v in qn.values])
+    """Residual and analytic-Jacobian callables for the logarithmic equations
+    in all n unknowns: the route of label sets that are not mirrored, the
+    condition number's Jacobian and the full-system oracle."""
+    targets = 2.0 * math.pi * qn.as_array()
     n = qn.n
 
     def residual(p: np.ndarray) -> np.ndarray:
@@ -149,7 +167,7 @@ def _initial_guess(N, qn, a):
     A label set reaching past the sea, some |I_j| >= N/4, starts at the
     phase-free 2 pi I_j / N, shrunk to land inside the domain.
     """
-    labels = np.array([float(v) for v in qn.values])
+    labels = qn.as_array()
     hw = a.domain_halfwidth
     if np.all(4.0 * np.abs(labels) < N):
         v = (2.0 / math.pi) * np.arctanh(np.tan(math.pi * labels / N))
@@ -161,35 +179,67 @@ def _initial_guess(N, qn, a):
     return np.clip(p, -hw + _DOMAIN_MARGIN, hw - _DOMAIN_MARGIN)
 
 
-def _rounding_floor(N, qn, a, p):
-    """Unit roundoff u times the largest sum of the magnitudes one F_j adds up:
-    N|p_j|, 2 pi |I_j| and, for each k != j (theta(p_j, p_j) is exactly 0),
-    |theta(p_j, p_k)| plus the error 2 u (2 + 2|delta|) / |S(p_j, p_k)| that
-    theta's two arguments of S carry.
+def _mirror_equations(N, qn, a):
+    """The equations of a mirrored label set on its unknowns q = p[n - n//2:].
+
+    For values[j] = -values[n-1-j] the equations are odd under p -> -p, and
+    p = expand(q) = (-q reversed, [0.0] for odd n, q).  Every S(p_j, p_k) is
+    then in the block of rows p[n//2:] or conjugate to one there, since
+    S(-x, -y) = conj S(x, y), and theta(-x, -y) = -theta(x, y) bit for bit.
+    So the block, the zero-momentum row included for odd n, certifies every
+    pair, and summing its rows' phases forward and reversed gives the whole
+    F of `log_equations` at expand(q), bit for bit (row n-1-j negated).
+    With D = d1 theta(q, p) and d1 theta(-x, -y) = d1 theta(x, y), the chain
+    rule through p_{n-1-j} = -q_j folds the Jacobian onto h = n // 2 columns,
+
+        J = (D[:, mirror] - D[:, upper])^T + diag(N + sum_k D[:, k]),
+
+    upper being the columns of q and mirror those of -q.
     """
-    x, y = p[:, None], p[None, :]
+    n = qn.n
+    h = n // 2
+    targets = 2.0 * math.pi * qn.as_array()[h:]
+
+    def expand(q: np.ndarray) -> np.ndarray:
+        return np.concatenate((-q[::-1], np.zeros(n % 2), q))
+
+    def residual(q: np.ndarray) -> np.ndarray:
+        p = expand(q)
+        phases = np.asarray(theta(p[h:, None], p[None, :], a)).reshape(n - h, n)
+        # row n-1-j's phases are row j's negated and reversed
+        lead = N * p[h:] - targets
+        return np.concatenate((-(lead + phases[:, ::-1].sum(axis=1))[::-1],
+                               (lead + phases.sum(axis=1))[n % 2:]))
+
+    def jacobian(q: np.ndarray) -> np.ndarray:
+        d1 = np.asarray(theta_partial_1(q[:, None], expand(q)[None, :], a)).reshape(h, n)
+        jac = d1[:, :h][:, ::-1] - d1[:, n - h:]
+        jac.flat[::h + 1] += N + d1.sum(axis=1)
+        return jac.T
+
+    return expand, residual, jacobian
+
+
+def _rounding_floor(N, qn, a, p, start=0):
+    """Unit roundoff u times the largest sum of the magnitudes one F_j adds up,
+    over the rows j >= start: N|p_j|, 2 pi |I_j| and, for each k != j
+    (theta(p_j, p_j) is exactly 0), |theta(p_j, p_k)| plus the error
+    2 u (2 + 2|delta|) / |S(p_j, p_k)| that theta's two arguments of S carry.
+    """
+    x, y = p[start:, None], p[None, :]
     arg_error = 4.0 * (1.0 + abs(a.delta)) / np.abs(scattering_kernel(x, y, a))
-    np.fill_diagonal(arg_error, 0.0)
-    rows = (N * np.abs(p) + 2.0 * math.pi * np.abs([float(v) for v in qn.values])
+    np.fill_diagonal(arg_error[:, start:], 0.0)
+    rows = (N * np.abs(p[start:]) + 2.0 * math.pi * np.abs(qn.as_array()[start:])
             + (np.abs(theta(x, y, a)) + arg_error).sum(axis=1))
     return 2.0 ** -53 * float(np.max(rows))
 
 
-def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
-    """Damped Newton iteration on the logarithmic equations."""
-    n = qn.n
-    if 2 * n > N:
-        raise ValueError(f"need n <= N/2, got n = {n}, N = {N}")
-    if n == 0:
-        return SolveReport(MomentumSet((), a), 0, 0.0, True, 1.0)
-
-    residual, jacobian = log_equations(N, qn, a)
-    hw = a.domain_halfwidth
-    lo, hi = -hw + _DOMAIN_MARGIN, hw - _DOMAIN_MARGIN
-
-    p = _initial_guess(N, qn, a)
-    f = residual(p)
+def _newton(x, residual, jacobian, floor, lo, hi):
+    """Damped Newton from x; returns the best iterate, its residual, whether it
+    is a root, and the counters (iterations, halvings, polish steps)."""
+    f = residual(x)
     res = float(np.max(np.abs(f)))
+    rows = slice(f.size - x.size, None)  # the unknowns' rows: F's last x.size
     iterations = halvings = polished = 0
     converged = res <= _TOL
     polish = 3
@@ -197,14 +247,14 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
     while not converged and iterations < _MAX_ITER:
         iterations += 1
         try:
-            step = np.linalg.solve(jacobian(p), -f)
+            step = np.linalg.solve(jacobian(x), -f[rows])
         except (np.linalg.LinAlgError, DomainError):
             break
         alpha = 1.0
         while True:
-            trial = np.clip(p + alpha * step, lo, hi)
-            if np.array_equal(trial, p):
-                # every shorter step rounds to p too: count its halvings down
+            trial = np.clip(x + alpha * step, lo, hi)
+            if np.array_equal(trial, x):
+                # every shorter step rounds to x too: count its halvings down
                 # to the floor without evaluating the iterate's residual again
                 halvings += round(math.log2(alpha / _STEP_FLOOR))
                 res_trial = res
@@ -222,15 +272,15 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
             # stalled at the step floor (or off the domain): the best iterate
             # is a root iff rounding explains its residual; the full step just
             # tried failed, so polishing cannot lower it
-            converged, polish = res <= _rounding_floor(N, qn, a, p), 0
+            converged, polish = res <= floor(x), 0
             break
-        p, f, res = trial, f_trial, res_trial
+        x, f, res = trial, f_trial, res_trial
         converged = res <= _TOL
 
     while converged and res > 0.0 and polish > 0 and iterations < _MAX_ITER:
         polish -= 1
         try:
-            trial = np.clip(p + np.linalg.solve(jacobian(p), -f), lo, hi)
+            trial = np.clip(x + np.linalg.solve(jacobian(x), -f[rows]), lo, hi)
             f_trial = residual(trial)
         except (np.linalg.LinAlgError, DomainError):
             break
@@ -239,10 +289,41 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
             break
         iterations += 1
         polished += 1
-        p, f, res = trial, f_trial, res_trial
+        x, f, res = trial, f_trial, res_trial
+
+    return x, res, converged, (iterations, halvings, polished)
+
+
+def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
+    """Damped Newton iteration on the logarithmic equations.
+
+    A mirrored label set (values[j] = -values[n-1-j]) is solved on its
+    n // 2 unknowns by `_mirror_equations`; any other set on all n.
+    """
+    n = qn.n
+    if 2 * n > N:
+        raise ValueError(f"need n <= N/2, got n = {n}, N = {N}")
+    if n == 0:
+        return SolveReport(MomentumSet((), a), 0, 0.0, True, 1.0)
+
+    hw = a.domain_halfwidth
+    p = _initial_guess(N, qn, a)
+    labels = qn.as_array()
+    if np.array_equal(labels, -labels[::-1]):
+        start = n // 2
+        expand, residual, jacobian = _mirror_equations(N, qn, a)
+        p = p[n - start:]
+    else:
+        start = 0
+        residual, jacobian = log_equations(N, qn, a)
+        expand = np.asarray  # the unknowns are p itself
+    x, res, converged, (iterations, halvings, polished) = _newton(
+        p, residual, jacobian, lambda x: _rounding_floor(N, qn, a, expand(x), start),
+        -hw + _DOMAIN_MARGIN, hw - _DOMAIN_MARGIN)
+    p = expand(x)
 
     try:
-        cond = float(np.linalg.cond(jacobian(p), 1))
+        cond = float(np.linalg.cond(log_equations(N, qn, a)[1](p), 1))
     except (np.linalg.LinAlgError, DomainError):
         cond = math.inf
 

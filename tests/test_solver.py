@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bethe6v import solver
+from bethe6v import functions, solver
 from bethe6v import (
     Anisotropy,
     QuantumNumbers,
@@ -165,6 +165,74 @@ class TestSolve:
         _, jacobian = log_equations(N, qn, a)
         jac = jacobian(report.momenta.as_array())
         assert report.jacobian_condition_estimate == np.linalg.cond(jac, 1)
+
+
+class TestMirrorRoute:
+    """Labels with values[j] == -values[n-1-j] are solved on the n // 2 unknowns
+    of the upper half; the equations stay checked on all n rows."""
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.5])
+    def test_root_is_antisymmetric_bit_for_bit(self, c):
+        a = Anisotropy(c)
+        for N, n in ((7, 3), (12, 5), (12, 6), (64, 31), (64, 32), (201, 100)):
+            report = solve(N, ground_state_quantum_numbers(n), a)
+            assert report.converged, (N, n)
+            p = report.momenta.as_array()
+            assert np.array_equal(p, -p[::-1]), (N, n)
+            if n % 2:
+                assert p[n // 2] == 0.0 and math.copysign(1.0, p[n // 2]) == 1.0, (N, n)
+            # the zero momentum takes Lambda's zero-momentum branch
+            assert transfer_eigenvalue(report.momenta, N)[1] is bool(n % 2), (N, n)
+
+    @pytest.mark.parametrize("c", [0.1, 0.5, 1.0, math.sqrt(2.0), 2.5])
+    @pytest.mark.parametrize("N", [8, 64, 512])
+    def test_full_residual_at_the_root(self, N, c):
+        qn, a = ground_state_quantum_numbers(N // 2), Anisotropy(c)
+        report = solve(N, qn, a)
+        assert report.converged
+        p = report.momenta.as_array()
+        residual, _ = log_equations(N, qn, a)
+        full = float(np.max(np.abs(residual(p))))
+        # the half block's residual is the full system's, bit for bit
+        assert report.final_residual == full
+        # past 1e-12 only where the line search stalled within rounding
+        assert full <= max(1e-12, solver._rounding_floor(N, qn, a, p)), (full, report)
+
+    @staticmethod
+    def _kernel_shapes(monkeypatch):
+        shapes = []
+        kernel = functions.scattering_kernel
+
+        def recording(x, y, a):
+            shapes.append(np.broadcast(np.asarray(x), np.asarray(y)).shape)
+            return kernel(x, y, a)
+
+        monkeypatch.setattr(functions, "scattering_kernel", recording)
+        monkeypatch.setattr(solver, "scattering_kernel", recording)
+        return shapes
+
+    @pytest.mark.parametrize("N, n, c", [(14, 7, 1.0), (64, 32, 0.5), (512, 256, 0.505)],
+                             ids=["odd", "even", "stall"])
+    def test_mirrored_labels_evaluate_half_blocks(self, monkeypatch, N, n, c):
+        shapes = self._kernel_shapes(monkeypatch)
+        report = solve(N, ground_state_quantum_numbers(n), Anisotropy(c))
+        assert report.converged
+        assert (report.final_residual > 1e-12) == (N == 512)  # the stall takes the floor
+        # every kernel but the last (the condition number's full Jacobian)
+        # has at most ceil(n/2) of the n rows
+        assert shapes[-1] == (n, n)
+        assert shapes[:-1] and all(rows <= n - n // 2 and cols == n
+                                   for rows, cols in shapes[:-1]), shapes
+
+    def test_other_labels_evaluate_full_blocks(self, monkeypatch):
+        # the ground labels of n = N/2 - 2 with the edge excitation I_n -> I_n + 1
+        N, n = 16, 6
+        labels = list(ground_state_quantum_numbers(n).values)
+        labels[-1] += 1
+        shapes = self._kernel_shapes(monkeypatch)
+        report = solve(N, QuantumNumbers(tuple(labels)), Anisotropy(1.3))
+        assert report.converged
+        assert shapes and set(shapes) == {(n, n)}
 
 
 class TestInitialGuess:
