@@ -1,10 +1,11 @@
 """One memory budget, 8 DIM_CAP^2 bytes, with the dense cap overridable by BETHE6V_DIM_CAP.
 
-No command plans arrays past the dense block the cap allows (3.2 GB at the
-default, none at a cap of 0 or below): each estimates what it will build on
-(N, n), by lgamma, before any work; the library routes are uncapped.  The
-torus count needs no cap of its own: ``partition_function_bruteforce``
-refuses, before it allocates, every torus whose counts could pass int64.
+No command plans bytes past the dense block the cap allows (3.2 GB at the
+default, none at a cap of 0 or below): each estimates, in logs from lgamma,
+what it will build on (N, n) before any work, and every refusal names the
+plan in GB; the library routes are uncapped.  The torus count needs no cap
+of its own: ``partition_function_bruteforce`` refuses, before it
+allocates, every torus whose counts could pass int64.
 """
 
 import math
@@ -13,7 +14,7 @@ import os
 from .errors import CapExceededError
 from .functions import _log_sum_exp
 
-DIM_CAP = 20_000       # dense sector-block rows; 8 DIM_CAP^2 bytes is the memory budget
+DIM_CAP = 20_000       # the memory budget is 8 DIM_CAP^2 bytes, one dense block of DIM_CAP rows
 
 
 def dim_cap() -> int:
@@ -25,17 +26,6 @@ def dim_cap() -> int:
 
 def _log_comb(N: int, n: int) -> float:
     return math.lgamma(N + 1) - math.lgamma(n + 1) - math.lgamma(N - n + 1)
-
-
-def check_dim(N: int, n: int) -> None:
-    """Refuse C(N, n) dense-block rows past the dense cap: 8 C(N, n)^2 bytes past the budget.
-
-    Past 10^18 rows it refuses, whatever the cap, unformed: C(20000, 10000) has 6018 digits.
-    """
-    huge, cap = _log_comb(N, n) > math.log(1e18), dim_cap()
-    rows = f"C({N}, {n})" if huge else math.comb(N, n)
-    if huge or rows > cap:
-        raise CapExceededError(f"sector dimension {rows} exceeds dense cap {cap}")
 
 
 def _check_bytes(what: str, logs) -> None:
@@ -52,10 +42,13 @@ def _log_blocks(N: int, n: int) -> float:  # R ~ C(N, n) / N orbits: 24 N R^2 by
     return math.log(24 / N) + 2 * _log_comb(N, n)
 
 
-def check_sector(command: str, N: int, n: int, blocks: bool = False) -> None:
-    """Refuse a sector's arrays, 80 N C(N, n) bytes (66-81 measured), and blocks if ``blocks``."""
+def check_sector(command: str, N: int, n: int, blocks: bool = False, dense: bool = False) -> None:
+    """Refuse a sector's arrays, 80 N C(N, n) bytes (66-81 measured), with its momentum
+    blocks if ``blocks`` and its dense block, 8 C(N, n)^2 bytes, if ``dense``."""
+    log_dim = _log_comb(N, n)
     _check_bytes(f"{command} at N = {N}, n = {n}",
-                 [math.log(80 * N) + _log_comb(N, n)] + ([_log_blocks(N, n)] if blocks else []))
+                 [math.log(80 * N) + log_dim] + ([_log_blocks(N, n)] if blocks else [])
+                 + ([math.log(8) + 2 * log_dim] if dense else []))
 
 
 def check_partition(N: int) -> None:

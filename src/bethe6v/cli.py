@@ -124,14 +124,6 @@ def _parse_quantum_numbers(text: str) -> QuantumNumbers:
     return QuantumNumbers(values)
 
 
-def _write_psi(path: str, psi: np.ndarray) -> None:
-    with open(path, "w") as handle:
-        for k, value in enumerate(psi):
-            handle.write(
-                f"{k} {format(value.real, '.17g')} {format(value.imag, '.17g')}\n"
-            )
-
-
 def _verdict(rep: Report, failures: list[str]) -> int:
     """Report the failed checks, if any, and return the matching exit code."""
     rep.add("verification.passed", not failures)
@@ -272,7 +264,10 @@ def _cmd_solve(args) -> tuple[Report, int]:
                                                   ("xxz", energy, h_bracket)))
 
     if args.dump_psi:
-        _write_psi(args.dump_psi, prediction.psi)
+        psi = prediction.psi
+        with open(args.dump_psi, "w") as handle:  # a handle: savetxt gzips a path ending .gz
+            np.savetxt(handle, np.column_stack([np.arange(len(psi)), psi.real, psi.imag]),
+                       fmt=["%d", "%.17g", "%.17g"])
         rep.add("dump.psi_path", args.dump_psi)
     return rep, _verdict(rep, failures)
 
@@ -339,15 +334,13 @@ def _cmd_verify_identities(args) -> tuple[Report, int]:
     return rep, _verdict(rep, failures)
 
 
-def _sector(args, command: str):
-    """Validate the sector flags, check the budget on (N, n), open the report, enumerate."""
+def _sector(args, command: str, **plan):
+    """Validate the sector flags, check the budget on (N, n) and ``plan``, open the report,
+    enumerate; ``plan`` is the blocks or dense keyword of ``caps.check_sector``."""
     a = Anisotropy(args.c)
     if args.N < 1 or not 0 <= args.n <= args.N:
         raise ValueError("need N >= 1 and 0 <= n <= N")
-    if command == "spectrum":  # the plan of solve's block route
-        caps.check_sector(command, args.N, args.n, blocks=True)
-    else:
-        caps.check_dim(args.N, args.n)
+    caps.check_sector(command, args.N, args.n, **plan)
     rep = Report(command)
     for key in ("N", "n", "c", "kind"):
         rep.add(f"param.{key}", getattr(args, key))
@@ -355,7 +348,7 @@ def _sector(args, command: str):
 
 
 def _cmd_spectrum(args) -> tuple[Report, int]:
-    rep, sector, a = _sector(args, "spectrum")
+    rep, sector, a = _sector(args, "spectrum", blocks=True)  # the plan of solve's block route
     eigenvalues = _spectrum(sector, a, args.kind)
     rep.add("spectrum.dim", sector.dim)
     for k, value in enumerate(eigenvalues):
@@ -366,12 +359,13 @@ def _cmd_spectrum(args) -> tuple[Report, int]:
 def _cmd_dump_matrix(args) -> tuple[Report, int]:
     """Write the header "N n dim kind", then the block's rows, one chunk of rows at a time.
 
-    The dense cap bounds the rows written; memory holds one chunk.  Every
-    refusal (the budget, the dense cap, a weight past the double range, H at
-    N = 1) comes before the file is opened, but a run interrupted mid-write,
-    by ``MemoryError`` say, can leave a partial file.
+    The budget covers the sector and its operator, as ``spectrum`` plans
+    them, and the dense block written; memory holds one chunk of it.  Every
+    refusal (the budget, a weight past the double range, H at N = 1) comes
+    before the file is opened, but a run interrupted mid-write, by
+    ``MemoryError`` say, can leave a partial file.
     """
-    rep, sector, a = _sector(args, "dump-matrix")
+    rep, sector, a = _sector(args, "dump-matrix", dense=True)
     rows_of = _rows(sector, a, args.kind)
     # a handle, since savetxt gzips a path ending .gz
     with open(args.out, "w") as handle:

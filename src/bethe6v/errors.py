@@ -17,7 +17,7 @@ class DegenerateMomentaError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """The memory budget that the dense cap sets, or the dense cap itself, would be exceeded."""
+    """The memory budget that the dense cap sets would be exceeded."""
 
 
 class SectorMismatchError(ValueError):

@@ -323,18 +323,23 @@ class TestSolveCommand:
         assert capsys.readouterr().err == (
             f"error: [Errno 2] No such file or directory: '{path}'\n")
 
-    def test_psi_dump(self, tmp_path):
-        path = tmp_path / "psi.txt"
-        code, out = run_cli(
-            ["solve", "--capital-n", "6", "--n", "2", "--c", "1.0",
-             "--dump-psi", str(path)]
-        )
+    def test_psi_dump(self, tmp_path, monkeypatch):
+        # plain text whatever the name: np.savetxt given the path would gzip it
+        predictions, full_prediction = [], bethe6v.cli.full_prediction
+
+        def recorded(*args):
+            predictions.append(full_prediction(*args))
+            return predictions[-1]
+
+        monkeypatch.setattr("bethe6v.cli.full_prediction", recorded)
+        path = tmp_path / "psi.txt.gz"
+        code, _ = run_cli(["solve", "--capital-n", "12", "--n", "6", "--c", "1.3",
+                           "--dump-psi", str(path)])
         assert code == 0
-        lines = path.read_text().splitlines()
-        assert len(lines) == math.comb(6, 2)
-        idx, re_part, im_part = lines[3].split()
-        assert idx == "3"
-        float(re_part), float(im_part)
+        (psi,) = [prediction.psi for prediction in predictions]
+        assert len(psi) == math.comb(12, 6)
+        assert path.read_bytes() == "".join(
+            f"{k} {z.real:.17g} {z.imag:.17g}\n" for k, z in enumerate(psi)).encode()
 
 
 SWEEP_C = (0.1, 0.5, 1.0, math.sqrt(2.0), 2.0, 2.5)
@@ -836,8 +841,10 @@ class TestDumpMatrixCommand:
     (["spectrum", "--capital-n", "25000", "--n", "1", "--kind", "hamiltonian"],
      "spectrum at N = 25000, n = 1 needs about 50 GB, past the 3.2 GB budget of "
      "dense cap 20000"),
+    # the sector and operator, 80 N dim bytes, and the dense block written, 8 dim^2
     (["dump-matrix", "--capital-n", "40", "--n", "9", "--out", "/dev/null"],
-     "sector dimension 273438880 exceeds dense cap 20000"),
+     "dump-matrix at N = 40, n = 9 needs about 5.98e+08 GB, past the 3.2 GB budget of "
+     "dense cap 20000"),
     # the widest sector's 4862 orbits: momentum blocks of about 24 N R^2 bytes
     (["partition", "--capital-n", "19", "--m", "2"],
      "partition at N = 19 needs about 10.8 GB, past the 3.2 GB budget of dense cap 20000"),
@@ -845,7 +852,7 @@ class TestDumpMatrixCommand:
     (["partition", "--capital-n", "15", "--m", "15", "--bruteforce"],
      "torus counts on 15 x 15 may exceed int64"),
 ], ids=["spectrum-budget", "spectrum-hamiltonian-budget", "spectrum-long-ring-budget",
-        "dump-matrix-dense-cap",
+        "dump-matrix-budget",
         "partition-dense-cap", "partition-enumeration-cap"])
 def test_caps_checked_before_the_sector(argv, message, monkeypatch, capsys):
     refuse_sectors(monkeypatch)
@@ -872,7 +879,8 @@ def test_partition_budget_counts_momentum_blocks(monkeypatch, capsys):
     ["spectrum", "--capital-n", "20000", "--n", "10000"],
     ["partition", "--capital-n", "1000000", "--m", "1"],
     ["solve", "--capital-n", "20000", "--n", "10000"],
-], ids=["spectrum", "partition", "solve"])
+    ["dump-matrix", "--capital-n", "20000", "--n", "10000", "--out", "/dev/null"],
+], ids=["spectrum", "partition", "solve", "dump-matrix"])
 def test_huge_sectors_refused_by_their_bound(argv, monkeypatch, capsys):
     refuse_sectors(monkeypatch)
     start = time.perf_counter()
@@ -882,6 +890,36 @@ def test_huge_sectors_refused_by_their_bound(argv, monkeypatch, capsys):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_dump_matrix_plans_the_sector_it_reads(monkeypatch, capsys):
+    # 3000 rows fit a dense cap of 3000, but H's (N, dim) rank tables do not: the
+    # sector and operator take about 0.72 GB, as spectrum plans them, past 0.072 GB
+    refuse_sectors(monkeypatch)
+    monkeypatch.setenv("BETHE6V_DIM_CAP", "3000")
+    code, out = run_cli(["dump-matrix", "--capital-n", "3000", "--n", "1", "--c", "1.3",
+                         "--kind", "hamiltonian", "--out", "/dev/null"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: dump-matrix at N = 3000, n = 1 needs about 0.792 GB, past the 0.072 GB "
+        "budget of dense cap 3000\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--capital-n", "6", "--n", "2"], "solve at N = 6, n = 2 needs about 7.2e-06"),
+    (["spectrum", "--capital-n", "6", "--n", "3"],
+     "spectrum at N = 6, n = 3 needs about 1.12e-05"),
+    (["dump-matrix", "--capital-n", "6", "--n", "3", "--out", "/dev/null"],
+     "dump-matrix at N = 6, n = 3 needs about 1.28e-05"),
+    (["partition", "--capital-n", "6", "--m", "2"], "partition at N = 6 needs about 1.6e-06"),
+], ids=["solve", "spectrum", "dump-matrix", "partition"])
+def test_every_refusal_is_in_bytes(argv, message, monkeypatch, capsys):
+    # one rule for every command: a dense cap of 5 leaves 200 bytes
+    refuse_sectors(monkeypatch)
+    monkeypatch.setenv("BETHE6V_DIM_CAP", "5")
+    assert run_cli(argv + ["--c", "1.0"]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {message} GB, past the 2e-07 GB budget of dense cap 5\n")
 
 
 @pytest.mark.parametrize("argv", [
