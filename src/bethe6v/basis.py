@@ -8,8 +8,8 @@ This module is the one place that knows the state encoding: a sector holds
 its states as position, occupancy and bitmask arrays, and ``ranks`` is the
 one route from states back to their indices; ``toggled_ranks`` and
 ``swapped_ranks`` give the indices of the states one site flip or one bond
-swap away, by colex arithmetic on the sector's own positions, and
-``orbits`` the translation orbits.
+swap away, by one walk over the sites that carries each state's running
+colex sums, and ``orbits`` the translation orbits.
 """
 
 from __future__ import annotations
@@ -55,10 +55,11 @@ class SectorIndex:
         packed = np.packbits(occupied, axis=1, bitorder="little")
         masks = np.zeros((dim, 8 * ((N + 63) // 64)), dtype=np.uint8)
         masks[:, :packed.shape[1]] = packed
-        # C(q, k) for k <= n + 1, clipped where no rank of sectors n and n +- 1 reaches
+        # C(q, k) for k <= n + 2, clipped where no rank of sectors n and n +- 1 reaches;
+        # toggled_ranks reads column j + 2 of every state, and keeps it where j < n
         cap = max(dim, comb(N, n + 1), comb(N, n - 1) if n else 0)
-        table = [[min(comb(q, k), cap) for k in range(n + 2)] for q in range(N)]
-        table = np.array(table, dtype=np.int64).reshape(N, n + 2)
+        table = [[min(comb(q, k), cap) for k in range(n + 3)] for q in range(N)]
+        table = np.array(table, dtype=np.int64).reshape(N, n + 3)
         # read-only: consumers share one sector across blocks
         for name, value in (("positions", positions), ("occupied", occupied),
                             ("masks", masks.view("<u8")), ("_colex_table", table)):
@@ -80,49 +81,46 @@ class SectorIndex:
         """(N, dim) ranks of the states with one site toggled, row i - 1 for site i.
 
         An empty site i is filled, giving a state of sector n + 1; an occupied
-        one is emptied, giving one of sector n - 1.  With j the occupied
-        sites left of i, filling i moves x_(j+1)..x_n up one index in the
-        colex sum and adds C(i - 1, j + 1); emptying i = x_(j+1) moves
-        x_(j+2)..x_n down one.  Prefix sums of the kept, raised and lowered
-        terms give every rank at once, with no other sector enumerated.
+        one is emptied, giving one of sector n - 1.  A walk over the sites
+        keeps each state's count j of occupied sites passed and two colex
+        sums: the terms of x_1..x_j plus those of x_(j+1)..x_n one index up
+        (``fill``) or one down (``empty``).  Filling i gives
+        fill + C(i - 1, j + 1), emptying i = x_(j+1) gives empty - C(i - 1, j),
+        and passing it moves its term C(i - 1, j + 1) into the kept ones.
         """
-        N, n, dim, table = self.N, self.n, self.dim, self._colex_table
-        k = np.arange(1, n + 1)[:, None]
-        below = self.positions.T - 1
-        zero = np.zeros((1, dim), dtype=np.int64)
-        # kept[j]: the terms of x_1..x_j; raised[j]: those of x_(j+1)..x_n one
-        # index up; lowered[j]: those of x_(j+2)..x_n one index down
-        kept = np.cumsum(np.vstack([zero, table[below, k]]), axis=0)
-        raised = np.cumsum(np.vstack([table[below, k + 1], zero])[::-1], axis=0)[::-1]
-        lowered = np.cumsum(np.vstack([table[below[1:], k[:-1]], zero])[::-1], axis=0)[::-1]
-        # rows j < n + 2: site empty, j occupied on its left; rows n + 2 + j:
-        # site occupied; the filled site's own term C(i - 1, j + 1) is added
-        # from ``filled``, zero on occupied rows
-        tail = np.vstack([kept + raised, zero, kept[:-1] + lowered, zero])
-        filled = np.hstack([table[:, 1:], np.zeros((N, n + 2), dtype=np.int64)])
-        occupied = self.occupied.T
-        row = np.cumsum(occupied, axis=0)  # sites up to i occupied: j, or j + 1 if i is
-        row += (n + 1) * occupied
-        return tail[row, np.arange(dim)] + filled[np.arange(N)[:, None], row]
+        table, dim = self._colex_table, self.dim
+        fill, empty, j = np.zeros((3, dim), dtype=np.int64)
+        for k, x in enumerate(self.positions.T, 1):
+            fill += table[x - 1, k + 1]
+            empty += table[x - 1, k - 1]
+        out = np.empty((self.N, dim), dtype=np.int64)
+        for site, occupied, row in zip(out, self.occupied.T, table):
+            below, here = row.take(j), row[1:].take(j)
+            site[:] = np.where(occupied, empty - below, fill + here)
+            fill += (here - row[2:].take(j)) * occupied
+            empty += (here - below) * occupied
+            j += occupied
+        return out
 
     def swapped_ranks(self) -> np.ndarray:
         """(N, dim) ranks of the states with the arrows of sites i and i + 1 swapped.
 
         Row i - 1 is the bond (i, i + 1), site 1 following site N; where the
-        two arrows agree the entry is dim.  On an open bond the moving
-        particle keeps its index k = j + 1, j the occupied sites left of i,
-        so the rank moves by C(i, k) - C(i - 1, k) = C(i - 1, j), up when it
-        moves right.  The bond (N, 1) reorders the positions, so its states
-        are ranked directly.
+        two arrows agree the entry is dim.  A walk over the open bonds keeps
+        the count j of occupied sites left of i: the moving particle keeps its
+        index k = j + 1, so the rank moves by C(i, k) - C(i - 1, k) = C(i - 1, j),
+        up when it moves right.  The bond (N, 1) reorders the positions, so
+        its states are ranked directly.
         """
         N, dim = self.N, self.dim
-        occupied = self.occupied.T
-        hops = occupied != np.concatenate([occupied[1:], occupied[:1]])
-        left = np.cumsum(occupied[:-1], axis=0) - occupied[:-1]
-        step = self._colex_table[np.arange(N - 1)[:, None], left]
+        states, j = np.arange(dim), np.zeros(dim, dtype=np.int64)
+        occupied = self.occupied.T.view(np.int8)
         out = np.full((N, dim), dim)
-        out[:-1] = np.where(hops[:-1], np.arange(dim) + np.where(occupied[:-1], step, -step), dim)
-        wrap = np.flatnonzero(hops[-1])
+        for bond, left, right, row in zip(out, occupied, occupied[1:], self._colex_table):
+            sign = left - right  # +1 hops right, -1 left, 0 no hop
+            np.copyto(bond, states + sign * row.take(j), where=sign != 0)
+            j += left
+        wrap = np.flatnonzero(occupied[-1] != occupied[0])
         swapped = self.positions[wrap]
         swapped = np.where(swapped == N, 1, np.where(swapped == 1, N, swapped))
         out[-1, wrap] = self.ranks(np.sort(swapped, axis=1))

@@ -43,7 +43,7 @@ def _log_blocks(N: int, n: int) -> float:  # R ~ C(N, n) / N orbits: 24 N R^2 by
 
 
 def check_sector(command: str, N: int, n: int, blocks: bool = False, dense: bool = False) -> None:
-    """Refuse a sector's arrays, 80 N C(N, n) bytes (66-81 measured), with its momentum
+    """Refuse a sector's arrays, 80 N C(N, n) bytes (50-59 measured), with its momentum
     blocks if ``blocks`` and its dense block, 8 C(N, n)^2 bytes, if ``dense``."""
     log_dim = _log_comb(N, n)
     _check_bytes(f"{command} at N = {N}, n = {n}",

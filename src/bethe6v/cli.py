@@ -181,8 +181,8 @@ def _match_level(rep: Report, sector, a: Anisotropy, checks) -> list[str]:
 def _cmd_solve(args) -> tuple[Report, int]:
     a = Anisotropy(args.c)
     N, n = args.N, args.n
-    if N < 1 or n < 0 or 2 * n > N:
-        raise ValueError(f"need N >= 1 and 0 <= n <= N/2, got n = {n}, N = {N}")
+    if N < 2 or n < 0 or 2 * n > N:  # H's chain needs a bond
+        raise ValueError(f"need N >= 2 and 0 <= n <= N/2, got n = {n}, N = {N}")
     caps.check_sector("solve", N, n)  # before the n quantum numbers are even made
     try:
         qn = (_parse_quantum_numbers(args.quantum_numbers) if args.quantum_numbers

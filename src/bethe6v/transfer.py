@@ -132,7 +132,8 @@ def transfer_operator(sector: SectorIndex, a: Anisotropy) -> TransferOperator:
     np.multiply(occupied, dim, out=maps[:, 0])
     maps[:, 0] += np.arange(dim)
     np.multiply(occupied, up, out=maps[:, 1])
-    maps[:, 1] += sector.toggled_ranks() + 2 * dim
+    maps[:, 1] += sector.toggled_ranks()
+    maps[:, 1] += 2 * dim
     return TransferOperator(sector, a.c, maps, 2 * dim + up + down)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,7 +98,9 @@ class TestEnumerate:
 class TestNeighbourRanks:
     """Colex arithmetic against the ranks of the neighbouring sectors."""
 
-    SECTORS = [(N, n) for N in range(1, 10) for n in range(N + 1)] + [(20, 2), (20, 18)]
+    # (30, 2) clips C(29, 4) = 23751 to 4060 in the colex table: no rank may read it
+    SECTORS = ([(N, n) for N in range(1, 10) for n in range(N + 1)]
+               + [(20, 2), (20, 18), (30, 2), (30, 28)])
 
     def test_toggled_ranks(self):
         for N, n in self.SECTORS:
@@ -124,6 +127,20 @@ class TestNeighbourRanks:
                     else:
                         other = np.array([sorted(set(state) ^ bond)])
                         assert swapped[site - 1, s] == sector.ranks(other)[0], (N, n, state)
+
+    @pytest.mark.parametrize("N, n", [(16, 8), (30, 2)])
+    @pytest.mark.parametrize("table", ["toggled_ranks", "swapped_ranks"])
+    def test_tables_hold_little_past_their_result(self, N, n, table):
+        # the walk keeps O(dim) scratch beside its (N, dim) int64 result
+        sector = enumerate_sector(N, n)
+        tracemalloc.start()
+        try:
+            result = getattr(sector, table)()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.shape == (N, sector.dim) and result.dtype == np.int64
+        assert peak <= 3 * result.nbytes, (peak, result.nbytes)
 
 
 class TestOrbits:

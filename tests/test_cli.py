@@ -216,6 +216,15 @@ class TestSolveCommand:
             f"error: solve at N = {N}, n = {n} needs about {size} GB, "
             "past the 3.2 GB budget of dense cap 20000\n")
 
+    def test_single_site_refused_before_the_solve(self, monkeypatch, capsys):
+        # the chain of one site has no bond for H: refused before any work
+        refuse_sectors(monkeypatch)
+        monkeypatch.setattr("bethe6v.cli.solve", lambda *args: pytest.fail("Newton solve ran"))
+        code, out = run_cli(["solve", "--capital-n", "1", "--n", "0", "--c", "1.0"])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: need N >= 2 and 0 <= n <= N/2, got n = 0, N = 1\n")
+
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 1.92 GiB for an array", "Unable to allocate 1.92 GiB for an array"),
         ("", "out of memory"),  # the interpreter's own MemoryError carries no text
