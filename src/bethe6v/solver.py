@@ -39,6 +39,11 @@ clamp and is reported non-converged by design.  Once 1e-12 is met a few more
 full Newton steps polish the root toward machine precision: downstream
 eigenvector residuals amplify root error by roughly the spectral radius, so
 stopping right at 1e-12 would waste most of the available accuracy.
+
+`solve` returns the root and its counters only.  The Jacobian's condition
+number, an n x n matrix and an O(n^3) inverse, is left to the report's
+first read of ``jacobian_condition_estimate``, so a mirrored solve never
+forms an n x n quantity.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -119,22 +125,38 @@ class SolveReport:
     ``iterations`` counts accepted steps, polish steps included;
     ``step_halvings`` counts every halving of the line search and
     ``polish_steps`` the accepted full steps after 1e-12 was met.
+    ``jacobian_condition_estimate`` is the 1-norm condition number of
+    `log_equations`' full n x n Jacobian at the momenta (1.0 at n = 0, inf
+    where it cannot be formed or is singular); it is computed once, on its
+    first read, from ``N`` and ``quantum_numbers``.
     """
 
     momenta: MomentumSet
     iterations: int
     final_residual: float
     converged: bool
-    jacobian_condition_estimate: float
+    N: int
+    quantum_numbers: QuantumNumbers
     degenerate: bool = False
     step_halvings: int = 0
     polish_steps: int = 0
+
+    @cached_property
+    def jacobian_condition_estimate(self) -> float:
+        if self.quantum_numbers.n == 0:
+            return 1.0
+        _, jacobian = log_equations(self.N, self.quantum_numbers, self.momenta.anisotropy)
+        try:
+            return float(np.linalg.cond(jacobian(self.momenta.as_array()), 1))
+        except (np.linalg.LinAlgError, DomainError):
+            return math.inf
 
 
 def log_equations(N: int, qn: QuantumNumbers, a: Anisotropy):
     """Residual and analytic-Jacobian callables for the logarithmic equations
     in all n unknowns: the route of label sets that are not mirrored, the
-    condition number's Jacobian and the full-system oracle."""
+    Jacobian of `SolveReport.jacobian_condition_estimate` (formed only when
+    that is read) and the full-system oracle."""
     targets = 2.0 * math.pi * qn.as_array()
     n = qn.n
 
@@ -304,7 +326,7 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
     if 2 * n > N:
         raise ValueError(f"need n <= N/2, got n = {n}, N = {N}")
     if n == 0:
-        return SolveReport(MomentumSet((), a), 0, 0.0, True, 1.0)
+        return SolveReport(MomentumSet((), a), 0, 0.0, True, N, qn)
 
     hw = a.domain_halfwidth
     p = _initial_guess(N, qn, a)
@@ -322,15 +344,10 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
         -hw + _DOMAIN_MARGIN, hw - _DOMAIN_MARGIN)
     p = expand(x)
 
-    try:
-        cond = float(np.linalg.cond(log_equations(N, qn, a)[1](p), 1))
-    except (np.linalg.LinAlgError, DomainError):
-        cond = math.inf
-
     degenerate = False
     try:
         momenta = MomentumSet(tuple(p), a)
     except DegenerateMomentaError:
         momenta = MomentumSet.relaxed(tuple(p), a)
         degenerate = True
-    return SolveReport(momenta, iterations, res, converged, cond, degenerate, halvings, polished)
+    return SolveReport(momenta, iterations, res, converged, N, qn, degenerate, halvings, polished)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,12 @@ import pytest
 import bethe6v.cli
 from bethe6v import (
     Anisotropy,
+    QuantumNumbers,
     build_psi,
     enumerate_sector,
     ground_state_quantum_numbers,
     identity_suite,
+    log_equations,
     log_polynomial,
     match_eigenvalue,
     momentum_spectra,
@@ -88,6 +91,19 @@ class TestSolveCommand:
         )
         assert code == 0
         assert parse_report(out)["param.quantum_numbers"] == "-1/2,1/2"
+
+    @pytest.mark.parametrize("argv", [["solve", "--capital-n", "12", "--n", "5", "--c", "1.3"],
+                                      EXCITED], ids=["ground", "labels"])
+    def test_condition_estimate_is_the_full_jacobians(self, argv):
+        code, out = run_cli(argv)
+        assert code == 0
+        rep = parse_report(out)
+        N, n, a = int(rep["param.N"]), int(rep["param.n"]), Anisotropy(float(rep["param.c"]))
+        qn = QuantumNumbers(tuple(Fraction(v) for v in rep["param.quantum_numbers"].split(",")))
+        p = np.array([float(rep[f"momentum.{k}"]) for k in range(n)])
+        _, jacobian = log_equations(N, qn, a)
+        cond = float(np.linalg.cond(jacobian(p), 1))
+        assert rep["solver.jacobian_condition_estimate"] == format(cond, ".17g")
 
     def test_rejects_overfilled_sector(self):
         code, _ = run_cli(["solve", "--capital-n", "4", "--n", "3", "--c", "1.0"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,6 +16,46 @@ from bethe6v import (
     transfer_eigenvalue,
 )
 from bethe6v.functions import ZERO_MOMENTUM_TOL, theta
+
+
+def _edge_excitation():
+    """The ground labels of n = N/2 - 2 with the edge excitation I_n -> I_n + 1."""
+    N, n = 16, 6
+    labels = list(ground_state_quantum_numbers(n).values)
+    labels[-1] += 1
+    return N, QuantumNumbers(tuple(labels)), Anisotropy(1.3)
+
+
+def _record_kernels(monkeypatch):
+    """Record (name, shape) of every S and d1 theta kernel and every
+    np.linalg.cond evaluated from here on."""
+    kernels = []
+
+    def recording(name, fn):
+        def wrapped(x, y, *rest):
+            kernels.append((name, np.broadcast(np.asarray(x), np.asarray(y)).shape))
+            return fn(x, y, *rest)
+        return wrapped
+
+    kernel = recording("scattering_kernel", functions.scattering_kernel)
+    monkeypatch.setattr(functions, "scattering_kernel", kernel)
+    monkeypatch.setattr(solver, "scattering_kernel", kernel)
+    monkeypatch.setattr(solver, "theta_partial_1",
+                        recording("theta_partial_1", functions.theta_partial_1))
+    monkeypatch.setattr(np.linalg, "cond", recording("cond", np.linalg.cond))
+    return kernels
+
+
+def _assert_condition_read_once(report, kernels, n):
+    """The first read of the condition number forms the full n x n Jacobian
+    (one d1 theta kernel and its S) and inverts it; a second read evaluates nothing."""
+    kernels.clear()
+    cond = report.jacobian_condition_estimate
+    assert kernels == [("theta_partial_1", (n, n)), ("scattering_kernel", (n, n)),
+                       ("cond", (n, n))], kernels
+    kernels.clear()
+    assert report.jacobian_condition_estimate == cond
+    assert kernels == []
 
 
 class TestQuantumNumbers:
@@ -166,6 +207,28 @@ class TestSolve:
         jac = jacobian(report.momenta.as_array())
         assert report.jacobian_condition_estimate == np.linalg.cond(jac, 1)
 
+    def test_condition_estimate_of_no_momenta(self, monkeypatch):
+        kernels = _record_kernels(monkeypatch)
+        report = solve(6, ground_state_quantum_numbers(0), Anisotropy(1.0))
+        assert report.jacobian_condition_estimate == 1.0
+        assert kernels == []
+
+    def test_condition_estimate_of_full_route(self):
+        N, qn, a = _edge_excitation()
+        report = solve(N, qn, a)
+        assert report.converged
+        _, jacobian = log_equations(N, qn, a)
+        jac = jacobian(report.momenta.as_array())
+        assert report.jacobian_condition_estimate == np.linalg.cond(jac, 1)
+
+    def test_replaced_report_reads_the_same_estimate(self):
+        # a report rebuilt by dataclasses.replace keeps N and the labels, so it
+        # computes the same estimate afresh
+        report = solve(16, ground_state_quantum_numbers(8), Anisotropy(1.0))
+        replaced = dataclasses.replace(report, degenerate=True)
+        assert replaced.degenerate and replaced.momenta is report.momenta
+        assert replaced.jacobian_condition_estimate == report.jacobian_condition_estimate
+
 
 class TestMirrorRoute:
     """Labels with values[j] == -values[n-1-j] are solved on the n // 2 unknowns
@@ -198,41 +261,27 @@ class TestMirrorRoute:
         # past 1e-12 only where the line search stalled within rounding
         assert full <= max(1e-12, solver._rounding_floor(N, qn, a, p)), (full, report)
 
-    @staticmethod
-    def _kernel_shapes(monkeypatch):
-        shapes = []
-        kernel = functions.scattering_kernel
-
-        def recording(x, y, a):
-            shapes.append(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-            return kernel(x, y, a)
-
-        monkeypatch.setattr(functions, "scattering_kernel", recording)
-        monkeypatch.setattr(solver, "scattering_kernel", recording)
-        return shapes
-
     @pytest.mark.parametrize("N, n, c", [(14, 7, 1.0), (64, 32, 0.5), (512, 256, 0.505)],
                              ids=["odd", "even", "stall"])
     def test_mirrored_labels_evaluate_half_blocks(self, monkeypatch, N, n, c):
-        shapes = self._kernel_shapes(monkeypatch)
+        kernels = _record_kernels(monkeypatch)
         report = solve(N, ground_state_quantum_numbers(n), Anisotropy(c))
         assert report.converged
         assert (report.final_residual > 1e-12) == (N == 512)  # the stall takes the floor
-        # every kernel but the last (the condition number's full Jacobian)
-        # has at most ceil(n/2) of the n rows
-        assert shapes[-1] == (n, n)
-        assert shapes[:-1] and all(rows <= n - n // 2 and cols == n
-                                   for rows, cols in shapes[:-1]), shapes
+        # every kernel has at most ceil(n/2) of the n rows, and nothing is inverted
+        assert kernels and all(name != "cond" and shape[0] <= n - n // 2 and shape[1] == n
+                               for name, shape in kernels), kernels
+        _assert_condition_read_once(report, kernels, n)
 
     def test_other_labels_evaluate_full_blocks(self, monkeypatch):
-        # the ground labels of n = N/2 - 2 with the edge excitation I_n -> I_n + 1
-        N, n = 16, 6
-        labels = list(ground_state_quantum_numbers(n).values)
-        labels[-1] += 1
-        shapes = self._kernel_shapes(monkeypatch)
-        report = solve(N, QuantumNumbers(tuple(labels)), Anisotropy(1.3))
+        N, qn, a = _edge_excitation()
+        n = qn.n
+        kernels = _record_kernels(monkeypatch)
+        report = solve(N, qn, a)
         assert report.converged
-        assert shapes and set(shapes) == {(n, n)}
+        assert kernels and {shape for _, shape in kernels} == {(n, n)}
+        assert all(name != "cond" for name, _ in kernels), kernels
+        _assert_condition_read_once(report, kernels, n)
 
 
 class TestInitialGuess:
