@@ -8,9 +8,13 @@ mu = 0 for delta <= -1.  The scattering kernel
 
 has Re S = cos x + cos y - 2*delta > 0 throughout D x D, so the continuous
 scattering phase with value 0 at the origin is obtained from principal
-arguments with no winding correction.  Positivity is asserted at every
-evaluation; a violation raises DomainError rather than returning a value
-from an uncertified branch.
+arguments with no winding correction.  theta and its partial certify every
+kernel they use: since rounding is monotone, fl(fl(min cos x + min cos y)
+- 2*delta) bounds every Re S from below in O(n) on an n x n grid, and only
+when that bound falls below the kernel floor 1e-12 is each entry checked
+(Re S > 0 and |S| >= 1e-12).  A violation, or a NaN from a non-finite
+momentum, raises DomainError rather than returning a value from an
+uncertified branch.
 
 All functions broadcast over numpy arrays and return plain scalars for
 scalar input.
@@ -123,26 +127,41 @@ def _log_sum_exp(logs) -> float:
     return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
+def _kernel(x, y, a):
+    """S(x, y) = exp(-ix) + exp(iy) - 2*delta and a lower bound on every Re S.
+
+    exp(-ix) and exp(iy) are taken on x and y before they broadcast, so the
+    bound costs O(len x + len y): rounding is monotone, so
+    fl(fl(min cos x + min cos y) - 2*delta) is at most every Re S, which numpy
+    sums as fl(fl(cos x + cos y) - 2*delta).  It is NaN when a cosine is.
+    """
+    ex = np.exp(-1j * np.asarray(x, dtype=float))
+    ey = np.exp(1j * np.asarray(y, dtype=float))
+    two_delta = 2.0 * a.delta
+    low = np.min(ex.real, initial=np.inf) + np.min(ey.real, initial=np.inf) - two_delta
+    return ex + ey - two_delta, low
+
+
 def scattering_kernel(x, y, a: Anisotropy):
     """S(x, y) = exp(-ix) + exp(iy) - 2*delta; swapping arguments conjugates it."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    val = np.exp(-1j * x) + np.exp(1j * y) - 2.0 * a.delta
-    return _as_scalar(val)
+    return _as_scalar(_kernel(x, y, a)[0])
 
 
 def _certified_kernel(x, y, a):
     """S(x, y), checked to lie in the right half-plane away from zero.
 
+    A lower bound on Re S at or past the kernel floor certifies every entry
+    at once; only below it is each entry checked, and a NaN fails that check.
     Callers take S(y, x) as its conjugate: the two differ only in the sign
     of the imaginary part, and numpy computes them bit for bit conjugate.
     """
-    s_xy = np.asarray(scattering_kernel(x, y, a))
-    if np.any(s_xy.real <= 0.0):
-        raise DomainError("scattering kernel left the right half-plane; branch uncertified")
-    if np.any(np.abs(s_xy) < _KERNEL_FLOOR):
-        raise DomainError("scattering kernel vanished; branch uncertified")
-    return s_xy
+    s, low = _kernel(x, y, a)
+    if not low >= _KERNEL_FLOOR:
+        if not np.all(s.real > 0.0):
+            raise DomainError("scattering kernel left the right half-plane; branch uncertified")
+        if np.any(np.abs(s) < _KERNEL_FLOOR):
+            raise DomainError("scattering kernel vanished; branch uncertified")
+    return s
 
 
 def theta(x, y, a: Anisotropy):

@@ -25,13 +25,16 @@ starts at 2 pi I_j / N, shrunk into the domain.
 
 Iterates are clamped strictly inside the momentum interval (the phase is
 undefined outside) and each step is halved until the max-norm residual
-decreases, aiming at 1e-12 within 200 steps.  A trial that rounds to the
-iterate bit for bit is not evaluated: every shorter step rounds to it too,
-so its halvings down to 2^-20 are counted without evaluation.  A step
-halved down to 2^-20 that still does not decrease it ends the iteration at
-its best iterate: a root iff its residual is within the equations' rounding
-floor, which grows with N and n past 1e-12; else the trial left the domain
-or no root is near.
+decreases, aiming at 1e-12 within 200 steps.  A full step that does not
+decrease it at an iterate already within the equations' rounding floor,
+which grows with N and n past 1e-12, ends the iteration there, converged:
+rounding explains the residual, and no halving or polish is tried.  The
+floor is computed only then, once per failed full step.  A trial that
+rounds to the iterate bit for bit is not evaluated: every shorter step
+rounds to it too, so its halvings down to 2^-20 are counted without
+evaluation.  A step halved down to 2^-20 that still does not decrease the
+residual ends the iteration at its best iterate, not converged: it is above
+the floor, so the trial left the domain or no root is near.
 Non-convergence is reported, never raised.  The domain is open (the phase
 is undefined on its closure), so a label set whose root lies on the edge,
 such as N = 6, I = 1 at c = 1 (2 pi / 6 = pi - mu), stalls against the
@@ -122,7 +125,8 @@ def ground_state_quantum_numbers(n: int) -> QuantumNumbers:
 class SolveReport:
     """The root and how the iteration got there.
 
-    ``iterations`` counts accepted steps, polish steps included;
+    ``iterations`` counts Newton steps, a last one that failed included, and
+    accepted polish steps;
     ``step_halvings`` counts every halving of the line search and
     ``polish_steps`` the accepted full steps after 1e-12 was met.
     ``jacobian_condition_estimate`` is the 1-norm condition number of
@@ -275,26 +279,33 @@ def _newton(x, residual, jacobian, floor, lo, hi):
         alpha = 1.0
         while True:
             trial = np.clip(x + alpha * step, lo, hi)
-            if np.array_equal(trial, x):
-                # every shorter step rounds to x too: count its halvings down
-                # to the floor without evaluating the iterate's residual again
-                halvings += round(math.log2(alpha / _STEP_FLOOR))
-                res_trial = res
-                break
+            rounded = np.array_equal(trial, x)
             try:
-                f_trial = residual(trial)
+                f_trial = f if rounded else residual(trial)
                 res_trial = float(np.max(np.abs(f_trial)))
             except DomainError:
                 res_trial = math.inf
-            if res_trial < res or alpha <= _STEP_FLOOR:
+            if res_trial < res:
+                break
+            if alpha == 1.0 and res <= floor(x):
+                # rounding explains the residual: x is a root, and no shorter
+                # step is worth evaluating
+                converged = True
+                break
+            if rounded:
+                # every shorter step rounds to x too: count its halvings down
+                # to the step floor without evaluating the residual again
+                halvings += round(math.log2(alpha / _STEP_FLOOR))
+                break
+            if alpha <= _STEP_FLOOR:
                 break
             alpha *= 0.5
             halvings += 1
         if not res_trial < res:
-            # stalled at the step floor (or off the domain): the best iterate
-            # is a root iff rounding explains its residual; the full step just
-            # tried failed, so polishing cannot lower it
-            converged, polish = res <= floor(x), 0
+            # a root within the rounding floor, or stalled above it at the
+            # step floor (or off the domain); the full step failed, so
+            # polishing cannot lower the residual
+            polish = 0
             break
         x, f, res = trial, f_trial, res_trial
         converged = res <= _TOL

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bethe6v import functions
 from bethe6v import (
     Anisotropy,
     DegenerateMomentaError,
@@ -204,6 +205,71 @@ class TestOneKernelPerPair:
         a = Anisotropy(0.5)
         with pytest.raises(DomainError):
             theta_partial_1(2.0, 2.0, a)
+
+
+class TestKernelCertificate:
+    """theta and d1 theta refuse exactly the points an entry-by-entry check of
+    Re S > 0 and |S| >= 1e-12 refuses, although a lower bound on Re S taken
+    from the smallest cosines settles most calls."""
+
+    @staticmethod
+    def refused_by_entries(x, y, a):
+        s = np.asarray(scattering_kernel(x, y, a))
+        return not (np.all(s.real > 0.0) and np.all(np.abs(s) >= 1e-12))
+
+    @staticmethod
+    def refused(fn, x, y, a):
+        try:
+            fn(x, y, a)
+        except DomainError:
+            return True
+        return False
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(8)
+        for c in (1e-6, 0.1, 0.5, 1.0, 1.3, math.sqrt(2.0), 2.5):
+            a = Anisotropy(c)
+            hw = a.domain_halfwidth
+            for reach in (0.5, 0.999, 1.0, 1.2, 2.0):  # in units of the halfwidth
+                width = min(reach * hw, math.pi)
+                x = rng.uniform(-width, width, 12)
+                y = rng.uniform(-width, width, 9)
+                yield a, x[:, None], y                        # outer (rows, 1) x (n,)
+                yield a, *np.meshgrid(x, x, indexing="ij")    # same-shape grid
+                yield a, float(x[0]), float(y[0])             # scalars
+                yield a, float(x[1]), float(x[1])             # the diagonal
+
+    def test_refuses_exactly_what_entries_refuse(self):
+        outcomes = set()
+        for a, x, y in self.cases():
+            expected = self.refused_by_entries(x, y, a)
+            assert self.refused(theta, x, y, a) == expected, (a.c, x, y)
+            assert self.refused(theta_partial_1, x, y, a) == expected, (a.c, x, y)
+            outcomes.add((a.c == 1e-6, expected))
+        # refused and certified points both occur, also where the kernel vanishes
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_bound_is_below_every_real_part(self):
+        for a, x, y in self.cases():
+            s, low = functions._kernel(x, y, a)
+            assert low <= np.min(np.real(s)), (a.c, x, y)
+
+    def test_outside_the_domain_refused(self):
+        a = Anisotropy(1.0)  # Re S(2, 2) = 2 cos 2 - 1 < 0
+        x = np.array([0.1, 2.0])
+        for fn in (theta, theta_partial_1):
+            with pytest.raises(DomainError, match="left the right half-plane"):
+                fn(x[:, None], x, a)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_momenta_refused(self, bad):
+        a = Anisotropy(1.0)
+        for fn in (theta, theta_partial_1):
+            for x, y in ((bad, 0.1), (0.1, bad), (np.array([[0.2], [bad]]), np.array([0.1, 0.3]))):
+                # numpy warns on i * inf; what matters is the refusal
+                with np.errstate(invalid="ignore"), pytest.raises(DomainError):
+                    fn(x, y, a)
 
 
 class TestEigenvalueFactors:

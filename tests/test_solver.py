@@ -28,7 +28,8 @@ def _edge_excitation():
 
 def _record_kernels(monkeypatch):
     """Record (name, shape) of every S and d1 theta kernel and every
-    np.linalg.cond evaluated from here on."""
+    np.linalg.cond evaluated from here on.  Every S, certified or not, is
+    formed by functions._kernel."""
     kernels = []
 
     def recording(name, fn):
@@ -37,9 +38,7 @@ def _record_kernels(monkeypatch):
             return fn(x, y, *rest)
         return wrapped
 
-    kernel = recording("scattering_kernel", functions.scattering_kernel)
-    monkeypatch.setattr(functions, "scattering_kernel", kernel)
-    monkeypatch.setattr(solver, "scattering_kernel", kernel)
+    monkeypatch.setattr(functions, "_kernel", recording("_kernel", functions._kernel))
     monkeypatch.setattr(solver, "theta_partial_1",
                         recording("theta_partial_1", functions.theta_partial_1))
     monkeypatch.setattr(np.linalg, "cond", recording("cond", np.linalg.cond))
@@ -51,7 +50,7 @@ def _assert_condition_read_once(report, kernels, n):
     (one d1 theta kernel and its S) and inverts it; a second read evaluates nothing."""
     kernels.clear()
     cond = report.jacobian_condition_estimate
-    assert kernels == [("theta_partial_1", (n, n)), ("scattering_kernel", (n, n)),
+    assert kernels == [("theta_partial_1", (n, n)), ("_kernel", (n, n)),
                        ("cond", (n, n))], kernels
     kernels.clear()
     assert report.jacobian_condition_estimate == cond
@@ -163,7 +162,8 @@ class TestSolve:
         assert 1e-12 < report.final_residual < 1e-10
 
     def test_floor_judges_stalls_only(self, monkeypatch):
-        # a root that reaches 1e-12 never computes the rounding floor
+        # a root whose every full step lowers the residual down to 1e-12
+        # never computes the rounding floor
         def unexpected(*args):
             raise AssertionError("rounding floor computed without a stall")
 
@@ -173,12 +173,44 @@ class TestSolve:
             assert report.converged and report.final_residual <= 1e-12, (N, c)
 
     def test_line_search_counters(self):
-        # at N = 135, c = 0.1 one trial step is halved before it is accepted;
-        # at N = 128, c = 1.5 the root takes one polish step
-        for N, c, counters in ((135, 0.1, (5, 1, 0)), (128, 1.5, (3, 0, 1))):
-            r = solve(N, ground_state_quantum_numbers(N // 2), Anisotropy(c))
+        # at N = 24, c = 0.3 the labels (-3/2, -1/2) halve one trial step far
+        # above the rounding floor before it is accepted, and the root takes
+        # two polish steps; at N = 128, c = 1.5 the ground state takes one
+        # polish step; at N = 135, c = 0.1 its fifth full step fails within
+        # the floor, which ends the solve with no halving
+        ground = ground_state_quantum_numbers
+        for N, qn, c, counters in ((24, QuantumNumbers((Fraction(-3, 2), Fraction(-1, 2))), 0.3, (8, 1, 2)),
+                                   (128, ground(64), 1.5, (3, 0, 1)),
+                                   (135, ground(67), 0.1, (5, 0, 0))):
+            r = solve(N, qn, Anisotropy(c))
             assert r.converged
             assert (r.iterations, r.step_halvings, r.polish_steps) == counters, N
+
+    def test_failed_full_step_within_the_floor_ends_the_solve(self, monkeypatch):
+        # at (1024, 0.5) the fourth full step does not lower the residual of
+        # an iterate already within its rounding floor: the solve stops there,
+        # converged, without halving, polishing or evaluating a shorter step
+        calls = {"residual": 0, "jacobian": 0, "floor": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        def equations(*args):
+            expand, residual, jacobian = mirror(*args)
+            return expand, counted("residual", residual), counted("jacobian", jacobian)
+
+        mirror = solver._mirror_equations
+        monkeypatch.setattr(solver, "_mirror_equations", equations)
+        monkeypatch.setattr(solver, "_rounding_floor", counted("floor", solver._rounding_floor))
+        N, qn, a = 1024, ground_state_quantum_numbers(512), Anisotropy(0.5)
+        r = solve(N, qn, a)
+        assert r.converged
+        assert (r.iterations, r.step_halvings, r.polish_steps) == (4, 0, 0)
+        assert calls == {"residual": 5, "jacobian": 4, "floor": 1}
+        assert 1e-12 < r.final_residual <= solver._rounding_floor(N, qn, a, r.momenta.as_array())
 
     def test_stalled_step_evaluates_no_rounded_trial(self, monkeypatch):
         # the root 2 pi / 6 = pi - mu lies on the domain edge, so the second
