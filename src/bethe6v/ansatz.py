@@ -41,6 +41,7 @@ from .functions import (
     L_factor,
     M_factor,
     MomentumSet,
+    _phase_sums,
     scattering_kernel,
     theta,
     theta_partial_1,
@@ -209,10 +210,8 @@ def bethe_residual(m: MomentumSet, ring_size: int) -> np.ndarray:
     n = m.n
     if n == 0:
         return np.zeros(0, dtype=complex)
-    phases = np.asarray(theta(p[:, None], p[None, :], m.anisotropy))
-    phases = phases.reshape(n, n).sum(axis=1)
     sign = -1.0 if n % 2 == 0 else 1.0
-    return np.exp(1j * ring_size * p) - sign * np.exp(-1j * phases)
+    return np.exp(1j * ring_size * p) - sign * np.exp(-1j * _phase_sums(p, m.anisotropy))
 
 
 @dataclass(frozen=True)

@@ -109,21 +109,24 @@ class SectorIndex:
         two arrows agree the entry is dim.  A walk over the open bonds keeps
         the count j of occupied sites left of i: the moving particle keeps its
         index k = j + 1, so the rank moves by C(i, k) - C(i - 1, k) = C(i - 1, j),
-        up when it moves right.  The bond (N, 1) reorders the positions, so
-        its states are ranked directly.
+        up when it moves right.  On the bond (N, 1) a particle moving 1 -> N
+        lowers x_2..x_n's terms and adds C(N - 1, n); N -> 1 raises x_1..x_(n-1)'s.
         """
-        N, dim = self.N, self.dim
+        N, n, dim, table = self.N, self.n, self.dim, self._colex_table
         states, j = np.arange(dim), np.zeros(dim, dtype=np.int64)
         occupied = self.occupied.T.view(np.int8)
         out = np.full((N, dim), dim)
-        for bond, left, right, row in zip(out, occupied, occupied[1:], self._colex_table):
+        for bond, left, right, row in zip(out, occupied, occupied[1:], table):
             sign = left - right  # +1 hops right, -1 left, 0 no hop
             np.copyto(bond, states + sign * row.take(j), where=sign != 0)
             j += left
-        wrap = np.flatnonzero(occupied[-1] != occupied[0])
-        swapped = self.positions[wrap]
-        swapped = np.where(swapped == N, 1, np.where(swapped == 1, N, swapped))
-        out[-1, wrap] = self.ranks(np.sort(swapped, axis=1))
+        first = self.occupied[:, 0]
+        shift = np.where(first, -1, 1)
+        # every term moves by shift; take back x_1 = 1's C(0, 0) or x_n = N's C(N - 1, n + 1)
+        wrapped = np.where(first, table[N - 1, n] - 1, -table[N - 1, n + 1])
+        for k, x in enumerate(self.positions.T, 1):
+            wrapped += table[x - 1, k + shift]
+        np.copyto(out[-1], wrapped, where=occupied[-1] != occupied[0])
         return out
 
     def orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -181,6 +181,19 @@ def theta(x, y, a: Anisotropy):
     return _as_scalar(val)
 
 
+def _phase_sums(p: np.ndarray, a: Anisotropy) -> np.ndarray:
+    """sum_k theta(p_j, p_k) for every j.  An odd p == -p[::-1] takes theta on
+    the ceil(n/2) x n block of rows p[n//2:] alone: S(-x, -y) = conj S(x, y),
+    so the block certifies every pair, and theta(-x, -y) = -theta(x, y) bit
+    for bit makes row n-1-j's sum row j's reversed sum, negated.  Any other
+    p takes the full n x n grid."""
+    n = p.size
+    if not np.array_equal(p, -p[::-1]):
+        return theta(p[:, None], p[None, :], a).sum(axis=1)
+    phases = theta(p[n // 2:, None], p[None, :], a)
+    return np.concatenate((-phases[:, ::-1].sum(axis=1)[::-1], phases.sum(axis=1)[n % 2:]))
+
+
 def theta_partial_1(x, y, a: Anisotropy):
     """Partial derivative of theta in its first argument, in closed form.
 
@@ -193,7 +206,9 @@ def theta_partial_1(x, y, a: Anisotropy):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    half = (np.exp(-1j * x) / _certified_kernel(x, y, a)).real
+    # the quotient overwrites S: one (n, m) complex array per call, not two
+    s = np.asarray(_certified_kernel(x, y, a))
+    half = np.divide(np.exp(-1j * x), s, out=s).real
     val = -1.0 + half + half
     return _as_scalar(val)
 

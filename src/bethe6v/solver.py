@@ -15,8 +15,8 @@ the k = j term theta(p_j, p_j) vanishes identically, so
 A mirrored label set, values[j] = -values[n-1-j] (every ground state), has
 an odd root p = (-q reversed, [0] for odd n, q), so Newton runs on the
 n // 2 unknowns q alone, with every n x n quantity taken on the
-ceil(n/2) x n block of rows p[n//2:] (`_mirror_equations`).  Any other
-label set is solved on all n unknowns.
+ceil(n/2) x n block of rows p[n//2:] (`_mirror_equations`, and
+`functions._phase_sums` for the residual).  Other label sets use all n.
 
 A label set inside the half-filled sea (every |I_j| < N/4, as in every
 ground state) starts at its continuum root (Yang and Yang 1966; see
@@ -28,7 +28,7 @@ undefined outside) and each step is halved until the max-norm residual
 decreases, aiming at 1e-12 within 200 steps.  A full step that does not
 decrease it at an iterate already within the equations' rounding floor,
 which grows with N and n past 1e-12, ends the iteration there, converged:
-rounding explains the residual, and no halving or polish is tried.  The
+rounding explains the residual, and no halving or polish step is tried.  The
 floor is computed only then, once per failed full step.  A trial that
 rounds to the iterate bit for bit is not evaluated: every shorter step
 rounds to it too, so its halvings down to 2^-20 are counted without
@@ -38,10 +38,11 @@ the floor, so the trial left the domain or no root is near.
 Non-convergence is reported, never raised.  The domain is open (the phase
 is undefined on its closure), so a label set whose root lies on the edge,
 such as N = 6, I = 1 at c = 1 (2 pi / 6 = pi - mu), stalls against the
-clamp and is reported non-converged by design.  Once 1e-12 is met a few more
-full Newton steps polish the root toward machine precision: downstream
-eigenvector residuals amplify root error by roughly the spectral radius, so
-stopping right at 1e-12 would waste most of the available accuracy.
+clamp and is reported non-converged by design.  The loop's last phase
+polishes, since eigenvector residuals amplify root error by about the
+spectral radius: once 1e-12 is met, up to three full steps with no line
+search, each counted only if it lowers the residual; the first that does
+not ends the solve.
 
 `solve` returns the root and its counters only.  The Jacobian's condition
 number, an n x n matrix and an O(n^3) inverse, is left to the report's
@@ -59,7 +60,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMomentaError, DomainError
-from .functions import Anisotropy, MomentumSet, scattering_kernel, theta, theta_partial_1
+from .functions import (Anisotropy, MomentumSet, _phase_sums, scattering_kernel, theta,
+                        theta_partial_1)
 
 __all__ = [
     "QuantumNumbers",
@@ -158,15 +160,14 @@ class SolveReport:
 
 def log_equations(N: int, qn: QuantumNumbers, a: Anisotropy):
     """Residual and analytic-Jacobian callables for the logarithmic equations
-    in all n unknowns: the route of label sets that are not mirrored, the
-    Jacobian of `SolveReport.jacobian_condition_estimate` (formed only when
-    that is read) and the full-system oracle."""
+    in all n unknowns: the route of other label sets, the mirrored route's
+    residual, the Jacobian of `SolveReport.jacobian_condition_estimate`
+    (formed when that is read) and the full-system oracle."""
     targets = 2.0 * math.pi * qn.as_array()
     n = qn.n
 
     def residual(p: np.ndarray) -> np.ndarray:
-        phases = np.asarray(theta(p[:, None], p[None, :], a)).reshape(n, n)
-        return N * p - targets + phases.sum(axis=1)
+        return N * p - targets + _phase_sums(p, a)
 
     def jacobian(p: np.ndarray) -> np.ndarray:
         d1 = np.asarray(theta_partial_1(p[:, None], p[None, :], a)).reshape(n, n)
@@ -212,9 +213,9 @@ def _mirror_equations(N, qn, a):
     p = expand(q) = (-q reversed, [0.0] for odd n, q).  Every S(p_j, p_k) is
     then in the block of rows p[n//2:] or conjugate to one there, since
     S(-x, -y) = conj S(x, y), and theta(-x, -y) = -theta(x, y) bit for bit.
-    So the block, the zero-momentum row included for odd n, certifies every
-    pair, and summing its rows' phases forward and reversed gives the whole
-    F of `log_equations` at expand(q), bit for bit (row n-1-j negated).
+    The residual is `log_equations`' F at expand(q), whose phase sums
+    `functions._phase_sums` takes on that block alone (see there for the
+    rule), the zero-momentum row included for odd n.
     With D = d1 theta(q, p) and d1 theta(-x, -y) = d1 theta(x, y), the chain
     rule through p_{n-1-j} = -q_j folds the Jacobian onto h = n // 2 columns,
 
@@ -224,18 +225,13 @@ def _mirror_equations(N, qn, a):
     """
     n = qn.n
     h = n // 2
-    targets = 2.0 * math.pi * qn.as_array()[h:]
+    full_residual, _ = log_equations(N, qn, a)
 
     def expand(q: np.ndarray) -> np.ndarray:
         return np.concatenate((-q[::-1], np.zeros(n % 2), q))
 
     def residual(q: np.ndarray) -> np.ndarray:
-        p = expand(q)
-        phases = np.asarray(theta(p[h:, None], p[None, :], a)).reshape(n - h, n)
-        # row n-1-j's phases are row j's negated and reversed
-        lead = N * p[h:] - targets
-        return np.concatenate((-(lead + phases[:, ::-1].sum(axis=1))[::-1],
-                               (lead + phases.sum(axis=1))[n % 2:]))
+        return full_residual(expand(q))
 
     def jacobian(q: np.ndarray) -> np.ndarray:
         d1 = np.asarray(theta_partial_1(q[:, None], expand(q)[None, :], a)).reshape(h, n)
@@ -262,19 +258,20 @@ def _rounding_floor(N, qn, a, p, start=0):
 
 def _newton(x, residual, jacobian, floor, lo, hi):
     """Damped Newton from x; returns the best iterate, its residual, whether it
-    is a root, and the counters (iterations, halvings, polish steps)."""
+    is a root, and the counters (iterations, halvings, polish steps).  The
+    loop's last phase, once 1e-12 is met, polishes with full steps alone."""
     f = residual(x)
     res = float(np.max(np.abs(f)))
     rows = slice(f.size - x.size, None)  # the unknowns' rows: F's last x.size
     iterations = halvings = polished = 0
     converged = res <= _TOL
-    polish = 3
 
-    while not converged and iterations < _MAX_ITER:
-        iterations += 1
+    while iterations < _MAX_ITER and res > 0.0 and polished < 3:
+        polish = converged
         try:
             step = np.linalg.solve(jacobian(x), -f[rows])
         except (np.linalg.LinAlgError, DomainError):
+            iterations += not polish
             break
         alpha = 1.0
         while True:
@@ -285,7 +282,7 @@ def _newton(x, residual, jacobian, floor, lo, hi):
                 res_trial = float(np.max(np.abs(f_trial)))
             except DomainError:
                 res_trial = math.inf
-            if res_trial < res:
+            if res_trial < res or polish:
                 break
             if alpha == 1.0 and res <= floor(x):
                 # rounding explains the residual: x is a root, and no shorter
@@ -302,27 +299,13 @@ def _newton(x, residual, jacobian, floor, lo, hi):
             alpha *= 0.5
             halvings += 1
         if not res_trial < res:
-            # a root within the rounding floor, or stalled above it at the
-            # step floor (or off the domain); the full step failed, so
-            # polishing cannot lower the residual
-            polish = 0
-            break
-        x, f, res = trial, f_trial, res_trial
-        converged = res <= _TOL
-
-    while converged and res > 0.0 and polish > 0 and iterations < _MAX_ITER:
-        polish -= 1
-        try:
-            trial = np.clip(x + np.linalg.solve(jacobian(x), -f[rows]), lo, hi)
-            f_trial = residual(trial)
-        except (np.linalg.LinAlgError, DomainError):
-            break
-        res_trial = float(np.max(np.abs(f_trial)))
-        if res_trial >= res:
+            # a failed polish step, a root within the floor, or a stall above it
+            iterations += not polish
             break
         iterations += 1
-        polished += 1
+        polished += polish
         x, f, res = trial, f_trial, res_trial
+        converged = res <= _TOL
 
     return x, res, converged, (iterations, halvings, polished)
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bethe6v import functions
 from bethe6v import (
     Anisotropy,
     DomainError,
@@ -261,6 +262,43 @@ class TestBetheResidual:
         shifted = MomentumSet(tuple(p + np.array([1e-3, 0.0])), a)
         size = float(np.max(np.abs(bethe_residual(shifted, N))))
         assert 0.1 * N * 1e-3 <= size <= 10.0 * N * 1e-3
+
+    @staticmethod
+    def _kernel_shapes(monkeypatch, m, N):
+        """The shape of every S that bethe_residual(m, N) forms; its values
+        are checked against the n x n formula, bit for bit."""
+        p, n = m.as_array(), m.n
+        phases = theta(p[:, None], p[None, :], m.anisotropy).sum(axis=1)
+        expected = np.exp(1j * N * p) - (-1.0) ** (n - 1) * np.exp(-1j * phases)
+        shapes, kernel = [], functions._kernel
+
+        def recording(x, y, a):
+            shapes.append(np.broadcast(np.asarray(x), np.asarray(y)).shape)
+            return kernel(x, y, a)
+
+        monkeypatch.setattr(functions, "_kernel", recording)
+        assert np.array_equal(bethe_residual(m, N), expected)
+        return shapes
+
+    SIZES = [(7, 3), (7, 2), (12, 5), (12, 6), (64, 31), (64, 32), (201, 99), (201, 100)]
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("N, n", SIZES)
+    def test_odd_root_takes_the_half_block(self, monkeypatch, N, n, c):
+        # a ground-state root is odd, p == -p[::-1]: its phase sums take theta
+        # on the ceil(n/2) x n block of rows p[n//2:] alone, bit for bit
+        m = solve(N, ground_state_quantum_numbers(n), Anisotropy(c)).momenta
+        p = m.as_array()
+        assert np.array_equal(p, -p[::-1])
+        assert self._kernel_shapes(monkeypatch, m, N) == [(n - n // 2, n)]
+
+    @pytest.mark.parametrize("N, n", SIZES)
+    def test_other_momenta_take_the_full_grid(self, monkeypatch, N, n):
+        labels = QuantumNumbers(tuple(v + 1 for v in ground_state_quantum_numbers(n).values))
+        m = solve(N, labels, Anisotropy(1.0)).momenta
+        p = m.as_array()
+        assert not np.array_equal(p, -p[::-1])
+        assert self._kernel_shapes(monkeypatch, m, N) == [(n, n)]
 
 
 class TestIdentitySuite:

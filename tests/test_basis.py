@@ -131,7 +131,9 @@ class TestNeighbourRanks:
     @pytest.mark.parametrize("N, n", [(16, 8), (30, 2)])
     @pytest.mark.parametrize("table", ["toggled_ranks", "swapped_ranks"])
     def test_tables_hold_little_past_their_result(self, N, n, table):
-        # the walk keeps O(dim) scratch beside its (N, dim) int64 result
+        # the walk keeps O(dim) scratch beside its (N, dim) int64 result; the
+        # wrap bond of swapped_ranks is a colex sum, with no (dim, n) temporary
+        bound = 2 if table == "swapped_ranks" else 3
         sector = enumerate_sector(N, n)
         tracemalloc.start()
         try:
@@ -140,7 +142,7 @@ class TestNeighbourRanks:
         finally:
             tracemalloc.stop()
         assert result.shape == (N, sector.dim) and result.dtype == np.int64
-        assert peak <= 3 * result.nbytes, (peak, result.nbytes)
+        assert peak <= bound * result.nbytes, (peak, result.nbytes)
 
 
 class TestOrbits:

@@ -216,13 +216,15 @@ class TestSolve:
         # the root 2 pi / 6 = pi - mu lies on the domain edge, so the second
         # step is clamped back onto the iterate: all of its 20 halvings round
         # to it and none is evaluated.  theta runs once for the start, once
-        # for the accepted step and once for the rounding floor.
+        # for the accepted step (both through functions._phase_sums) and once
+        # for the rounding floor.
         calls = []
 
         def counting(x, y, a):
             calls.append(1)
             return theta(x, y, a)
 
+        monkeypatch.setattr(functions, "theta", counting)
         monkeypatch.setattr(solver, "theta", counting)
         r = solve(6, QuantumNumbers((Fraction(1),)), Anisotropy(1.0))
         assert not r.converged
