@@ -16,6 +16,14 @@ when that bound falls below the kernel floor 1e-12 is each entry checked
 momentum, raises DomainError rather than returning a value from an
 uncertified branch.
 
+The solver's O(n^2) passes read S by blocks of whole rows instead:
+`_kernel_blocks` writes each block, at most `_BLOCK_ELEMENTS` entries unless
+one row is longer, into a scratch set from `_scratch` and certifies it by
+its own rows' smallest cos x.  The passes compute theta
+(`_theta_from_kernel`) or its partial (`_partial_from_kernel`) in place
+there, by the formulas of `theta` and `theta_partial_1` in the same order,
+so every block equals those functions' rows bit for bit.
+
 All functions broadcast over numpy arrays and return plain scalars for
 scalar input.
 """
@@ -45,6 +53,7 @@ __all__ = [
 ZERO_MOMENTUM_TOL = 1e-9      # |p| below this counts as the zero-momentum root
 DISTINCT_MOMENTUM_TOL = 1e-7  # min pairwise |p_i - p_j| for a usable momentum set
 _KERNEL_FLOOR = 1e-12
+_BLOCK_ELEMENTS = 1 << 16  # kernel entries per block of rows in an O(n^2) pass
 
 
 @dataclass(frozen=True)
@@ -127,41 +136,94 @@ def _log_sum_exp(logs) -> float:
     return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
-def _kernel(x, y, a):
-    """S(x, y) = exp(-ix) + exp(iy) - 2*delta and a lower bound on every Re S.
+def _kernel(ex, ey, a, out=None):
+    """S = ex + ey - 2*delta from ex = exp(-ix) and ey = exp(iy), written into
+    out when given, and a lower bound on every Re S.
 
-    exp(-ix) and exp(iy) are taken on x and y before they broadcast, so the
-    bound costs O(len x + len y): rounding is monotone, so
+    The bound costs O(len ex + len ey): rounding is monotone, so
     fl(fl(min cos x + min cos y) - 2*delta) is at most every Re S, which numpy
     sums as fl(fl(cos x + cos y) - 2*delta).  It is NaN when a cosine is.
     """
-    ex = np.exp(-1j * np.asarray(x, dtype=float))
-    ey = np.exp(1j * np.asarray(y, dtype=float))
     two_delta = 2.0 * a.delta
-    low = np.min(ex.real, initial=np.inf) + np.min(ey.real, initial=np.inf) - two_delta
-    return ex + ey - two_delta, low
+    low = ex.real.min(initial=np.inf) + ey.real.min(initial=np.inf) - two_delta
+    s = np.add(ex, ey, out=out)
+    s -= two_delta
+    return s, low
+
+
+def _exponentials(x, y):
+    """exp(-ix) and exp(iy), the two terms S(x, y) adds."""
+    return np.exp(-1j * np.asarray(x, dtype=float)), np.exp(1j * np.asarray(y, dtype=float))
 
 
 def scattering_kernel(x, y, a: Anisotropy):
     """S(x, y) = exp(-ix) + exp(iy) - 2*delta; swapping arguments conjugates it."""
-    return _as_scalar(_kernel(x, y, a)[0])
+    return _as_scalar(_kernel(*_exponentials(x, y), a)[0])
 
 
-def _certified_kernel(x, y, a):
-    """S(x, y), checked to lie in the right half-plane away from zero.
+def _certified_kernel(ex, ey, a, out=None):
+    """S from exp(-ix) and exp(iy), checked to lie in the right half-plane
+    away from zero.
 
     A lower bound on Re S at or past the kernel floor certifies every entry
     at once; only below it is each entry checked, and a NaN fails that check.
     Callers take S(y, x) as its conjugate: the two differ only in the sign
     of the imaginary part, and numpy computes them bit for bit conjugate.
     """
-    s, low = _kernel(x, y, a)
+    s, low = _kernel(ex, ey, a, out)
     if not low >= _KERNEL_FLOOR:
         if not np.all(s.real > 0.0):
             raise DomainError("scattering kernel left the right half-plane; branch uncertified")
         if np.any(np.abs(s) < _KERNEL_FLOOR):
             raise DomainError("scattering kernel vanished; branch uncertified")
     return s
+
+
+def _scratch(rows: int, n: int):
+    """Buffers for a pass over rows x n kernel entries in blocks of whole rows:
+    one complex and two real arrays of n columns and as many rows as
+    `_BLOCK_ELEMENTS` entries hold, at most the pass's but at least one.  The
+    three share one allocation."""
+    shape = (max(1, min(rows, _BLOCK_ELEMENTS // max(n, 1))), n)
+    size = shape[0] * n
+    buffer = np.empty(4 * size)
+    return (buffer[:2 * size].view(complex).reshape(shape), buffer[2 * size:3 * size].reshape(shape),
+            buffer[3 * size:].reshape(shape))
+
+
+def _kernel_blocks(x: np.ndarray, y: np.ndarray, a: Anisotropy, scratch=None):
+    """Certified S(x_j, y_k) over consecutive blocks of rows j.
+
+    Yields (start, ex, s, u, v) for the rows x[start:start + len(s)]: ex is
+    their exp(-ix) as a column, s their kernel written into the scratch's
+    complex buffer, and u and v the real buffers in s's shape.  Every block
+    overwrites the last.  Each block is certified on its own, by its rows'
+    smallest cos x and the smallest cos y of all of y.
+    """
+    s, u, v = _scratch(x.size, y.size) if scratch is None else scratch
+    step = len(s)
+    ex, ey = _exponentials(x[:, None], y)
+    for start in range(0, x.size, step):
+        block = ex[start:start + step]
+        rows = len(block)
+        yield start, block, _certified_kernel(block, ey, a, s[:rows]), u[:rows], v[:rows]
+
+
+def _theta_from_kernel(x, y, s, out=None, arg=None):
+    """theta(x, y) = -(x - y) - 2 arg S from S = S(x, y), into out when given,
+    with arg S taken into arg.  Subtracting arg twice rounds as
+    -arg S(x, y) + arg S(y, x) did; + 0.0 keeps theta(x, x) at +0.0, not -0.0."""
+    arg = np.arctan2(s.imag, s.real, out=arg)  # np.angle(s), bit for bit
+    val = np.negative(np.subtract(x, y, out=out), out=out)
+    val = np.subtract(np.subtract(val, arg, out=out), arg, out=out)
+    return np.add(val, 0.0, out=out)
+
+
+def _partial_from_kernel(ex, s, out=None):
+    """d1 theta(x, y) = -1 + 2 Re[exp(-ix) / S(x, y)] from ex = exp(-ix) and
+    S, into out when given.  The quotient overwrites s."""
+    half = np.divide(ex, s, out=s).real
+    return np.add(np.add(-1.0, half, out=out), half, out=out)
 
 
 def theta(x, y, a: Anisotropy):
@@ -174,24 +236,25 @@ def theta(x, y, a: Anisotropy):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    arg = np.angle(_certified_kernel(x, y, a))
-    # subtracting arg twice rounds as -arg S(x, y) + arg S(y, x) did; + 0.0
-    # keeps theta(x, x) at +0.0 rather than -0.0
-    val = -(x - y) - arg - arg + 0.0
-    return _as_scalar(val)
+    return _as_scalar(_theta_from_kernel(x, y, _certified_kernel(*_exponentials(x, y), a)))
 
 
-def _phase_sums(p: np.ndarray, a: Anisotropy) -> np.ndarray:
-    """sum_k theta(p_j, p_k) for every j.  An odd p == -p[::-1] takes theta on
-    the ceil(n/2) x n block of rows p[n//2:] alone: S(-x, -y) = conj S(x, y),
-    so the block certifies every pair, and theta(-x, -y) = -theta(x, y) bit
-    for bit makes row n-1-j's sum row j's reversed sum, negated.  Any other
-    p takes the full n x n grid."""
+def _phase_sums(p: np.ndarray, a: Anisotropy, scratch=None) -> np.ndarray:
+    """sum_k theta(p_j, p_k) for every j, by blocks of rows (`_kernel_blocks`).
+    An odd p == -p[::-1] takes theta on the ceil(n/2) x n rows p[n//2:] alone:
+    S(-x, -y) = conj S(x, y), so they certify every pair, and
+    theta(-x, -y) = -theta(x, y) bit for bit makes row n-1-j's sum row j's
+    reversed sum, negated.  Any other p takes all n x n pairs."""
     n = p.size
-    if not np.array_equal(p, -p[::-1]):
-        return theta(p[:, None], p[None, :], a).sum(axis=1)
-    phases = theta(p[n // 2:, None], p[None, :], a)
-    return np.concatenate((-phases[:, ::-1].sum(axis=1)[::-1], phases.sum(axis=1)[n % 2:]))
+    odd = np.array_equal(p, -p[::-1])
+    x = p[n // 2:] if odd else p
+    forward, backward = np.empty(x.size), np.empty(x.size)
+    for start, _, s, phases, arg in _kernel_blocks(x, p, a, scratch):
+        rows = slice(start, start + len(s))
+        _theta_from_kernel(x[rows, None], p, s, phases, arg).sum(axis=1, out=forward[rows])
+        if odd:
+            phases[:, ::-1].sum(axis=1, out=backward[rows])
+    return np.concatenate((-backward[::-1], forward[n % 2:])) if odd else forward
 
 
 def theta_partial_1(x, y, a: Anisotropy):
@@ -205,12 +268,8 @@ def theta_partial_1(x, y, a: Anisotropy):
     -1 + 2 Re[exp(-ix)/S(x, y)], real exactly.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    # the quotient overwrites S: one (n, m) complex array per call, not two
-    s = np.asarray(_certified_kernel(x, y, a))
-    half = np.divide(np.exp(-1j * x), s, out=s).real
-    val = -1.0 + half + half
-    return _as_scalar(val)
+    ex, ey = _exponentials(x, y)
+    return _as_scalar(_partial_from_kernel(ex, np.asarray(_certified_kernel(ex, ey, a))))
 
 
 def _one_minus(z: np.ndarray) -> np.ndarray:

@@ -18,6 +18,13 @@ n // 2 unknowns q alone, with every n x n quantity taken on the
 ceil(n/2) x n block of rows p[n//2:] (`_mirror_equations`, and
 `functions._phase_sums` for the residual).  Other label sets use all n.
 
+Memory is O(h^2 + n * block) for h unknowns: the residual, both Jacobians
+and the rounding floor read the kernel S by blocks of whole rows of at most
+`functions._BLOCK_ELEMENTS` entries (`functions._kernel_blocks`), each
+written in place into one scratch set that `solve` allocates once and every
+pass reuses.  Only the h x h Jacobian, its LU copy and O(n) vectors are
+whole.
+
 A label set inside the half-filled sea (every |I_j| < N/4, as in every
 ground state) starts at its continuum root (Yang and Yang 1966; see
 `_initial_guess`), about 1e-5 from the root at N = 1024; any other set
@@ -60,8 +67,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMomentaError, DomainError
-from .functions import (Anisotropy, MomentumSet, _phase_sums, scattering_kernel, theta,
-                        theta_partial_1)
+from .functions import (Anisotropy, MomentumSet, _kernel_blocks, _partial_from_kernel, _phase_sums,
+                        _scratch, _theta_from_kernel)
 
 __all__ = [
     "QuantumNumbers",
@@ -158,22 +165,30 @@ class SolveReport:
             return math.inf
 
 
-def log_equations(N: int, qn: QuantumNumbers, a: Anisotropy):
+def log_equations(N: int, qn: QuantumNumbers, a: Anisotropy, scratch=None):
     """Residual and analytic-Jacobian callables for the logarithmic equations
     in all n unknowns: the route of other label sets, the mirrored route's
     residual, the Jacobian of `SolveReport.jacobian_condition_estimate`
-    (formed when that is read) and the full-system oracle."""
+    (formed when that is read) and the full-system oracle.  Both read the
+    kernel by blocks of rows into `scratch` (`functions._scratch`; one for n
+    rows is made when none is given), which every call reuses."""
     targets = 2.0 * math.pi * qn.as_array()
     n = qn.n
+    if scratch is None:
+        scratch = _scratch(n, n)
 
     def residual(p: np.ndarray) -> np.ndarray:
-        return N * p - targets + _phase_sums(p, a)
+        return N * p - targets + _phase_sums(p, a, scratch)
 
     def jacobian(p: np.ndarray) -> np.ndarray:
-        d1 = np.asarray(theta_partial_1(p[:, None], p[None, :], a)).reshape(n, n)
         # C order: solve and cond round differently on the transposed layout
-        jac = np.negative(d1.T, order="C")
-        jac.flat[::n + 1] = N + d1.sum(axis=1) - d1.diagonal()
+        jac = np.empty((n, n))
+        for start, ex, s, d1, _ in _kernel_blocks(p, p, a, scratch):
+            d1 = _partial_from_kernel(ex, s, d1)
+            stop = start + len(d1)
+            np.negative(d1.T, out=jac[:, start:stop])
+            jac.flat[start * (n + 1):stop * (n + 1):n + 1] = (
+                N + d1.sum(axis=1) - d1[:, start:].diagonal())
         return jac
 
     return residual, jacobian
@@ -206,7 +221,7 @@ def _initial_guess(N, qn, a):
     return np.clip(p, -hw + _DOMAIN_MARGIN, hw - _DOMAIN_MARGIN)
 
 
-def _mirror_equations(N, qn, a):
+def _mirror_equations(N, qn, a, scratch):
     """The equations of a mirrored label set on its unknowns q = p[n - n//2:].
 
     For values[j] = -values[n-1-j] the equations are odd under p -> -p, and
@@ -221,11 +236,12 @@ def _mirror_equations(N, qn, a):
 
         J = (D[:, mirror] - D[:, upper])^T + diag(N + sum_k D[:, k]),
 
-    upper being the columns of q and mirror those of -q.
+    upper being the columns of q and mirror those of -q, taken one block of
+    rows of D at a time.
     """
     n = qn.n
     h = n // 2
-    full_residual, _ = log_equations(N, qn, a)
+    full_residual, _ = log_equations(N, qn, a, scratch)
 
     def expand(q: np.ndarray) -> np.ndarray:
         return np.concatenate((-q[::-1], np.zeros(n % 2), q))
@@ -234,25 +250,33 @@ def _mirror_equations(N, qn, a):
         return full_residual(expand(q))
 
     def jacobian(q: np.ndarray) -> np.ndarray:
-        d1 = np.asarray(theta_partial_1(q[:, None], expand(q)[None, :], a)).reshape(h, n)
-        jac = d1[:, :h][:, ::-1] - d1[:, n - h:]
-        jac.flat[::h + 1] += N + d1.sum(axis=1)
+        jac = np.empty((h, h))
+        for start, ex, s, d1, _ in _kernel_blocks(q, expand(q), a, scratch):
+            d1 = _partial_from_kernel(ex, s, d1)
+            stop = start + len(d1)
+            np.subtract(d1[:, :h][:, ::-1], d1[:, n - h:], out=jac[start:stop])
+            jac.flat[start * (h + 1):stop * (h + 1):h + 1] += N + d1.sum(axis=1)
         return jac.T
 
     return expand, residual, jacobian
 
 
-def _rounding_floor(N, qn, a, p, start=0):
+def _rounding_floor(N, qn, a, p, start=0, scratch=None):
     """Unit roundoff u times the largest sum of the magnitudes one F_j adds up,
     over the rows j >= start: N|p_j|, 2 pi |I_j| and, for each k != j
     (theta(p_j, p_j) is exactly 0), |theta(p_j, p_k)| plus the error
     2 u (2 + 2|delta|) / |S(p_j, p_k)| that theta's two arguments of S carry.
+    Both terms come from one kernel per block of rows.
     """
-    x, y = p[start:, None], p[None, :]
-    arg_error = 4.0 * (1.0 + abs(a.delta)) / np.abs(scattering_kernel(x, y, a))
-    np.fill_diagonal(arg_error[:, start:], 0.0)
-    rows = (N * np.abs(p[start:]) + 2.0 * math.pi * np.abs(qn.as_array()[start:])
-            + (np.abs(theta(x, y, a)) + arg_error).sum(axis=1))
+    x = p[start:]
+    sums = np.empty(x.size)
+    for first, _, s, terms, arg_error in _kernel_blocks(x, p, a, scratch):
+        block = slice(first, first + len(s))
+        np.abs(_theta_from_kernel(x[block, None], p, s, terms, arg_error), out=terms)
+        np.divide(4.0 * (1.0 + abs(a.delta)), np.abs(s, out=arg_error), out=arg_error)
+        np.fill_diagonal(arg_error[:, start + first:], 0.0)
+        np.add(terms, arg_error, out=terms).sum(axis=1, out=sums[block])
+    rows = N * np.abs(x) + 2.0 * math.pi * np.abs(qn.as_array()[start:]) + sums
     return 2.0 ** -53 * float(np.max(rows))
 
 
@@ -325,16 +349,17 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
     hw = a.domain_halfwidth
     p = _initial_guess(N, qn, a)
     labels = qn.as_array()
-    if np.array_equal(labels, -labels[::-1]):
-        start = n // 2
-        expand, residual, jacobian = _mirror_equations(N, qn, a)
+    mirrored = np.array_equal(labels, -labels[::-1])
+    start = n // 2 if mirrored else 0
+    scratch = _scratch(n - start, n)  # every pass of the solve reuses it
+    if mirrored:
+        expand, residual, jacobian = _mirror_equations(N, qn, a, scratch)
         p = p[n - start:]
     else:
-        start = 0
-        residual, jacobian = log_equations(N, qn, a)
+        residual, jacobian = log_equations(N, qn, a, scratch)
         expand = np.asarray  # the unknowns are p itself
     x, res, converged, (iterations, halvings, polished) = _newton(
-        p, residual, jacobian, lambda x: _rounding_floor(N, qn, a, expand(x), start),
+        p, residual, jacobian, lambda x: _rounding_floor(N, qn, a, expand(x), start, scratch),
         -hw + _DOMAIN_MARGIN, hw - _DOMAIN_MARGIN)
     p = expand(x)
 

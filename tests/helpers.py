@@ -6,13 +6,16 @@ enumerator loops over every one of the 2^(2NM) arrow assignments with no
 pruning, and the pruned one walks the arrow assignments edge by edge
 instead of the library's vertex-by-vertex count.  They exist to check the
 production code, so they must not share its shortcuts.  The dense blocks of
-V and H are the library's rows of every state, stacked.
+V and H are the library's rows of every state, stacked, and the dense solver
+kernels form whole theta and d1 theta grids where the solver reads blocks of
+rows.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
+import math
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 
@@ -25,6 +28,9 @@ from bethe6v import (
     SectorMismatchError,
     enumerate_sector,
     hamiltonian_rows,
+    scattering_kernel,
+    theta,
+    theta_partial_1,
     transfer_rows,
 )
 from bethe6v.ansatz import _subset_sum, pair_factors
@@ -233,6 +239,48 @@ def two_kernel_theta_partial_1(x, y, a):
     y = np.asarray(y, dtype=float)
     s_xy, s_yx = _both_kernels(x, y, a)
     return -1.0 + np.exp(-1j * x) / s_xy + np.exp(1j * x) / s_yx
+
+
+def dense_phase_sums(p, a):
+    """sum_k theta(p_j, p_k) from one theta grid: the ceil(n/2) x n rows
+    p[n//2:] of an odd p, row n-1-j being row j's reversed sum negated, and
+    all n x n pairs of any other p."""
+    n = p.size
+    if not np.array_equal(p, -p[::-1]):
+        return theta(p[:, None], p[None, :], a).sum(axis=1)
+    phases = theta(p[n // 2:, None], p[None, :], a)
+    return np.concatenate((-phases[:, ::-1].sum(axis=1)[::-1], phases.sum(axis=1)[n % 2:]))
+
+
+def dense_log_jacobian(N, p, a):
+    """The full n x n Jacobian from one n x n d1 theta grid, in C order."""
+    n = p.size
+    d1 = np.asarray(theta_partial_1(p[:, None], p[None, :], a)).reshape(n, n)
+    jac = np.negative(d1.T, order="C")
+    jac.flat[::n + 1] = N + d1.sum(axis=1) - d1.diagonal()
+    return jac
+
+
+def dense_mirror_jacobian(N, q, n, a):
+    """The folded h x h Jacobian of a mirrored label set at its unknowns q,
+    from one h x n d1 theta grid; returned transposed, as the solver's."""
+    h = n // 2
+    p = np.concatenate((-q[::-1], np.zeros(n % 2), q))
+    d1 = np.asarray(theta_partial_1(q[:, None], p[None, :], a)).reshape(h, n)
+    jac = d1[:, :h][:, ::-1] - d1[:, n - h:]
+    jac.flat[::h + 1] += N + d1.sum(axis=1)
+    return jac.T
+
+
+def dense_rounding_floor(N, qn, a, p, start=0):
+    """The solver's rounding floor from a whole kernel grid and a whole theta
+    grid, each of the rows p[start:]."""
+    x, y = p[start:, None], p[None, :]
+    arg_error = 4.0 * (1.0 + abs(a.delta)) / np.abs(scattering_kernel(x, y, a))
+    np.fill_diagonal(arg_error[:, start:], 0.0)
+    rows = (N * np.abs(p[start:]) + 2.0 * math.pi * np.abs(qn.as_array()[start:])
+            + (np.abs(theta(x, y, a)) + arg_error).sum(axis=1))
+    return 2.0 ** -53 * float(np.max(rows))
 
 
 def dense_eigenvalues(m):

@@ -272,9 +272,9 @@ class TestBetheResidual:
         expected = np.exp(1j * N * p) - (-1.0) ** (n - 1) * np.exp(-1j * phases)
         shapes, kernel = [], functions._kernel
 
-        def recording(x, y, a):
+        def recording(x, y, *rest):
             shapes.append(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-            return kernel(x, y, a)
+            return kernel(x, y, *rest)
 
         monkeypatch.setattr(functions, "_kernel", recording)
         assert np.array_equal(bethe_residual(m, N), expected)

@@ -252,7 +252,7 @@ class TestKernelCertificate:
 
     def test_bound_is_below_every_real_part(self):
         for a, x, y in self.cases():
-            s, low = functions._kernel(x, y, a)
+            s, low = functions._kernel(*functions._exponentials(x, y), a)
             assert low <= np.min(np.real(s)), (a.c, x, y)
 
     def test_outside_the_domain_refused(self):

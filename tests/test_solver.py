@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,10 @@ from bethe6v import (
     solve,
     transfer_eigenvalue,
 )
-from bethe6v.functions import ZERO_MOMENTUM_TOL, theta
+from bethe6v.functions import ZERO_MOMENTUM_TOL, _phase_sums
+
+from helpers import (dense_log_jacobian, dense_mirror_jacobian, dense_phase_sums,
+                     dense_rounding_floor)
 
 
 def _edge_excitation():
@@ -27,9 +31,9 @@ def _edge_excitation():
 
 
 def _record_kernels(monkeypatch):
-    """Record (name, shape) of every S and d1 theta kernel and every
-    np.linalg.cond evaluated from here on.  Every S, certified or not, is
-    formed by functions._kernel."""
+    """Record (name, shape) of every block of S and every np.linalg.cond
+    evaluated from here on.  Every S, certified or not, is formed by
+    functions._kernel."""
     kernels = []
 
     def recording(name, fn):
@@ -39,19 +43,23 @@ def _record_kernels(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(functions, "_kernel", recording("_kernel", functions._kernel))
-    monkeypatch.setattr(solver, "theta_partial_1",
-                        recording("theta_partial_1", functions.theta_partial_1))
     monkeypatch.setattr(np.linalg, "cond", recording("cond", np.linalg.cond))
     return kernels
 
 
+def _blocks(rows, n):
+    """The shapes, in order, of the blocks of a pass over rows x n kernel entries."""
+    step = max(1, functions._BLOCK_ELEMENTS // n)
+    return [(min(step, rows - start), n) for start in range(0, rows, step)]
+
+
 def _assert_condition_read_once(report, kernels, n):
     """The first read of the condition number forms the full n x n Jacobian
-    (one d1 theta kernel and its S) and inverts it; a second read evaluates nothing."""
+    (one pass of S blocks over all n rows) and inverts it; a second read
+    evaluates nothing."""
     kernels.clear()
     cond = report.jacobian_condition_estimate
-    assert kernels == [("theta_partial_1", (n, n)), ("_kernel", (n, n)),
-                       ("cond", (n, n))], kernels
+    assert kernels == [("_kernel", shape) for shape in _blocks(n, n)] + [("cond", (n, n))], kernels
     kernels.clear()
     assert report.jacobian_condition_estimate == cond
     assert kernels == []
@@ -215,21 +223,14 @@ class TestSolve:
     def test_stalled_step_evaluates_no_rounded_trial(self, monkeypatch):
         # the root 2 pi / 6 = pi - mu lies on the domain edge, so the second
         # step is clamped back onto the iterate: all of its 20 halvings round
-        # to it and none is evaluated.  theta runs once for the start, once
-        # for the accepted step (both through functions._phase_sums) and once
-        # for the rounding floor.
-        calls = []
-
-        def counting(x, y, a):
-            calls.append(1)
-            return theta(x, y, a)
-
-        monkeypatch.setattr(functions, "theta", counting)
-        monkeypatch.setattr(solver, "theta", counting)
+        # to it and none is evaluated.  Its 1 x 1 kernel is one block, formed
+        # for the residual at the start and at the accepted step, for the
+        # Jacobian at both iterates and once for the rounding floor.
+        kernels = _record_kernels(monkeypatch)
         r = solve(6, QuantumNumbers((Fraction(1),)), Anisotropy(1.0))
         assert not r.converged
         assert (r.iterations, r.step_halvings, r.polish_steps) == (2, 20, 0)
-        assert len(calls) == 3
+        assert kernels == [("_kernel", (1, 1))] * 5
 
     def test_condition_estimate_reported(self):
         N, qn, a = 16, ground_state_quantum_numbers(8), Anisotropy(1.0)
@@ -308,14 +309,75 @@ class TestMirrorRoute:
         _assert_condition_read_once(report, kernels, n)
 
     def test_other_labels_evaluate_full_blocks(self, monkeypatch):
+        # blocks of 16 entries split the 6 x 6 passes into three of 2 rows
         N, qn, a = _edge_excitation()
         n = qn.n
+        monkeypatch.setattr(functions, "_BLOCK_ELEMENTS", 16)
         kernels = _record_kernels(monkeypatch)
         report = solve(N, qn, a)
         assert report.converged
-        assert kernels and {shape for _, shape in kernels} == {(n, n)}
+        assert _blocks(n, n) == [(2, n)] * 3
+        assert kernels and {shape for _, shape in kernels} == {(2, n)}
+        assert len(kernels) % 3 == 0
         assert all(name != "cond" for name, _ in kernels), kernels
         _assert_condition_read_once(report, kernels, n)
+
+
+class TestBlockRoute:
+    """Every O(n^2) pass reads S by blocks of rows into one scratch set.  Blocks
+    of a few entries split the passes unevenly (single rows, and a last block
+    shorter than the others), and every result is the whole-grid formula's,
+    bit for bit."""
+
+    BLOCK_ELEMENTS = [1, 3, 7, 16, 50]
+    CASES = [(2, 1, 1.0), (7, 3, 0.5), (12, 5, 1.3), (16, 8, 2.5), (40, 19, 0.3), (41, 20, 1.0)]
+
+    @staticmethod
+    def same(got, expected):
+        got, expected = np.asarray(got), np.asarray(expected)
+        return (got.shape == expected.shape and got.tobytes() == expected.tobytes()
+                and got.flags.c_contiguous == expected.flags.c_contiguous)
+
+    @pytest.mark.parametrize("N, n, c", CASES)
+    @pytest.mark.parametrize("block", BLOCK_ELEMENTS)
+    def test_blocks_match_the_dense_formulas(self, monkeypatch, N, n, c, block):
+        qn, a = ground_state_quantum_numbers(n), Anisotropy(c)
+        root = solve(N, qn, a).momenta.as_array()
+        skewed = 0.9 * root + 0.01  # not odd: its phase sums take every row
+        assert np.array_equal(root, -root[::-1]) and not np.array_equal(skewed, -skewed[::-1])
+        monkeypatch.setattr(functions, "_BLOCK_ELEMENTS", block)
+        kernels = _record_kernels(monkeypatch)
+        residual, jacobian = log_equations(N, qn, a)
+        for p in (root, skewed):
+            expected = dense_phase_sums(p, a)
+            kernels.clear()
+            assert self.same(_phase_sums(p, a), expected), p
+            rows = n - n // 2 if p is root else n
+            assert kernels == [("_kernel", shape) for shape in _blocks(rows, n)]
+            assert self.same(residual(p), N * p - 2.0 * math.pi * qn.as_array()
+                             + dense_phase_sums(p, a))
+            assert self.same(jacobian(p), dense_log_jacobian(N, p, a))
+            for start in (0, n // 2):
+                assert (solver._rounding_floor(N, qn, a, p, start)
+                        == dense_rounding_floor(N, qn, a, p, start)), start
+        q = root[n - n // 2:]
+        _, _, folded = solver._mirror_equations(N, qn, a, functions._scratch(n - n // 2, n))
+        assert self.same(folded(q), dense_mirror_jacobian(N, q, n, a))
+
+    def test_solve_holds_the_jacobian_and_one_block(self):
+        # the mirrored solve at N = 2048 keeps the h x h Jacobian (8 h^2 bytes),
+        # its LU copy and one block of scratch: a complex and two real arrays
+        # of _BLOCK_ELEMENTS entries.  Whole h x n grids of S and d1 theta
+        # alone would take 6 times 8 h^2.
+        qn, a, h = ground_state_quantum_numbers(1024), Anisotropy(1.0), 512
+        tracemalloc.start()
+        try:
+            report = solve(2048, qn, a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak < 2 * 8 * h * h + 32 * functions._BLOCK_ELEMENTS, peak
 
 
 class TestInitialGuess:
