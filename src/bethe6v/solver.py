@@ -15,15 +15,16 @@ the k = j term theta(p_j, p_j) vanishes identically, so
 A mirrored label set, values[j] = -values[n-1-j] (every ground state), has
 an odd root p = (-q reversed, [0] for odd n, q), so Newton runs on the
 n // 2 unknowns q alone, with every n x n quantity taken on the
-ceil(n/2) x n block of rows p[n//2:] (`_mirror_equations`, and
-`functions._phase_sums` for the residual).  Other label sets use all n.
+ceil(n/2) x n block of rows p[n//2:].  Other label sets use all n.  One
+builder, `_equations`, serves both: the full system is the folded one with
+no mirrored columns.
 
-Memory is O(h^2 + n * block) for h unknowns: the residual, both Jacobians
+Memory is O(h^2 + n * block) for h unknowns: the residual, the Jacobian
 and the rounding floor read the kernel S by blocks of whole rows of at most
 `functions._BLOCK_ELEMENTS` entries (`functions._kernel_blocks`), each
-written in place into one scratch set that `solve` allocates once and every
-pass reuses.  Only the h x h Jacobian, its LU copy and O(n) vectors are
-whole.
+written in place into one scratch set that `_equations` allocates once and
+every pass of the solve reuses.  Only the h x h Jacobian, its LU copy and
+O(n) vectors are whole.
 
 A label set inside the half-filled sea (every |I_j| < N/4, as in every
 ground state) starts at its continuum root (Yang and Yang 1966; see
@@ -160,37 +161,20 @@ class SolveReport:
             return 1.0
         _, jacobian = log_equations(self.N, self.quantum_numbers, self.momenta.anisotropy)
         try:
-            return float(np.linalg.cond(jacobian(self.momenta.as_array()), 1))
+            # on a C-order copy, whose 1-norm column sums add row by row
+            jac = np.ascontiguousarray(jacobian(self.momenta.as_array()))
+            return float(np.linalg.cond(jac, 1))
         except (np.linalg.LinAlgError, DomainError):
             return math.inf
 
 
-def log_equations(N: int, qn: QuantumNumbers, a: Anisotropy, scratch=None):
+def log_equations(N: int, qn: QuantumNumbers, a: Anisotropy):
     """Residual and analytic-Jacobian callables for the logarithmic equations
-    in all n unknowns: the route of other label sets, the mirrored route's
-    residual, the Jacobian of `SolveReport.jacobian_condition_estimate`
-    (formed when that is read) and the full-system oracle.  Both read the
-    kernel by blocks of rows into `scratch` (`functions._scratch`; one for n
-    rows is made when none is given), which every call reuses."""
-    targets = 2.0 * math.pi * qn.as_array()
-    n = qn.n
-    if scratch is None:
-        scratch = _scratch(n, n)
-
-    def residual(p: np.ndarray) -> np.ndarray:
-        return N * p - targets + _phase_sums(p, a, scratch)
-
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        # C order: solve and cond round differently on the transposed layout
-        jac = np.empty((n, n))
-        for start, ex, s, d1, _ in _kernel_blocks(p, p, a, scratch):
-            d1 = _partial_from_kernel(ex, s, d1)
-            stop = start + len(d1)
-            np.negative(d1.T, out=jac[:, start:stop])
-            jac.flat[start * (n + 1):stop * (n + 1):n + 1] = (
-                N + d1.sum(axis=1) - d1[:, start:].diagonal())
-        return jac
-
+    in all n unknowns: `_equations`' unfolded instance, the Jacobian of
+    `SolveReport.jacobian_condition_estimate` (formed when that is read) and
+    the full-system oracle.  The Jacobian is the transpose of a C-order
+    array."""
+    _, _, residual, jacobian, _ = _equations(N, qn, a, fold=False)
     return residual, jacobian
 
 
@@ -221,63 +205,74 @@ def _initial_guess(N, qn, a):
     return np.clip(p, -hw + _DOMAIN_MARGIN, hw - _DOMAIN_MARGIN)
 
 
-def _mirror_equations(N, qn, a, scratch):
-    """The equations of a mirrored label set on its unknowns q = p[n - n//2:].
+def _equations(N, qn, a, fold):
+    """The logarithmic equations on their unknowns x = p[unknowns]: returns
+    (unknowns, expand, residual, jacobian, floor), expand(x) being p.
 
-    For values[j] = -values[n-1-j] the equations are odd under p -> -p, and
+    Folded, for a mirrored label set (values[j] = -values[n-1-j]), the
+    equations are odd under p -> -p and x = q holds the upper n // 2 momenta:
     p = expand(q) = (-q reversed, [0.0] for odd n, q).  Every S(p_j, p_k) is
     then in the block of rows p[n//2:] or conjugate to one there, since
     S(-x, -y) = conj S(x, y), and theta(-x, -y) = -theta(x, y) bit for bit.
-    The residual is `log_equations`' F at expand(q), whose phase sums
-    `functions._phase_sums` takes on that block alone (see there for the
-    rule), the zero-momentum row included for odd n.
-    With D = d1 theta(q, p) and d1 theta(-x, -y) = d1 theta(x, y), the chain
-    rule through p_{n-1-j} = -q_j folds the Jacobian onto h = n // 2 columns,
+    Unfolded, x = p and there are no mirrored columns.  Either way the
+    residual is F at expand(x) on all n rows, whose phase sums
+    `functions._phase_sums` takes on the block p[n//2:] alone for odd p (see
+    there for the rule).  With D = d1 theta(x, p), d1 theta(-x, -y) =
+    d1 theta(x, y) and theta(p_j, p_j) = 0, the chain rule through
+    p_{n-1-j} = -q_j gives the Jacobian on the h unknowns as
 
-        J = (D[:, mirror] - D[:, upper])^T + diag(N + sum_k D[:, k]),
+        J^T = D[:, mirror] - D[:, x] + diag(N + sum_k D[:, k]),
 
-    upper being the columns of q and mirror those of -q, taken one block of
-    rows of D at a time.
+    x being the columns of the unknowns and mirror those of -x reversed,
+    written one block of rows of D at a time and returned transposed.
+
+    floor(x) is unit roundoff u times the largest sum of the magnitudes one
+    F_j adds up, over the rows p[n//2:] folded and all rows unfolded:
+    N|p_j|, 2 pi |I_j| and, for each k != j (theta(p_j, p_j) is exactly 0),
+    |theta(p_j, p_k)| plus the error 2 u (2 + 2|delta|) / |S(p_j, p_k)| that
+    theta's two arguments of S carry.  Both terms come from one kernel per
+    block of rows.
+
+    Every pass reads the kernel by blocks of rows into one scratch set, made
+    here for the largest of them and reused by every call.
     """
     n = qn.n
-    h = n // 2
-    full_residual, _ = log_equations(N, qn, a, scratch)
+    mirrored = n // 2 if fold else 0    # columns -x reversed, first in p
+    h = mirrored if fold else n         # unknowns, the last h of p
+    targets = 2.0 * math.pi * qn.as_array()
+    scratch = _scratch(n - mirrored, n)
 
-    def expand(q: np.ndarray) -> np.ndarray:
-        return np.concatenate((-q[::-1], np.zeros(n % 2), q))
+    def expand(x: np.ndarray) -> np.ndarray:  # with the zero momentum of odd folded n
+        return np.concatenate((-x[:mirrored][::-1], np.zeros(n - h - mirrored), x))
 
-    def residual(q: np.ndarray) -> np.ndarray:
-        return full_residual(expand(q))
+    def residual(x: np.ndarray) -> np.ndarray:
+        p = expand(x)
+        return N * p - targets + _phase_sums(p, a, scratch)
 
-    def jacobian(q: np.ndarray) -> np.ndarray:
-        jac = np.empty((h, h))
-        for start, ex, s, d1, _ in _kernel_blocks(q, expand(q), a, scratch):
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        jac_t = np.empty((h, h))
+        for start, ex, s, d1, _ in _kernel_blocks(x, expand(x), a, scratch):
             d1 = _partial_from_kernel(ex, s, d1)
             stop = start + len(d1)
-            np.subtract(d1[:, :h][:, ::-1], d1[:, n - h:], out=jac[start:stop])
-            jac.flat[start * (h + 1):stop * (h + 1):h + 1] += N + d1.sum(axis=1)
-        return jac.T
+            # -D[:, x] + D[:, mirror] rounds as D[:, mirror] - D[:, x]
+            rows = np.negative(d1[:, n - h:], out=jac_t[start:stop])
+            rows[:, :mirrored] += d1[:, :mirrored][:, ::-1]
+            jac_t.flat[start * (h + 1):stop * (h + 1):h + 1] += N + d1.sum(axis=1)
+        return jac_t.T
 
-    return expand, residual, jacobian
+    def floor(x: np.ndarray) -> float:
+        p = expand(x)
+        rows = p[mirrored:]
+        sums = np.empty(rows.size)
+        for first, _, s, terms, arg_error in _kernel_blocks(rows, p, a, scratch):
+            block = slice(first, first + len(s))
+            np.abs(_theta_from_kernel(rows[block, None], p, s, terms, arg_error), out=terms)
+            np.divide(4.0 * (1.0 + abs(a.delta)), np.abs(s, out=arg_error), out=arg_error)
+            np.fill_diagonal(arg_error[:, mirrored + first:], 0.0)
+            np.add(terms, arg_error, out=terms).sum(axis=1, out=sums[block])
+        return 2.0 ** -53 * float(np.max(N * np.abs(rows) + np.abs(targets[mirrored:]) + sums))
 
-
-def _rounding_floor(N, qn, a, p, start=0, scratch=None):
-    """Unit roundoff u times the largest sum of the magnitudes one F_j adds up,
-    over the rows j >= start: N|p_j|, 2 pi |I_j| and, for each k != j
-    (theta(p_j, p_j) is exactly 0), |theta(p_j, p_k)| plus the error
-    2 u (2 + 2|delta|) / |S(p_j, p_k)| that theta's two arguments of S carry.
-    Both terms come from one kernel per block of rows.
-    """
-    x = p[start:]
-    sums = np.empty(x.size)
-    for first, _, s, terms, arg_error in _kernel_blocks(x, p, a, scratch):
-        block = slice(first, first + len(s))
-        np.abs(_theta_from_kernel(x[block, None], p, s, terms, arg_error), out=terms)
-        np.divide(4.0 * (1.0 + abs(a.delta)), np.abs(s, out=arg_error), out=arg_error)
-        np.fill_diagonal(arg_error[:, start + first:], 0.0)
-        np.add(terms, arg_error, out=terms).sum(axis=1, out=sums[block])
-    rows = N * np.abs(x) + 2.0 * math.pi * np.abs(qn.as_array()[start:]) + sums
-    return 2.0 ** -53 * float(np.max(rows))
+    return slice(n - h, None), expand, residual, jacobian, floor
 
 
 def _newton(x, residual, jacobian, floor, lo, hi):
@@ -338,7 +333,7 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
     """Damped Newton iteration on the logarithmic equations.
 
     A mirrored label set (values[j] = -values[n-1-j]) is solved on its
-    n // 2 unknowns by `_mirror_equations`; any other set on all n.
+    n // 2 unknowns, folded, and any other set on all n (`_equations`).
     """
     n = qn.n
     if 2 * n > N:
@@ -347,19 +342,11 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
         return SolveReport(MomentumSet((), a), 0, 0.0, True, N, qn)
 
     hw = a.domain_halfwidth
-    p = _initial_guess(N, qn, a)
     labels = qn.as_array()
-    mirrored = np.array_equal(labels, -labels[::-1])
-    start = n // 2 if mirrored else 0
-    scratch = _scratch(n - start, n)  # every pass of the solve reuses it
-    if mirrored:
-        expand, residual, jacobian = _mirror_equations(N, qn, a, scratch)
-        p = p[n - start:]
-    else:
-        residual, jacobian = log_equations(N, qn, a, scratch)
-        expand = np.asarray  # the unknowns are p itself
+    unknowns, expand, residual, jacobian, floor = _equations(
+        N, qn, a, fold=np.array_equal(labels, -labels[::-1]))
     x, res, converged, (iterations, halvings, polished) = _newton(
-        p, residual, jacobian, lambda x: _rounding_floor(N, qn, a, expand(x), start, scratch),
+        _initial_guess(N, qn, a)[unknowns], residual, jacobian, floor,
         -hw + _DOMAIN_MARGIN, hw - _DOMAIN_MARGIN)
     p = expand(x)
 

@@ -263,7 +263,8 @@ def dense_log_jacobian(N, p, a):
 
 def dense_mirror_jacobian(N, q, n, a):
     """The folded h x h Jacobian of a mirrored label set at its unknowns q,
-    from one h x n d1 theta grid; returned transposed, as the solver's."""
+    from one h x n d1 theta grid, in Fortran order, as the solver's Jacobians:
+    the transpose of a C-order J^T."""
     h = n // 2
     p = np.concatenate((-q[::-1], np.zeros(n % 2), q))
     d1 = np.asarray(theta_partial_1(q[:, None], p[None, :], a)).reshape(h, n)

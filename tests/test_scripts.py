@@ -1,6 +1,7 @@
 """Smoke runs of the scan scripts, which call the library routes directly."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,16 @@ def test_ground_state_scan_stops_at_a_cap(monkeypatch):
     assert len(proc.stdout.splitlines()) == 4  # header, rule, (4, 1) and (4, 2)
     assert proc.stderr == ("error: solve at N = 6, n = 1 needs about 3.02e-06 GB, "
                            "past the 2.89e-06 GB budget of dense cap 19\n")
+
+
+def test_solver_parity_digest_is_reproducible():
+    # ground states at N = 2..6 and the edge excitations of n = 2, 3: 13 solves
+    runs = [run_script("solver_parity.py", "--ring-sizes", "2-6", "--c-values", "1.0")
+            for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"solves 13 sha256 [0-9a-f]{64}\n", runs[0].stdout), runs[0].stdout
+    assert runs[1].stdout == runs[0].stdout
 
 
 @pytest.mark.parametrize("name", ["ground_state_scan.py", "partition_scan.py"])

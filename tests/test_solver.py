@@ -22,12 +22,26 @@ from helpers import (dense_log_jacobian, dense_mirror_jacobian, dense_phase_sums
                      dense_rounding_floor)
 
 
-def _edge_excitation():
+def _edge_excitation(N=16, c=1.3):
     """The ground labels of n = N/2 - 2 with the edge excitation I_n -> I_n + 1."""
-    N, n = 16, 6
-    labels = list(ground_state_quantum_numbers(n).values)
+    labels = list(ground_state_quantum_numbers(N // 2 - 2).values)
     labels[-1] += 1
-    return N, QuantumNumbers(tuple(labels)), Anisotropy(1.3)
+    return N, QuantumNumbers(tuple(labels)), Anisotropy(c)
+
+
+def _assert_condition_of_dense_jacobian(report):
+    """The estimate is the 1-norm condition number of the C-order dense
+    Jacobian, whose column sums add row by row; returns that Jacobian."""
+    jac = dense_log_jacobian(report.N, report.momenta.as_array(), report.momenta.anisotropy)
+    assert report.jacobian_condition_estimate == np.linalg.cond(jac, 1)
+    return jac
+
+
+def _wrap_equations(monkeypatch, wrap):
+    """Make solve build its equations through wrap(unknowns, expand, residual,
+    jacobian, floor), which returns the five it passes on."""
+    build = solver._equations
+    monkeypatch.setattr(solver, "_equations", lambda *args, **kwargs: wrap(*build(*args, **kwargs)))
 
 
 def _record_kernels(monkeypatch):
@@ -175,7 +189,7 @@ class TestSolve:
         def unexpected(*args):
             raise AssertionError("rounding floor computed without a stall")
 
-        monkeypatch.setattr(solver, "_rounding_floor", unexpected)
+        _wrap_equations(monkeypatch, lambda *equations: (*equations[:4], unexpected))
         for N, c in ((8, 1.0), (64, 1.0), (512, 0.5)):
             report = solve(N, ground_state_quantum_numbers(N // 2), Anisotropy(c))
             assert report.converged and report.final_residual <= 1e-12, (N, c)
@@ -206,19 +220,15 @@ class TestSolve:
                 return fn(*args)
             return wrapped
 
-        def equations(*args):
-            expand, residual, jacobian = mirror(*args)
-            return expand, counted("residual", residual), counted("jacobian", jacobian)
-
-        mirror = solver._mirror_equations
-        monkeypatch.setattr(solver, "_mirror_equations", equations)
-        monkeypatch.setattr(solver, "_rounding_floor", counted("floor", solver._rounding_floor))
+        _wrap_equations(monkeypatch, lambda unknowns, expand, residual, jacobian, floor: (
+            unknowns, expand, counted("residual", residual), counted("jacobian", jacobian),
+            counted("floor", floor)))
         N, qn, a = 1024, ground_state_quantum_numbers(512), Anisotropy(0.5)
         r = solve(N, qn, a)
         assert r.converged
         assert (r.iterations, r.step_halvings, r.polish_steps) == (4, 0, 0)
         assert calls == {"residual": 5, "jacobian": 4, "floor": 1}
-        assert 1e-12 < r.final_residual <= solver._rounding_floor(N, qn, a, r.momenta.as_array())
+        assert 1e-12 < r.final_residual <= dense_rounding_floor(N, qn, a, r.momenta.as_array())
 
     def test_stalled_step_evaluates_no_rounded_trial(self, monkeypatch):
         # the root 2 pi / 6 = pi - mu lies on the domain edge, so the second
@@ -238,9 +248,10 @@ class TestSolve:
         assert math.isfinite(report.jacobian_condition_estimate)
         assert report.jacobian_condition_estimate >= 1.0
         # the 1-norm condition number (the 2-norm one reads 1.69 here, not 2.11)
-        _, jacobian = log_equations(N, qn, a)
-        jac = jacobian(report.momenta.as_array())
-        assert report.jacobian_condition_estimate == np.linalg.cond(jac, 1)
+        _assert_condition_of_dense_jacobian(report)
+        # at N = 18 the column sums of the transposed layout round differently
+        jac = _assert_condition_of_dense_jacobian(solve(18, ground_state_quantum_numbers(9), a))
+        assert np.linalg.cond(np.asfortranarray(jac), 1) != np.linalg.cond(jac, 1)
 
     def test_condition_estimate_of_no_momenta(self, monkeypatch):
         kernels = _record_kernels(monkeypatch)
@@ -249,12 +260,14 @@ class TestSolve:
         assert kernels == []
 
     def test_condition_estimate_of_full_route(self):
-        N, qn, a = _edge_excitation()
-        report = solve(N, qn, a)
+        report = solve(*_edge_excitation())
         assert report.converged
-        _, jacobian = log_equations(N, qn, a)
-        jac = jacobian(report.momenta.as_array())
-        assert report.jacobian_condition_estimate == np.linalg.cond(jac, 1)
+        _assert_condition_of_dense_jacobian(report)
+        # at N = 36 the column sums of the transposed layout round differently
+        report = solve(*_edge_excitation(36))
+        assert report.converged
+        jac = _assert_condition_of_dense_jacobian(report)
+        assert np.linalg.cond(np.asfortranarray(jac), 1) != np.linalg.cond(jac, 1)
 
     def test_replaced_report_reads_the_same_estimate(self):
         # a report rebuilt by dataclasses.replace keeps N and the labels, so it
@@ -294,7 +307,7 @@ class TestMirrorRoute:
         # the half block's residual is the full system's, bit for bit
         assert report.final_residual == full
         # past 1e-12 only where the line search stalled within rounding
-        assert full <= max(1e-12, solver._rounding_floor(N, qn, a, p)), (full, report)
+        assert full <= max(1e-12, dense_rounding_floor(N, qn, a, p)), (full, report)
 
     @pytest.mark.parametrize("N, n, c", [(14, 7, 1.0), (64, 32, 0.5), (512, 256, 0.505)],
                              ids=["odd", "even", "stall"])
@@ -347,7 +360,7 @@ class TestBlockRoute:
         assert np.array_equal(root, -root[::-1]) and not np.array_equal(skewed, -skewed[::-1])
         monkeypatch.setattr(functions, "_BLOCK_ELEMENTS", block)
         kernels = _record_kernels(monkeypatch)
-        residual, jacobian = log_equations(N, qn, a)
+        _, _, residual, jacobian, floor = solver._equations(N, qn, a, fold=False)
         for p in (root, skewed):
             expected = dense_phase_sums(p, a)
             kernels.clear()
@@ -356,13 +369,30 @@ class TestBlockRoute:
             assert kernels == [("_kernel", shape) for shape in _blocks(rows, n)]
             assert self.same(residual(p), N * p - 2.0 * math.pi * qn.as_array()
                              + dense_phase_sums(p, a))
-            assert self.same(jacobian(p), dense_log_jacobian(N, p, a))
-            for start in (0, n // 2):
-                assert (solver._rounding_floor(N, qn, a, p, start)
-                        == dense_rounding_floor(N, qn, a, p, start)), start
-        q = root[n - n // 2:]
-        _, _, folded = solver._mirror_equations(N, qn, a, functions._scratch(n - n // 2, n))
+            # the solver's Jacobians are the transposes of C-order arrays
+            assert self.same(jacobian(p), np.asfortranarray(dense_log_jacobian(N, p, a)))
+            assert floor(p) == dense_rounding_floor(N, qn, a, p)
+        # the folded equations are the unfolded ones at p = expand(q)
+        unknowns, expand, residual, folded, floor = solver._equations(N, qn, a, fold=True)
+        q = root[unknowns]
+        assert np.array_equal(expand(q), root)
+        assert self.same(residual(q), N * root - 2.0 * math.pi * qn.as_array()
+                         + dense_phase_sums(root, a))
         assert self.same(folded(q), dense_mirror_jacobian(N, q, n, a))
+        assert floor(q) == dense_rounding_floor(N, qn, a, root, n // 2)
+
+    @pytest.mark.parametrize("N, n, c", [(7, 3, 0.5), (12, 5, 1.3), (16, 8, 2.5), (41, 20, 1.0),
+                                         (64, 32, 1.0)])
+    def test_folded_jacobian_is_the_chain_rule_of_the_full_one(self, N, n, c):
+        # p_{n-1-j} = -q_j: the column of q_j minus that of its mirror, on q's rows
+        qn, a = ground_state_quantum_numbers(n), Anisotropy(c)
+        p = solve(N, qn, a).momenta.as_array()
+        unknowns, _, _, folded, _ = solver._equations(N, qn, a, fold=True)
+        upper, mirror = np.arange(n)[unknowns], np.arange(n // 2)[::-1]
+        full = dense_log_jacobian(N, p, a)[upper]
+        chain = full[:, upper] - full[:, mirror]
+        got = folded(p[unknowns])
+        assert np.max(np.abs(got - chain)) <= 1e-15 * np.max(np.abs(chain))
 
     def test_solve_holds_the_jacobian_and_one_block(self):
         # the mirrored solve at N = 2048 keeps the h x h Jacobian (8 h^2 bytes),
