@@ -211,7 +211,9 @@ def bethe_residual(m: MomentumSet, ring_size: int) -> np.ndarray:
     if n == 0:
         return np.zeros(0, dtype=complex)
     sign = -1.0 if n % 2 == 0 else 1.0
-    return np.exp(1j * ring_size * p) - sign * np.exp(-1j * _phase_sums(p, m.anisotropy))
+    with np.errstate():
+        np.setbufsize(16)  # the least ufunc buffer (see the functions module)
+        return np.exp(1j * ring_size * p) - sign * np.exp(-1j * _phase_sums(p, m.anisotropy))
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,27 @@ uncertified branch.
 The solver's O(n^2) passes read S by blocks of whole rows instead:
 `_kernel_blocks` writes each block, at most `_BLOCK_ELEMENTS` entries unless
 one row is longer, into a scratch set from `_scratch` and certifies it by
-its own rows' smallest cos x.  The passes compute theta
-(`_theta_from_kernel`) or its partial (`_partial_from_kernel`) in place
-there, by the formulas of `theta` and `theta_partial_1` in the same order,
-so every block equals those functions' rows bit for bit.
+its own rows' smallest cos x.  The passes compute theta or its partial in
+place there, by the formulas of `theta` and `theta_partial_1` in the same
+order, so every block equals those functions' rows bit for bit.
+
+Every theta comes from `_theta_from_parts`, on Re S and Im S written by
+`_kernel` as two contiguous real arrays: `theta`, the phase sums
+(`_phase_sums`: the solver's residual and `bethe_residual`) and the
+solver's rounding floor.  These are the complex S's parts bit for bit, and
+numpy's arctan2 takes about two thirds of the time on contiguous arrays
+that it takes on the strided parts of a complex one.  The partial stays
+on the complex S (`_partial_from_kernel`): it needs numpy's complex
+division, and rebuilding a complex S from the parts cost more than the
+contiguous parts saved.  |S|, for the floor and the per-entry check, is
+numpy's complex abs, which np.hypot on the parts does not round alike.
+
+`solver.solve` and `ansatz.bethe_residual` run their passes with numpy's
+least ufunc buffer, 16 elements, set once per call inside np.errstate(),
+which restores the caller's size.  A broadcast over rows of a few hundred
+entries then runs row by row, about 4 times faster than through the
+default buffer of 8192, and every value, sums included, stays bit for bit
+the same.
 
 All functions broadcast over numpy arrays and return plain scalars for
 scalar input.
@@ -136,9 +153,14 @@ def _log_sum_exp(logs) -> float:
     return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
-def _kernel(ex, ey, a, out=None):
+def _kernel(ex, ey, a, out=None, parts=False):
     """S = ex + ey - 2*delta from ex = exp(-ix) and ey = exp(iy), written into
     out when given, and a lower bound on every Re S.
+
+    With parts, S is the pair (Re S, Im S) of real arrays written into the
+    pair out: fl(fl(cos x + cos y) - 2*delta) and fl(-sin x + sin y), from
+    the cosines and sines of ex and ey.  These are the parts of the complex
+    S bit for bit, but contiguous, and numpy's arctan2 runs faster on them.
 
     The bound costs O(len ex + len ey): rounding is monotone, so
     fl(fl(min cos x + min cos y) - 2*delta) is at most every Re S, which numpy
@@ -146,9 +168,10 @@ def _kernel(ex, ey, a, out=None):
     """
     two_delta = 2.0 * a.delta
     low = ex.real.min(initial=np.inf) + ey.real.min(initial=np.inf) - two_delta
-    s = np.add(ex, ey, out=out)
-    s -= two_delta
-    return s, low
+    if parts:
+        re = np.subtract(np.add(ex.real, ey.real, out=out[0]), two_delta, out=out[0])
+        return (re, np.add(ex.imag, ey.imag, out=out[1])), low
+    return np.subtract(np.add(ex, ey, out=out), two_delta, out=out), low
 
 
 def _exponentials(x, y):
@@ -161,20 +184,21 @@ def scattering_kernel(x, y, a: Anisotropy):
     return _as_scalar(_kernel(*_exponentials(x, y), a)[0])
 
 
-def _certified_kernel(ex, ey, a, out=None):
-    """S from exp(-ix) and exp(iy), checked to lie in the right half-plane
-    away from zero.
+def _certified_kernel(ex, ey, a, out=None, parts=False):
+    """S from exp(-ix) and exp(iy), or its parts (`_kernel`), checked to lie
+    in the right half-plane away from zero.
 
     A lower bound on Re S at or past the kernel floor certifies every entry
     at once; only below it is each entry checked, and a NaN fails that check.
-    Callers take S(y, x) as its conjugate: the two differ only in the sign
-    of the imaginary part, and numpy computes them bit for bit conjugate.
+    |S| is numpy's complex absolute value in either form.  Callers take
+    S(y, x) as its conjugate: the two differ only in the sign of the
+    imaginary part, and numpy computes them bit for bit conjugate.
     """
-    s, low = _kernel(ex, ey, a, out)
+    s, low = _kernel(ex, ey, a, out, parts)
     if not low >= _KERNEL_FLOOR:
-        if not np.all(s.real > 0.0):
+        if not np.all((s[0] if parts else s.real) > 0.0):
             raise DomainError("scattering kernel left the right half-plane; branch uncertified")
-        if np.any(np.abs(s) < _KERNEL_FLOOR):
+        if np.any(np.abs(s[0] + 1j * s[1] if parts else s) < _KERNEL_FLOOR):
             raise DomainError("scattering kernel vanished; branch uncertified")
     return s
 
@@ -183,40 +207,38 @@ def _scratch(rows: int, n: int):
     """Buffers for a pass over rows x n kernel entries in blocks of whole rows:
     one complex and two real arrays of n columns and as many rows as
     `_BLOCK_ELEMENTS` entries hold, at most the pass's but at least one.  The
-    three share one allocation."""
+    three share one allocation of 4 doubles per entry."""
     shape = (max(1, min(rows, _BLOCK_ELEMENTS // max(n, 1))), n)
-    size = shape[0] * n
-    buffer = np.empty(4 * size)
-    return (buffer[:2 * size].view(complex).reshape(shape), buffer[2 * size:3 * size].reshape(shape),
-            buffer[3 * size:].reshape(shape))
+    planes = np.empty((4, *shape))
+    return planes[:2].reshape(-1).view(complex).reshape(shape), planes[2], planes[3]
 
 
-def _kernel_blocks(x: np.ndarray, y: np.ndarray, a: Anisotropy, scratch=None):
+def _kernel_blocks(x: np.ndarray, y: np.ndarray, a: Anisotropy, scratch=None, parts=False):
     """Certified S(x_j, y_k) over consecutive blocks of rows j.
 
-    Yields (start, ex, s, u, v) for the rows x[start:start + len(s)]: ex is
+    Yields (rows, ex, s, u, v) for the rows x[rows], rows a slice: ex is
     their exp(-ix) as a column, s their kernel written into the scratch's
-    complex buffer, and u and v the real buffers in s's shape.  Every block
-    overwrites the last.  Each block is certified on its own, by its rows'
-    smallest cos x and the smallest cos y of all of y.
+    complex buffer, and u and v the real buffers in s's shape.  With parts,
+    u and v take Re S and Im S instead (`_kernel`), and s is left free.
+    Every block overwrites the last.  Each block is certified on its own, by
+    its rows' smallest cos x and the smallest cos y of all of y.
     """
     s, u, v = _scratch(x.size, y.size) if scratch is None else scratch
-    step = len(s)
     ex, ey = _exponentials(x[:, None], y)
-    for start in range(0, x.size, step):
-        block = ex[start:start + step]
+    for start in range(0, x.size, len(s)):
+        block = ex[start:start + len(s)]
         rows = len(block)
-        yield start, block, _certified_kernel(block, ey, a, s[:rows]), u[:rows], v[:rows]
+        _certified_kernel(block, ey, a, (u[:rows], v[:rows]) if parts else s[:rows], parts)
+        yield slice(start, start + rows), block, s[:rows], u[:rows], v[:rows]
 
 
-def _theta_from_kernel(x, y, s, out=None, arg=None):
-    """theta(x, y) = -(x - y) - 2 arg S from S = S(x, y), into out when given,
-    with arg S taken into arg.  Subtracting arg twice rounds as
-    -arg S(x, y) + arg S(y, x) did; + 0.0 keeps theta(x, x) at +0.0, not -0.0."""
-    arg = np.arctan2(s.imag, s.real, out=arg)  # np.angle(s), bit for bit
-    val = np.negative(np.subtract(x, y, out=out), out=out)
-    val = np.subtract(np.subtract(val, arg, out=out), arg, out=out)
-    return np.add(val, 0.0, out=out)
+def _theta_from_parts(x, y, re, im):
+    """theta(x, y) = -(x - y) - 2 arg S from the parts of S = S(x, y), written
+    over them: arg S into im, and theta, returned, into re.  fl(y - x) is
+    -(x - y) exactly, and subtracting arg twice rounds as
+    -arg S(x, y) + arg S(y, x) did.  A zero may come out as -0.0."""
+    arg = np.arctan2(im, re, out=im)  # np.angle(S), bit for bit
+    return np.subtract(np.subtract(np.subtract(y, x, out=re), arg, out=re), arg, out=re)
 
 
 def _partial_from_kernel(ex, s, out=None):
@@ -236,7 +258,9 @@ def theta(x, y, a: Anisotropy):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _as_scalar(_theta_from_kernel(x, y, _certified_kernel(*_exponentials(x, y), a)))
+    shape = np.broadcast(x, y).shape
+    parts = _certified_kernel(*_exponentials(x, y), a, (np.empty(shape), np.empty(shape)), True)
+    return _as_scalar(np.add(_theta_from_parts(x, y, *parts), 0.0))  # theta(x, x) is +0.0
 
 
 def _phase_sums(p: np.ndarray, a: Anisotropy, scratch=None) -> np.ndarray:
@@ -244,14 +268,14 @@ def _phase_sums(p: np.ndarray, a: Anisotropy, scratch=None) -> np.ndarray:
     An odd p == -p[::-1] takes theta on the ceil(n/2) x n rows p[n//2:] alone:
     S(-x, -y) = conj S(x, y), so they certify every pair, and
     theta(-x, -y) = -theta(x, y) bit for bit makes row n-1-j's sum row j's
-    reversed sum, negated.  Any other p takes all n x n pairs."""
+    reversed sum, negated.  Any other p takes all n x n pairs.  Its callers
+    run it with numpy's least ufunc buffer (see the module docstring)."""
     n = p.size
     odd = np.array_equal(p, -p[::-1])
     x = p[n // 2:] if odd else p
     forward, backward = np.empty(x.size), np.empty(x.size)
-    for start, _, s, phases, arg in _kernel_blocks(x, p, a, scratch):
-        rows = slice(start, start + len(s))
-        _theta_from_kernel(x[rows, None], p, s, phases, arg).sum(axis=1, out=forward[rows])
+    for rows, _, _, phases, arg in _kernel_blocks(x, p, a, scratch, parts=True):
+        _theta_from_parts(x[rows, None], p, phases, arg).sum(axis=1, out=forward[rows])
         if odd:
             phases[:, ::-1].sum(axis=1, out=backward[rows])
     return np.concatenate((-backward[::-1], forward[n % 2:])) if odd else forward
@@ -267,7 +291,6 @@ def theta_partial_1(x, y, a: Anisotropy):
     whose last two terms are complex conjugates: the value is
     -1 + 2 Re[exp(-ix)/S(x, y)], real exactly.
     """
-    x = np.asarray(x, dtype=float)
     ex, ey = _exponentials(x, y)
     return _as_scalar(_partial_from_kernel(ex, np.asarray(_certified_kernel(ex, ey, a))))
 

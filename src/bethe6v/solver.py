@@ -22,9 +22,12 @@ no mirrored columns.
 Memory is O(h^2 + n * block) for h unknowns: the residual, the Jacobian
 and the rounding floor read the kernel S by blocks of whole rows of at most
 `functions._BLOCK_ELEMENTS` entries (`functions._kernel_blocks`), each
-written in place into one scratch set that `_equations` allocates once and
-every pass of the solve reuses.  Only the h x h Jacobian, its LU copy and
-O(n) vectors are whole.
+written in place into one scratch set of 4 doubles per entry that
+`_equations` allocates once and every pass of the solve reuses.  The
+residual and the floor read S as its real and imaginary parts, two
+contiguous real arrays, and the Jacobian as complex.  Only the h x h
+Jacobian, which `_equations` also allocates once and every step
+overwrites, its LU copy in `np.linalg.solve` and O(n) vectors are whole.
 
 A label set inside the half-filled sea (every |I_j| < N/4, as in every
 ground state) starts at its continuum root (Yang and Yang 1966; see
@@ -69,7 +72,7 @@ import numpy as np
 
 from .errors import DegenerateMomentaError, DomainError
 from .functions import (Anisotropy, MomentumSet, _kernel_blocks, _partial_from_kernel, _phase_sums,
-                        _scratch, _theta_from_kernel)
+                        _scratch, _theta_from_parts)
 
 __all__ = [
     "QuantumNumbers",
@@ -173,7 +176,7 @@ def log_equations(N: int, qn: QuantumNumbers, a: Anisotropy):
     in all n unknowns: `_equations`' unfolded instance, the Jacobian of
     `SolveReport.jacobian_condition_estimate` (formed when that is read) and
     the full-system oracle.  The Jacobian is the transpose of a C-order
-    array."""
+    array that the next call overwrites: copy it to keep it."""
     _, _, residual, jacobian, _ = _equations(N, qn, a, fold=False)
     return residual, jacobian
 
@@ -234,13 +237,15 @@ def _equations(N, qn, a, fold):
     block of rows.
 
     Every pass reads the kernel by blocks of rows into one scratch set, made
-    here for the largest of them and reused by every call.
+    here for the largest of them and reused by every call.  So is the h x h
+    array of J^T: every call writes it whole and returns it transposed.
     """
     n = qn.n
     mirrored = n // 2 if fold else 0    # columns -x reversed, first in p
     h = mirrored if fold else n         # unknowns, the last h of p
     targets = 2.0 * math.pi * qn.as_array()
     scratch = _scratch(n - mirrored, n)
+    jac_t = np.empty((h, h))
 
     def expand(x: np.ndarray) -> np.ndarray:  # with the zero momentum of odd folded n
         return np.concatenate((-x[:mirrored][::-1], np.zeros(n - h - mirrored), x))
@@ -250,25 +255,23 @@ def _equations(N, qn, a, fold):
         return N * p - targets + _phase_sums(p, a, scratch)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        jac_t = np.empty((h, h))
-        for start, ex, s, d1, _ in _kernel_blocks(x, expand(x), a, scratch):
+        for block, ex, s, d1, _ in _kernel_blocks(x, expand(x), a, scratch):
             d1 = _partial_from_kernel(ex, s, d1)
-            stop = start + len(d1)
             # -D[:, x] + D[:, mirror] rounds as D[:, mirror] - D[:, x]
-            rows = np.negative(d1[:, n - h:], out=jac_t[start:stop])
+            rows = np.negative(d1[:, n - h:], out=jac_t[block])
             rows[:, :mirrored] += d1[:, :mirrored][:, ::-1]
-            jac_t.flat[start * (h + 1):stop * (h + 1):h + 1] += N + d1.sum(axis=1)
+            jac_t.flat[block.start * (h + 1):block.stop * (h + 1):h + 1] += N + d1.sum(axis=1)
         return jac_t.T
 
     def floor(x: np.ndarray) -> float:
         p = expand(x)
         rows = p[mirrored:]
         sums = np.empty(rows.size)
-        for first, _, s, terms, arg_error in _kernel_blocks(rows, p, a, scratch):
-            block = slice(first, first + len(s))
-            np.abs(_theta_from_kernel(rows[block, None], p, s, terms, arg_error), out=terms)
+        for block, _, s, terms, arg_error in _kernel_blocks(rows, p, a, scratch, parts=True):
+            s.real, s.imag = terms, arg_error  # |S| stays numpy's complex abs
+            np.abs(_theta_from_parts(rows[block, None], p, terms, arg_error), out=terms)
             np.divide(4.0 * (1.0 + abs(a.delta)), np.abs(s, out=arg_error), out=arg_error)
-            np.fill_diagonal(arg_error[:, mirrored + first:], 0.0)
+            np.fill_diagonal(arg_error[:, mirrored + block.start:], 0.0)
             np.add(terms, arg_error, out=terms).sum(axis=1, out=sums[block])
         return 2.0 ** -53 * float(np.max(N * np.abs(rows) + np.abs(targets[mirrored:]) + sums))
 
@@ -345,9 +348,11 @@ def solve(N: int, qn: QuantumNumbers, a: Anisotropy) -> SolveReport:
     labels = qn.as_array()
     unknowns, expand, residual, jacobian, floor = _equations(
         N, qn, a, fold=np.array_equal(labels, -labels[::-1]))
-    x, res, converged, (iterations, halvings, polished) = _newton(
-        _initial_guess(N, qn, a)[unknowns], residual, jacobian, floor,
-        -hw + _DOMAIN_MARGIN, hw - _DOMAIN_MARGIN)
+    with np.errstate():
+        np.setbufsize(16)  # the least ufunc buffer (see the functions module)
+        x, res, converged, (iterations, halvings, polished) = _newton(
+            _initial_guess(N, qn, a)[unknowns], residual, jacobian, floor,
+            -hw + _DOMAIN_MARGIN, hw - _DOMAIN_MARGIN)
     p = expand(x)
 
     degenerate = False

@@ -255,6 +255,19 @@ class TestKernelCertificate:
             s, low = functions._kernel(*functions._exponentials(x, y), a)
             assert low <= np.min(np.real(s)), (a.c, x, y)
 
+    def test_parts_are_the_complex_kernels(self):
+        # the parts route writes Re S and Im S of the complex kernel, bit for
+        # bit, and the same lower bound
+        for a, x, y in self.cases():
+            ex, ey = functions._exponentials(x, y)
+            s, low = functions._kernel(ex, ey, a)
+            out = [np.empty(np.shape(s)) for _ in range(2)]
+            (re, im), low_parts = functions._kernel(ex, ey, a, out, True)
+            assert re is out[0] and im is out[1]
+            assert re.tobytes() == np.asarray(np.real(s)).tobytes(), (a.c, x, y)
+            assert im.tobytes() == np.asarray(np.imag(s)).tobytes(), (a.c, x, y)
+            assert low_parts == low
+
     def test_outside_the_domain_refused(self):
         a = Anisotropy(1.0)  # Re S(2, 2) = 2 cos 2 - 1 < 0
         x = np.array([0.1, 2.0])

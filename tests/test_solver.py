@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from bethe6v import functions, solver
 from bethe6v import (
     Anisotropy,
+    DomainError,
     QuantumNumbers,
     bethe_residual,
     ground_state_quantum_numbers,
@@ -381,6 +383,45 @@ class TestBlockRoute:
         assert self.same(folded(q), dense_mirror_jacobian(N, q, n, a))
         assert floor(q) == dense_rounding_floor(N, qn, a, root, n // 2)
 
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.5])
+    def test_default_blocks_at_n_1024(self, monkeypatch, c):
+        # at the default block size the odd root's 256 x 512 rows take two
+        # blocks and the skewed p's 512 x 512 four, for the phase sums and the
+        # rounding floor alike; solve and bethe_residual give the caller back
+        # its ufunc buffer size
+        N, qn, a = 1024, ground_state_quantum_numbers(512), Anisotropy(c)
+        with np.errstate():
+            np.setbufsize(4096)
+            momenta = solve(N, qn, a).momenta
+            assert np.getbufsize() == 4096
+            bethe_residual(momenta, N)
+            assert np.getbufsize() == 4096
+        root = momenta.as_array()
+        skewed = 0.9 * root + 0.01
+        kernels = _record_kernels(monkeypatch)
+        _, _, _, _, floor = solver._equations(N, qn, a, fold=False)
+        for p, rows, blocks in ((root, 256, 2), (skewed, 512, 4)):
+            expected = dense_phase_sums(p, a)
+            kernels.clear()
+            assert self.same(_phase_sums(p, a), expected)
+            assert kernels == [("_kernel", shape) for shape in _blocks(rows, 512)]
+            assert len(kernels) == blocks
+            assert floor(p) == dense_rounding_floor(N, qn, a, p)
+        unknowns, _, _, _, folded_floor = solver._equations(N, qn, a, fold=True)
+        assert folded_floor(root[unknowns]) == dense_rounding_floor(N, qn, a, root, 256)
+
+    def test_one_jacobian_buffer(self):
+        # every call writes the one h x h array the builder holds, whole
+        N, n, a = 64, 32, Anisotropy(1.3)
+        qn = ground_state_quantum_numbers(n)
+        q = solve(N, qn, a).momenta.as_array()[n // 2:]
+        _, _, _, jacobian, _ = solver._equations(N, qn, a, fold=True)
+        first = jacobian(q)
+        expected = first.copy()
+        moved = jacobian(0.9 * q)
+        assert np.shares_memory(first, moved) and not np.array_equal(moved, expected)
+        assert np.array_equal(jacobian(q), expected)
+
     @pytest.mark.parametrize("N, n, c", [(7, 3, 0.5), (12, 5, 1.3), (16, 8, 2.5), (41, 20, 1.0),
                                          (64, 32, 1.0)])
     def test_folded_jacobian_is_the_chain_rule_of_the_full_one(self, N, n, c):
@@ -408,6 +449,39 @@ class TestBlockRoute:
             tracemalloc.stop()
         assert report.converged
         assert peak < 2 * 8 * h * h + 32 * functions._BLOCK_ELEMENTS, peak
+
+
+class TestPassesFailClosed:
+    """The phase sums, the solver's residual and its rounding floor read the
+    kernel's parts, and refuse what theta refuses: a pair with Re S <= 0, a
+    vanishing kernel and a non-finite momentum each raise DomainError."""
+
+    CASES = {
+        "half_plane": (1.0, [0.1, 2.0], "left the right half-plane"),  # 2 cos 2 - 1 < 0
+        "vanishing": (1e-7, [0.0], "vanished"),  # S(0, 0) = c^2 = 1e-14
+        "nan": (1.0, [0.1, math.nan], "left the right half-plane"),
+        "inf": (1.0, [0.1, math.inf], "left the right half-plane"),
+        "-inf": (1.0, [0.1, -math.inf], "left the right half-plane"),
+    }
+
+    @staticmethod
+    def passes(p, a):
+        """Every pass over p, ready to call: the phase sums, then the residual
+        and the floor of both folds at p's unknowns."""
+        qn = ground_state_quantum_numbers(p.size)
+        yield functools.partial(_phase_sums, p, a)
+        for fold in (False, True):
+            unknowns, _, residual, _, floor = solver._equations(8, qn, a, fold=fold)
+            yield functools.partial(residual, p[unknowns])
+            yield functools.partial(floor, p[unknowns])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused(self, case):
+        c, p, message = self.CASES[case]
+        for run in self.passes(np.array(p), Anisotropy(c)):
+            # numpy warns on i * inf; what matters is the refusal
+            with np.errstate(invalid="ignore"), pytest.raises(DomainError, match=message):
+                run()
 
 
 class TestInitialGuess:
