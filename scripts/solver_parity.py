@@ -9,7 +9,10 @@ step halvings, polish steps, converged and degenerate flags, final
 residual, exponential-form `bethe_residual` (or the message of the
 DomainError it raised) and, for N <= 40, the Jacobian's condition estimate.
 The script prints the number of solves and the digest: two checkouts whose
-solver rounds alike print the same line.
+solver rounds alike print the same line.  The digest also depends on the
+BLAS thread count, since the LU solve of each Newton step rounds
+differently with it, so compare two checkouts only under the same
+OPENBLAS_NUM_THREADS (or its unset default) on the same machine.
 
 Example:
     python scripts/solver_parity.py --ring-sizes 2-12,64 --c-values 0.5,1.0

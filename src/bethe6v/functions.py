@@ -23,16 +23,14 @@ its own rows' smallest cos x.  The passes compute theta or its partial in
 place there, by the formulas of `theta` and `theta_partial_1` in the same
 order, so every block equals those functions' rows bit for bit.
 
-Every theta comes from `_theta_from_parts`, on Re S and Im S written by
-`_kernel` as two contiguous real arrays: `theta`, the phase sums
-(`_phase_sums`: the solver's residual and `bethe_residual`) and the
-solver's rounding floor.  These are the complex S's parts bit for bit, and
-numpy's arctan2 takes about two thirds of the time on contiguous arrays
-that it takes on the strided parts of a complex one.  The partial stays
-on the complex S (`_partial_from_kernel`): it needs numpy's complex
-division, and rebuilding a complex S from the parts cost more than the
-contiguous parts saved.  |S|, for the floor and the per-entry check, is
-numpy's complex abs, which np.hypot on the parts does not round alike.
+S has one form in every pass: its parts Re S = fl(fl(cos x + cos y) -
+2*delta) and Im S = fl(-sin x + sin y), written by `_kernel` as two
+contiguous real arrays, the public complex kernel's parts bit for bit.
+theta comes from them by `_theta_from_parts` (numpy's arctan2 takes about
+two thirds of the time on contiguous arrays that it takes on the strided
+parts of a complex one), d1 theta by `_partial_from_parts` with real
+arithmetic alone, and |S|, for the solver's rounding floor and the
+per-entry check, is np.hypot of the parts.
 
 `solver.solve` and `ansatz.bethe_residual` run their passes with numpy's
 least ufunc buffer, 16 elements, set once per call inside np.errstate(),
@@ -153,25 +151,23 @@ def _log_sum_exp(logs) -> float:
     return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
-def _kernel(ex, ey, a, out=None, parts=False):
-    """S = ex + ey - 2*delta from ex = exp(-ix) and ey = exp(iy), written into
-    out when given, and a lower bound on every Re S.
+def _kernel(ex, ey, a, out):
+    """The parts of S = ex + ey - 2*delta from ex = exp(-ix) and ey = exp(iy),
+    written into out[0] and out[1] of a real array, and a lower bound on
+    every Re S.
 
-    With parts, S is the pair (Re S, Im S) of real arrays written into the
-    pair out: fl(fl(cos x + cos y) - 2*delta) and fl(-sin x + sin y), from
-    the cosines and sines of ex and ey.  These are the parts of the complex
-    S bit for bit, but contiguous, and numpy's arctan2 runs faster on them.
+    Re S = fl(fl(cos x + cos y) - 2*delta) and Im S = fl(-sin x + sin y), from
+    the cosines and sines of ex and ey: the parts of `scattering_kernel`'s
+    complex S bit for bit, but contiguous.  Returns (Re S, Im S, bound).
 
     The bound costs O(len ex + len ey): rounding is monotone, so
-    fl(fl(min cos x + min cos y) - 2*delta) is at most every Re S, which numpy
-    sums as fl(fl(cos x + cos y) - 2*delta).  It is NaN when a cosine is.
+    fl(fl(min cos x + min cos y) - 2*delta) is at most every Re S.  It is NaN
+    when a cosine is.
     """
     two_delta = 2.0 * a.delta
     low = ex.real.min(initial=np.inf) + ey.real.min(initial=np.inf) - two_delta
-    if parts:
-        re = np.subtract(np.add(ex.real, ey.real, out=out[0]), two_delta, out=out[0])
-        return (re, np.add(ex.imag, ey.imag, out=out[1])), low
-    return np.subtract(np.add(ex, ey, out=out), two_delta, out=out), low
+    re = np.subtract(np.add(ex.real, ey.real, out=out[0, ...]), two_delta, out=out[0, ...])
+    return re, np.add(ex.imag, ey.imag, out=out[1, ...]), low
 
 
 def _exponentials(x, y):
@@ -181,55 +177,54 @@ def _exponentials(x, y):
 
 def scattering_kernel(x, y, a: Anisotropy):
     """S(x, y) = exp(-ix) + exp(iy) - 2*delta; swapping arguments conjugates it."""
-    return _as_scalar(_kernel(*_exponentials(x, y), a)[0])
+    return _as_scalar(np.add(*_exponentials(x, y)) - 2.0 * a.delta)
 
 
-def _certified_kernel(ex, ey, a, out=None, parts=False):
-    """S from exp(-ix) and exp(iy), or its parts (`_kernel`), checked to lie
-    in the right half-plane away from zero.
+def _certified_kernel(ex, ey, a, out):
+    """The parts of S from exp(-ix) and exp(iy) (`_kernel`), checked to lie in
+    the right half-plane away from zero.
 
     A lower bound on Re S at or past the kernel floor certifies every entry
-    at once; only below it is each entry checked, and a NaN fails that check.
-    |S| is numpy's complex absolute value in either form.  Callers take
-    S(y, x) as its conjugate: the two differ only in the sign of the
-    imaginary part, and numpy computes them bit for bit conjugate.
+    at once; only below it is each entry checked, Re S > 0 and
+    np.hypot(Re S, Im S) >= the floor, and a NaN fails that check.  Callers
+    take S(y, x) as its conjugate: the two differ only in the sign of the
+    imaginary part, which numpy computes bit for bit negated.
     """
-    s, low = _kernel(ex, ey, a, out, parts)
+    re, im, low = _kernel(ex, ey, a, out)
     if not low >= _KERNEL_FLOOR:
-        if not np.all((s[0] if parts else s.real) > 0.0):
+        if not np.all(re > 0.0):
             raise DomainError("scattering kernel left the right half-plane; branch uncertified")
-        if np.any(np.abs(s[0] + 1j * s[1] if parts else s) < _KERNEL_FLOOR):
+        if np.any(np.hypot(re, im) < _KERNEL_FLOOR):
             raise DomainError("scattering kernel vanished; branch uncertified")
-    return s
+    return re, im
 
 
 def _scratch(rows: int, n: int):
     """Buffers for a pass over rows x n kernel entries in blocks of whole rows:
-    one complex and two real arrays of n columns and as many rows as
-    `_BLOCK_ELEMENTS` entries hold, at most the pass's but at least one.  The
-    three share one allocation of 4 doubles per entry."""
-    shape = (max(1, min(rows, _BLOCK_ELEMENTS // max(n, 1))), n)
-    planes = np.empty((4, *shape))
-    return planes[:2].reshape(-1).view(complex).reshape(shape), planes[2], planes[3]
+    one (4, block rows, n) real array, 4 doubles per entry, whose block rows
+    are as many as `_BLOCK_ELEMENTS` entries hold, at most the pass's but at
+    least one.  Planes 0 and 1 take Re S and Im S, and 2 and 3 are free."""
+    return np.empty((4, max(1, min(rows, _BLOCK_ELEMENTS // max(n, 1))), n))
 
 
-def _kernel_blocks(x: np.ndarray, y: np.ndarray, a: Anisotropy, scratch=None, parts=False):
+def _kernel_blocks(x: np.ndarray, y: np.ndarray, a: Anisotropy, scratch=None):
     """Certified S(x_j, y_k) over consecutive blocks of rows j.
 
-    Yields (rows, ex, s, u, v) for the rows x[rows], rows a slice: ex is
-    their exp(-ix) as a column, s their kernel written into the scratch's
-    complex buffer, and u and v the real buffers in s's shape.  With parts,
-    u and v take Re S and Im S instead (`_kernel`), and s is left free.
-    Every block overwrites the last.  Each block is certified on its own, by
-    its rows' smallest cos x and the smallest cos y of all of y.
+    Yields (rows, ex, re, im, u, v) for the rows x[rows], rows a slice: ex is
+    their exp(-ix) as a column, re and im the parts of their kernel
+    (`_kernel`), and u and v free buffers in the same shape, all four
+    planes of the scratch set.  Every block overwrites the last.  Each block
+    is certified on its own, by its rows' smallest cos x and the smallest
+    cos y of all of y.
     """
-    s, u, v = _scratch(x.size, y.size) if scratch is None else scratch
+    planes = _scratch(x.size, y.size) if scratch is None else scratch
     ex, ey = _exponentials(x[:, None], y)
-    for start in range(0, x.size, len(s)):
-        block = ex[start:start + len(s)]
-        rows = len(block)
-        _certified_kernel(block, ey, a, (u[:rows], v[:rows]) if parts else s[:rows], parts)
-        yield slice(start, start + rows), block, s[:rows], u[:rows], v[:rows]
+    step = planes.shape[1]
+    for start in range(0, x.size, step):
+        block = ex[start:start + step]
+        parts = planes[:, :len(block)]
+        _certified_kernel(block, ey, a, parts)
+        yield slice(start, start + len(block)), block, *parts
 
 
 def _theta_from_parts(x, y, re, im):
@@ -241,10 +236,15 @@ def _theta_from_parts(x, y, re, im):
     return np.subtract(np.subtract(np.subtract(y, x, out=re), arg, out=re), arg, out=re)
 
 
-def _partial_from_kernel(ex, s, out=None):
-    """d1 theta(x, y) = -1 + 2 Re[exp(-ix) / S(x, y)] from ex = exp(-ix) and
-    S, into out when given.  The quotient overwrites s."""
-    half = np.divide(ex, s, out=s).real
+def _partial_from_parts(ex, re, im, out, work):
+    """d1 theta(x, y) = -1 + 2 (cos x Re S - sin x Im S) / (Re S^2 + Im S^2),
+    that is -1 + 2 Re[exp(-ix) / S], from ex = exp(-ix) (its parts are cos x
+    and -sin x) and the parts of S = S(x, y), into out as (-1 + q) + q.  re
+    and work are overwritten; the certificate keeps |S|^2 >= 1e-24."""
+    num = np.add(np.multiply(ex.real, re, out=out), np.multiply(ex.imag, im, out=work), out=out)
+    with np.errstate(over="ignore"):  # past c ~ 1e77 |S|^2 is inf and the quotient its limit 0
+        norm = np.add(np.square(re, out=re), np.square(im, out=work), out=re)
+    half = np.divide(num, norm, out=re)
     return np.add(np.add(-1.0, half, out=out), half, out=out)
 
 
@@ -259,7 +259,7 @@ def theta(x, y, a: Anisotropy):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     shape = np.broadcast(x, y).shape
-    parts = _certified_kernel(*_exponentials(x, y), a, (np.empty(shape), np.empty(shape)), True)
+    parts = _certified_kernel(*_exponentials(x, y), a, np.empty((2, *shape)))
     return _as_scalar(np.add(_theta_from_parts(x, y, *parts), 0.0))  # theta(x, x) is +0.0
 
 
@@ -274,7 +274,7 @@ def _phase_sums(p: np.ndarray, a: Anisotropy, scratch=None) -> np.ndarray:
     odd = np.array_equal(p, -p[::-1])
     x = p[n // 2:] if odd else p
     forward, backward = np.empty(x.size), np.empty(x.size)
-    for rows, _, _, phases, arg in _kernel_blocks(x, p, a, scratch, parts=True):
+    for rows, _, phases, arg, _, _ in _kernel_blocks(x, p, a, scratch):
         _theta_from_parts(x[rows, None], p, phases, arg).sum(axis=1, out=forward[rows])
         if odd:
             phases[:, ::-1].sum(axis=1, out=backward[rows])
@@ -289,10 +289,13 @@ def theta_partial_1(x, y, a: Anisotropy):
         d1 theta(x, y) = -1 + exp(-ix)/S(x, y) + exp(ix)/S(y, x),
 
     whose last two terms are complex conjugates: the value is
-    -1 + 2 Re[exp(-ix)/S(x, y)], real exactly.
+    -1 + 2 Re[exp(-ix)/S(x, y)], real exactly, taken from the parts of S by
+    `_partial_from_parts` as the solver's Jacobian takes it.
     """
     ex, ey = _exponentials(x, y)
-    return _as_scalar(_partial_from_kernel(ex, np.asarray(_certified_kernel(ex, ey, a))))
+    planes = np.empty((4, *np.broadcast(ex, ey).shape))
+    re, im = _certified_kernel(ex, ey, a, planes)
+    return _as_scalar(_partial_from_parts(ex, re, im, planes[2, ...], planes[3, ...]))
 
 
 def _one_minus(z: np.ndarray) -> np.ndarray:

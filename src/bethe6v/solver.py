@@ -23,10 +23,10 @@ Memory is O(h^2 + n * block) for h unknowns: the residual, the Jacobian
 and the rounding floor read the kernel S by blocks of whole rows of at most
 `functions._BLOCK_ELEMENTS` entries (`functions._kernel_blocks`), each
 written in place into one scratch set of 4 doubles per entry that
-`_equations` allocates once and every pass of the solve reuses.  The
-residual and the floor read S as its real and imaginary parts, two
-contiguous real arrays, and the Jacobian as complex.  Only the h x h
-Jacobian, which `_equations` also allocates once and every step
+`_equations` allocates once and every pass of the solve reuses.  Every
+pass reads S as its real and imaginary parts, two contiguous real arrays,
+and takes theta, d1 theta and |S| from them in real arithmetic.  Only the
+h x h Jacobian, which `_equations` also allocates once and every step
 overwrites, its LU copy in `np.linalg.solve` and O(n) vectors are whole.
 
 A label set inside the half-filled sea (every |I_j| < N/4, as in every
@@ -71,7 +71,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMomentaError, DomainError
-from .functions import (Anisotropy, MomentumSet, _kernel_blocks, _partial_from_kernel, _phase_sums,
+from .functions import (Anisotropy, MomentumSet, _kernel_blocks, _partial_from_parts, _phase_sums,
                         _scratch, _theta_from_parts)
 
 __all__ = [
@@ -255,8 +255,8 @@ def _equations(N, qn, a, fold):
         return N * p - targets + _phase_sums(p, a, scratch)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        for block, ex, s, d1, _ in _kernel_blocks(x, expand(x), a, scratch):
-            d1 = _partial_from_kernel(ex, s, d1)
+        for block, ex, re, im, d1, work in _kernel_blocks(x, expand(x), a, scratch):
+            d1 = _partial_from_parts(ex, re, im, d1, work)
             # -D[:, x] + D[:, mirror] rounds as D[:, mirror] - D[:, x]
             rows = np.negative(d1[:, n - h:], out=jac_t[block])
             rows[:, :mirrored] += d1[:, :mirrored][:, ::-1]
@@ -267,10 +267,10 @@ def _equations(N, qn, a, fold):
         p = expand(x)
         rows = p[mirrored:]
         sums = np.empty(rows.size)
-        for block, _, s, terms, arg_error in _kernel_blocks(rows, p, a, scratch, parts=True):
-            s.real, s.imag = terms, arg_error  # |S| stays numpy's complex abs
-            np.abs(_theta_from_parts(rows[block, None], p, terms, arg_error), out=terms)
-            np.divide(4.0 * (1.0 + abs(a.delta)), np.abs(s, out=arg_error), out=arg_error)
+        for block, _, terms, arg, arg_error, _ in _kernel_blocks(rows, p, a, scratch):
+            modulus = np.hypot(terms, arg, out=arg_error)  # |S|, before theta overwrites the parts
+            np.divide(4.0 * (1.0 + abs(a.delta)), modulus, out=arg_error)
+            np.abs(_theta_from_parts(rows[block, None], p, terms, arg), out=terms)
             np.fill_diagonal(arg_error[:, mirrored + block.start:], 0.0)
             np.add(terms, arg_error, out=terms).sum(axis=1, out=sums[block])
         return 2.0 ** -53 * float(np.max(N * np.abs(rows) + np.abs(targets[mirrored:]) + sums))

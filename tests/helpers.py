@@ -275,9 +275,10 @@ def dense_mirror_jacobian(N, q, n, a):
 
 def dense_rounding_floor(N, qn, a, p, start=0):
     """The solver's rounding floor from a whole kernel grid and a whole theta
-    grid, each of the rows p[start:]."""
+    grid, each of the rows p[start:]; |S| is np.hypot of the kernel's parts."""
     x, y = p[start:, None], p[None, :]
-    arg_error = 4.0 * (1.0 + abs(a.delta)) / np.abs(scattering_kernel(x, y, a))
+    s = scattering_kernel(x, y, a)
+    arg_error = 4.0 * (1.0 + abs(a.delta)) / np.hypot(s.real, s.imag)
     np.fill_diagonal(arg_error[:, start:], 0.0)
     rows = (N * np.abs(p[start:]) + 2.0 * math.pi * np.abs(qn.as_array()[start:])
             + (np.abs(theta(x, y, a)) + arg_error).sum(axis=1))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,14 +14,16 @@ from bethe6v import (
     L_factor,
     M_factor,
     MomentumSet,
+    QuantumNumbers,
     SingularMomentumError,
+    log_equations,
     scattering_kernel,
     theta,
     theta_partial_1,
     transfer_eigenvalue,
 )
 
-from helpers import two_kernel_theta, two_kernel_theta_partial_1
+from helpers import dense_log_jacobian, two_kernel_theta, two_kernel_theta_partial_1
 
 C_VALUES = (0.5, 1.0, math.sqrt(2.0), 2.0, 3.0)
 
@@ -185,19 +188,44 @@ class TestOneKernelPerPair:
             X, Y = self.random_grid(a, rng)
             assert self.same_bits(theta(X, Y, a), two_kernel_theta(X, Y, a)), c
 
-    def test_partial_bit_identical_to_two_kernel_form(self):
+    @staticmethod
+    def partial_error_ratio(x, y, a):
+        """max |theta_partial_1 - two-kernel form| over its rounding bound
+        8u(1 + |delta|)/|S|^2 + 4u(1 + |d1 theta|): the rounding of S's
+        parts carried through d(exp(-ix)/S)/dS, and of the quotient and sum."""
+        d1 = two_kernel_theta_partial_1(x, y, a)
+        assert np.all(d1.imag == 0.0)  # the two terms are conjugate
+        s, u = scattering_kernel(x, y, a), 2.0 ** -53
+        with np.errstate(over="ignore"):  # |S|^2 is inf past c ~ 1e77
+            norm = np.hypot(s.real, s.imag) ** 2
+        bound = 8.0 * u * (1.0 + abs(a.delta)) / norm + 4.0 * u * (1.0 + np.abs(d1.real))
+        return float(np.max(np.abs(theta_partial_1(x, y, a) - d1.real) / bound))
+
+    def test_partial_within_rounding_of_two_kernel_form(self):
         rng = np.random.default_rng(7)
         for c in C_VALUES + (0.1, 1.2, 2.5):
             a = Anisotropy(c)
             X, Y = self.random_grid(a, rng)
-            old = two_kernel_theta_partial_1(X, Y, a)
-            assert np.all(old.imag == 0.0)  # the two terms were conjugate already
-            assert self.same_bits(theta_partial_1(X, Y, a), old.real), c
+            assert self.partial_error_ratio(X, Y, a) <= 1.0, c
+
+    @pytest.mark.parametrize("c", [1e100, 1e150])
+    def test_partial_past_the_square_range(self, c):
+        # |S|^2 overflows to inf and the quotient takes its limit 0, with no
+        # warning, in theta_partial_1 and in the solver's Jacobian alike
+        a = Anisotropy(c)
+        x = np.linspace(-3.0, 3.0, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d1 = theta_partial_1(x[:, None], x, a)
+            _, jacobian = log_equations(14, QuantumNumbers(tuple(range(-3, 4))), a)
+            jac = jacobian(x)
+        assert np.array_equal(d1, two_kernel_theta_partial_1(x[:, None], x, a).real)
+        assert np.array_equal(jac, dense_log_jacobian(14, x, a))
 
     def test_scalar_inputs(self):
         a = Anisotropy(1.3)
         assert theta(0.4, -0.2, a) == two_kernel_theta(0.4, -0.2, a)
-        assert theta_partial_1(0.4, -0.2, a) == two_kernel_theta_partial_1(0.4, -0.2, a).real
+        assert self.partial_error_ratio(0.4, -0.2, a) <= 1.0
         assert isinstance(theta(0.4, -0.2, a), float)
         assert isinstance(theta_partial_1(0.4, -0.2, a), float)
 
@@ -215,7 +243,7 @@ class TestKernelCertificate:
     @staticmethod
     def refused_by_entries(x, y, a):
         s = np.asarray(scattering_kernel(x, y, a))
-        return not (np.all(s.real > 0.0) and np.all(np.abs(s) >= 1e-12))
+        return not (np.all(s.real > 0.0) and np.all(np.hypot(s.real, s.imag) >= 1e-12))
 
     @staticmethod
     def refused(fn, x, y, a):
@@ -250,23 +278,24 @@ class TestKernelCertificate:
         # refused and certified points both occur, also where the kernel vanishes
         assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
+    @staticmethod
+    def parts(x, y, a):
+        """_kernel's (Re S, Im S, bound) at x and y."""
+        ex, ey = functions._exponentials(x, y)
+        return functions._kernel(ex, ey, a, np.empty((2, *np.broadcast(ex, ey).shape)))
+
     def test_bound_is_below_every_real_part(self):
         for a, x, y in self.cases():
-            s, low = functions._kernel(*functions._exponentials(x, y), a)
-            assert low <= np.min(np.real(s)), (a.c, x, y)
+            re, _, low = self.parts(x, y, a)
+            assert low <= np.min(re), (a.c, x, y)
 
     def test_parts_are_the_complex_kernels(self):
-        # the parts route writes Re S and Im S of the complex kernel, bit for
-        # bit, and the same lower bound
+        # _kernel writes Re S and Im S of the public complex kernel, bit for bit
         for a, x, y in self.cases():
-            ex, ey = functions._exponentials(x, y)
-            s, low = functions._kernel(ex, ey, a)
-            out = [np.empty(np.shape(s)) for _ in range(2)]
-            (re, im), low_parts = functions._kernel(ex, ey, a, out, True)
-            assert re is out[0] and im is out[1]
-            assert re.tobytes() == np.asarray(np.real(s)).tobytes(), (a.c, x, y)
-            assert im.tobytes() == np.asarray(np.imag(s)).tobytes(), (a.c, x, y)
-            assert low_parts == low
+            re, im, _ = self.parts(x, y, a)
+            s = np.asarray(scattering_kernel(x, y, a))
+            assert re.tobytes() == s.real.tobytes(), (a.c, x, y)
+            assert im.tobytes() == s.imag.tobytes(), (a.c, x, y)
 
     def test_outside_the_domain_refused(self):
         a = Anisotropy(1.0)  # Re S(2, 2) = 2 cos 2 - 1 < 0

@@ -49,7 +49,7 @@ def _wrap_equations(monkeypatch, wrap):
 def _record_kernels(monkeypatch):
     """Record (name, shape) of every block of S and every np.linalg.cond
     evaluated from here on.  Every S, certified or not, is formed by
-    functions._kernel."""
+    functions._kernel, and each must come out as its two float64 parts."""
     kernels = []
 
     def recording(name, fn):
@@ -58,7 +58,12 @@ def _record_kernels(monkeypatch):
             return fn(x, y, *rest)
         return wrapped
 
-    monkeypatch.setattr(functions, "_kernel", recording("_kernel", functions._kernel))
+    def real_parts(*args, kernel=functions._kernel):
+        *parts, low = kernel(*args)
+        assert [part.dtype for part in parts] == [np.float64, np.float64], parts
+        return (*parts, low)
+
+    monkeypatch.setattr(functions, "_kernel", recording("_kernel", real_parts))
     monkeypatch.setattr(np.linalg, "cond", recording("cond", np.linalg.cond))
     return kernels
 
