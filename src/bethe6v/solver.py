@@ -42,8 +42,8 @@ which grows with N and n past 1e-12, ends the iteration there, converged:
 rounding explains the residual, and no halving or polish step is tried.  The
 floor is computed only then, once per failed full step.  A trial that
 rounds to the iterate bit for bit is not evaluated: every shorter step
-rounds to it too, so its halvings down to 2^-20 are counted without
-evaluation.  A step halved down to 2^-20 that still does not decrease the
+rounds to it too, so the halvings walk down to 2^-20 on the iterate's
+residual.  A step halved down to 2^-20 that still does not decrease the
 residual ends the iteration at its best iterate, not converged: it is above
 the floor, so the trial left the domain or no root is near.
 Non-convergence is reported, never raised.  The domain is open (the phase
@@ -164,9 +164,7 @@ class SolveReport:
             return 1.0
         _, jacobian = log_equations(self.N, self.quantum_numbers, self.momenta.anisotropy)
         try:
-            # on a C-order copy, whose 1-norm column sums add row by row
-            jac = np.ascontiguousarray(jacobian(self.momenta.as_array()))
-            return float(np.linalg.cond(jac, 1))
+            return float(np.linalg.cond(jacobian(self.momenta.as_array()), 1))
         except (np.linalg.LinAlgError, DomainError):
             return math.inf
 
@@ -175,10 +173,10 @@ def log_equations(N: int, qn: QuantumNumbers, a: Anisotropy):
     """Residual and analytic-Jacobian callables for the logarithmic equations
     in all n unknowns: `_equations`' unfolded instance, the Jacobian of
     `SolveReport.jacobian_condition_estimate` (formed when that is read) and
-    the full-system oracle.  The Jacobian is the transpose of a C-order
-    array that the next call overwrites: copy it to keep it."""
+    the full-system oracle.  Each Jacobian is a new C-order array, the
+    caller's to keep, whose 1-norm column sums add row by row."""
     _, _, residual, jacobian, _ = _equations(N, qn, a, fold=False)
-    return residual, jacobian
+    return residual, lambda x: np.ascontiguousarray(jacobian(x))
 
 
 def _initial_guess(N, qn, a):
@@ -310,11 +308,6 @@ def _newton(x, residual, jacobian, floor, lo, hi):
                 # rounding explains the residual: x is a root, and no shorter
                 # step is worth evaluating
                 converged = True
-                break
-            if rounded:
-                # every shorter step rounds to x too: count its halvings down
-                # to the step floor without evaluating the residual again
-                halvings += round(math.log2(alpha / _STEP_FLOOR))
                 break
             if alpha <= _STEP_FLOOR:
                 break

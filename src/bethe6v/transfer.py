@@ -13,9 +13,9 @@ torus configurations by their number of c-vertices, an exact polynomial in
 c whose log must match ``log_trace_power``.  The test oracle of single
 entries, the ice-rule completions of one row, lives with the tests.
 
-The vertex weights are a = b = 1 and the ``Anisotropy``'s c.  Powers of c
-are computed by repeated squaring so the rows and the row completions
-agree bit for bit.
+The vertex weights are a = b = 1 and the ``Anisotropy``'s c.  Every power
+of c is the sweep's product, one factor of c at a time from the left, so
+the rows, the sweep and the row completions agree bit for bit.
 """
 
 from __future__ import annotations
@@ -42,25 +42,22 @@ __all__ = [
 _CANCELLATION = 8.0  # largest sum |w lambda^M| / sum w lambda^M the spectra are summed at
 
 
-def _int_power(base: float, k: int) -> float:
-    """base**k for integer k >= 0 by repeated squaring (no libm pow drift)."""
-    if k < 0:
-        raise ValueError("negative exponent")
-    result = 1.0
-    sq = float(base)
-    while k:
-        if k & 1:
-            result *= sq
-        sq *= sq
-        k >>= 1
-    return result
+def _weights(sector: SectorIndex, c: float) -> list[float]:
+    """V's entries on a sector: [2, c^2, c^4, ..., c^(2 top)], top = min(n, N - n).
 
-
-def _check_weight(sector: SectorIndex, c: float) -> None:
-    """Refuse V's largest weight c^(2 min(n, N - n)) past the double range."""
+    c^(2k) is the left-to-right product of its 2k factors of c, the order
+    in which the sweep multiplies a path's c-vertices, so the rows and the
+    sweep agree bit for bit.  A last entry past the double range raises
+    ``DomainError``.
+    """
     top = min(sector.n, sector.N - sector.n)
-    if not math.isfinite(_int_power(c * c, top)):
+    power, weights = 1.0, [2.0]
+    for _ in range(top):
+        power = power * c * c
+        weights.append(power)
+    if not math.isfinite(power):
         raise DomainError(f"transfer weight c^{2 * top} overflows at c = {c!r}")
+    return weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +118,7 @@ class TransferOperator:
 
 def transfer_operator(sector: SectorIndex, a: Anisotropy) -> TransferOperator:
     """V on a sector as a row sweep; refuses a weight past the double range, as its rows do."""
-    _check_weight(sector, a.c)
+    _weights(sector, a.c)
     N, n, dim = sector.N, sector.n, sector.dim
     up, down = math.comb(N, n + 1), math.comb(N, n - 1) if n else 0
     occupied = sector.occupied.T
@@ -155,12 +152,11 @@ def transfer_rows(sector: SectorIndex, a: Anisotropy):
     x1 <= y1 <= x2 <= ... <= yn holds iff x owns the 1st, 3rd, ... set bit of
     d from site 1: mx & d == d & prefix_xor(d), and prefix_xor(d) = Px ^ Py
     from per-state tables; the other order is the same test for y.  The
-    entry c^popcount(d) comes from the repeated-squaring table of powers of
-    c^2, whose first entry is the diagonal's 2 (d = 0).  A weight past the
-    double range raises ``DomainError`` here, before any row is formed.
+    entry c^popcount(d) comes from ``_weights``' table, whose first entry is
+    the diagonal's 2 (d = 0).  A weight past the double range raises
+    ``DomainError`` here, before any row is formed.
     """
-    _check_weight(sector, a.c)
-    cpow = np.array([2.0] + [_int_power(a.c * a.c, k) for k in range(1, sector.n + 1)])
+    cpow = np.array(_weights(sector, a.c))
     masks, prefix = sector.masks, _prefix_xor(sector.masks)
     masks_prefix = masks ^ prefix
 

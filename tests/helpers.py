@@ -36,7 +36,6 @@ from bethe6v import (
 from bethe6v.ansatz import _subset_sum, pair_factors
 from bethe6v.cli import main
 from bethe6v.oracle import _norm, _row_chunks
-from bethe6v.transfer import _int_power
 
 
 def run_cli(argv):
@@ -306,9 +305,11 @@ def enumerate_row_completions(sx, sy, a):
     sx and sy are the +-1 vertical-arrow patterns below and above the row.
     Candidate horizontal assignments are explored from each seed value of the
     wrap-around edge; the ice rule at site i forces h_i = h_{i-1} + sx_i - sy_i
-    and prunes anything leaving {-1, +1} or failing to close the ring.  Powers
-    of c come from the library's repeated squaring, so that a block rebuilt
-    from completions matches ``build_transfer_block`` bit for bit.
+    and prunes anything leaving {-1, +1} or failing to close the ring.  A
+    completion with nc c-vertices weighs c^nc, the left-to-right product of
+    its nc factors of c: the order in which the sweep and the rows form it,
+    so that a block rebuilt from completions matches ``build_transfer_block``
+    bit for bit.
     """
     out = []
     for seed in (1, -1):
@@ -320,7 +321,7 @@ def enumerate_row_completions(sx, sy, a):
             nc += vx != vy  # a c vertex; the other four weigh 1
         else:
             if h == seed:
-                out.append(_int_power(a.c, nc))
+                out.append(math.prod([a.c] * nc))
     return out
 
 

@@ -11,6 +11,7 @@ from bethe6v import (
     log_trace_power,
     partition_function_bruteforce,
     transfer_operator,
+    transfer_rows,
 )
 from bethe6v.oracle import _ROW_ELEMENTS, _norm
 
@@ -76,6 +77,27 @@ class TestTransferOperator:
             bound = 1e-15 * np.max(block @ np.abs(real))
             assert np.max(np.abs(op @ real - block @ real)) <= bound, (N, n)
 
+    # the largest c whose c^10, the top weight at N = 10, n = 5, is refused by neither
+    EDGE = 6.690699980388625e+30
+
+    @pytest.mark.parametrize("c", [0.3, 1.3, 2.5, 123.4, EDGE])
+    def test_sweep_on_unit_columns_is_the_rows(self, c):
+        # both form c^P as the left-to-right product of its P factors of c
+        a = Anisotropy(c)
+        rng = np.random.default_rng(11)
+        for N, n in [(N, n) for N in range(1, 11) for n in range(N + 1)] + [(70, 2)]:
+            sector = enumerate_sector(N, n)
+            states = np.arange(sector.dim) if N <= 10 else rng.choice(sector.dim, 40, replace=False)
+            x = (np.arange(sector.dim)[:, None] == states).astype(float)
+            got = transfer_operator(sector, a) @ x
+            assert np.array_equal(got.T, transfer_rows(sector, a)(states)), (N, n)
+
+    def test_edge_is_the_last_weight_both_accept(self):
+        sector, above = enumerate_sector(10, 5), Anisotropy(math.nextafter(self.EDGE, math.inf))
+        for build in (transfer_operator, transfer_rows):
+            with pytest.raises(DomainError, match=r"transfer weight c\^10 overflows"):
+                build(sector, above)
+
     def test_applies_to_each_column_of_a_block_of_vectors(self):
         sector, a = enumerate_sector(9, 4), Anisotropy(1.7)
         op = transfer_operator(sector, a)
@@ -116,7 +138,7 @@ class TestTransferOperator:
 
 class TestConfigurationOracle:
     def test_equality_all_small_sectors(self):
-        # c = 1.3: powers of c^2 round, so only the same products agree bit for bit
+        # c = 1.3: powers of c round, so only the same product order agrees bit for bit
         for c in (0.5, math.sqrt(2.0), 2.0, 1.3):
             w = Anisotropy(c)
             for N in range(1, 8):
@@ -128,8 +150,8 @@ class TestConfigurationOracle:
 
     def test_multiword_ring_matches_pair_predicates(self):
         # N = 70 and 130 spread the occupation bitmasks over two and three
-        # 64-bit words; the row completions weigh c^(2k) by the same products
-        # as the block's table of (c^2)^k, so the two agree exactly
+        # 64-bit words; the row completions weigh c^(2k) by the same
+        # left-to-right products as the rows' table, so the two agree exactly
         a = Anisotropy(1.3)
         for N in (70, 130):
             blk = build_transfer_block(enumerate_sector(N, 2), a)
