@@ -5,11 +5,11 @@ with n up arrows has dimension C(N, n).  The basis ordering is
 colexicographic on position lists (ascending occupation bitmask) and fixed
 globally, so every matrix or coefficient dump is reproducible bit for bit.
 This module is the one place that knows the state encoding: a sector holds
-its states as position, occupancy and bitmask arrays, and ``ranks`` is the
-one route from states back to their indices; ``toggled_ranks`` and
-``swapped_ranks`` give the indices of the states one site flip or one bond
-swap away, by one walk over the sites that carries each state's running
-colex sums, and ``orbits`` the translation orbits.
+its states as position and bitmask arrays, ``site`` reads one site's bit of
+every state, and ``ranks`` is the one route from states back to their
+indices; ``toggled_ranks`` and ``swapped_ranks`` give the indices of the
+states one site flip or one bond swap away, by one walk over the sites that
+carries each state's running colex sums, and ``orbits`` the translation orbits.
 """
 
 from __future__ import annotations
@@ -28,16 +28,15 @@ class SectorIndex:
     """Colexicographically ordered basis of the n-up-arrow sector on N sites.
 
     The basis is held as arrays only, one row per state: ``positions`` (the
-    (dim, n) up-arrow positions), ``occupied`` (the (dim, N) occupancy
-    table, column i-1 for site i) and ``masks`` (the occupation bitmasks as
-    (dim, ceil(N/64)) uint64 words, lowest sites first, site i at bit i-1).
+    (dim, n) up-arrow positions) and ``masks`` (the occupation bitmasks as
+    (dim, ceil(N/64)) uint64 words, site i at bit (i - 1) % 64 of word
+    (i - 1) // 64), whose bits ``site`` reads out one site at a time.
     Colex order is ascending occupation bitmask.
     """
 
     N: int
     n: int
     positions: np.ndarray = field(init=False, repr=False)
-    occupied: np.ndarray = field(init=False, repr=False)
     masks: np.ndarray = field(init=False, repr=False)
     _colex_table: np.ndarray = field(init=False, repr=False)
 
@@ -48,27 +47,29 @@ class SectorIndex:
         lex = np.fromiter(chain.from_iterable(combinations(range(1, N + 1), n)),
                           dtype=np.int64, count=dim * n).reshape(dim, n)
         positions = N + 1 - lex[::-1, ::-1]
-        occupied = np.zeros((dim, N), dtype=bool)
+        masks = np.zeros((dim, (N + 63) // 64), dtype=np.uint64)
         rows = np.arange(dim)
         for column in positions.T:  # index scratch of dim entries, not dim * n
-            occupied[rows, column - 1] = True
-        packed = np.packbits(occupied, axis=1, bitorder="little")
-        masks = np.zeros((dim, 8 * ((N + 63) // 64)), dtype=np.uint8)
-        masks[:, :packed.shape[1]] = packed
+            bit = column.astype(np.uint64) - 1  # site x is bit x - 1 of the row's words
+            masks[rows, bit >> 6] |= np.uint64(1) << (bit & 63)
         # C(q, k) for k <= n + 2, clipped where no rank of sectors n and n +- 1 reaches;
         # toggled_ranks reads column j + 2 of every state, and keeps it where j < n
         cap = max(dim, comb(N, n + 1), comb(N, n - 1) if n else 0)
         table = [[min(comb(q, k), cap) for k in range(n + 3)] for q in range(N)]
         table = np.array(table, dtype=np.int64).reshape(N, n + 3)
         # read-only: consumers share one sector across blocks
-        for name, value in (("positions", positions), ("occupied", occupied),
-                            ("masks", masks.view("<u8")), ("_colex_table", table)):
+        for name, value in (("positions", positions), ("masks", masks), ("_colex_table", table)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.positions.shape[0]
+
+    def site(self, i: int) -> np.ndarray:
+        """(dim,) bool: which states occupy site i, read off its bit of ``masks``."""
+        word, bit = divmod(i - 1, 64)
+        return (self.masks[:, word] & (1 << bit)).astype(bool)
 
     def ranks(self, positions: np.ndarray) -> np.ndarray:
         """Basis indices of the rows of a (rows, n) array of increasing positions.
@@ -94,9 +95,9 @@ class SectorIndex:
             fill += table[x - 1, k + 1]
             empty += table[x - 1, k - 1]
         out = np.empty((self.N, dim), dtype=np.int64)
-        for site, occupied, row in zip(out, self.occupied.T, table):
+        for toggled, occupied, row in zip(out, map(self.site, range(1, self.N + 1)), table):
             below, here = row.take(j), row[1:].take(j)
-            site[:] = np.where(occupied, empty - below, fill + here)
+            toggled[:] = np.where(occupied, empty - below, fill + here)
             fill += (here - row[2:].take(j)) * occupied
             empty += (here - below) * occupied
             j += occupied
@@ -114,19 +115,19 @@ class SectorIndex:
         """
         N, n, dim, table = self.N, self.n, self.dim, self._colex_table
         states, j = np.arange(dim), np.zeros(dim, dtype=np.int64)
-        occupied = self.occupied.T.view(np.int8)
+        first = left = self.site(1)
         out = np.full((N, dim), dim)
-        for bond, left, right, row in zip(out, occupied, occupied[1:], table):
-            sign = left - right  # +1 hops right, -1 left, 0 no hop
+        for bond, right, row in zip(out, map(self.site, range(2, N + 1)), table):
+            sign = np.subtract(left, right, dtype=np.int8)  # +1 hops right, -1 left, 0 no hop
             np.copyto(bond, states + sign * row.take(j), where=sign != 0)
             j += left
-        first = self.occupied[:, 0]
+            left = right
         shift = np.where(first, -1, 1)
         # every term moves by shift; take back x_1 = 1's C(0, 0) or x_n = N's C(N - 1, n + 1)
         wrapped = np.where(first, table[N - 1, n] - 1, -table[N - 1, n + 1])
         for k, x in enumerate(self.positions.T, 1):
             wrapped += table[x - 1, k + shift]
-        np.copyto(out[-1], wrapped, where=occupied[-1] != occupied[0])
+        np.copyto(out[-1], wrapped, where=left != first)  # left is site N now
         return out
 
     def orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -138,7 +139,7 @@ class SectorIndex:
         rank permutation; following it N - 1 times visits each orbit N / p times.
         """
         N, dim = self.N, self.dim
-        shifted, wraps = self.positions + 1, self.occupied[:, -1]
+        shifted, wraps = self.positions + 1, self.site(N)
         # only a last position N wraps, to 1: its row rolls by one and stays sorted
         shifted[wraps] = np.roll(self.positions[wraps], 1, axis=1) % N + 1
         step = self.ranks(shifted)

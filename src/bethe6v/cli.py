@@ -140,7 +140,11 @@ def _rows(sector, a: Anisotropy, kind: str):
 def _spectrum(sector, a: Anisotropy, kind: str) -> np.ndarray:
     """Ascending spectrum of V (``transfer``) or else H on a sector: its momentum blocks' union."""
     spectra, weights, exponent = momentum_spectra(sector, _rows(sector, a, kind))
-    return np.ldexp(np.sort(np.repeat(spectra.ravel(), weights.ravel())), exponent)
+    with np.errstate(over="ignore"):  # a value past the double range is refused below
+        values = np.ldexp(np.sort(np.repeat(spectra.ravel(), weights.ravel())), exponent)
+    if not np.isfinite(values).all():
+        raise DomainError(f"sector spectrum overflows a double at c = {a.c!r}")
+    return values
 
 
 def _match_level(rep: Report, sector, a: Anisotropy, checks) -> list[str]:

@@ -45,13 +45,13 @@ def _norm(a: np.ndarray) -> float:
     """Euclidean norm of a vector, or Frobenius norm of a matrix, with no overflow.
 
     The entries are taken in chunks of ``_CHUNK_ELEMENTS`` whose
-    ``np.linalg.norm``s combine by ``math.hypot``: an array of one chunk
-    gets ``np.linalg.norm`` as it stands, and no call wakes BLAS threads,
-    which for one sum of 12,870 squares cost 8 ms against 6 us on one
-    thread (2 shared cores, OpenBLAS 0.3.31).  Where a square overflows the
-    entries are first scaled by the power of two at the largest magnitude,
-    which is exact (inf and NaN stay), chunk by chunk, so no dim^2
-    temporary is formed.
+    ``np.linalg.norm``s combine by ``math.hypot``, and an array of one chunk
+    gets ``np.linalg.norm`` as it stands.  No chunk is long enough for BLAS to
+    split its sum over threads, so the result repeats at any thread count;
+    ``np.linalg.norm`` of 20,000 entries can move in the last bit from one
+    OpenBLAS thread to two.  Where a square overflows the entries are first
+    scaled by the power of two at the largest magnitude, which is exact (inf
+    and NaN stay), chunk by chunk, so no dim^2 temporary is formed.
     """
     flat = np.ravel(a)
     chunks = [flat[lo:lo + _CHUNK_ELEMENTS] for lo in range(0, flat.size, _CHUNK_ELEMENTS)]

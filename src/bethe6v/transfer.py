@@ -121,14 +121,13 @@ def transfer_operator(sector: SectorIndex, a: Anisotropy) -> TransferOperator:
     _weights(sector, a.c)
     N, n, dim = sector.N, sector.n, sector.dim
     up, down = math.comb(N, n + 1), math.comb(N, n - 1) if n else 0
-    occupied = sector.occupied.T
     maps = np.empty((N, 2, dim), dtype=np.int64)
-    # row 0: each state's entry in the sector-n block of the seed that site
-    # i + 1 mixes it in; row 1: its partner's, the state with that site
-    # toggled, in the block of sector n + 1 or n - 1
-    np.multiply(occupied, dim, out=maps[:, 0])
+    # maps[i - 1, 0]: each state's entry in the sector-n block of the seed that
+    # site i mixes it in, chosen by its bit at i; maps[i - 1, 1]: its partner's,
+    # the state with that site toggled, in the block of sector n + 1 or n - 1
+    for i, entries in enumerate(maps, 1):
+        np.multiply(sector.site(i), [[dim], [up]], out=entries)
     maps[:, 0] += np.arange(dim)
-    np.multiply(occupied, up, out=maps[:, 1])
     maps[:, 1] += sector.toggled_ranks()
     maps[:, 1] += 2 * dim
     return TransferOperator(sector, a.c, maps, 2 * dim + up + down)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import SectorIndex
+from .errors import DomainError
 from .functions import MomentumSet
 from .oracle import _norm
 
@@ -88,7 +89,12 @@ def hamiltonian_rows(sector: SectorIndex, delta: float):
 def energy_prediction(m: MomentumSet, ring_size: int, delta: float) -> float:
     """Closed-form energy N*delta/2 - 2 sum_k (delta - cos p_k).
 
-    Continuous through p = 0, so no branch split is needed here.
+    Continuous through p = 0, so no branch split is needed here.  delta is
+    halved before N multiplies it, which is exact, so only an E that itself
+    passes the double range overflows, and it raises ``DomainError``.
     """
     p = m.as_array()
-    return float(ring_size * delta / 2.0 - 2.0 * np.sum(delta - np.cos(p)))
+    energy = float(ring_size * (delta / 2.0) - 2.0 * np.sum(delta - np.cos(p)))
+    if not math.isfinite(energy):
+        raise DomainError(f"predicted energy overflows at delta = {delta!r}")
+    return energy

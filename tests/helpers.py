@@ -328,13 +328,14 @@ def enumerate_row_completions(sx, sy, a):
 def build_transfer_block_by_configuration(sector, a):
     """V's sector block rebuilt entry by entry from ``enumerate_row_completions``.
 
-    The +-1 spin patterns are read off the sector's occupancy table.
+    The +-1 spin patterns are built from the sector's position rows by
+    ``spins``, so no encoding of the library's is read.
     """
     dim = sector.dim
-    spins = np.where(sector.occupied, 1, -1)
+    rows = [spins(x, sector.N) for x in sector.positions]
     entries = np.zeros((dim, dim))
-    for i, sx in enumerate(spins):
-        for j, sy in enumerate(spins):
+    for i, sx in enumerate(rows):
+        for j, sy in enumerate(rows):
             entries[i, j] = sum(enumerate_row_completions(sx, sy, a))
     return SectorMatrix(entries, sector)
 

@@ -58,19 +58,21 @@ class TestEnumerate:
         sector = enumerate_sector(4, 2)
         k = states(sector).index((1, 3))
         assert sector.masks[k].tolist() == [0b0101]
-        assert np.where(sector.occupied[k], 1, -1).tolist() == [1, -1, 1, -1]
+        assert spins(sector.positions[k], 4).tolist() == [1, -1, 1, -1]
 
     def test_encodings_agree_with_states(self):
-        # occupancy rows and multiword masks against the position rows
+        # every site's occupancy and the multiword masks against the position rows
         for N, n in ((7, 3), (64, 2), (70, 2), (130, 2)):
             sector = enumerate_sector(N, n)
             words = sector.masks.shape[1]
             assert sector.masks.dtype == np.uint64 and words == (N + 63) // 64
+            occupied = np.stack([sector.site(i) for i in range(1, N + 1)], axis=1)
+            assert occupied.dtype == bool
             for k in range(sector.dim):
                 positions = sector.positions[k].tolist()
                 mask = sum(int(w) << (64 * i) for i, w in enumerate(sector.masks[k]))
                 assert mask == sum(1 << (p - 1) for p in positions), (N, n, k)
-                assert np.array_equal(np.where(sector.occupied[k], 1, -1),
+                assert np.array_equal(np.where(occupied[k], 1, -1),
                                       spins(positions, N)), (N, n, k)
 
     def test_rejects_bad_arguments(self):
@@ -89,7 +91,8 @@ class TestEnumerate:
                 for k in range(sector.dim):
                     row = sector.positions[k:k + 1]
                     assert sector.ranks(row).tolist() == [k]
-                    assert (np.flatnonzero(sector.occupied[k]) + 1).tolist() == row[0].tolist()
+                    sites = [i for i in range(1, N + 1) if sector.site(i)[k]]
+                    assert sites == row[0].tolist()
 
 
 # The interlacing rule as the row completions realise it: x and y are

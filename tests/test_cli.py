@@ -171,6 +171,20 @@ class TestSolveCommand:
                               env=dict(os.environ, PYTHONPATH=src))
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line)
 
+    def test_energy_halved_before_the_ring_size_multiplies_it(self):
+        # N delta = -2e308 passes the double range, E = N (delta / 2) = -1e308 does not
+        code, out = run_cli(["solve", "--capital-n", "4", "--n", "0", "--c", "1e154"])
+        rep = parse_report(out)
+        assert code == 0 and rep["verification.passed"] == "true"
+        assert (rep["prediction.energy"], rep["residual.xxz_eigenpair"]) == ("-1e+308", "0")
+
+    def test_energy_past_the_double_range_refused(self, capsys):
+        # E = 6 delta / 2 = -2.5e308 itself overflows; no residual reads it
+        code, out = run_cli(["solve", "--capital-n", "6", "--n", "0", "--c", "1.3e154"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: predicted energy overflows at delta = -8.449999999999999e+307\n")
+
     @pytest.mark.parametrize("N, n, c", [
         pytest.param("6", "3", "1e-3", id="1e-3"),
         pytest.param("6", "3", "3e-4", id="3e-4"),
@@ -788,6 +802,20 @@ class TestSpectrumCommand:
              "--kind", "hamiltonian"]
         )
         assert code == 0
+
+    def test_eigenvalue_past_the_double_range_refused(self, capsys):
+        # every entry of V fits at c = 1e154 (c^2 = 1e308), its top eigenvalue does not
+        for N in ("3", "6"):
+            code, out = run_cli(["spectrum", "--capital-n", N, "--n", "1", "--c", "1e154"])
+            assert (code, out) == (2, "")
+            assert capsys.readouterr().err == (
+                "error: sector spectrum overflows a double at c = 1e+154\n")
+        # the top eigenvalue 2 + 2 c^2 of (3, 1) still fits at c = 9e153, and H's do at 1e154
+        code, out = run_cli(["spectrum", "--capital-n", "3", "--n", "1", "--c", "9e153"])
+        assert code == 0 and parse_report(out)["eigenvalue.2"] == "1.62e+308"
+        code, out = run_cli(["spectrum", "--capital-n", "3", "--n", "1", "--c", "1e154",
+                             "--kind", "hamiltonian"])
+        assert code == 0 and parse_report(out)["eigenvalue.2"] == "2.5e+307"
 
     def test_cap_exceeded(self, monkeypatch):
         # (6, 3): 80 N dim = 9600 bytes of sector and operator and momentum blocks of

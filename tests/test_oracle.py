@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +205,19 @@ class TestCheckEigenpair:
         plain = float(np.linalg.norm(A @ psi.real + 1j * (A @ psi.imag) - 5.0 * psi)
                       / np.linalg.norm(psi))
         assert check_eigenpair(blk, psi, 5.0)[0] == plain
+
+    def test_norm_repeats_across_blas_thread_counts(self):
+        # no chunk is long enough for BLAS to split its sum over threads, which makes
+        # np.linalg.norm of 20,000 entries differ in the last bit between 1 and 2 threads
+        code = ("import numpy as np; from bethe6v.oracle import _norm; "
+                "v = np.random.default_rng(5).standard_normal((2, 20000)); z = v[0] + 1j * v[1]; "
+                "print(_norm(z).hex(), _norm(z.real).hex())")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               timeout=60, check=True,
+                               env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=t)).stdout
+                for t in ("1", "2")]
+        assert runs[0] == runs[1] and runs[0].count("0x") == 2
 
     def test_residual_has_no_overflowing_square(self):
         # every square of these entries overflows a double

@@ -155,10 +155,10 @@ class TestConfigurationOracle:
         a = Anisotropy(1.3)
         for N in (70, 130):
             blk = build_transfer_block(enumerate_sector(N, 2), a)
-            occupied = blk.basis.occupied
+            positions = blk.basis.positions
             rng = np.random.default_rng(3)
             for i, j in rng.integers(0, blk.dim, size=(3000, 2)):
-                sx, sy = np.where(occupied[i], 1, -1), np.where(occupied[j], 1, -1)
+                sx, sy = spins(positions[i], N), spins(positions[j], N)
                 expected = sum(enumerate_row_completions(sx, sy, a))
                 assert blk.entries[i, j] == expected, (N, i, j)
 

@@ -21,7 +21,7 @@ from bethe6v import (
 )
 from bethe6v.oracle import _norm
 
-from helpers import build_hamiltonian_block, build_transfer_block, commutator_norm
+from helpers import build_hamiltonian_block, build_transfer_block, commutator_norm, spins
 
 
 def full_space_hamiltonian(N, delta):
@@ -93,8 +93,8 @@ class TestHamiltonianBlock:
         sector = enumerate_sector(N, n)
         blk = build_hamiltonian_block(sector, delta)
         for k in range(sector.dim):
-            spins = np.where(sector.occupied[k], 1, -1)
-            boundaries = int(np.sum(spins != np.roll(spins, -1)))
+            s = spins(sector.positions[k], N)
+            boundaries = int(np.sum(s != np.roll(s, -1)))
             expected = 0.5 * delta * (N - 2 * boundaries)
             assert blk.entries[k, k] == pytest.approx(expected, rel=1e-13, abs=1e-15)
 
@@ -107,8 +107,8 @@ class TestHamiltonianBlock:
             states, H = full_space_hamiltonian(N, delta)
             for n in range(N + 1):
                 sector = enumerate_sector(N, n)
-                rows = [states.index(tuple(np.where(occupied, 1, -1).tolist()))
-                        for occupied in sector.occupied]
+                rows = [states.index(tuple(spins(x, N).tolist()))
+                        for x in sector.positions]
                 projected = H[np.ix_(rows, rows)]
                 blk = build_hamiltonian_block(sector, delta)
                 assert np.array_equal(projected, blk.entries), (N, n)
