@@ -35,7 +35,6 @@ from bethe6v import (
     momentum_spectra,
     solve,
     transfer_operator,
-    transfer_rows,
 )
 
 
@@ -47,9 +46,10 @@ def scan_case(N, n, c):
     caps.check_sector("solve", N, n, blocks=True)
     sector = enumerate_sector(N, n)
     pred = full_prediction(sector, report.momenta)
-    spectra, weights, exponent = momentum_spectra(sector, transfer_rows(sector, a))
+    v_op = transfer_operator(sector, a)
+    spectra, weights, exponent = momentum_spectra(sector, v_op.rows)
     top = math.ldexp(float(spectra[weights > 0].max()), exponent)
-    v_res, bracket = check_eigenpair(transfer_operator(sector, a), pred.psi, pred.lam)
+    v_res, bracket = check_eigenpair(v_op, pred.psi, pred.lam)
     h_res, _ = check_eigenpair(hamiltonian_operator(sector, a.delta), pred.psi, pred.energy)
     lam = pred.lam.real
     width = float("nan")

@@ -48,9 +48,8 @@ from .transfer import (
     log_trace_power,
     partition_function_bruteforce,
     transfer_operator,
-    transfer_rows,
 )
-from .xxz import hamiltonian_operator, hamiltonian_rows
+from .xxz import hamiltonian_operator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,23 +131,18 @@ def _verdict(rep: Report, failures: list[str]) -> int:
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 
-def _rows(sector, a: Anisotropy, kind: str):
-    """The row function of V (``transfer``) or else H on a sector."""
-    return transfer_rows(sector, a) if kind == "transfer" else hamiltonian_rows(sector, a.delta)
-
-
-def _spectrum(sector, a: Anisotropy, kind: str) -> np.ndarray:
-    """Ascending spectrum of V (``transfer``) or else H on a sector: its momentum blocks' union."""
-    spectra, weights, exponent = momentum_spectra(sector, _rows(sector, a, kind))
+def _spectrum(op, c: float) -> np.ndarray:
+    """Ascending spectrum of a sector operator, V or H at weight c: its momentum blocks' union."""
+    spectra, weights, exponent = momentum_spectra(op.basis, op.rows)
     with np.errstate(over="ignore"):  # a value past the double range is refused below
         values = np.ldexp(np.sort(np.repeat(spectra.ravel(), weights.ravel())), exponent)
     if not np.isfinite(values).all():
-        raise DomainError(f"sector spectrum overflows a double at c = {a.c!r}")
+        raise DomainError(f"sector spectrum overflows a double at c = {c!r}")
     return values
 
 
-def _match_level(rep: Report, sector, a: Anisotropy, checks) -> list[str]:
-    """Name the levels of (kind, value, bracket) checks on one route; return failures.
+def _match_level(rep: Report, sector, c: float, checks) -> list[str]:
+    """Name the levels of (kind, operator, value, bracket) checks on one route; return failures.
 
     ``certified`` when every bracket is finite and, widened to contain its
     value, within MATCH_TOL * max(1, |value|): each value is then the top
@@ -157,8 +151,8 @@ def _match_level(rep: Report, sector, a: Anisotropy, checks) -> list[str]:
     its lowest hit in the ascending ``_spectrum``; else ``skipped:budget``.
     """
     widths = [max(b[1], value) - min(b[0], value) if b and all(map(math.isfinite, b))
-              else math.inf for _, value, b in checks]
-    if all(w <= MATCH_TOL * max(1.0, abs(c[1])) for w, c in zip(widths, checks)):
+              else math.inf for _, _, value, b in checks]
+    if all(w <= MATCH_TOL * max(1.0, abs(check[2])) for w, check in zip(widths, checks)):
         rep.add("checks.route", "certified")
         for width, (kind, *_) in zip(widths, checks):
             rep.add(f"oracle.{kind}_match_index", sector.dim - 1)
@@ -171,7 +165,7 @@ def _match_level(rep: Report, sector, a: Anisotropy, checks) -> list[str]:
         return []
     rep.add("checks.route", "block")
     with rep.stage("spectrum"):
-        spectra = [(kind, value, _spectrum(sector, a, kind)) for kind, value, _ in checks]
+        spectra = [(kind, value, _spectrum(op, c)) for kind, op, value, _ in checks]
     failures = []
     for kind, value, eigenvalues in spectra:
         hits = match_eigenvalue(value, eigenvalues, MATCH_TOL)
@@ -248,6 +242,7 @@ def _cmd_solve(args) -> tuple[Report, int]:
     else:
         with rep.stage("v"):
             v_op = transfer_operator(sector, a)
+            v_op.maps  # the sweep's tables, built on first use: timed here
         with rep.stage("h"):
             h_op = hamiltonian_operator(sector, a.delta)
         with rep.stage("residuals"):
@@ -265,8 +260,8 @@ def _cmd_solve(args) -> tuple[Report, int]:
             failures.append("xxz_eigenpair")
         if not comm <= COMMUTATOR_TOL:
             failures.append("commutator")
-        failures += _match_level(rep, sector, a, (("transfer", lam.real, v_bracket),
-                                                  ("xxz", energy, h_bracket)))
+        failures += _match_level(rep, sector, a.c, (("transfer", v_op, lam.real, v_bracket),
+                                                    ("xxz", h_op, energy, h_bracket)))
 
     if args.dump_psi:
         psi = prediction.psi
@@ -282,9 +277,9 @@ def _cmd_partition(args) -> tuple[Report, int]:
     if args.N < 1 or args.m < 1:
         raise ValueError("need N >= 1 and M >= 1")
     caps.check_partition(args.N)
+    rep = Report("partition")
     if args.bruteforce:  # the count goes first: it refuses a torus past int64 before the trace
         log_z = log_polynomial(partition_function_bruteforce(args.N, args.m), a.c)
-    rep = Report("partition")
     rep.add("param.N", args.N)
     rep.add("param.M", args.m)
     rep.add("param.c", args.c)
@@ -341,7 +336,7 @@ def _cmd_verify_identities(args) -> tuple[Report, int]:
 
 def _sector(args, command: str, **plan):
     """Validate the sector flags, check the budget on (N, n) and ``plan``, open the report,
-    enumerate; ``plan`` is the blocks or dense keyword of ``caps.check_sector``."""
+    build the ``--kind`` operator; ``plan`` is ``caps.check_sector``'s blocks or dense."""
     a = Anisotropy(args.c)
     if args.N < 1 or not 0 <= args.n <= args.N:
         raise ValueError("need N >= 1 and 0 <= n <= N")
@@ -349,13 +344,15 @@ def _sector(args, command: str, **plan):
     rep = Report(command)
     for key in ("N", "n", "c", "kind"):
         rep.add(f"param.{key}", getattr(args, key))
-    return rep, enumerate_sector(args.N, args.n), a
+    sector = enumerate_sector(args.N, args.n)
+    return rep, (transfer_operator(sector, a) if args.kind == "transfer"
+                 else hamiltonian_operator(sector, a.delta))
 
 
 def _cmd_spectrum(args) -> tuple[Report, int]:
-    rep, sector, a = _sector(args, "spectrum", blocks=True)  # the plan of solve's block route
-    eigenvalues = _spectrum(sector, a, args.kind)
-    rep.add("spectrum.dim", sector.dim)
+    rep, op = _sector(args, "spectrum", blocks=True)  # the plan of solve's block route
+    eigenvalues = _spectrum(op, args.c)
+    rep.add("spectrum.dim", op.dim)
     for k, value in enumerate(eigenvalues):
         rep.add(f"eigenvalue.{k}", float(value))
     return rep, EXIT_OK
@@ -366,18 +363,17 @@ def _cmd_dump_matrix(args) -> tuple[Report, int]:
 
     The budget covers the sector and its operator, as ``spectrum`` plans
     them, and the dense block written; memory holds one chunk of it.  Every
-    refusal (the budget, a weight past the double range, H at N = 1) comes
-    before the file is opened, but a run interrupted mid-write, by
-    ``MemoryError`` say, can leave a partial file.
+    refusal (the budget, a weight or H's diagonal past the double range, H
+    at N = 1) comes before the file is opened, but a run interrupted
+    mid-write, by ``MemoryError`` say, can leave a partial file.
     """
-    rep, sector, a = _sector(args, "dump-matrix", dense=True)
-    rows_of = _rows(sector, a, args.kind)
+    rep, op = _sector(args, "dump-matrix", dense=True)
     # a handle, since savetxt gzips a path ending .gz
     with open(args.out, "w") as handle:
-        handle.write(f"{args.N} {args.n} {sector.dim} {args.kind}\n")
-        for rows in _row_chunks(sector.dim, sector.dim):
-            np.savetxt(handle, rows_of(rows), fmt="%.17g")
-    rep.add("dump.dim", sector.dim)
+        handle.write(f"{args.N} {args.n} {op.dim} {args.kind}\n")
+        for rows in _row_chunks(op.dim, op.dim):
+            np.savetxt(handle, op.rows(rows), fmt="%.17g")
+    rep.add("dump.dim", op.dim)
     rep.add("dump.path", args.out)
     return rep, EXIT_OK
 

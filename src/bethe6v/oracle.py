@@ -5,14 +5,14 @@ a symmetric operator with nonnegative off-diagonal entries (V's c^P, H's +1
 hops) it holds the top eigenvalue (Collatz 1942; Wielandt 1950), so a narrow
 bracket names the level without an eigensolve; other levels are matched
 against the spectrum ``momentum_spectra`` folds from the operator's rows at
-the translation-orbit representatives, read through the operator's row
-function (``transfer_rows``, ``hamiltonian_rows``) one chunk of rows at a
-time.  ``commutator_probe`` checks [V, H] = 0 by one seeded Freivalds (1977)
-probe of four matrix-vector products.
+the translation-orbit representatives, read through a row function (the
+bound ``rows`` of V or H) one chunk of rows at a time.  ``commutator_probe``
+checks [V, H] = 0 by one seeded Freivalds (1977) probe of four
+matrix-vector products.
 
 The residual and the probe read an operator only through ``N``, ``n``,
 ``dim``, ``op @ x`` for a real or complex vector x and ``op.frobenius()``,
-an overflow-safe Frobenius norm, which the sweep operators of ``transfer``
+an overflow-safe Frobenius norm, which the sector operators of ``transfer``
 and ``xxz`` provide.
 """
 

@@ -1,17 +1,18 @@
-"""Six-vertex transfer matrix on a sector, its rows and the torus partition function.
+"""Six-vertex transfer matrix on a sector, read two ways, and the torus partition function.
 
-Two production routes read V.  ``transfer_operator`` applies it to a vector
-without forming it: a row sweep over the sites, the paper's definition of V
-read site by site.  ``transfer_rows`` gives its rows at any states in closed
-form (2 on the diagonal, c^P between distinct states whose positions
-interlace, x1 <= y1 <= x2 <= ... <= yn either way round, with P the number
-of sites where they differ, 0 otherwise) off occupation bitmasks; the orbit
-representatives' rows fold into the momentum blocks whose spectra give
-``log_trace_power`` its sum of lambda^M, and ``dump-matrix`` writes every
-row, one chunk at a time.  ``partition_function_bruteforce`` counts the
-torus configurations by their number of c-vertices, an exact polynomial in
-c whose log must match ``log_trace_power``.  The test oracle of single
-entries, the ice-rule completions of one row, lives with the tests.
+``TransferOperator`` is V on one sector.  ``op @ x`` applies it without
+forming it: a row sweep over the sites, the paper's definition of V read
+site by site, whose index tables are built on first use.  ``op.rows``
+gives its rows at any states in closed form (2 on the diagonal, c^P between
+distinct states whose positions interlace, x1 <= y1 <= x2 <= ... <= yn
+either way round, with P the number of sites where they differ, 0
+otherwise) off occupation bitmasks; the orbit representatives' rows fold
+into the momentum blocks whose spectra give ``log_trace_power`` its sum of
+lambda^M, and ``dump-matrix`` writes every row, one chunk at a time.
+``partition_function_bruteforce`` counts the torus configurations by their
+number of c-vertices, an exact polynomial in c whose log must match
+``log_trace_power``.  The test oracle of single entries, the ice-rule
+completions of one row, lives with the tests.
 
 The vertex weights are a = b = 1 and the ``Anisotropy``'s c.  Every power
 of c is the sweep's product, one factor of c at a time from the left, so
@@ -21,7 +22,8 @@ the rows, the sweep and the row completions agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .oracle import _row_chunks, momentum_spectra
 __all__ = [
     "TransferOperator",
     "transfer_operator",
-    "transfer_rows",
     "partition_function_bruteforce",
     "log_polynomial",
     "log_trace_power",
@@ -62,7 +63,7 @@ def _weights(sector: SectorIndex, c: float) -> list[float]:
 
 @dataclass(frozen=True, eq=False)
 class TransferOperator:
-    """V on one sector, applied by a row sweep with no dim^2 array.
+    """V on one sector: a row sweep with no dim^2 array, and its rows at any states.
 
     The wrap-around arrow h0 is fixed and the sites are swept in order.  At
     each site the vertex weights mix two states, (h = +, site empty) and
@@ -72,18 +73,33 @@ class TransferOperator:
     between n (h = -) and n - 1 (h = +), and Vx is the sum of what each
     channel returns to its seed.  The sweep state is one array
     [seed + in n | seed - in n | seed + in n + 1 | seed - in n - 1], and
-    ``maps[i]`` holds, for every state of sector n, the index of its entry
-    that site i + 1 mixes (row 0) and of its partner's (row 1): one gather
-    and one scatter per site for both channels.
+    ``maps[i]``, built on first use, holds for every state of sector n the
+    index of its entry that site i + 1 mixes (row 0) and of its partner's
+    (row 1): one gather and one scatter per site for both channels.
     """
 
     basis: SectorIndex
     c: float
-    maps: np.ndarray = field(repr=False)  # (N, 2, dim) indices into the sweep state
-    size: int                             # length of the sweep state
     N = property(lambda self: self.basis.N)
     n = property(lambda self: self.basis.n)
     dim = property(lambda self: self.basis.dim)
+    # the sweep state's length, 2 dim + C(N, n + 1) + C(N, n - 1) by Vandermonde
+    size = property(lambda self: math.comb(self.N + 2, self.n + 1))
+
+    @cached_property
+    def maps(self) -> np.ndarray:
+        """(N, 2, dim) indices into the sweep state."""
+        sector, dim, up = self.basis, self.dim, math.comb(self.N, self.n + 1)
+        maps = np.empty((self.N, 2, dim), dtype=np.int64)
+        # maps[i - 1, 0]: each state's entry in the sector-n block of the seed that
+        # site i mixes it in, chosen by its bit at i; maps[i - 1, 1]: its partner's,
+        # the state with that site toggled, in the block of sector n + 1 or n - 1
+        for i, entries in enumerate(maps, 1):
+            np.multiply(sector.site(i), [[dim], [up]], out=entries)
+        maps[:, 0] += np.arange(dim)
+        maps[:, 1] += sector.toggled_ranks()
+        maps[:, 1] += 2 * dim
+        return maps
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         dim = self.dim
@@ -96,6 +112,37 @@ class TransferOperator:
                 pair = z[site]
                 z[site] = pair + self.c * pair[::-1]
         return z[:dim] + z[dim:2 * dim]
+
+    @cached_property
+    def _prefix(self) -> np.ndarray:  # each state's prefix_xor(mask), built on first use
+        return _prefix_xor(self.basis.masks)
+
+    def rows(self, states: np.ndarray) -> np.ndarray:
+        """V's rows at the given states of its sector, (k, dim) for k states.
+
+        With d = mx ^ my the sites where two states' bitmasks differ,
+        x1 <= y1 <= x2 <= ... <= yn holds iff x owns the 1st, 3rd, ... set bit of
+        d from site 1: mx & d == d & prefix_xor(d), and prefix_xor(d) = Px ^ Py
+        from the per-state table ``_prefix``; the other order is the same test
+        for y.  The entry c^popcount(d) comes from ``_weights``' table, whose
+        first entry is the diagonal's 2 (d = 0).  A weight past the double
+        range raises ``DomainError`` here, before any row is formed.
+        """
+        cpow, masks, prefix = np.array(_weights(self.basis, self.c)), self.basis.masks, self._prefix
+        x_first, y_first, popcount = True, True, 0
+        for w in range(masks.shape[1]):
+            d = masks[states, w, None] ^ masks[:, w]
+            # bits where x disagrees with the alternation pattern of d
+            u = (masks[states, w] ^ prefix[states, w])[:, None] ^ prefix[:, w]
+            u &= d
+            x_first = x_first & (u == 0)
+            y_first = y_first & (u == d)
+            # uint8: popcount(d) <= 2 min(n, N - n), past 255 only from C(256, 128) states on
+            popcount = popcount + np.bitwise_count(d)
+            del d, u  # free the pair arrays before the weights are gathered
+        weights = cpow[popcount >> 1]
+        weights[~(x_first | y_first)] = 0.0
+        return weights
 
     def frobenius(self) -> float:
         """||V||_F from the number of entries of each weight.
@@ -117,20 +164,9 @@ class TransferOperator:
 
 
 def transfer_operator(sector: SectorIndex, a: Anisotropy) -> TransferOperator:
-    """V on a sector as a row sweep; refuses a weight past the double range, as its rows do."""
+    """V on a sector; refuses a weight past the double range, as its rows do."""
     _weights(sector, a.c)
-    N, n, dim = sector.N, sector.n, sector.dim
-    up, down = math.comb(N, n + 1), math.comb(N, n - 1) if n else 0
-    maps = np.empty((N, 2, dim), dtype=np.int64)
-    # maps[i - 1, 0]: each state's entry in the sector-n block of the seed that
-    # site i mixes it in, chosen by its bit at i; maps[i - 1, 1]: its partner's,
-    # the state with that site toggled, in the block of sector n + 1 or n - 1
-    for i, entries in enumerate(maps, 1):
-        np.multiply(sector.site(i), [[dim], [up]], out=entries)
-    maps[:, 0] += np.arange(dim)
-    maps[:, 1] += sector.toggled_ranks()
-    maps[:, 1] += 2 * dim
-    return TransferOperator(sector, a.c, maps, 2 * dim + up + down)
+    return TransferOperator(sector, a.c)
 
 
 def _prefix_xor(words: np.ndarray) -> np.ndarray:
@@ -142,40 +178,6 @@ def _prefix_xor(words: np.ndarray) -> np.ndarray:
     below = (np.cumsum(parity, axis=1) - parity) & 1
     out[below == 1] ^= ~np.uint64(0)
     return out
-
-
-def transfer_rows(sector: SectorIndex, a: Anisotropy):
-    """V's rows at a sector's states: ``rows_of(states)``, (k, dim) for k states.
-
-    With d = mx ^ my the sites where two states' bitmasks differ,
-    x1 <= y1 <= x2 <= ... <= yn holds iff x owns the 1st, 3rd, ... set bit of
-    d from site 1: mx & d == d & prefix_xor(d), and prefix_xor(d) = Px ^ Py
-    from per-state tables; the other order is the same test for y.  The
-    entry c^popcount(d) comes from ``_weights``' table, whose first entry is
-    the diagonal's 2 (d = 0).  A weight past the double range raises
-    ``DomainError`` here, before any row is formed.
-    """
-    cpow = np.array(_weights(sector, a.c))
-    masks, prefix = sector.masks, _prefix_xor(sector.masks)
-    masks_prefix = masks ^ prefix
-
-    def rows_of(states) -> np.ndarray:
-        x_first, y_first, popcount = True, True, 0
-        for w in range(masks.shape[1]):
-            d = masks[states, w, None] ^ masks[:, w]
-            # bits where x disagrees with the alternation pattern of d
-            u = masks_prefix[states, w, None] ^ prefix[:, w]
-            u &= d
-            x_first = x_first & (u == 0)
-            y_first = y_first & (u == d)
-            # uint8: popcount(d) <= 2n, and no storable sector has n >= 128
-            popcount = popcount + np.bitwise_count(d)
-            del d, u  # free the pair arrays before the weights are gathered
-        weights = cpow[popcount >> 1]
-        weights[~(x_first | y_first)] = 0.0
-        return weights
-
-    return rows_of
 
 
 # the six ice-rule vertices (hl, vb, hr, vt, c), an arrow's bit 1 pointing
@@ -230,7 +232,8 @@ def _sector_log_trace(sector: SectorIndex, a: Anisotropy, M: int) -> float:
     ``_CANCELLATION`` the trace is sum_r p_r <x_r, V x_r> with
     x_r = V^(M // 2) e_r by nonnegative sweeps.
     """
-    spectra, weights, exponent = momentum_spectra(sector, transfer_rows(sector, a))
+    V = transfer_operator(sector, a)
+    spectra, weights, exponent = momentum_spectra(sector, V.rows)
     spectra, weights = spectra[weights > 0], weights[weights > 0]
     largest = float(np.abs(spectra).max())
     terms = weights * (spectra / largest) ** M
@@ -238,7 +241,7 @@ def _sector_log_trace(sector: SectorIndex, a: Anisotropy, M: int) -> float:
     if total > 0.0 and float(np.abs(terms).sum()) <= _CANCELLATION * total:
         return M * (exponent * math.log(2.0) + math.log(largest)) + math.log(total)
     reps, _, _, period = sector.orbits()
-    V, logs, dim = transfer_operator(sector, a), [], sector.dim
+    logs, dim = [], sector.dim
     for chunk in _row_chunks(reps.size, dim):
         cols = reps[chunk]
         x, scale = (np.arange(dim)[:, None] == cols).astype(float), np.zeros(cols.size)

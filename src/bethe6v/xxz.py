@@ -1,13 +1,13 @@
-"""Periodic XXZ chain: the sector operator, its rows and the closed-form energy.
+"""Periodic XXZ chain: the sector operator and the closed-form energy.
 
 Site i of the chain contributes +delta/2 to the diagonal when the arrows at
 i and i+1 agree and -delta/2 when they differ, plus an exchange hop of
 weight 1 between states that differ by swapping those two arrows.
 ``hamiltonian_operator`` reads the hop targets of every bond off the
 sector's ``swapped_ranks`` and keeps them, with the diagonal they imply, as
-index arrays that apply H; ``hamiltonian_rows`` scatters the hops and the
-diagonal of any states into their rows, which fold into H's momentum blocks
-and which ``dump-matrix`` writes, one chunk at a time.
+index arrays: ``op @ x`` applies H, and ``op.rows`` scatters the hops and
+the diagonal of any states into their rows, which fold into H's momentum
+blocks and which ``dump-matrix`` writes, one chunk at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .oracle import _norm
 __all__ = [
     "HamiltonianOperator",
     "hamiltonian_operator",
-    "hamiltonian_rows",
     "energy_prediction",
 ]
 
@@ -49,6 +48,15 @@ class HamiltonianOperator:
         padded = np.concatenate([x, np.zeros_like(x[:1])])  # index dim reads a zero: no hop
         return (self.diagonal * x.T).T + padded[self.targets].sum(axis=0)
 
+    def rows(self, states: np.ndarray) -> np.ndarray:
+        """H's rows at the given states of its sector, (k, dim) for k states."""
+        rows = np.zeros((states.size, self.dim))
+        bonds, k = np.nonzero(self.targets[:, states] < self.dim)
+        # add.at rather than +=: at N = 2 both bonds join the same pair of states
+        np.add.at(rows, (k, self.targets[bonds, states[k]]), 1.0)
+        rows[np.arange(states.size), states] += self.diagonal[states]
+        return rows
+
     def frobenius(self) -> float:
         """||H||_F = hypot(||diagonal||, sqrt(hops)), each hop an entry of 1.
 
@@ -66,24 +74,12 @@ def hamiltonian_operator(sector: SectorIndex, delta: float) -> HamiltonianOperat
     half_delta = 0.5 * float(delta)
     targets = sector.swapped_ranks()
     diagonal = np.zeros(sector.dim)
-    for hops in targets < sector.dim:  # in bond order: another order could round otherwise
-        diagonal += np.where(hops, -half_delta, half_delta)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for hops in targets < sector.dim:  # in bond order: another order could round otherwise
+            diagonal += np.where(hops, -half_delta, half_delta)
+    if not np.isfinite(diagonal).all():
+        raise DomainError(f"Hamiltonian diagonal overflows at delta = {delta!r}")
     return HamiltonianOperator(sector, diagonal, targets)
-
-
-def hamiltonian_rows(sector: SectorIndex, delta: float):
-    """H's rows at a sector's states: ``rows_of(states)``, (k, dim) for k states."""
-    op, dim = hamiltonian_operator(sector, delta), sector.dim
-
-    def rows_of(states) -> np.ndarray:
-        rows = np.zeros((states.size, dim))
-        bonds, k = np.nonzero(op.targets[:, states] < dim)
-        # add.at rather than +=: at N = 2 both bonds join the same pair of states
-        np.add.at(rows, (k, op.targets[bonds, states[k]]), 1.0)
-        rows[np.arange(states.size), states] += op.diagonal[states]
-        return rows
-
-    return rows_of
 
 
 def energy_prediction(m: MomentumSet, ring_size: int, delta: float) -> float:

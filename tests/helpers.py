@@ -27,11 +27,11 @@ from bethe6v import (
     SectorIndex,
     SectorMismatchError,
     enumerate_sector,
-    hamiltonian_rows,
+    hamiltonian_operator,
     scattering_kernel,
     theta,
     theta_partial_1,
-    transfer_rows,
+    transfer_operator,
 )
 from bethe6v.ansatz import _subset_sum, pair_factors
 from bethe6v.cli import main
@@ -77,13 +77,13 @@ def _stack_rows(sector, rows_of):
 
 
 def build_transfer_block(sector, a):
-    """V's dense sector block: ``transfer_rows`` at every state."""
-    return _stack_rows(sector, transfer_rows(sector, a))
+    """V's dense sector block: the operator's rows at every state."""
+    return _stack_rows(sector, transfer_operator(sector, a).rows)
 
 
 def build_hamiltonian_block(sector, delta):
-    """H's dense sector block: ``hamiltonian_rows`` at every state."""
-    return _stack_rows(sector, hamiltonian_rows(sector, delta))
+    """H's dense sector block: the operator's rows at every state."""
+    return _stack_rows(sector, hamiltonian_operator(sector, delta).rows)
 
 
 def parse_report(text):

@@ -13,6 +13,9 @@ import pytest
 import bethe6v.cli
 from bethe6v import (
     Anisotropy,
+    HamiltonianOperator,
+    SectorIndex,
+    TransferOperator,
     build_psi,
     enumerate_sector,
     ground_state_quantum_numbers,
@@ -22,7 +25,7 @@ from bethe6v import (
     momentum_spectra,
     partition_function_bruteforce,
     solve,
-    transfer_rows,
+    transfer_operator,
 )
 from bethe6v.cli import MATCH_TOL
 
@@ -55,8 +58,10 @@ def refuse_sectors(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sector allocated")
 
-    for name in ("enumerate_sector", "transfer_rows", "hamiltonian_rows", "log_trace_power"):
+    for name in ("enumerate_sector", "log_trace_power"):
         monkeypatch.setattr(f"bethe6v.cli.{name}", refuse)
+    for operator in (TransferOperator, HamiltonianOperator):
+        monkeypatch.setattr(operator, "rows", refuse)
 
 
 class TestSolveCommand:
@@ -447,9 +452,8 @@ class TestSpectralRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("operator rows read")
 
-        for name in ("cli.transfer_rows", "transfer.transfer_rows",
-                     "cli.hamiltonian_rows", "xxz.hamiltonian_rows"):
-            monkeypatch.setattr(f"bethe6v.{name}", refuse)
+        for operator in (TransferOperator, HamiltonianOperator):
+            monkeypatch.setattr(operator, "rows", refuse)
         code, out = run_cli(["solve", "--capital-n", "12", "--n", "6", "--c", "1.0"])
         rep = parse_report(out)
         assert code == 0
@@ -463,19 +467,16 @@ class TestSpectralRoute:
         # a spectrum reads only the R orbit representatives' rows, each once,
         # never all dim of them
         reps = enumerate_sector(10, 5).orbits()[0].tolist()
-        for kind in ("transfer", "hamiltonian"):
-            calls = []
+        for kind, operator in (("transfer", TransferOperator),
+                               ("hamiltonian", HamiltonianOperator)):
+            calls, rows = [], operator.rows
 
-            def recorded(rows):
-                def rows_of(states):
-                    calls.append(states.tolist())
-                    return rows(states)
-                return rows_of
+            def recorded(op, states):
+                calls.append(states.tolist())
+                return rows(op, states)
 
-            name = f"{kind}_rows"
-            make = getattr(bethe6v.cli, name)
             with monkeypatch.context() as m:
-                m.setattr(f"bethe6v.cli.{name}", lambda *args: recorded(make(*args)))
+                m.setattr(operator, "rows", recorded)
                 code, out = run_cli(["spectrum", "--capital-n", "10", "--n", "5", "--c", "1.3",
                                      "--kind", kind])
             assert code == 0 and parse_report(out)["spectrum.dim"] == "252"
@@ -483,6 +484,19 @@ class TestSpectralRoute:
         force_block(monkeypatch)
         code, out = run_cli(["solve", "--capital-n", "12", "--n", "6", "--c", "1.0"])
         assert code == 0 and parse_report(out)["checks.route"] == "block"
+
+    def test_block_route_reads_the_verified_operators(self, monkeypatch):
+        # the spectra are read off the V and H the residuals used: one of each per run
+        calls = []
+        for table in ("toggled_ranks", "swapped_ranks"):
+            def counted(sector, table=table, walk=getattr(SectorIndex, table)):
+                calls.append(table)
+                return walk(sector)
+
+            monkeypatch.setattr(SectorIndex, table, counted)
+        code, out = run_cli(EXCITED)
+        assert code == 0 and parse_report(out)["checks.route"] == "block"
+        assert sorted(calls) == ["swapped_ranks", "toggled_ranks"]
 
     def test_certified_above_the_spectrum_cap(self):
         code, out = run_cli(["solve", "--capital-n", "15", "--n", "7", "--c", "1.0"])
@@ -646,6 +660,19 @@ class TestPartitionCommand:
         )
         assert code == 0
         assert float(parse_report(out)["partition.relative_discrepancy"]) < 1e-12
+
+    def test_timing_covers_the_count(self, monkeypatch):
+        count = bethe6v.cli.partition_function_bruteforce
+
+        def slow(*args):
+            time.sleep(0.2)
+            return count(*args)
+
+        monkeypatch.setattr("bethe6v.cli.partition_function_bruteforce", slow)
+        code, out = run_cli(["partition", "--capital-n", "2", "--m", "2", "--c", "1.5",
+                             "--bruteforce"])
+        assert code == 0
+        assert float(parse_report(out)["timing.seconds"]) >= 0.2
 
     def test_trace_only(self):
         code, out = run_cli(["partition", "--capital-n", "12", "--m", "2", "--c", "0.9"])
@@ -817,6 +844,14 @@ class TestSpectrumCommand:
                              "--kind", "hamiltonian"])
         assert code == 0 and parse_report(out)["eigenvalue.2"] == "2.5e+307"
 
+    def test_hamiltonian_diagonal_past_the_double_range_refused(self, capsys):
+        # at c = 1.3e154 delta is -8.45e307, and three bonds of delta / 2 pass the range
+        code, out = run_cli(["spectrum", "--capital-n", "6", "--n", "3", "--c", "1.3e154",
+                             "--kind", "hamiltonian"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: Hamiltonian diagonal overflows at delta = -8.449999999999999e+307\n")
+
     def test_cap_exceeded(self, monkeypatch):
         # (6, 3): 80 N dim = 9600 bytes of sector and operator and momentum blocks of
         # 24 dim^2 / N = 1600; a dense cap of 37 leaves 10952, one of 38 leaves 11552
@@ -875,6 +910,37 @@ class TestDumpMatrixCommand:
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == "error: chain needs N >= 2\n"
         assert not path.exists()
+
+    def test_overflowing_diagonal_refused(self, tmp_path, capsys):
+        # (6, 0): one state, six bonds of delta / 2; -6.05e307 * 3 passes the range
+        path = tmp_path / "h.txt"
+        argv = ["dump-matrix", "--capital-n", "6", "--n", "0", "--kind", "hamiltonian",
+                "--out", str(path)]
+        assert run_cli(argv + ["--c", "1.1e154"]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: Hamiltonian diagonal overflows at delta = -6.05e+307\n")
+        assert not path.exists()
+        # at c = 1.09e154 the sum still fits, formed in bond order as before
+        assert run_cli(argv + ["--c", "1.09e154"])[0] == 0
+        assert path.read_text() == "6 0 1 hamiltonian\n-1.7821500000000002e+308\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--capital-n", "8", "--m", "8", "--c", "1.0"],
+    ["partition", "--capital-n", "4", "--m", "3", "--c", "1.0", "--bruteforce"],
+    ["spectrum", "--capital-n", "10", "--n", "5", "--c", "1.3"],
+    ["dump-matrix", "--capital-n", "8", "--n", "4", "--c", "1.3", "--out", "/dev/null"],
+], ids=["partition", "partition-bruteforce", "spectrum", "dump-matrix"])
+def test_rows_alone_build_no_sweep_tables(argv, monkeypatch):
+    # V's rows need no partner ranks; only its sweep reads toggled_ranks
+    def refuse(*args):
+        raise AssertionError("sweep tables built")
+
+    monkeypatch.setattr(SectorIndex, "toggled_ranks", refuse)
+    assert run_cli(argv)[0] == 0
+    # an odd-M torus whose spectra cancel falls back to sweeps, and builds them then
+    with pytest.raises(AssertionError, match="sweep tables built"):
+        run_cli(["partition", "--capital-n", "10", "--m", "5", "--c", "5"])
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -994,7 +1060,7 @@ class TestEnvironmentCaps:
         sector = enumerate_sector(6, 3)
         assert build_hamiltonian_block(sector, a.delta).dim == 20
         assert build_transfer_block(sector, a).dim == 20
-        assert int(momentum_spectra(sector, transfer_rows(sector, a))[1].sum()) == 20
+        assert int(momentum_spectra(sector, transfer_operator(sector, a).rows)[1].sum()) == 20
         momenta = solve(6, ground_state_quantum_numbers(3), a).momenta
         assert np.all(np.isfinite(build_psi(sector, momenta)))
         assert identity_suite(momenta, 6, samples=2).samples == 2

@@ -15,12 +15,12 @@ from bethe6v import (
     energy_prediction,
     enumerate_sector,
     ground_state_quantum_numbers,
-    hamiltonian_rows,
+    hamiltonian_operator,
     log_trace_power,
     match_eigenvalue,
     momentum_spectra,
     solve,
-    transfer_rows,
+    transfer_operator,
 )
 from bethe6v.cli import _spectrum
 
@@ -102,9 +102,12 @@ class TestMomentumSpectra:
         sector, a = enumerate_sector(N, n), Anisotropy(c)
         kinds = ["transfer"] + (["hamiltonian"] if N >= 2 else [])
         for kind in kinds:
-            block = (build_transfer_block(sector, a) if kind == "transfer"
-                     else build_hamiltonian_block(sector, a.delta))
-            dense, spectrum = dense_eigenvalues(block), _spectrum(sector, a, kind)
+            if kind == "transfer":
+                op, block = transfer_operator(sector, a), build_transfer_block(sector, a)
+            else:
+                op = hamiltonian_operator(sector, a.delta)
+                block = build_hamiltonian_block(sector, a.delta)
+            dense, spectrum = dense_eigenvalues(block), _spectrum(op, c)
             assert spectrum.shape == (sector.dim,), (N, n, c, kind)
             scale = max(1.0, float(np.max(np.abs(dense))))
             assert np.max(np.abs(spectrum - dense)) <= 1e-12 * scale, (N, n, c, kind)
@@ -125,21 +128,22 @@ class TestMomentumSpectra:
         for N in (2, 5, 12):
             self.assert_matches_the_oracle(N, 0, math.sqrt(2.0))
             sector = enumerate_sector(N, 0)
-            spectra, weights, exponent = momentum_spectra(sector, hamiltonian_rows(sector, 0.0))
+            rows_of = hamiltonian_operator(sector, 0.0).rows
+            spectra, weights, exponent = momentum_spectra(sector, rows_of)
             assert (spectra[weights > 0].tolist(), weights.sum(), exponent) == ([0.0], 1, 0)
 
     def test_weights_count_every_state(self):
         for N, n in ((2, 0), (2, 1), (6, 3), (9, 3), (12, 6)):
             sector, a = enumerate_sector(N, n), Anisotropy(1.3)
-            for rows_of in (transfer_rows(sector, a), hamiltonian_rows(sector, a.delta)):
-                spectra, weights, _ = momentum_spectra(sector, rows_of)
+            for op in (transfer_operator(sector, a), hamiltonian_operator(sector, a.delta)):
+                spectra, weights, _ = momentum_spectra(sector, op.rows)
                 assert spectra.shape == weights.shape == (N // 2 + 1, sector.orbits()[0].size)
                 assert int(weights.sum()) == sector.dim
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_entries(self, value):
         sector = enumerate_sector(6, 2)
-        rows_of = transfer_rows(sector, Anisotropy(1.0))
+        rows_of = transfer_operator(sector, Anisotropy(1.0)).rows
 
         def poisoned(states):
             rows = rows_of(states)

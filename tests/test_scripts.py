@@ -87,6 +87,17 @@ def test_solver_parity_digest_is_reproducible():
     assert runs[1].stdout == runs[0].stdout
 
 
+def test_report_parity_digest_is_reproducible():
+    # N = 1..4 at c = 1: 8 solves, 28 spectra, 28 dumps and 16 tori, then 2 identity
+    # runs and the 5 fixed tori
+    runs = [run_script("report_parity.py", "--max-n", "4", "--c-values", "1.0")
+            for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"runs 87 sha256 [0-9a-f]{64}\n", runs[0].stdout), runs[0].stdout
+    assert runs[1].stdout == runs[0].stdout
+
+
 @pytest.mark.parametrize("name", ["ground_state_scan.py", "partition_scan.py"])
 def test_scans_name_a_malformed_dim_cap(name, monkeypatch):
     monkeypatch.setenv("BETHE6V_DIM_CAP", "abc")

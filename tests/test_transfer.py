@@ -6,12 +6,13 @@ import pytest
 from bethe6v import (
     Anisotropy,
     DomainError,
+    HamiltonianOperator,
+    TransferOperator,
     enumerate_sector,
     log_polynomial,
     log_trace_power,
     partition_function_bruteforce,
     transfer_operator,
-    transfer_rows,
 )
 from bethe6v.oracle import _ROW_ELEMENTS, _norm
 
@@ -89,14 +90,15 @@ class TestTransferOperator:
             sector = enumerate_sector(N, n)
             states = np.arange(sector.dim) if N <= 10 else rng.choice(sector.dim, 40, replace=False)
             x = (np.arange(sector.dim)[:, None] == states).astype(float)
-            got = transfer_operator(sector, a) @ x
-            assert np.array_equal(got.T, transfer_rows(sector, a)(states)), (N, n)
+            op = transfer_operator(sector, a)
+            assert np.array_equal((op @ x).T, op.rows(states)), (N, n)
 
     def test_edge_is_the_last_weight_both_accept(self):
         sector, above = enumerate_sector(10, 5), Anisotropy(math.nextafter(self.EDGE, math.inf))
-        for build in (transfer_operator, transfer_rows):
+        for build in (lambda: transfer_operator(sector, above),
+                      lambda: TransferOperator(sector, above.c).rows(np.arange(1))):
             with pytest.raises(DomainError, match=r"transfer weight c\^10 overflows"):
-                build(sector, above)
+                build()
 
     def test_applies_to_each_column_of_a_block_of_vectors(self):
         sector, a = enumerate_sector(9, 4), Anisotropy(1.7)
@@ -358,19 +360,15 @@ class TestMatrixDump:
 
     @pytest.mark.parametrize("kind", ["transfer", "hamiltonian"])
     def test_reads_one_chunk_of_rows_at_a_time(self, tmp_path, monkeypatch, kind):
-        import bethe6v.cli
-
         calls = []
+        operator = TransferOperator if kind == "transfer" else HamiltonianOperator
+        rows = operator.rows
 
-        def recorded(rows):
-            def rows_of(states):
-                calls.append(states.tolist())
-                return rows(states)
-            return rows_of
+        def recorded(op, states):
+            calls.append(states.tolist())
+            return rows(op, states)
 
-        name = f"{kind}_rows"
-        make = getattr(bethe6v.cli, name)
-        monkeypatch.setattr(f"bethe6v.cli.{name}", lambda *args: recorded(make(*args)))
+        monkeypatch.setattr(operator, "rows", recorded)
         text = self.dump(tmp_path, 12, 6, 1.3, kind)
         assert len(text.splitlines()) == 1 + 924
         # every row once, in order, and no call past one chunk of rows
