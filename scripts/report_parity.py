@@ -41,7 +41,7 @@ from bethe6v import ground_state_quantum_numbers
 from bethe6v.cli import main as cli_main
 
 MAX_N = 10
-C_VALUES = "0.5,1.0,2.5"
+C_VALUES = "0.5,1.0,1.3,2.5"  # at 1.3, delta / 2 has a long mantissa: how H rounds shows
 DUMP_MAX_N = 7
 BRUTEFORCE_CELLS = 16
 TORI = ((4, 400, 1.0), (8, 200, 3.0), (10, 5, 5.0), (10, 7, 5.0), (12, 13, 3.0))

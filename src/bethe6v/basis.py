@@ -6,10 +6,10 @@ colexicographic on position lists (ascending occupation bitmask) and fixed
 globally, so every matrix or coefficient dump is reproducible bit for bit.
 This module is the one place that knows the state encoding: a sector holds
 its states as position and bitmask arrays, ``site`` reads one site's bit of
-every state, and ``ranks`` is the one route from states back to their
-indices; ``toggled_ranks`` and ``swapped_ranks`` give the indices of the
-states one site flip or one bond swap away, by one walk over the sites that
-carries each state's running colex sums, and ``orbits`` the translation orbits.
+every state, and ``ranks``, the one colex sum, gives every state index: of
+the states one site flip or one bond swap away (``toggled_ranks`` and
+``swapped_ranks``, seeded by it for one walk over the sites), and of T's
+image of each state, from which ``orbits`` follows the translation orbits.
 """
 
 from __future__ import annotations
@@ -71,12 +71,15 @@ class SectorIndex:
         word, bit = divmod(i - 1, 64)
         return (self.masks[:, word] & (1 << bit)).astype(bool)
 
-    def ranks(self, positions: np.ndarray) -> np.ndarray:
-        """Basis indices of the rows of a (rows, n) array of increasing positions.
+    def ranks(self, positions: np.ndarray, offset: int | np.ndarray = 0) -> np.ndarray:
+        """Colex sums sum_k C(x_k - 1, k + offset) of a (rows, n) position array.
 
-        Colex rank in the combinatorial number system: sum_k C(x_k - 1, k).
+        At offset 0, the basis indices of its rows; the offset is one scalar or one per row.
         """
-        return self._colex_table[positions - 1, np.arange(1, self.n + 1)].sum(axis=1)
+        out = np.zeros(len(positions), dtype=np.int64)
+        for k, x in enumerate(positions.T, 1):  # one column at a time: no (rows, n) scratch
+            out += self._colex_table[x - 1, k + offset]
+        return out
 
     def toggled_ranks(self) -> np.ndarray:
         """(N, dim) ranks of the states with one site toggled, row i - 1 for site i.
@@ -89,12 +92,9 @@ class SectorIndex:
         fill + C(i - 1, j + 1), emptying i = x_(j+1) gives empty - C(i - 1, j),
         and passing it moves its term C(i - 1, j + 1) into the kept ones.
         """
-        table, dim = self._colex_table, self.dim
-        fill, empty, j = np.zeros((3, dim), dtype=np.int64)
-        for k, x in enumerate(self.positions.T, 1):
-            fill += table[x - 1, k + 1]
-            empty += table[x - 1, k - 1]
-        out = np.empty((self.N, dim), dtype=np.int64)
+        table, j = self._colex_table, np.zeros(self.dim, dtype=np.int64)
+        fill, empty = self.ranks(self.positions, 1), self.ranks(self.positions, -1)
+        out = np.empty((self.N, self.dim), dtype=np.int64)
         for toggled, occupied, row in zip(out, map(self.site, range(1, self.N + 1)), table):
             below, here = row.take(j), row[1:].take(j)
             toggled[:] = np.where(occupied, empty - below, fill + here)
@@ -122,11 +122,9 @@ class SectorIndex:
             np.copyto(bond, states + sign * row.take(j), where=sign != 0)
             j += left
             left = right
-        shift = np.where(first, -1, 1)
-        # every term moves by shift; take back x_1 = 1's C(0, 0) or x_n = N's C(N - 1, n + 1)
-        wrapped = np.where(first, table[N - 1, n] - 1, -table[N - 1, n + 1])
-        for k, x in enumerate(self.positions.T, 1):
-            wrapped += table[x - 1, k + shift]
+        # every term moves by -1 or +1; take back x_1 = 1's C(0, 0) or x_n = N's C(N - 1, n + 1)
+        wrapped = self.ranks(self.positions, np.where(first, -1, 1))
+        wrapped += np.where(first, table[N - 1, n] - 1, -table[N - 1, n + 1])
         np.copyto(out[-1], wrapped, where=left != first)  # left is site N now
         return out
 
@@ -138,12 +136,13 @@ class SectorIndex:
         is T^t(r) for r = reps[orbit[s]] with t < p, and p divides N.  T is a
         rank permutation; following it N - 1 times visits each orbit N / p times.
         """
-        N, dim = self.N, self.dim
-        shifted, wraps = self.positions + 1, self.site(N)
-        # only a last position N wraps, to 1: its row rolls by one and stays sorted
-        shifted[wraps] = np.roll(self.positions[wraps], 1, axis=1) % N + 1
-        step = self.ranks(shifted)
+        N, n, dim = self.N, self.n, self.dim
         states = image = rep = np.arange(dim)
+        # T raises each term C(x - 1, k) of a rank to C(x, k); where site N is held
+        # it wraps to 1, every index moves up one and the last term drops out
+        wraps = self.site(N)
+        step = self.ranks(self.positions, np.where(wraps, 1, -1))
+        step += states - wraps * comb(N, n + 1)  # C(N - 1, n) + C(N - 1, n + 1)
         back, fixed = np.zeros(dim, dtype=np.int64), np.ones(dim, dtype=np.int64)
         for u in range(1, N):
             image = step[image]  # T^u(s)

@@ -3,11 +3,11 @@
 Site i of the chain contributes +delta/2 to the diagonal when the arrows at
 i and i+1 agree and -delta/2 when they differ, plus an exchange hop of
 weight 1 between states that differ by swapping those two arrows.
-``hamiltonian_operator`` reads the hop targets of every bond off the
-sector's ``swapped_ranks`` and keeps them, with the diagonal they imply, as
-index arrays: ``op @ x`` applies H, and ``op.rows`` scatters the hops and
-the diagonal of any states into their rows, which fold into H's momentum
-blocks and which ``dump-matrix`` writes, one chunk at a time.
+``hamiltonian_operator`` keeps the hop targets of every bond, read off the
+sector's ``swapped_ranks``, and the diagonal (N - 2u) delta/2 of u hops, its
+exact value rounded once: ``op @ x`` applies H, and ``op.rows`` scatters the
+hops and the diagonal of any states into their rows, which fold into H's
+momentum blocks and which ``dump-matrix`` writes, one chunk at a time.
 """
 
 from __future__ import annotations
@@ -71,12 +71,10 @@ def hamiltonian_operator(sector: SectorIndex, delta: float) -> HamiltonianOperat
     """H on a sector (exchange conserves n), as its diagonal and per-bond hops."""
     if sector.N < 2:
         raise ValueError("chain needs N >= 2")
-    half_delta = 0.5 * float(delta)
     targets = sector.swapped_ranks()
-    diagonal = np.zeros(sector.dim)
+    hops = np.count_nonzero(targets < sector.dim, axis=0)
     with np.errstate(over="ignore"):  # an overflow is refused below
-        for hops in targets < sector.dim:  # in bond order: another order could round otherwise
-            diagonal += np.where(hops, -half_delta, half_delta)
+        diagonal = (sector.N - 2 * hops) * (0.5 * float(delta))
     if not np.isfinite(diagonal).all():
         raise DomainError(f"Hamiltonian diagonal overflows at delta = {delta!r}")
     return HamiltonianOperator(sector, diagonal, targets)

@@ -299,6 +299,27 @@ def dense_eigenvalues(m):
     return np.linalg.eigvalsh(A)
 
 
+def free_fermion_spectra(N, n):
+    """V's and H's spectra on the sector (N, n) at c = sqrt(2), in closed form, ascending.
+
+    There delta = 0 and the Bethe equations decouple into e^{iNp} = (-1)^(n-1):
+    the allowed momenta are p_k = 2 pi (k + 1/2) / N for even n and
+    2 pi k / N for odd n, k = 0..N-1, and each n-subset S of them is one
+    eigenstate.  Its transfer eigenvalue is (1 + (-1)^n) prod_S L(z_j), as
+    M = -L at c^2 = 2, or 2N prod_{j != l} M(z_j) when S holds p_l = 0, and
+    its energy is 2 sum_S cos p_j.  Formed in numpy: most of these momenta lie
+    outside D, which ``MomentumSet`` refuses.
+    """
+    p = 2 * np.pi * (np.arange(N) + (n + 1) % 2 / 2) / N
+    z = np.exp(1j * p)
+    L = np.divide(1 + z, 1 - z, out=np.ones(N, dtype=complex), where=p != 0)
+    M = np.where(p != 0, -L, 1)  # 1 at p = 0: the product runs over j != l
+    S = np.array(list(itertools.combinations(range(N), n)), dtype=np.intp)
+    holds_zero = np.any(p[S] == 0, axis=1)
+    lam = np.where(holds_zero, 2 * N * M[S].prod(axis=1), (1 + (-1) ** n) * L[S].prod(axis=1))
+    return np.sort(lam.real), np.sort(2 * np.cos(p)[S].sum(axis=1))
+
+
 def enumerate_row_completions(sx, sy, a):
     """Weights of all ice-rule horizontal-arrow completions of one lattice row.
 

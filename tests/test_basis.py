@@ -54,6 +54,17 @@ class TestEnumerate:
             ranks = sector.ranks(sector.positions)
             assert np.array_equal(ranks, np.arange(sector.dim)), (N, n)
 
+    def test_ranks_are_offset_colex_sums(self):
+        rng = np.random.default_rng(5)
+        for N, n in ((1, 1), (6, 3), (9, 4), (12, 11), (70, 2)):
+            sector = enumerate_sector(N, n)
+            rows = sector.positions.tolist()
+            for offset in (-1, 0, 1, rng.integers(-1, 2, size=sector.dim)):
+                per_row = np.broadcast_to(offset, sector.dim).tolist()
+                expected = [sum(math.comb(x - 1, k + o) for k, x in enumerate(row, 1))
+                            for row, o in zip(rows, per_row)]
+                assert sector.ranks(sector.positions, offset).tolist() == expected, (N, n)
+
     def test_mask_and_spins(self):
         sector = enumerate_sector(4, 2)
         k = states(sector).index((1, 3))
@@ -169,6 +180,18 @@ class TestOrbits:
             # an orbit holds exactly p states, and the orbits cover the sector
             assert np.array_equal(np.bincount(rep)[reps], period[reps]), (N, n)
             assert period[reps].sum() == sector.dim, (N, n)
+
+    @pytest.mark.parametrize("N, n", [(16, 8), (70, 68)])
+    def test_orbits_hold_o_dim_scratch(self, N, n):
+        # T's step is one offset colex sum: no (dim, n) copy of the positions
+        sector = enumerate_sector(N, n)
+        tracemalloc.start()
+        try:
+            sector.orbits()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * sector.dim, peak / (8 * sector.dim)
 
     def test_period_is_the_smallest_shift_back(self):
         for N, n in ((6, 2), (6, 3), (8, 4), (9, 3), (12, 6)):

@@ -845,12 +845,20 @@ class TestSpectrumCommand:
         assert code == 0 and parse_report(out)["eigenvalue.2"] == "2.5e+307"
 
     def test_hamiltonian_diagonal_past_the_double_range_refused(self, capsys):
-        # at c = 1.3e154 delta is -8.45e307, and three bonds of delta / 2 pass the range
+        # at c = 1.3e154 delta is -8.45e307: the alternating state's entry -3 delta passes the range
         code, out = run_cli(["spectrum", "--capital-n", "6", "--n", "3", "--c", "1.3e154",
                              "--kind", "hamiltonian"])
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == (
             "error: Hamiltonian diagonal overflows at delta = -8.449999999999999e+307\n")
+
+    def test_hamiltonian_diagonal_that_fits_is_admitted(self, capsys):
+        # (9, 1): every state has two hops, so every entry is 5 delta / 2 = -1.485e308,
+        # while a bond-by-bond sum passes the range at state (9,), 7 delta / 2 in
+        code, out = run_cli(["spectrum", "--capital-n", "9", "--n", "1", "--c", "1.09e154",
+                             "--kind", "hamiltonian"])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert parse_report(out)["eigenvalue.0"] == "-1.4851250000000002e+308"
 
     def test_cap_exceeded(self, monkeypatch):
         # (6, 3): 80 N dim = 9600 bytes of sector and operator and momentum blocks of
@@ -920,9 +928,20 @@ class TestDumpMatrixCommand:
         assert capsys.readouterr().err == (
             "error: Hamiltonian diagonal overflows at delta = -6.05e+307\n")
         assert not path.exists()
-        # at c = 1.09e154 the sum still fits, formed in bond order as before
+        # at c = 1.09e154 the entry 6 delta / 2 still fits
         assert run_cli(argv + ["--c", "1.09e154"])[0] == 0
         assert path.read_text() == "6 0 1 hamiltonian\n-1.7821500000000002e+308\n"
+
+    def test_diagonal_that_fits_is_written(self, tmp_path, capsys):
+        # (8, 3) at c = 1.3e154: every entry (8 - 2u) delta / 2 is within 1.69e308, while
+        # a bond-by-bond sum passes the range at state (6, 7, 8), 5 delta / 2 in
+        path = tmp_path / "h.txt"
+        code, out = run_cli(["dump-matrix", "--capital-n", "8", "--n", "3", "--c", "1.3e154",
+                             "--kind", "hamiltonian", "--out", str(path)])
+        assert code == 0 and capsys.readouterr().err == ""
+        rows = path.read_text().splitlines()[1:]
+        diagonal = {float(row.split()[k]) for k, row in enumerate(rows)}
+        assert diagonal == {-1.6899999999999998e+308, 0.0, 1.6899999999999998e+308}
 
 
 @pytest.mark.parametrize("argv", [

@@ -24,7 +24,8 @@ from bethe6v import (
 )
 from bethe6v.cli import _spectrum
 
-from helpers import SectorMatrix, build_hamiltonian_block, build_transfer_block, dense_eigenvalues
+from helpers import (SectorMatrix, build_hamiltonian_block, build_transfer_block, dense_eigenvalues,
+                     free_fermion_spectra)
 
 
 def make_matrix(entries):
@@ -117,6 +118,19 @@ class TestMomentumSpectra:
         for N in range(1, 13):
             for n in range(N + 1):
                 self.assert_matches_the_oracle(N, n, c)
+
+    def test_closed_form_spectra_at_c_sqrt_2(self):
+        # delta = 0: every n-subset of the allowed momenta gives one level of V and of H
+        c = math.sqrt(2.0)
+        for N in range(2, 13):
+            for n in range(N + 1):
+                sector, a = enumerate_sector(N, n), Anisotropy(c)
+                v, e = free_fermion_spectra(N, n)
+                ops = transfer_operator(sector, a), hamiltonian_operator(sector, a.delta)
+                for op, closed in zip(ops, (v, e)):
+                    spectrum = _spectrum(op, c)
+                    scale = max(1.0, float(np.max(np.abs(spectrum))))
+                    assert np.max(np.abs(spectrum - closed)) <= 1e-13 * scale, (N, n, op)
 
     def test_huge_weights(self):
         # V's entries reach c^6 = 1e180: the blocks are scaled by a power of two

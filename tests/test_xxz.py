@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,20 +26,25 @@ from helpers import build_hamiltonian_block, build_transfer_block, commutator_no
 
 
 def full_space_hamiltonian(N, delta):
-    """Independent construction over all 2^N spin tuples (test oracle)."""
+    """Independent construction over all 2^N spin tuples (test oracle).
+
+    A diagonal entry is delta/2 times (like bonds - unlike bonds), taken
+    exactly and rounded once.
+    """
     states = list(itertools.product((1, -1), repeat=N))
     index = {s: k for k, s in enumerate(states)}
     H = np.zeros((2 ** N, 2 ** N))
     for s, row in index.items():
+        like = 0
         for i in range(N):
             j = (i + 1) % N
             if s[i] == s[j]:
-                H[row, row] += 0.5 * delta
+                like += 1
             else:
-                H[row, row] -= 0.5 * delta
                 flipped = list(s)
                 flipped[i], flipped[j] = flipped[j], flipped[i]
                 H[row, index[tuple(flipped)]] += 1.0
+        H[row, row] = float(Fraction(delta) * (2 * like - N) / 2)
     return states, H
 
 
@@ -145,6 +151,17 @@ class TestHamiltonianOperator:
                 scale = max(1.0, float(np.max(np.abs(ref))))
                 assert np.max(np.abs(op @ x - ref)) <= 1e-15 * scale, (N, n)
                 assert np.max(np.abs(op @ x.real - block @ x.real)) <= 1e-15 * scale, (N, n)
+
+    @pytest.mark.parametrize("N, n", [(7, 3), (8, 3), (9, 1), (10, 4)])
+    def test_diagonal_is_the_hop_count_rounded_once(self, N, n):
+        # u hops: the entry (N - 2u) delta / 2 rounded once, from c = 0.1 to c = 1.09e154
+        sector = enumerate_sector(N, n)
+        for delta in (Anisotropy(0.1).delta, 0.3, -0.6, Anisotropy(1.09e154).delta):
+            op = hamiltonian_operator(sector, delta)
+            for k, x in enumerate(sector.positions):
+                s = spins(x, N)
+                u = int(np.sum(s != np.roll(s, -1)))
+                assert op.diagonal[k] == float(Fraction(delta) * (N - 2 * u) / 2), (k, delta)
 
     @pytest.mark.parametrize("N, n, c", [(2, 1, 1.0), (5, 2, 0.8), (12, 6, 2.5),
                                          (6, 3, 1e30), (10, 5, 1e30), (6, 1, 1e100)])
